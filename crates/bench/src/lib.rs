@@ -43,8 +43,8 @@ pub fn target_chip_64() -> youtiao_chip::Chip {
 }
 
 /// Fits the XY crosstalk model for a chip from synthesized measurements,
-/// using the paper's 5-fold CV procedure. Delegates to the sweep
-/// engine's characterization step so binaries and sweeps agree.
+/// using the paper's 5-fold CV procedure: the characterization step
+/// every design front-end shares, so binaries and sweeps agree.
 pub fn fitted_xy_model(chip: &youtiao_chip::Chip, seed: u64) -> youtiao_noise::CrosstalkModel {
-    youtiao_xplore::eval::characterize_xy(chip, seed)
+    youtiao_noise::characterize_xy(chip, seed)
 }

@@ -66,8 +66,34 @@ impl TopologicalDistance {
 ///
 /// Panics if either id is out of range for the chip.
 pub fn topological_distance(chip: &Chip, a: QubitId, b: QubitId) -> Option<TopologicalDistance> {
-    let dists = bfs_with_counts(chip, a);
-    dists[b.index()].map(|(hops, path_count)| TopologicalDistance { hops, path_count })
+    topological_row(chip, a)[b.index()]
+}
+
+/// The topological distance from `source` to every qubit, indexed by
+/// qubit id, from one breadth-first search: entry `b` equals
+/// [`topological_distance`]`(chip, source, b)`. Callers that need many
+/// pairs should take one row per source instead of one search per pair.
+///
+/// # Panics
+///
+/// Panics if `source` is out of range for the chip.
+///
+/// # Example
+///
+/// ```
+/// use youtiao_chip::topology;
+/// use youtiao_chip::distance::topological_row;
+///
+/// let chip = topology::square_grid(2, 2);
+/// let row = topological_row(&chip, 0u32.into());
+/// assert_eq!(row[0].unwrap().value(), 0.0);
+/// assert_eq!(row[3].unwrap().value(), 4.0);
+/// ```
+pub fn topological_row(chip: &Chip, source: QubitId) -> Vec<Option<TopologicalDistance>> {
+    bfs_with_counts(chip, source)
+        .into_iter()
+        .map(|d| d.map(|(hops, path_count)| TopologicalDistance { hops, path_count }))
+        .collect()
 }
 
 /// Single-source BFS returning `(hops, shortest_path_count)` per qubit.
@@ -277,16 +303,13 @@ pub fn equivalent_matrix(chip: &Chip, weights: EquivalentWeights) -> DistanceMat
     let n = chip.num_qubits();
     let mut m = DistanceMatrix::zeros(n);
     for a in chip.qubit_ids() {
-        let row = bfs_with_counts(chip, a);
+        let row = topological_row(chip, a);
         for b in chip.qubit_ids() {
             if b <= a {
                 continue;
             }
             let d = match row[b.index()] {
-                Some((hops, count)) => {
-                    let d_top = count as f64 * hops as f64;
-                    weights.combine(chip.physical_distance(a, b), d_top)
-                }
+                Some(d_top) => weights.combine(chip.physical_distance(a, b), d_top.value()),
                 None => f64::INFINITY,
             };
             m.set(a, b, d);

@@ -26,9 +26,7 @@
 
 use youtiao_chip::multi::MultiDieChip;
 use youtiao_chip::{Chip, QubitId};
-use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
-use youtiao_noise::fit::{fit_crosstalk_model, FitConfig};
-use youtiao_noise::CrosstalkModel;
+use youtiao_noise::{characterize_xy, CrosstalkModel};
 
 use crate::context::PlanContext;
 use crate::error::PlanError;
@@ -202,15 +200,9 @@ pub fn plan_multi(
 }
 
 fn plan_die(chip: &Chip, config: &MultiPlanConfig, die: usize) -> Result<DiePlan, PlanError> {
-    let model = config.use_model.then(|| {
-        let samples = synthesize(
-            chip,
-            CrosstalkKind::Xy,
-            &SynthConfig::xy(),
-            die_seed(config.seed, die),
-        );
-        fit_crosstalk_model(&samples, &FitConfig::paper()).expect("synthesized data always fits")
-    });
+    let model = config
+        .use_model
+        .then(|| characterize_xy(chip, die_seed(config.seed, die)));
     let ctx = PlanContext::build(chip, model.as_ref(), config.planner.weights);
     let mut planner = YoutiaoPlanner::new(chip)
         .with_config(config.planner.clone())

@@ -9,7 +9,7 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use youtiao_chip::distance::topological_distance;
+use youtiao_chip::distance::topological_row;
 use youtiao_chip::{Chip, QubitId};
 
 /// Which crosstalk mechanism a sample measures.
@@ -149,14 +149,13 @@ pub fn synthesize(
     let config = &chip_config;
     let mut out = Vec::with_capacity(chip.num_qubits() * (chip.num_qubits() - 1));
     for target in chip.qubit_ids() {
+        let row = topological_row(chip, target);
         for spectator in chip.qubit_ids() {
             if target == spectator {
                 continue;
             }
             let d_phy = chip.physical_distance(target, spectator);
-            let d_top = topological_distance(chip, target, spectator)
-                .map(|d| d.value())
-                .unwrap_or(f64::INFINITY);
+            let d_top = row[spectator.index()].map_or(f64::INFINITY, |d| d.value());
             let value = sample_value(config, d_phy, d_top, &mut rng);
             out.push(CrosstalkSample {
                 target,
@@ -270,6 +269,48 @@ mod tests {
     fn zz_config_has_mhz_scale() {
         let cfg = SynthConfig::zz();
         assert!(cfg.amplitude > 0.1 && cfg.amplitude < 1.0);
+    }
+
+    #[test]
+    fn one_search_per_target_matches_per_pair_distances() {
+        use youtiao_chip::distance::topological_distance;
+        use youtiao_chip::{ChipBuilder, Position, TopologyKind};
+        let disconnected = ChipBuilder::new("split", TopologyKind::Custom)
+            .qubit(Position::new(0.0, 0.0))
+            .qubit(Position::new(1.0, 0.0))
+            .qubit(Position::new(0.0, 1.0))
+            .qubit(Position::new(5.0, 5.0))
+            .qubit(Position::new(6.0, 5.0))
+            .coupler(0u32.into(), 1u32.into())
+            .coupler(0u32.into(), 2u32.into())
+            .coupler(3u32.into(), 4u32.into())
+            .build()
+            .unwrap();
+        // FNV-1a digests of the values the per-pair synthesizer drew.
+        let cases = [
+            (topology::square_grid(4, 4), 0x32b8_0f92_9b40_b293),
+            (topology::heavy_hexagon(1, 2), 0xa930_d28c_6f18_3b9f),
+            (disconnected, 0xa38b_0047_e827_66da),
+        ];
+        for (chip, pinned) in cases {
+            let samples = synthesize(&chip, CrosstalkKind::Xy, &SynthConfig::xy(), 1);
+            let pairs: Vec<(QubitId, QubitId)> = chip
+                .qubit_ids()
+                .flat_map(|t| chip.qubit_ids().map(move |s| (t, s)))
+                .filter(|(t, s)| t != s)
+                .collect();
+            assert_eq!(samples.len(), pairs.len());
+            for (sample, &(target, spectator)) in samples.iter().zip(&pairs) {
+                assert_eq!((sample.target, sample.spectator), (target, spectator));
+                let d_top = topological_distance(&chip, target, spectator)
+                    .map_or(f64::INFINITY, |d| d.value());
+                assert_eq!(sample.d_top.to_bits(), d_top.to_bits());
+            }
+            let digest = samples.iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, s| {
+                (h ^ s.value.to_bits()).wrapping_mul(0x0100_0000_01b3)
+            });
+            assert_eq!(digest, pinned, "{}", chip.name());
+        }
     }
 
     #[test]

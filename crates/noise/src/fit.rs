@@ -10,12 +10,17 @@
 use std::error::Error;
 use std::fmt;
 
+use rand::Rng;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use youtiao_chip::distance::EquivalentWeights;
+use youtiao_chip::Chip;
 
-use crate::data::CrosstalkSample;
+use crate::data::{synthesize, CrosstalkKind, CrosstalkSample, SynthConfig};
 use crate::forest::{RandomForest, RandomForestConfig};
 use crate::model::CrosstalkModel;
 use crate::stats::mse;
+use crate::tree::{Grower, RankedFeature};
 
 /// Configuration for [`fit_crosstalk_model`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -94,6 +99,28 @@ impl fmt::Display for FitError {
 
 impl Error for FitError {}
 
+/// Characterizes a chip's XY crosstalk the way every design front-end
+/// does: synthesizes one XY sample per ordered qubit pair with `seed`
+/// ([`SynthConfig::xy`]) and fits them under [`FitConfig::paper`].
+///
+/// # Panics
+///
+/// Panics if the chip has fewer than three qubits (fewer ordered pairs
+/// than the paper's five folds).
+///
+/// # Example
+///
+/// ```
+/// use youtiao_chip::topology;
+///
+/// let model = youtiao_noise::characterize_xy(&topology::square_grid(3, 3), 7);
+/// assert!(model.predict(1.0, 1.0) > model.predict(4.0, 24.0));
+/// ```
+pub fn characterize_xy(chip: &Chip, seed: u64) -> CrosstalkModel {
+    let samples = synthesize(chip, CrosstalkKind::Xy, &SynthConfig::xy(), seed);
+    fit_crosstalk_model(&samples, &FitConfig::paper()).expect("synthesized data always fits")
+}
+
 /// Fits a [`CrosstalkModel`] to measurement samples by grid-searching the
 /// equivalent-distance weights under k-fold cross-validation and
 /// retraining the winning configuration on all data.
@@ -105,6 +132,10 @@ impl Error for FitError {}
 ///
 /// * [`FitError::InvalidConfig`] — `folds < 2` or `weight_steps < 1`.
 /// * [`FitError::NotEnoughSamples`] — fewer finite samples than folds.
+///
+/// # Panics
+///
+/// Panics if `config.forest.num_trees == 0`.
 pub fn fit_crosstalk_model(
     samples: &[CrosstalkSample],
     config: &FitConfig,
@@ -123,63 +154,85 @@ pub fn fit_crosstalk_model(
         });
     }
 
-    let mut best: Option<(EquivalentWeights, f64)> = None;
-    for i in 0..=config.weight_steps {
-        let w_phy = i as f64 / config.weight_steps as f64;
-        let w_top = 1.0 - w_phy;
-        let Ok(weights) = EquivalentWeights::new(w_phy, w_top) else {
-            continue; // both-zero corner cannot occur on the simplex
-        };
-        let score = cv_mse(&usable, weights, config);
-        if best.is_none_or(|(_, b)| score < b) {
-            best = Some((weights, score));
-        }
-    }
-    let (weights, score) = best.expect("weight grid is non-empty");
-
-    let xs: Vec<f64> = usable
-        .iter()
-        .map(|s| weights.combine(s.d_phy, s.d_top))
+    // The weight grid, each point's feature ranked once.
+    let grid: Vec<(EquivalentWeights, RankedFeature)> = (0..=config.weight_steps)
+        .filter_map(|i| {
+            let w_phy = i as f64 / config.weight_steps as f64;
+            let w_top = 1.0 - w_phy;
+            // The both-zero corner cannot occur on the simplex.
+            let weights = EquivalentWeights::new(w_phy, w_top).ok()?;
+            let xs: Vec<f64> = usable
+                .iter()
+                .map(|s| weights.combine(s.d_phy, s.d_top))
+                .collect();
+            Some((weights, RankedFeature::new(&xs)))
+        })
         .collect();
     let ys: Vec<f64> = usable.iter().map(|s| s.value).collect();
-    let forest = RandomForest::fit(&xs, &ys, config.forest);
-    Ok(CrosstalkModel::from_parts(weights, forest, score))
+
+    let mut best: Option<(usize, f64)> = None;
+    for (point, score) in cv_mse(&grid, &ys, config).into_iter().enumerate() {
+        if best.is_none_or(|(_, b)| score < b) {
+            best = Some((point, score));
+        }
+    }
+    let (point, score) = best.expect("weight grid is non-empty");
+    let (weights, feature) = &grid[point];
+    let forest = RandomForest::fit_ranked(feature, &ys, config.forest);
+    Ok(CrosstalkModel::from_parts(*weights, forest, score))
 }
 
-/// k-fold cross-validated MSE for a candidate weight blend.
-fn cv_mse(samples: &[&CrosstalkSample], weights: EquivalentWeights, config: &FitConfig) -> f64 {
-    let n = samples.len();
-    let mut total = 0.0;
-    let mut folds_used = 0usize;
+/// k-fold cross-validated MSE of every weight point, in grid order.
+///
+/// Each fold's forests all reseed with `config.forest.seed` and draw
+/// over the same training positions, so one bootstrap per (fold, tree)
+/// serves every weight point. Test predictions are accumulated per
+/// distinct feature value, so no CV forest is ever stored.
+///
+/// The caller guarantees `ys.len() >= config.folds >= 2`, so every
+/// fold has both training and test samples.
+fn cv_mse(grid: &[(EquivalentWeights, RankedFeature)], ys: &[f64], config: &FitConfig) -> Vec<f64> {
+    let forest = config.forest;
+    assert!(forest.num_trees > 0, "forest needs at least one tree");
+    let mut totals = vec![0.0; grid.len()];
+    let mut grower = Grower::default();
+    let mut draws = Vec::new();
+    let mut preds = Vec::new();
+    // Per weight point and distinct value: the trees' predictions summed
+    // in tree order from −0.0, as `Iterator::sum` sums a forest's trees.
+    let mut sums: Vec<Vec<f64>> = grid
+        .iter()
+        .map(|(_, feature)| vec![-0.0; feature.values().len()])
+        .collect();
     for fold in 0..config.folds {
-        let mut train_x = Vec::new();
-        let mut train_y = Vec::new();
-        let mut test_x = Vec::new();
-        let mut test_y = Vec::new();
-        for (i, s) in samples.iter().enumerate() {
-            let x = weights.combine(s.d_phy, s.d_top);
-            if i % config.folds == fold {
-                test_x.push(x);
-                test_y.push(s.value);
-            } else {
-                train_x.push(x);
-                train_y.push(s.value);
+        let (train, test): (Vec<u32>, Vec<u32>) =
+            (0..ys.len() as u32).partition(|&i| i as usize % config.folds != fold);
+        let mut rng = ChaCha8Rng::seed_from_u64(forest.seed);
+        for _ in 0..forest.num_trees {
+            draws.clear();
+            draws.extend((0..train.len()).map(|_| train[rng.gen_range(0..train.len())]));
+            for ((_, feature), sums) in grid.iter().zip(&mut sums) {
+                let tree = grower.grow(feature, ys, &draws, forest.tree);
+                for (sum, &x) in sums.iter_mut().zip(feature.values()) {
+                    *sum += tree.predict(x);
+                }
             }
         }
-        if train_x.is_empty() || test_x.is_empty() {
-            continue;
+        let test_y: Vec<f64> = test.iter().map(|&i| ys[i as usize]).collect();
+        for ((total, (_, feature)), sums) in totals.iter_mut().zip(grid).zip(&mut sums) {
+            preds.clear();
+            preds.extend(
+                test.iter()
+                    .map(|&i| sums[feature.rank(i)] / forest.num_trees as f64),
+            );
+            *total += mse(&preds, &test_y);
+            sums.fill(-0.0);
         }
-        let forest = RandomForest::fit(&train_x, &train_y, config.forest);
-        let preds: Vec<f64> = test_x.iter().map(|&x| forest.predict(x)).collect();
-        total += mse(&preds, &test_y);
-        folds_used += 1;
     }
-    if folds_used == 0 {
-        f64::INFINITY
-    } else {
-        total / folds_used as f64
-    }
-    .max(if n == 0 { f64::INFINITY } else { 0.0 })
+    totals
+        .into_iter()
+        .map(|total| (total / config.folds as f64).max(0.0))
+        .collect()
 }
 
 #[cfg(test)]

@@ -2,12 +2,19 @@
 //!
 //! Bagging many [`RegressionTree`]s smooths the step-wise predictions of a
 //! single tree and is the regressor the paper uses for crosstalk fitting.
+//!
+//! A fitted forest is stored compiled: every tree is a step function of
+//! the one feature, so their mean is one too. The forest keeps the union
+//! of the trees' thresholds and the mean prediction on each interval
+//! between them, and predicts with one binary search.
+
+use std::cmp::Ordering;
 
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::tree::{RegressionTree, TreeConfig};
+use crate::tree::{Grower, RankedFeature, RegressionTree, TreeConfig};
 
 /// Hyper-parameters of a [`RandomForest`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,7 +51,14 @@ impl Default for RandomForestConfig {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RandomForest {
-    trees: Vec<RegressionTree>,
+    /// The trees' distinct split thresholds, ascending. A NaN threshold
+    /// sends every input right, so it bounds no interval and is dropped.
+    thresholds: Vec<f64>,
+    /// `values[j]` is the forest's prediction for every `x` with
+    /// `thresholds[j - 1] < x <= thresholds[j]`; the last entry covers
+    /// everything above the top threshold, NaN included.
+    values: Vec<f64>,
+    num_trees: usize,
 }
 
 impl RandomForest {
@@ -58,30 +72,67 @@ impl RandomForest {
         assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
         assert!(!xs.is_empty(), "cannot fit a forest to zero samples");
         assert!(config.num_trees > 0, "forest needs at least one tree");
-        let n = xs.len();
+        RandomForest::fit_ranked(&RankedFeature::new(xs), ys, config)
+    }
+
+    /// [`RandomForest::fit`] over an already ranked feature.
+    pub(crate) fn fit_ranked(
+        feature: &RankedFeature,
+        ys: &[f64],
+        config: RandomForestConfig,
+    ) -> Self {
+        let n = feature.len();
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let mut trees = Vec::with_capacity(config.num_trees);
-        let mut bx = vec![0.0; n];
-        let mut by = vec![0.0; n];
-        for _ in 0..config.num_trees {
-            for i in 0..n {
-                let j = rng.gen_range(0..n);
-                bx[i] = xs[j];
-                by[i] = ys[j];
-            }
-            trees.push(RegressionTree::fit(&bx, &by, config.tree));
+        let mut grower = Grower::default();
+        let mut draws = Vec::with_capacity(n);
+        let trees: Vec<RegressionTree> = (0..config.num_trees)
+            .map(|_| {
+                draws.clear();
+                draws.extend((0..n).map(|_| rng.gen_range(0..n) as u32));
+                grower.grow(feature, ys, &draws, config.tree).clone()
+            })
+            .collect();
+        RandomForest::compile(&trees)
+    }
+
+    /// Compiles trees into one step function. Every `x` in an interval
+    /// takes the same branch at every threshold as the interval's right
+    /// end, so evaluating the trees there gives the interval's value.
+    fn compile(trees: &[RegressionTree]) -> Self {
+        let mut thresholds: Vec<f64> = trees
+            .iter()
+            .flat_map(RegressionTree::thresholds)
+            .filter(|t| !t.is_nan())
+            .collect();
+        thresholds.sort_unstable_by(f64::total_cmp);
+        // −0.0 and +0.0 split alike; keep one.
+        thresholds.dedup_by(|a, b| a == b);
+        // NaN fails every `x <= t`, as any x above the top threshold does.
+        // Summing in tree order from −0.0 (`Iterator::sum`) makes each
+        // value the bit-exact mean of the trees' own predictions.
+        let values = thresholds
+            .iter()
+            .chain([&f64::NAN])
+            .map(|&x| trees.iter().map(|t| t.predict(x)).sum::<f64>() / trees.len() as f64)
+            .collect();
+        RandomForest {
+            thresholds,
+            values,
+            num_trees: trees.len(),
         }
-        RandomForest { trees }
     }
 
     /// Predicts the mean of all trees' predictions for feature `x`.
     pub fn predict(&self, x: f64) -> f64 {
-        self.trees.iter().map(|t| t.predict(x)).sum::<f64>() / self.trees.len() as f64
+        // Trees send `x` left at a threshold `t` iff `x <= t`; above
+        // `t` or unordered with it (NaN), `x` goes right.
+        let right = |t: &f64| matches!(x.partial_cmp(t), Some(Ordering::Greater) | None);
+        self.values[self.thresholds.partition_point(right)]
     }
 
     /// Number of trees in the ensemble.
     pub fn num_trees(&self) -> usize {
-        self.trees.len()
+        self.num_trees
     }
 }
 

@@ -38,10 +38,12 @@ pub mod data;
 pub mod fit;
 pub mod forest;
 pub mod model;
+#[cfg(test)]
+mod oracle;
 pub mod stats;
 pub mod tree;
 
 pub use crate::data::{synthesize, CrosstalkKind, CrosstalkSample, SynthConfig};
-pub use crate::fit::{fit_crosstalk_model, FitConfig, FitError};
+pub use crate::fit::{characterize_xy, fit_crosstalk_model, FitConfig, FitError};
 pub use crate::forest::{RandomForest, RandomForestConfig};
 pub use crate::model::CrosstalkModel;

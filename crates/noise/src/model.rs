@@ -58,6 +58,12 @@ impl CrosstalkModel {
         self.cv_mse
     }
 
+    /// The fitted regressor.
+    #[cfg(test)]
+    pub(crate) fn forest(&self) -> &RandomForest {
+        &self.forest
+    }
+
     /// Predicts crosstalk for raw distance components.
     pub fn predict(&self, d_phy: f64, d_top: f64) -> f64 {
         self.forest

@@ -5,6 +5,13 @@
 //! threshold of the feature, each leaf predicts the mean of its training
 //! targets. Splits greedily minimize the summed squared error of the two
 //! children (equivalently, maximize variance reduction).
+//!
+//! A fit ranks the feature once ([`RankedFeature`]) and grows each tree
+//! from a list of sample indices over it ([`Grower`]): a counting sort by
+//! rank orders the samples, and prefix sums read at the ends of
+//! equal-value buckets score every candidate split. DESIGN.md §4l states
+//! why this gives the bits of a comparison sort followed by an
+//! element-by-element scan.
 
 /// Hyper-parameters of a regression tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,16 +31,12 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
+/// A tree node. Nodes are stored in pre-order: a split's left child is
+/// the next node and its right child sits at index `right`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Node {
-    Leaf {
-        prediction: f64,
-    },
-    Split {
-        threshold: f64,
-        left: Box<Node>,
-        right: Box<Node>,
-    },
+    Leaf { prediction: f64 },
+    Split { threshold: f64, right: u32 },
 }
 
 /// A fitted one-dimensional regression tree.
@@ -50,9 +53,9 @@ enum Node {
 /// assert_eq!(tree.predict(1.5), 5.0);
 /// assert_eq!(tree.predict(11.0), 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct RegressionTree {
-    root: Node,
+    nodes: Vec<Node>,
 }
 
 impl RegressionTree {
@@ -64,28 +67,23 @@ impl RegressionTree {
     pub fn fit(xs: &[f64], ys: &[f64], config: TreeConfig) -> Self {
         assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
         assert!(!xs.is_empty(), "cannot fit a tree to zero samples");
-        // Sort once by feature; recursion then works on contiguous slices.
-        let mut order: Vec<usize> = (0..xs.len()).collect();
-        order.sort_by(|&a, &b| xs[a].total_cmp(&xs[b]));
-        let sx: Vec<f64> = order.iter().map(|&i| xs[i]).collect();
-        let sy: Vec<f64> = order.iter().map(|&i| ys[i]).collect();
-        RegressionTree {
-            root: build(&sx, &sy, 0, config),
-        }
+        let feature = RankedFeature::new(xs);
+        let every: Vec<u32> = (0..feature.len() as u32).collect();
+        Grower::default().grow(&feature, ys, &every, config).clone()
     }
 
     /// Predicts the target value for feature `x`.
     pub fn predict(&self, x: f64) -> f64 {
-        let mut node = &self.root;
+        let mut at = 0;
         loop {
-            match node {
-                Node::Leaf { prediction } => return *prediction,
-                Node::Split {
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    node = if x <= *threshold { left } else { right };
+            match self.nodes[at] {
+                Node::Leaf { prediction } => return prediction,
+                Node::Split { threshold, right } => {
+                    at = if x <= threshold {
+                        at + 1
+                    } else {
+                        right as usize
+                    };
                 }
             }
         }
@@ -93,77 +91,257 @@ impl RegressionTree {
 
     /// Number of leaves in the tree.
     pub fn num_leaves(&self) -> usize {
-        fn count(n: &Node) -> usize {
-            match n {
-                Node::Leaf { .. } => 1,
-                Node::Split { left, right, .. } => count(left) + count(right),
-            }
-        }
-        count(&self.root)
+        self.nodes
+            .iter()
+            .filter(|n| matches!(n, Node::Leaf { .. }))
+            .count()
     }
 
     /// Depth of the tree (a single leaf has depth 0).
     pub fn depth(&self) -> usize {
-        fn depth(n: &Node) -> usize {
-            match n {
+        fn depth(nodes: &[Node], at: usize) -> usize {
+            match nodes[at] {
                 Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + depth(left).max(depth(right)),
+                Node::Split { right, .. } => {
+                    1 + depth(nodes, at + 1).max(depth(nodes, right as usize))
+                }
             }
         }
-        depth(&self.root)
+        depth(&self.nodes, 0)
+    }
+
+    /// The split thresholds, in pre-order.
+    pub(crate) fn thresholds(&self) -> impl Iterator<Item = f64> + '_ {
+        self.nodes.iter().filter_map(|n| match *n {
+            Node::Split { threshold, .. } => Some(threshold),
+            Node::Leaf { .. } => None,
+        })
     }
 }
 
-/// Recursively builds a node over the sorted slice `(xs, ys)`.
-fn build(xs: &[f64], ys: &[f64], depth: usize, config: TreeConfig) -> Node {
-    let mean = ys.iter().sum::<f64>() / ys.len() as f64;
-    if depth >= config.max_depth || ys.len() < config.min_samples_split {
-        return Node::Leaf { prediction: mean };
-    }
-    match best_split(xs, ys) {
-        None => Node::Leaf { prediction: mean },
-        Some(split_idx) => {
-            let threshold = (xs[split_idx - 1] + xs[split_idx]) / 2.0;
-            let left = build(&xs[..split_idx], &ys[..split_idx], depth + 1, config);
-            let right = build(&xs[split_idx..], &ys[split_idx..], depth + 1, config);
-            Node::Split {
-                threshold,
-                left: Box::new(left),
-                right: Box::new(right),
-            }
-        }
-    }
-}
-
-/// Finds the split index minimizing the children's summed squared error.
+/// A feature column ranked once: its distinct values in ascending
+/// [`f64::total_cmp`] order and each sample's dense rank among them.
 ///
-/// Returns `None` when no split separates distinct feature values or no
-/// split improves on the parent. Uses prefix sums for an O(n) scan.
-fn best_split(xs: &[f64], ys: &[f64]) -> Option<usize> {
-    let n = ys.len();
-    let total_sum: f64 = ys.iter().sum();
-    let total_sq: f64 = ys.iter().map(|y| y * y).sum();
-    let parent_sse = total_sq - total_sum * total_sum / n as f64;
+/// Ranks order samples exactly as a `total_cmp` sort does, so a stable
+/// counting sort by rank reproduces a stable comparison sort.
+#[derive(Debug)]
+pub(crate) struct RankedFeature {
+    values: Vec<f64>,
+    ranks: Vec<u32>,
+}
 
-    let mut best: Option<(usize, f64)> = None;
-    let mut left_sum = 0.0;
-    let mut left_sq = 0.0;
-    for i in 1..n {
-        left_sum += ys[i - 1];
-        left_sq += ys[i - 1] * ys[i - 1];
-        // A split between equal feature values is not realizable.
-        if xs[i - 1] == xs[i] {
-            continue;
+impl RankedFeature {
+    /// Ranks `xs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `xs` has more than `u32::MAX` samples.
+    pub(crate) fn new(xs: &[f64]) -> Self {
+        let n = u32::try_from(xs.len()).expect("too many samples to rank");
+        let mut order: Vec<u32> = (0..n).collect();
+        order.sort_unstable_by(|&a, &b| xs[a as usize].total_cmp(&xs[b as usize]));
+        let mut values: Vec<f64> = Vec::new();
+        let mut ranks = vec![0; xs.len()];
+        for &i in &order {
+            let x = xs[i as usize];
+            // `total_cmp` equality is bit equality.
+            if values.last().is_none_or(|v| v.to_bits() != x.to_bits()) {
+                values.push(x);
+            }
+            ranks[i as usize] = values.len() as u32 - 1;
         }
-        let right_sum = total_sum - left_sum;
-        let right_sq = total_sq - left_sq;
-        let sse = (left_sq - left_sum * left_sum / i as f64)
-            + (right_sq - right_sum * right_sum / (n - i) as f64);
-        if best.map_or(sse < parent_sse - 1e-15, |(_, b)| sse < b) {
-            best = Some((i, sse));
+        RankedFeature { values, ranks }
+    }
+
+    /// Number of samples.
+    pub(crate) fn len(&self) -> usize {
+        self.ranks.len()
+    }
+
+    /// The distinct values, ascending.
+    pub(crate) fn values(&self) -> &[f64] {
+        &self.values
+    }
+
+    /// Sample `i`'s index into [`RankedFeature::values`].
+    pub(crate) fn rank(&self, i: u32) -> usize {
+        self.ranks[i as usize] as usize
+    }
+}
+
+/// Reusable buffers for growing trees over a [`RankedFeature`].
+///
+/// The drawn samples are counting-sorted into buckets of equal feature
+/// value. Nodes only ever split between buckets, so every node is a run
+/// of whole buckets, and the running sums a node needs are read at
+/// bucket ends.
+#[derive(Debug, Default)]
+pub(crate) struct Grower {
+    /// Per-rank draw counts, then per-rank write cursors.
+    cursor: Vec<u32>,
+    /// Drawn targets in sorted feature order.
+    ys: Vec<f64>,
+    /// Exclusive end of each bucket in `ys`.
+    ends: Vec<u32>,
+    /// Feature value of each bucket.
+    values: Vec<f64>,
+    /// Running target sum and sum of squares at each bucket's end,
+    /// started (at −0.0, as `Iterator::sum` starts) from the first
+    /// element of the node that last scanned the bucket.
+    sum: Vec<f64>,
+    sq: Vec<f64>,
+    /// The tree grown last.
+    tree: RegressionTree,
+}
+
+impl Grower {
+    /// Grows a tree on the samples listed in `draws` (indices into
+    /// `feature` and `ys`; repeats allowed). The result equals
+    /// fitting the listed `(x, y)` pairs in list order.
+    pub(crate) fn grow(
+        &mut self,
+        feature: &RankedFeature,
+        ys: &[f64],
+        draws: &[u32],
+        config: TreeConfig,
+    ) -> &RegressionTree {
+        debug_assert!(!draws.is_empty(), "a tree needs at least one sample");
+        self.bucket(feature, draws);
+        self.ys.resize(draws.len(), 0.0);
+        for &i in draws {
+            let slot = &mut self.cursor[feature.rank(i)];
+            self.ys[*slot as usize] = ys[i as usize];
+            *slot += 1;
+        }
+        let buckets = self.ends.len();
+        self.sum.resize(buckets, 0.0);
+        self.sq.resize(buckets, 0.0);
+        self.tree.nodes.clear();
+        self.scan(0, buckets);
+        self.node(0, buckets, 0, config);
+        &self.tree
+    }
+
+    /// Lays out the buckets of a stable counting sort of `draws` by rank
+    /// and leaves `cursor` at each rank's first slot.
+    fn bucket(&mut self, feature: &RankedFeature, draws: &[u32]) {
+        self.cursor.clear();
+        self.cursor.resize(feature.values().len(), 0);
+        for &i in draws {
+            self.cursor[feature.rank(i)] += 1;
+        }
+        self.ends.clear();
+        self.values.clear();
+        let mut end = 0;
+        for (slot, &value) in self.cursor.iter_mut().zip(feature.values()) {
+            let count = std::mem::replace(slot, end);
+            if value.is_nan() {
+                // NaN != NaN, so a split may fall between any two NaN
+                // samples: each one is a bucket of its own.
+                for _ in 0..count {
+                    end += 1;
+                    self.ends.push(end);
+                    self.values.push(value);
+                }
+            } else if count > 0 {
+                end += count;
+                self.ends.push(end);
+                self.values.push(value);
+            }
         }
     }
-    best.map(|(i, _)| i)
+
+    /// First position of bucket `b` in `ys`.
+    fn start(&self, b: usize) -> u32 {
+        if b == 0 {
+            0
+        } else {
+            self.ends[b - 1]
+        }
+    }
+
+    /// Recomputes the running sums of buckets `lo..hi` from bucket
+    /// `lo`'s first element.
+    fn scan(&mut self, lo: usize, hi: usize) {
+        let mut sum = -0.0;
+        let mut sq = -0.0;
+        let mut at = self.start(lo) as usize;
+        for b in lo..hi {
+            let end = self.ends[b] as usize;
+            for &y in &self.ys[at..end] {
+                sum += y;
+                sq += y * y;
+            }
+            self.sum[b] = sum;
+            self.sq[b] = sq;
+            at = end;
+        }
+    }
+
+    /// Grows the node over buckets `lo..hi`, whose running sums start at
+    /// its own first element.
+    fn node(&mut self, lo: usize, hi: usize, depth: usize, config: TreeConfig) {
+        let len = (self.ends[hi - 1] - self.start(lo)) as usize;
+        let mean = self.sum[hi - 1] / len as f64;
+        let split = if depth >= config.max_depth || len < config.min_samples_split {
+            None
+        } else {
+            self.best_split(lo, hi)
+        };
+        let Some(b) = split else {
+            self.tree.nodes.push(Node::Leaf { prediction: mean });
+            return;
+        };
+        let at = self.tree.nodes.len();
+        self.tree.nodes.push(Node::Split {
+            threshold: (self.values[b - 1] + self.values[b]) / 2.0,
+            right: 0,
+        });
+        // The left child starts where this node starts, so its running
+        // sums are already in place; the right child needs a fresh pass.
+        self.node(lo, b, depth + 1, config);
+        let right = self.tree.nodes.len() as u32;
+        if let Node::Split { right: slot, .. } = &mut self.tree.nodes[at] {
+            *slot = right;
+        }
+        self.scan(b, hi);
+        self.node(b, hi, depth + 1, config);
+    }
+
+    /// The bucket a split of node `lo..hi` should start its right child
+    /// at, minimizing the children's summed squared error.
+    ///
+    /// Returns `None` when no split separates distinct feature values or
+    /// no split improves on the parent.
+    fn best_split(&self, lo: usize, hi: usize) -> Option<usize> {
+        let first = self.start(lo);
+        let n = (self.ends[hi - 1] - first) as usize;
+        let total_sum = self.sum[hi - 1];
+        let total_sq = self.sq[hi - 1];
+        let parent_sse = total_sq - total_sum * total_sum / n as f64;
+
+        let mut best: Option<(usize, f64)> = None;
+        for b in lo + 1..hi {
+            // A split between equal feature values is not realizable.
+            if self.values[b - 1] == self.values[b] {
+                continue;
+            }
+            let i = (self.ends[b - 1] - first) as usize;
+            // These sums start at −0.0, where the criterion's left sums
+            // start at +0.0. That changes at most the sign of a zero,
+            // which the squares below remove (DESIGN.md §4l).
+            let left_sum = self.sum[b - 1];
+            let left_sq = self.sq[b - 1];
+            let right_sum = total_sum - left_sum;
+            let right_sq = total_sq - left_sq;
+            let sse = (left_sq - left_sum * left_sum / i as f64)
+                + (right_sq - right_sum * right_sum / (n - i) as f64);
+            if best.map_or(sse < parent_sse - 1e-15, |(_, b)| sse < b) {
+                best = Some((b, sse));
+            }
+        }
+        best.map(|(b, _)| b)
+    }
 }
 
 #[cfg(test)]
@@ -252,6 +430,14 @@ mod tests {
         for &x in &[0.5, 2.0, 5.0, 8.0] {
             assert!((tree.predict(x) - (-x).exp()).abs() < 0.05);
         }
+    }
+
+    #[test]
+    fn ranks_are_dense_in_total_order() {
+        let f = RankedFeature::new(&[2.0, -0.0, 0.0, 2.0, -1.0]);
+        assert_eq!(f.values().len(), 4, "-0.0 and +0.0 rank apart");
+        let ranks: Vec<usize> = (0..5).map(|i| f.rank(i)).collect();
+        assert_eq!(ranks, [3, 1, 2, 3, 0]);
     }
 
     #[test]

@@ -39,11 +39,11 @@ use youtiao_core::{
     PlannerConfig, YoutiaoPlanner,
 };
 use youtiao_cost::WiringTally;
-use youtiao_noise::CrosstalkModel;
+use youtiao_noise::{characterize_xy, CrosstalkModel};
 use youtiao_serve::cache::content_key;
 use youtiao_serve::{ChipRequest, PlanCache};
 
-use crate::eval::{characterize_xy, default_simulator, per_qubit_gate_error, FdmScenario};
+use crate::eval::{default_simulator, per_qubit_gate_error, FdmScenario};
 use crate::grid::{GridPoint, SweepGrid};
 use crate::pareto::{pareto_front, Objective, ObjectiveKind, ParetoEntry};
 use crate::record::{PointResult, StageMs, SweepRecord};

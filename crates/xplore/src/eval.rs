@@ -106,20 +106,6 @@ pub fn default_simulator() -> FdmLineSimulator {
     FdmLineSimulator::new(LineSimConfig::default())
 }
 
-/// Fits the XY crosstalk model for a chip from synthesized measurements,
-/// using the paper's 5-fold CV procedure. This is the characterization
-/// step shared by the sweep engine and the experiment binaries.
-pub fn characterize_xy(chip: &Chip, seed: u64) -> CrosstalkModel {
-    let samples = youtiao_noise::data::synthesize(
-        chip,
-        youtiao_noise::data::CrosstalkKind::Xy,
-        &youtiao_noise::data::SynthConfig::xy(),
-        seed,
-    );
-    youtiao_noise::fit::fit_crosstalk_model(&samples, &youtiao_noise::fit::FitConfig::paper())
-        .expect("synthesized data always fits")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +115,7 @@ mod tests {
     use youtiao_core::fdm::group_fdm;
     use youtiao_core::freq::{allocate_frequencies, FreqConfig};
     use youtiao_core::plan::crosstalk_matrix;
+    use youtiao_noise::characterize_xy;
 
     #[test]
     fn optimized_scheme_beats_naive() {

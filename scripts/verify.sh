@@ -7,8 +7,8 @@
 # bench-repair schema), a chaos smoke run (seeded fault injection,
 # record-count and determinism checks), a daemon smoke (stdin + socket
 # round trips, byte-identical canonical transcripts across shard and
-# worker counts, torn-shard salvage), then figure ports and style
-# gates.
+# worker counts, torn-shard salvage), then figure ports, the crosstalk
+# fit's differential suite and style gates.
 #
 # Usage: scripts/verify.sh [--tier1-only|--smoke-only]
 #
@@ -456,6 +456,9 @@ fi
 
 echo "==> figure ports: fig16/fig17 reports match results/ golden files"
 cargo test -q --release --offline -p youtiao-bench --test fig_ports -- --include-ignored
+
+echo "==> crosstalk fit: bit-identical to the oracle fit, release-only chips included"
+cargo test -q --release --offline -p youtiao-noise -- --include-ignored
 
 echo "==> style: cargo fmt --check"
 if cargo fmt --version >/dev/null 2>&1; then

@@ -10,9 +10,7 @@ use youtiao_core::{
     PlanContext, PlanError, PlanSummary, PlannerConfig, WiringPlan, YoutiaoPlanner,
 };
 use youtiao_cost::WiringTally;
-use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
-use youtiao_noise::fit::{fit_crosstalk_model, FitConfig};
-use youtiao_noise::CrosstalkModel;
+use youtiao_noise::{characterize_xy, CrosstalkModel};
 use youtiao_obs::validate::{
     check_plan, check_plan_with_activity, check_routing, ValidationReport,
 };
@@ -186,14 +184,16 @@ pub enum DesignError {
 
 impl DesignError {
     /// Whether re-running with a perturbed characterization seed may
-    /// plausibly succeed. Frequency crowding and routing overflow
-    /// depend on the synthesized crosstalk data and the plan built from
-    /// it; config and chip-shape errors recur on every retry.
+    /// plausibly succeed. Frequency crowding and unroutable nets depend
+    /// on the synthesized crosstalk data and the plan built from it;
+    /// config and chip-shape errors recur on every retry, and so does
+    /// running out of perimeter pads, which only the chip's size decides.
     pub fn is_transient(&self) -> bool {
-        matches!(
-            self,
-            DesignError::Plan(PlanError::FrequencyCrowded { .. }) | DesignError::Route(_)
-        )
+        match self {
+            DesignError::Plan(e) => matches!(e, PlanError::FrequencyCrowded { .. }),
+            DesignError::Route(e) => !matches!(e, RouteError::OutOfInterfaces),
+            _ => false,
+        }
     }
 }
 
@@ -301,9 +301,10 @@ pub fn design_chip_traced(
     checkpoint("characterize")?;
     let model = {
         let span = tracer.span("characterize");
-        let samples = synthesize(chip, CrosstalkKind::Xy, &SynthConfig::xy(), options.seed);
-        span.annotate("samples", samples.len() as u64);
-        fit_crosstalk_model(&samples, &FitConfig::paper()).expect("synthesized data always fits")
+        // One sample per ordered qubit pair.
+        let n = chip.num_qubits();
+        span.annotate("samples", (n * n.saturating_sub(1)) as u64);
+        characterize_xy(chip, options.seed)
     };
 
     // 2. Plan. The matrices are built as a shared-ready PlanContext
@@ -490,9 +491,14 @@ mod tests {
         assert!(!plan.is_transient());
         let crowded = DesignError::Plan(PlanError::FrequencyCrowded { qubit: 0u32.into() });
         assert!(crowded.is_transient());
-        let route = DesignError::Route(youtiao_route::router::RouteError::OutOfInterfaces);
-        assert!(route.source().is_some());
-        assert!(route.is_transient());
+        let unroutable = DesignError::Route(RouteError::Unroutable { net: "xy0".into() });
+        assert!(unroutable.source().is_some());
+        assert!(unroutable.is_transient());
+        // Pad capacity does not depend on the seed: retrying would fail
+        // the same way after paying for another characterization.
+        let out_of_pads = DesignError::Route(RouteError::OutOfInterfaces);
+        assert!(out_of_pads.source().is_some());
+        assert!(!out_of_pads.is_transient());
         let cancelled = DesignError::Cancelled { stage: "plan" };
         assert!(cancelled.source().is_none());
         assert!(!cancelled.is_transient());

@@ -615,6 +615,26 @@ mod tests {
     }
 
     #[test]
+    fn running_out_of_pads_fails_after_one_attempt() {
+        // A routed 10x10 grid needs more nets than its perimeter has
+        // pads, whatever the seed: a permanent error, so one attempt
+        // where a transient one would take all three.
+        let request = DesignRequest::new(ChipRequest::grid("square", 10, 10));
+        let options = BatchOptions {
+            canonical: true,
+            ..Default::default()
+        };
+        assert_eq!(options.max_retries, 2);
+        let mut out = Vec::new();
+        let metrics = run_design_batch(&[request], &options, &mut out).unwrap();
+        assert_eq!((metrics.errors, metrics.retries), (1, 0));
+        let record: serde::Value =
+            serde_json::from_str(std::str::from_utf8(&out).unwrap()).unwrap();
+        assert_eq!(record["attempts"], 1);
+        assert_eq!(record["error"]["kind"], "Route");
+    }
+
+    #[test]
     fn chaos_over_the_real_design_flow_is_deterministic() {
         // Injected panics are contained by the pool; keep the default
         // hook's per-panic output out of the test log.
