@@ -1,101 +1,30 @@
-//! The JSONL batch front-end behind `youtiao batch`.
+//! The JSONL batch front-end behind `youtiao batch` and `youtiao chaos`.
 //!
-//! [`run_batch`] is the composition point of the serving layer: it
-//! resolves every [`DesignRequest`]'s content key, answers repeats from
-//! the [`PlanCache`], dispatches the rest to a [`WorkerPool`], streams
-//! one JSON [`JobRecord`] line per job *as it completes*, and returns
-//! the [`ServeMetrics`] summary. Output is completion-ordered (this is
-//! a throughput service); every record carries `index` and `id`, so
-//! order-sensitive consumers re-sort in O(n).
+//! [`run_batch`] is a session of the one request engine
+//! ([`daemon`](crate::daemon)) over a jobs file: every bare
+//! [`DesignRequest`] line is a design frame, answered with one JSON
+//! [`JobRecord`](crate::job::JobRecord) line in request order.
+//! Repeated content keys are computed once — a later copy parks
+//! behind the first while intake goes on, and is answered from the
+//! cache when the first finishes. Per-job failures are
+//! records; a line that does not parse aborts the batch with
+//! [`BatchError::Parse`].
 //!
 //! The front-end is generic over the executor's result type `R` — the
 //! `youtiao` facade instantiates it with the design-flow report summary
 //! (`youtiao::serve::run_design_batch`).
 
-use std::collections::HashMap;
 use std::io::{BufRead, Write};
-use std::path::PathBuf;
-use std::sync::Arc;
-use std::time::{Duration, Instant};
 
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{CacheStats, PlanCache};
-use crate::fault::{FaultInjector, FaultKind, FaultPlan};
-use crate::job::{ErrorKind, ErrorRecord, JobRecord};
+use crate::daemon::{run_session, DaemonOptions, Protocol};
 use crate::metrics::ServeMetrics;
-use crate::pool::{Executor, PoolOptions, WorkerPool};
-use crate::proto::FramedReader;
-use crate::request::{synthetic_drift, DesignRequest};
-use crate::shard::ShardedCache;
+use crate::pool::Executor;
+use crate::request::DesignRequest;
 
-/// Batch-run configuration.
-#[derive(Debug, Clone)]
-pub struct BatchOptions {
-    /// Worker threads; 0 means one per available core.
-    pub jobs: usize,
-    /// Intra-plan worker threads per job; 0 (the default) applies the
-    /// oversubscription policy of
-    /// [`effective_plan_threads`](crate::pool::effective_plan_threads):
-    /// serial plans when the pool has more than one worker, one thread
-    /// per core when it has exactly one. Explicit values override the
-    /// policy. Plans are byte-identical across all values.
-    pub plan_threads: usize,
-    /// Default per-job deadline in milliseconds (`deadline_ms` on a
-    /// request overrides it).
-    pub deadline_ms: Option<u64>,
-    /// Retries after the first attempt of transiently failing jobs.
-    pub max_retries: u32,
-    /// Maximum resident plan-cache entries.
-    pub cache_capacity: usize,
-    /// Cache persistence: loaded (if present) before the run, saved
-    /// after, so a repeated batch over the same file is all cache hits.
-    pub cache_path: Option<PathBuf>,
-    /// Write every job's span trace as `{"jobs":[...]}` to this file
-    /// after the run (also enables tracing on the worker pool).
-    pub trace_json: Option<PathBuf>,
-    /// Ask the executor to check plan invariants and fail jobs whose
-    /// finished plan violates one (`ErrorKind::Validation`). Honored by
-    /// executors that consult it — the facade's design executor does.
-    pub validate: bool,
-    /// Seeded fault schedule to inject around the executor (chaos
-    /// runs); also drives the plan's `abort_after` batch fault.
-    pub faults: Option<FaultPlan>,
-    /// Emit canonical records (latency zeroed, traces stripped) so two
-    /// equal-seed chaos runs are byte-identical after an index sort.
-    /// Metrics still aggregate the real latencies.
-    pub canonical: bool,
-    /// Start from an empty cache instead of failing the batch when the
-    /// persisted cache file is torn or corrupted.
-    pub cache_salvage: bool,
-    /// Plan-cache shard count (min 1). With `shards > 1` the batch runs
-    /// over a [`ShardedCache`] whose persistence is one file per shard,
-    /// so a torn or lost shard costs only that shard's entries; 1 keeps
-    /// the flat single-file [`PlanCache`].
-    pub shards: usize,
-}
-
-impl Default for BatchOptions {
-    fn default() -> Self {
-        BatchOptions {
-            jobs: 0,
-            plan_threads: 0,
-            deadline_ms: None,
-            max_retries: 2,
-            cache_capacity: 1024,
-            cache_path: None,
-            trace_json: None,
-            validate: false,
-            faults: None,
-            canonical: false,
-            cache_salvage: false,
-            shards: 1,
-        }
-    }
-}
-
-/// Batch front-end failures (per-job failures are *records*, not
-/// errors — only input/output problems abort a batch).
+/// Session failures (per-job failures are *records*, not errors — only
+/// input, output and cache-file problems abort a session).
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum BatchError {
@@ -139,624 +68,34 @@ impl From<std::io::Error> for BatchError {
     }
 }
 
-/// Parses JSONL text into requests. Blank lines and `#` comment lines
-/// are skipped; parse errors carry the 1-based line number.
-pub fn parse_requests(text: &str) -> Result<Vec<DesignRequest>, BatchError> {
-    let mut requests = Vec::new();
-    for (number, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let request = serde_json::from_str(line).map_err(|e| BatchError::Parse {
-            line: number + 1,
-            message: e.to_string(),
-        })?;
-        requests.push(request);
-    }
-    Ok(requests)
-}
-
-/// Either cache shape behind the batch core: the flat [`PlanCache`] or
-/// the [`ShardedCache`], with shard tagging a no-op on the flat side.
-enum CacheRef<'a, R> {
-    Flat(&'a PlanCache<R>),
-    Sharded(&'a ShardedCache<R>),
-}
-
-impl<R> Clone for CacheRef<'_, R> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<R> Copy for CacheRef<'_, R> {}
-
-impl<R: Clone> CacheRef<'_, R> {
-    fn get(&self, key: u64) -> Option<R> {
-        match self {
-            CacheRef::Flat(cache) => cache.get(key),
-            CacheRef::Sharded(cache) => cache.get(key),
-        }
-    }
-
-    fn insert(&self, key: u64, value: R) {
-        match self {
-            CacheRef::Flat(cache) => cache.insert(key, value),
-            CacheRef::Sharded(cache) => cache.insert(key, value),
-        }
-    }
-
-    fn stats(&self) -> CacheStats {
-        match self {
-            CacheRef::Flat(cache) => cache.stats(),
-            CacheRef::Sharded(cache) => cache.stats(),
-        }
-    }
-
-    /// Which shard `key` maps to — `None` on the flat cache and on a
-    /// degenerate single-shard cache, so flat output stays unchanged.
-    fn shard_tag(&self, key: u64) -> Option<usize> {
-        match self {
-            CacheRef::Sharded(cache) if cache.shard_count() > 1 => Some(cache.shard_of(key)),
-            _ => None,
-        }
-    }
-
-    fn shard_stats(&self) -> Option<Vec<CacheStats>> {
-        match self {
-            CacheRef::Sharded(cache) if cache.shard_count() > 1 => Some(cache.shard_stats()),
-            _ => None,
-        }
-    }
-}
-
-/// Runs `requests` through `executor` on a worker pool with a plan
-/// cache, streaming one JSON record line per job into `out`.
-///
-/// Uses a caller-owned cache — the in-process warm-cache path. Most
-/// callers want [`run_batch`], which also handles cache persistence.
-pub fn run_batch_with_cache<R, W>(
-    requests: &[DesignRequest],
+/// Runs the JSONL requests read from `input` through `executor`,
+/// writing one record line per request into `output` in request order,
+/// and returns the session's [`ServeMetrics`]. Blank lines and `#`
+/// comment lines are skipped. The cache is loaded from and saved to
+/// `options.cache_path` when set.
+pub fn run_batch<R, In, Out>(
     executor: Executor<DesignRequest, R>,
-    options: &BatchOptions,
-    cache: &PlanCache<R>,
-    out: &mut W,
-) -> Result<ServeMetrics, BatchError>
-where
-    R: Clone + Send + Serialize + 'static,
-    W: Write,
-{
-    run_batch_core(requests, executor, options, CacheRef::Flat(cache), out)
-}
-
-/// [`run_batch_with_cache`] over a caller-owned [`ShardedCache`]:
-/// records are tagged with their key's shard and the metrics carry
-/// per-shard aggregates.
-pub fn run_batch_sharded<R, W>(
-    requests: &[DesignRequest],
-    executor: Executor<DesignRequest, R>,
-    options: &BatchOptions,
-    cache: &ShardedCache<R>,
-    out: &mut W,
-) -> Result<ServeMetrics, BatchError>
-where
-    R: Clone + Send + Serialize + 'static,
-    W: Write,
-{
-    run_batch_core(requests, executor, options, CacheRef::Sharded(cache), out)
-}
-
-fn run_batch_core<R, W>(
-    requests: &[DesignRequest],
-    executor: Executor<DesignRequest, R>,
-    options: &BatchOptions,
-    cache: CacheRef<'_, R>,
-    out: &mut W,
-) -> Result<ServeMetrics, BatchError>
-where
-    R: Clone + Send + Serialize + 'static,
-    W: Write,
-{
-    let start = Instant::now();
-    let stats_before = cache.stats();
-    let shards_before = cache.shard_stats();
-    // Chaos runs interpose the fault schedule between pool and real
-    // executor; the pool itself is unaware faults are being injected.
-    // Drift faults mutate the request with a schedule-derived synthetic
-    // crosstalk shift, turning the attempt into a warm repair job.
-    let injector = options.faults.clone().map(FaultInjector::new);
-    let executor = match &injector {
-        Some(injector) => injector.wrap_with(
-            executor,
-            Arc::new(|request: &DesignRequest, seed: u64| synthetic_drift(request, seed)),
-        ),
-        None => executor,
-    };
-    let mut pool = WorkerPool::new(
-        executor,
-        PoolOptions {
-            workers: options.jobs,
-            max_retries: options.max_retries,
-            deadline: options.deadline_ms.map(Duration::from_millis),
-            trace: options.trace_json.is_some(),
-        },
-    );
-
-    let mut records: Vec<JobRecord<R>> = Vec::with_capacity(requests.len());
-    // Content key per request index, for inserting finished results.
-    let mut keys: Vec<Option<u64>> = vec![None; requests.len()];
-    let mut dispatched = 0usize;
-
-    let emit = |record: JobRecord<R>, out: &mut W| -> Result<JobRecord<R>, BatchError> {
-        // Canonical mode writes the noise-free view but keeps the full
-        // record, so metrics still see real latencies and traces.
-        let line = if options.canonical {
-            serde_json::to_string(&record.clone().canonical())
-        } else {
-            serde_json::to_string(&record)
-        }
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        writeln!(out, "{line}")?;
-        Ok(record)
-    };
-
-    for (index, request) in requests.iter().enumerate() {
-        let id = request.display_id(index);
-        match request.cache_key() {
-            Err(e) => {
-                // The chip half does not resolve: the executor would fail
-                // identically, so answer without occupying a worker.
-                let record = JobRecord::error(
-                    index,
-                    id,
-                    ErrorRecord {
-                        kind: ErrorKind::InvalidRequest,
-                        message: e.to_string(),
-                    },
-                    0,
-                    0.0,
-                );
-                records.push(emit(record, out)?);
-            }
-            Ok(key) => {
-                keys[index] = Some(key);
-                if let Some(result) = cache.get(key) {
-                    let record = JobRecord::ok(index, id, result, 0, 0.0)
-                        .from_cache()
-                        .with_shard(cache.shard_tag(key));
-                    records.push(emit(record, out)?);
-                } else {
-                    let deadline = request.deadline_ms.map(Duration::from_millis);
-                    pool.submit(index, id, request.clone(), deadline);
-                    dispatched += 1;
-                }
-            }
-        }
-    }
-
-    let abort_after = options.faults.as_ref().and_then(|plan| plan.abort_after);
-    for received in 0..dispatched {
-        let record = pool
-            .results()
-            .recv()
-            .expect("workers outlive the dispatch loop");
-        if let (Some(result), Some(key)) = (&record.result, keys[record.index]) {
-            // A drift fault answered different inputs than the request
-            // describes; memoizing it under the original key would
-            // poison the cache. The schedule is pure, so which records
-            // drifted is recomputable right here.
-            let drifted = options.faults.as_ref().is_some_and(|plan| {
-                (0..record.attempts)
-                    .any(|a| plan.fault_at(record.index, a) == Some(FaultKind::Drift))
-            });
-            if !drifted {
-                cache.insert(key, result.clone());
-            }
-        }
-        let tag = keys[record.index].and_then(|k| cache.shard_tag(k));
-        records.push(emit(record.with_shard(tag), out)?);
-        // The batch-level abort fault: kill the pool mid-run. Remaining
-        // jobs still complete — as `Cancelled` records.
-        if abort_after == Some(received + 1) {
-            pool.abort();
-        }
-    }
-    pool.join();
-    out.flush()?;
-
-    if let Some(path) = &options.trace_json {
-        std::fs::write(path, render_trace_file(&records))?;
-    }
-
-    let mut metrics = ServeMetrics::from_records(
-        &records,
-        start.elapsed(),
-        Some(cache.stats().since(&stats_before)),
-    );
-    if let (Some(after), Some(before)) = (cache.shard_stats(), shards_before) {
-        let deltas: Vec<CacheStats> = after
-            .iter()
-            .zip(before.iter())
-            .map(|(a, b)| a.since(b))
-            .collect();
-        metrics = metrics.with_shards(&records, &deltas);
-    }
-    Ok(match &injector {
-        Some(injector) => metrics.with_faults(injector.counters()),
-        None => metrics,
-    })
-}
-
-/// The `--trace-json` file body: `{"jobs":[<trace>...]}`, in record
-/// completion order. Cache hits and pre-dispatch rejections carry no
-/// trace and are omitted.
-fn render_trace_file<R>(records: &[JobRecord<R>]) -> String {
-    use serde::{Map, Value};
-    let jobs = Value::Array(
-        records
-            .iter()
-            .filter_map(|r| r.trace.as_ref())
-            .map(Serialize::to_value)
-            .collect(),
-    );
-    let mut map = Map::new();
-    map.insert("jobs".into(), jobs);
-    serde_json::to_string(&Value::Object(map)).expect("traces always serialize")
-}
-
-/// [`run_batch_with_cache`] plus cache persistence: loads
-/// `options.cache_path` when it exists, runs the batch, saves the cache
-/// back. With `options.shards > 1` the cache is a [`ShardedCache`]
-/// persisted as one file per shard ([`crate::shard::shard_file`]).
-pub fn run_batch<R, W>(
-    requests: &[DesignRequest],
-    executor: Executor<DesignRequest, R>,
-    options: &BatchOptions,
-    out: &mut W,
+    options: &DaemonOptions,
+    input: In,
+    output: &mut Out,
 ) -> Result<ServeMetrics, BatchError>
 where
     R: Clone + Send + Serialize + Deserialize + 'static,
-    W: Write,
+    In: BufRead + Send + 'static,
+    Out: Write,
 {
-    if options.shards > 1 {
-        let cache = load_sharded_cache(options)?;
-        let metrics = run_batch_sharded(requests, executor, options, &cache, out)?;
-        if let Some(path) = &options.cache_path {
-            cache.save_atomic(path)?;
-        }
-        return Ok(metrics);
-    }
-    let cache = match &options.cache_path {
-        Some(path) if path.exists() => {
-            let text = std::fs::read_to_string(path)?;
-            match PlanCache::from_json(&text, options.cache_capacity) {
-                Ok(cache) => cache,
-                // A torn snapshot is a cold start, not a dead service —
-                // chaos runs opt in, everyone else still fails loudly.
-                Err(_) if options.cache_salvage => PlanCache::new(options.cache_capacity),
-                Err(e) => return Err(BatchError::Cache(e.to_string())),
-            }
-        }
-        _ => PlanCache::new(options.cache_capacity),
-    };
-    let metrics = run_batch_with_cache(requests, executor, options, &cache, out)?;
-    if let Some(path) = &options.cache_path {
-        cache.save_atomic(path)?;
-    }
-    Ok(metrics)
-}
-
-/// Loads the [`ShardedCache`] named by `options` (missing shard files
-/// start cold; torn shards salvage when opted in, fail loudly
-/// otherwise).
-fn load_sharded_cache<R>(options: &BatchOptions) -> Result<ShardedCache<R>, BatchError>
-where
-    R: Clone + Deserialize,
-{
-    let shards = options.shards.max(1);
-    Ok(match &options.cache_path {
-        Some(path) => {
-            ShardedCache::load(path, shards, options.cache_capacity, options.cache_salvage)
-                .map_err(|e| BatchError::Cache(e.to_string()))?
-                .0
-        }
-        None => ShardedCache::new(shards, options.cache_capacity),
-    })
-}
-
-/// In-flight bookkeeping for the streaming front-end.
-struct StreamState<R> {
-    records: Vec<JobRecord<R>>,
-    /// Content key per input index, for memoizing completed results.
-    keys: HashMap<usize, u64>,
-    /// Requests read from the input so far (also the next job index).
-    submitted: usize,
-    dispatched: usize,
-    received: usize,
-}
-
-fn emit_record<R, W>(
-    record: JobRecord<R>,
-    canonical: bool,
-    out: &mut W,
-) -> Result<JobRecord<R>, BatchError>
-where
-    R: Clone + Serialize,
-    W: Write,
-{
-    let line = if canonical {
-        serde_json::to_string(&record.clone().canonical())
-    } else {
-        serde_json::to_string(&record)
-    }
-    .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-    writeln!(out, "{line}")?;
-    Ok(record)
-}
-
-/// Memoizes and emits one completed pool record (streaming path).
-fn absorb_completion<R, W>(
-    record: JobRecord<R>,
-    state: &mut StreamState<R>,
-    options: &BatchOptions,
-    cache: &ShardedCache<R>,
-    out: &mut W,
-) -> Result<(), BatchError>
-where
-    R: Clone + Serialize,
-    W: Write,
-{
-    state.received += 1;
-    let key = state.keys.get(&record.index).copied();
-    if let (Some(result), Some(key)) = (&record.result, key) {
-        // Same cache-poisoning guard as the eager path: a drift fault
-        // answered different inputs than the request describes.
-        let drifted = options.faults.as_ref().is_some_and(|plan| {
-            (0..record.attempts).any(|a| plan.fault_at(record.index, a) == Some(FaultKind::Drift))
-        });
-        if !drifted {
-            cache.insert(key, result.clone());
-        }
-    }
-    let record =
-        record.with_shard(key.and_then(|k| (cache.shard_count() > 1).then(|| cache.shard_of(k))));
-    state
-        .records
-        .push(emit_record(record, options.canonical, out)?);
-    Ok(())
-}
-
-/// The streaming dispatch loop: one framed input line at a time,
-/// interleaved with opportunistic result draining so output flows and
-/// in-flight memory stays bounded by the pool, not the input size.
-fn stream_dispatch<R, In, W>(
-    input: In,
-    options: &BatchOptions,
-    cache: &ShardedCache<R>,
-    pool: &mut WorkerPool<DesignRequest, R>,
-    state: &mut StreamState<R>,
-    abort_after: Option<usize>,
-    out: &mut W,
-) -> Result<(), BatchError>
-where
-    R: Clone + Send + Serialize + 'static,
-    In: BufRead,
-    W: Write,
-{
-    for frame in FramedReader::new(input) {
-        let frame = frame?;
-        let request: DesignRequest =
-            serde_json::from_str(&frame.text).map_err(|e| BatchError::Parse {
-                line: frame.line,
-                message: e.to_string(),
-            })?;
-        let index = state.submitted;
-        state.submitted += 1;
-        let id = request.display_id(index);
-        match request.cache_key() {
-            Err(e) => {
-                let record = JobRecord::error(
-                    index,
-                    id,
-                    ErrorRecord {
-                        kind: ErrorKind::InvalidRequest,
-                        message: e.to_string(),
-                    },
-                    0,
-                    0.0,
-                );
-                state
-                    .records
-                    .push(emit_record(record, options.canonical, out)?);
-            }
-            Ok(key) => {
-                state.keys.insert(index, key);
-                if let Some(result) = cache.get(key) {
-                    let record = JobRecord::ok(index, id, result, 0, 0.0)
-                        .from_cache()
-                        .with_shard((cache.shard_count() > 1).then(|| cache.shard_of(key)));
-                    state
-                        .records
-                        .push(emit_record(record, options.canonical, out)?);
-                } else {
-                    let deadline = request.deadline_ms.map(Duration::from_millis);
-                    if pool.submit(index, id.clone(), request, deadline) {
-                        state.dispatched += 1;
-                    } else {
-                        // The abort fault already fired: the tail of the
-                        // stream completes as cancelled records, exactly
-                        // like the eager path's undispatched remainder.
-                        let record = JobRecord::error(
-                            index,
-                            id,
-                            ErrorRecord {
-                                kind: ErrorKind::Cancelled,
-                                message: "job cancelled between stages".into(),
-                            },
-                            0,
-                            0.0,
-                        );
-                        state
-                            .records
-                            .push(emit_record(record, options.canonical, out)?);
-                    }
-                }
-            }
-        }
-        while let Ok(record) = pool.results().try_recv() {
-            absorb_completion(record, state, options, cache, out)?;
-            if abort_after == Some(state.received) {
-                pool.abort();
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The streaming batch front-end behind `youtiao batch`: reads framed
-/// JSONL requests from `input` one line at a time (never materializing
-/// the whole jobs file), dispatches through a [`ShardedCache`]-backed
-/// pool, and streams records as jobs complete. A parse error aborts the
-/// batch after draining in-flight work, matching [`run_batch`]'s
-/// contract that bad input fails loudly.
-///
-/// Unlike the eager path — which resolves every cache key before any
-/// job completes — the streaming path can answer a later duplicate of
-/// an earlier request from the cache if the first instance has already
-/// finished, so hit/miss counts for duplicate keys depend on timing.
-pub fn run_batch_stream_with_cache<R, In, W>(
-    input: In,
-    executor: Executor<DesignRequest, R>,
-    options: &BatchOptions,
-    cache: &ShardedCache<R>,
-    out: &mut W,
-) -> Result<ServeMetrics, BatchError>
-where
-    R: Clone + Send + Serialize + 'static,
-    In: BufRead,
-    W: Write,
-{
-    let start = Instant::now();
-    let stats_before = cache.stats();
-    let shards_before = cache.shard_stats();
-    let injector = options.faults.clone().map(FaultInjector::new);
-    let executor = match &injector {
-        Some(injector) => injector.wrap_with(
-            executor,
-            Arc::new(|request: &DesignRequest, seed: u64| synthetic_drift(request, seed)),
-        ),
-        None => executor,
-    };
-    let mut pool = WorkerPool::new(
-        executor,
-        PoolOptions {
-            workers: options.jobs,
-            max_retries: options.max_retries,
-            deadline: options.deadline_ms.map(Duration::from_millis),
-            trace: options.trace_json.is_some(),
-        },
-    );
-    let mut state = StreamState {
-        records: Vec::new(),
-        keys: HashMap::new(),
-        submitted: 0,
-        dispatched: 0,
-        received: 0,
-    };
-    let abort_after = options.faults.as_ref().and_then(|plan| plan.abort_after);
-
-    let mut outcome = stream_dispatch(
-        input,
-        options,
-        cache,
-        &mut pool,
-        &mut state,
-        abort_after,
-        out,
-    );
-    if outcome.is_err() {
-        pool.abort();
-    }
-    // Drain the in-flight tail. On the error path completions are
-    // swallowed — the batch already failed; the pool just needs to
-    // wind down cleanly.
-    while state.received < state.dispatched {
-        let Ok(record) = pool.results().recv() else {
-            break;
-        };
-        if outcome.is_ok() {
-            match absorb_completion(record, &mut state, options, cache, out) {
-                Ok(()) => {
-                    if abort_after == Some(state.received) {
-                        pool.abort();
-                    }
-                }
-                Err(e) => {
-                    outcome = Err(e);
-                    pool.abort();
-                }
-            }
-        } else {
-            state.received += 1;
-        }
-    }
-    pool.join();
-    outcome?;
-    out.flush()?;
-
-    if let Some(path) = &options.trace_json {
-        std::fs::write(path, render_trace_file(&state.records))?;
-    }
-    let mut metrics = ServeMetrics::from_records(
-        &state.records,
-        start.elapsed(),
-        Some(cache.stats().since(&stats_before)),
-    );
-    if cache.shard_count() > 1 {
-        let deltas: Vec<CacheStats> = cache
-            .shard_stats()
-            .iter()
-            .zip(shards_before.iter())
-            .map(|(a, b)| a.since(b))
-            .collect();
-        metrics = metrics.with_shards(&state.records, &deltas);
-    }
-    Ok(match &injector {
-        Some(injector) => metrics.with_faults(injector.counters()),
-        None => metrics,
-    })
-}
-
-/// [`run_batch_stream_with_cache`] plus cache persistence: loads the
-/// (sharded) cache named by `options.cache_path`, streams the batch,
-/// saves every shard back.
-pub fn run_batch_stream<R, In, W>(
-    input: In,
-    executor: Executor<DesignRequest, R>,
-    options: &BatchOptions,
-    out: &mut W,
-) -> Result<ServeMetrics, BatchError>
-where
-    R: Clone + Send + Serialize + Deserialize + 'static,
-    In: BufRead,
-    W: Write,
-{
-    let cache = load_sharded_cache(options)?;
-    let metrics = run_batch_stream_with_cache(input, executor, options, &cache, out)?;
-    if let Some(path) = &options.cache_path {
-        cache.save_atomic(path)?;
-    }
-    Ok(metrics)
+    run_session(executor, options, input, output, Protocol::Batch).map(|report| report.metrics)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::ExecError;
-    use crate::request::ChipRequest;
+    use crate::job::{ErrorKind, ExecError};
     use serde::Value;
+    use std::io::Cursor;
+    use std::path::PathBuf;
     use std::sync::Arc;
+    use std::time::Duration;
 
     /// A cheap stand-in executor: "result" is the qubit count.
     fn counting_executor() -> Executor<DesignRequest, u64> {
@@ -772,87 +111,101 @@ mod tests {
         })
     }
 
-    fn requests(n: usize) -> Vec<DesignRequest> {
+    /// `n` request lines over three distinct chips: line `i` is a
+    /// square 2+i%3 by 3 grid with id `sq<i>`.
+    fn requests(n: usize) -> String {
         (0..n)
             .map(|i| {
-                let mut r = DesignRequest::new(ChipRequest::grid("square", 2 + i % 3, 3));
-                r.id = Some(format!("sq{i}"));
-                r
+                format!(
+                    "{{\"id\":\"sq{i}\",\"chip\":{{\"topology\":\"square\",\"rows\":{},\"cols\":3}}}}\n",
+                    2 + i % 3
+                )
             })
             .collect()
+    }
+
+    /// Non-canonical options, so records keep their run fields.
+    fn non_canonical() -> DaemonOptions {
+        DaemonOptions {
+            canonical: false,
+            ..DaemonOptions::default()
+        }
+    }
+
+    fn batch<R>(
+        input: &str,
+        executor: Executor<DesignRequest, R>,
+        options: &DaemonOptions,
+    ) -> Result<(ServeMetrics, Vec<Value>), BatchError>
+    where
+        R: Clone + Send + Serialize + Deserialize + 'static,
+    {
+        let mut out = Vec::new();
+        let metrics = run_batch(executor, options, Cursor::new(input.to_string()), &mut out)?;
+        let lines = std::str::from_utf8(&out)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        Ok((metrics, lines))
+    }
+
+    fn temp_path(tag: &str) -> PathBuf {
+        let path = std::env::temp_dir().join(format!(
+            "youtiao-serve-test-{}.{tag}.json",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_file(&path);
+        path
     }
 
     #[test]
     fn parses_jsonl_with_comments_and_blanks() {
         let text = "\n# sweep over θ\n{\"chip\":{\"topology\":\"square\"}}\n\n{\"chip\":{\"topology\":\"ring\",\"size\":8},\"theta\":2.0}\n";
-        let parsed = parse_requests(text).unwrap();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[1].theta, Some(2.0));
-        let err = parse_requests("{\"chip\":}").unwrap_err();
+        let theta: Executor<DesignRequest, Option<f64>> = Arc::new(|request, _| Ok(request.theta));
+        let (metrics, lines) = batch(text, theta.clone(), &non_canonical()).unwrap();
+        assert_eq!(metrics.jobs, 2);
+        assert_eq!(lines[1]["result"], 2.0);
+        let err = batch("{\"chip\":}", theta, &non_canonical()).unwrap_err();
         assert!(matches!(err, BatchError::Parse { line: 1, .. }), "{err}");
     }
 
     #[test]
     fn streams_a_record_per_job_and_caches_repeats() {
         let reqs = requests(6); // 3 distinct chips, each twice
-        let cache = PlanCache::new(64);
-        let mut out = Vec::new();
-        let metrics = run_batch_with_cache(
-            &reqs,
-            counting_executor(),
-            &BatchOptions::default(),
-            &cache,
-            &mut out,
-        )
-        .unwrap();
-        let lines: Vec<&str> = std::str::from_utf8(&out).unwrap().lines().collect();
+        let options = DaemonOptions {
+            cache_path: Some(temp_path("repeats")),
+            ..non_canonical()
+        };
+        let (metrics, lines) = batch(&reqs, counting_executor(), &options).unwrap();
         assert_eq!(lines.len(), 6);
         assert_eq!(metrics.jobs, 6);
         assert_eq!(metrics.ok, 6);
-        assert_eq!(metrics.cache_misses, 6, "distinct keys all missed");
+        assert_eq!(metrics.cache_misses, 3, "each distinct key missed once");
+        assert_eq!(
+            metrics.cache_hits, 3,
+            "each repeat was answered from the cache"
+        );
 
         // Second pass over the same requests: all hits.
-        let mut out = Vec::new();
-        let metrics = run_batch_with_cache(
-            &reqs,
-            counting_executor(),
-            &BatchOptions::default(),
-            &cache,
-            &mut out,
-        )
-        .unwrap();
+        let (metrics, lines) = batch(&reqs, counting_executor(), &options).unwrap();
         assert_eq!(metrics.cache_hits, 6);
         assert_eq!(metrics.retries, 0);
-        for line in std::str::from_utf8(&out).unwrap().lines() {
-            let v: Value = serde_json::from_str(line).unwrap();
+        for v in lines {
             assert_eq!(v["cache_hit"], true);
             assert_eq!(v["attempts"], 0);
         }
+        let _ = std::fs::remove_file(options.cache_path.unwrap());
     }
 
     #[test]
     fn invalid_requests_become_records_not_errors() {
-        let mut reqs = requests(2);
-        reqs.push(DesignRequest::new(ChipRequest::named("klein-bottle")));
-        let cache = PlanCache::new(64);
-        let mut out = Vec::new();
-        let metrics = run_batch_with_cache(
-            &reqs,
-            counting_executor(),
-            &BatchOptions::default(),
-            &cache,
-            &mut out,
-        )
-        .unwrap();
+        let reqs = requests(2) + "{\"chip\":{\"topology\":\"klein-bottle\"}}\n";
+        let (metrics, lines) = batch(&reqs, counting_executor(), &non_canonical()).unwrap();
         assert_eq!(metrics.jobs, 3);
         assert_eq!(metrics.ok, 2);
         assert_eq!(metrics.errors, 1);
-        let bad = std::str::from_utf8(&out)
-            .unwrap()
-            .lines()
-            .map(|l| serde_json::from_str::<Value>(l).unwrap())
-            .find(|v| v["status"] == "Error")
-            .unwrap();
+        let bad = lines.iter().find(|v| v["status"] == "Error").unwrap();
         assert_eq!(bad["error"]["kind"], "InvalidRequest");
         assert!(bad["error"]["message"]
             .as_str()
@@ -862,11 +215,7 @@ mod tests {
 
     #[test]
     fn trace_json_holds_one_trace_per_executed_job() {
-        let path = std::env::temp_dir().join(format!(
-            "youtiao-serve-test-{}.trace.json",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
+        let path = temp_path("trace");
         let traced_executor: Executor<DesignRequest, u64> = Arc::new(|request, ctx| {
             let span = ctx.tracer.span("build");
             let chip = request
@@ -876,19 +225,14 @@ mod tests {
             span.annotate("qubits", chip.num_qubits() as u64);
             Ok(chip.num_qubits() as u64)
         });
-        let options = BatchOptions {
+        let options = DaemonOptions {
             trace_json: Some(path.clone()),
-            ..Default::default()
+            ..non_canonical()
         };
-        let cache = PlanCache::new(64);
-        let mut out = Vec::new();
-        let metrics =
-            run_batch_with_cache(&requests(3), traced_executor, &options, &cache, &mut out)
-                .unwrap();
+        let (metrics, lines) = batch(&requests(3), traced_executor, &options).unwrap();
 
         // Records carry the traces inline too.
-        for line in std::str::from_utf8(&out).unwrap().lines() {
-            let v: Value = serde_json::from_str(line).unwrap();
+        for v in lines {
             assert_eq!(v["trace"]["job"], v["id"]);
         }
         // The trace file is {"jobs":[...]} with one entry per executed job.
@@ -907,27 +251,22 @@ mod tests {
 
     #[test]
     fn chaos_faults_are_injected_and_records_canonicalized() {
-        let reqs = requests(6);
-        let options = BatchOptions {
+        let options = DaemonOptions {
             faults: Some(crate::fault::FaultPlan {
                 transient_rate: Some(1.0),
                 ..Default::default()
             }),
             canonical: true,
             max_retries: 2,
-            ..Default::default()
+            ..DaemonOptions::default()
         };
-        let cache = PlanCache::new(64);
-        let mut out = Vec::new();
-        let metrics =
-            run_batch_with_cache(&reqs, counting_executor(), &options, &cache, &mut out).unwrap();
+        let (metrics, lines) = batch(&requests(6), counting_executor(), &options).unwrap();
         // Every attempt of every job faulted transiently: all jobs
         // exhaust their retries and fail as injected Internal errors.
         assert_eq!(metrics.errors, 6);
         assert_eq!(metrics.retries, 12);
         assert_eq!(metrics.faults.transient, 18, "3 attempts x 6 jobs");
-        for line in std::str::from_utf8(&out).unwrap().lines() {
-            let v: Value = serde_json::from_str(line).unwrap();
+        for v in lines {
             assert_eq!(v["latency_ms"], 0.0, "canonical records zero latency");
             assert_eq!(v["error"]["kind"], "Internal");
             assert!(v["error"]["message"]
@@ -949,98 +288,73 @@ mod tests {
             }
             Ok(1)
         });
-        let options = BatchOptions {
-            jobs: 1,
+        let options = DaemonOptions {
+            workers: 1,
             faults: Some(crate::fault::FaultPlan {
                 abort_after: Some(1),
                 ..Default::default()
             }),
-            ..Default::default()
+            ..non_canonical()
         };
-        let cache = PlanCache::new(64);
-        let mut out = Vec::new();
-        let metrics = run_batch_with_cache(&requests(4), slow, &options, &cache, &mut out).unwrap();
+        // sq3 repeats sq0: it waits for sq0, which completes before the
+        // abort lands, and is answered from the cache.
+        let (metrics, _) = batch(&requests(4), slow, &options).unwrap();
         assert_eq!(metrics.jobs, 4, "aborted jobs still yield records");
-        assert_eq!(metrics.ok, 1);
-        assert_eq!(metrics.cancelled, 3);
+        assert_eq!(metrics.ok, 2);
+        assert_eq!(metrics.cancelled, 2);
     }
 
     #[test]
     fn torn_cache_file_fails_loudly_or_salvages_when_opted_in() {
-        let path = std::env::temp_dir().join(format!(
-            "youtiao-serve-test-{}.torn-cache.json",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let options = BatchOptions {
+        let path = temp_path("torn-cache");
+        let options = DaemonOptions {
             cache_path: Some(path.clone()),
-            ..Default::default()
+            ..non_canonical()
         };
         let reqs = requests(3);
-        let mut out = Vec::new();
-        run_batch(&reqs, counting_executor(), &options, &mut out).unwrap();
+        batch(&reqs, counting_executor(), &options).unwrap();
         crate::fault::apply_cache_fault(&path, crate::fault::CacheFault::Truncate).unwrap();
 
         // Default: the torn file aborts the batch with a cache error.
-        let mut out = Vec::new();
-        let err = run_batch(&reqs, counting_executor(), &options, &mut out).unwrap_err();
+        let err = batch(&reqs, counting_executor(), &options).unwrap_err();
         assert!(matches!(err, BatchError::Cache(_)), "{err}");
 
         // Salvage: cold start, run fine, and rewrite a valid snapshot.
-        let salvage = BatchOptions {
+        let salvage = DaemonOptions {
             cache_salvage: true,
             ..options.clone()
         };
-        let mut out = Vec::new();
-        let cold = run_batch(&reqs, counting_executor(), &salvage, &mut out).unwrap();
+        let (cold, _) = batch(&reqs, counting_executor(), &salvage).unwrap();
         assert_eq!(cold.cache_hits, 0);
-        let mut out = Vec::new();
-        let warm = run_batch(&reqs, counting_executor(), &options, &mut out).unwrap();
+        let (warm, _) = batch(&reqs, counting_executor(), &options).unwrap();
         assert_eq!(warm.cache_hits, 3, "salvage run re-persisted a valid file");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn cache_persists_across_batch_runs() {
-        let path = std::env::temp_dir().join(format!(
-            "youtiao-serve-test-{}.cache.json",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_file(&path);
-        let options = BatchOptions {
+        let path = temp_path("cache");
+        let options = DaemonOptions {
             cache_path: Some(path.clone()),
-            ..Default::default()
+            ..non_canonical()
         };
         let reqs = requests(4);
-        let mut out = Vec::new();
-        let cold = run_batch(&reqs, counting_executor(), &options, &mut out).unwrap();
-        assert_eq!(cold.cache_hits, 0);
-        let mut out = Vec::new();
-        let warm = run_batch(&reqs, counting_executor(), &options, &mut out).unwrap();
+        let (cold, _) = batch(&reqs, counting_executor(), &options).unwrap();
+        assert_eq!(cold.cache_hits, 1, "sq3 repeats sq0 within the batch");
+        let (warm, _) = batch(&reqs, counting_executor(), &options).unwrap();
         assert_eq!(warm.cache_hits, 4, "all jobs answered from the cache file");
         let _ = std::fs::remove_file(&path);
     }
 
     #[test]
-    fn streaming_front_end_matches_eager_results() {
+    fn records_follow_request_order_and_a_bad_line_aborts() {
         let text = "\n# a sweep\n{\"chip\":{\"topology\":\"square\",\"rows\":2,\"cols\":3},\"id\":\"a\"}\n{\"chip\":{\"topology\":\"square\",\"rows\":3,\"cols\":3},\"id\":\"b\"}\n{\"chip\":{\"topology\":\"klein-bottle\"},\"id\":\"c\"}\n";
-        let mut out = Vec::new();
-        let metrics = run_batch_stream(
-            std::io::Cursor::new(text),
-            counting_executor(),
-            &BatchOptions::default(),
-            &mut out,
-        )
-        .unwrap();
+        let (metrics, lines) = batch(text, counting_executor(), &non_canonical()).unwrap();
         assert_eq!(metrics.jobs, 3);
         assert_eq!(metrics.ok, 2);
         assert_eq!(metrics.errors, 1);
-        let mut lines: Vec<Value> = std::str::from_utf8(&out)
-            .unwrap()
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .collect();
-        lines.sort_by_key(|v| v["index"].as_u64());
+        let indices: Vec<u64> = lines.iter().map(|v| v["index"].as_u64().unwrap()).collect();
+        assert_eq!(indices, [0, 1, 2], "records come out in request order");
         assert_eq!(lines[0]["id"], "a");
         assert_eq!(lines[0]["result"], 6);
         assert_eq!(lines[1]["result"], 9);
@@ -1048,57 +362,40 @@ mod tests {
 
         // A mid-stream parse error aborts loudly with its line number.
         let bad = "{\"chip\":{\"topology\":\"square\"}}\n{\"chip\":}\n";
-        let mut out = Vec::new();
-        let err = run_batch_stream(
-            std::io::Cursor::new(bad),
-            counting_executor(),
-            &BatchOptions::default(),
-            &mut out,
-        )
-        .unwrap_err();
+        let err = batch(bad, counting_executor(), &non_canonical()).unwrap_err();
         assert!(matches!(err, BatchError::Parse { line: 2, .. }), "{err}");
     }
 
     #[test]
     fn sharded_batch_tags_records_and_persists_per_shard() {
-        let path = std::env::temp_dir().join(format!(
-            "youtiao-serve-test-{}.sharded-cache.json",
-            std::process::id()
-        ));
+        let path = temp_path("sharded-cache");
         let shards = 4usize;
         for index in 0..shards {
             let _ = std::fs::remove_file(crate::shard::shard_file(&path, index, shards));
         }
-        let options = BatchOptions {
+        let options = DaemonOptions {
             cache_path: Some(path.clone()),
             shards,
-            ..Default::default()
+            ..non_canonical()
         };
         let reqs = requests(6); // 3 distinct chips, each twice
-        let mut out = Vec::new();
-        let cold = run_batch(&reqs, counting_executor(), &options, &mut out).unwrap();
-        assert_eq!(cold.cache_hits, 0, "eager path resolves keys up front");
+        let (cold, lines) = batch(&reqs, counting_executor(), &options).unwrap();
+        assert_eq!(cold.cache_hits, 3, "each repeat waits for its first copy");
         assert!(!cold.shards.is_empty(), "sharded metrics attach");
         let jobs: usize = cold.shards.iter().map(|s| s.jobs).sum();
         assert_eq!(jobs, 6, "every keyed record lands in a shard bucket");
-        for line in std::str::from_utf8(&out).unwrap().lines() {
-            let v: Value = serde_json::from_str(line).unwrap();
+        for v in lines {
             let shard = v["shard"].as_u64().expect("sharded records are tagged");
             assert!((shard as usize) < shards);
         }
 
         // Warm pass reads the per-shard files back.
-        let mut out = Vec::new();
-        let warm = run_batch(&reqs, counting_executor(), &options, &mut out).unwrap();
+        let (warm, _) = batch(&reqs, counting_executor(), &options).unwrap();
         assert_eq!(warm.cache_hits, 6);
 
         // Flat single-shard runs keep their compact untagged lines.
-        let flat = BatchOptions::default();
-        let cache = PlanCache::new(64);
-        let mut out = Vec::new();
-        run_batch_with_cache(&reqs, counting_executor(), &flat, &cache, &mut out).unwrap();
-        for line in std::str::from_utf8(&out).unwrap().lines() {
-            let v: Value = serde_json::from_str(line).unwrap();
+        let (_, lines) = batch(&reqs, counting_executor(), &non_canonical()).unwrap();
+        for v in lines {
             assert!(v.get("shard").is_none());
         }
         for index in 0..shards {

@@ -30,9 +30,9 @@
 //! No wall clock, thread id or queue order
 //! enters the schedule, so the same seed over the same batch always
 //! injects the same faults into the same attempts — and with canonical
-//! record emission (latency zeroed, traces dropped) two equal-seed
-//! chaos runs produce byte-identical record streams after an index
-//! sort. Tests exploit the same property in reverse: given the plan
+//! record emission (latency zeroed, traces dropped) and request-order
+//! output two equal-seed chaos runs produce byte-identical record
+//! streams. Tests exploit the same property in reverse: given the plan
 //! they recompute each job's expected outcome and compare it against
 //! the pool's actual record.
 //!
@@ -164,7 +164,8 @@ pub struct FaultPlan {
     /// Abort the pool after this many pooled records complete, leaving
     /// the rest to finish as `Cancelled` records.
     pub abort_after: Option<usize>,
-    /// Mangle the persisted cache file before loading it.
+    /// Mangle the persisted cache file (shard 0's, when sharded)
+    /// before the session loads it.
     pub cache_fault: Option<CacheFault>,
     /// Inject phantom queue depth into daemon admission control over a
     /// fixed design-request range.
@@ -174,8 +175,8 @@ pub struct FaultPlan {
     pub slow_client_ms: Option<u64>,
     /// Apply the slow-client stall to every Nth response (1 = all).
     pub slow_client_every: Option<usize>,
-    /// Delete this cache shard's persistence file before the daemon
-    /// session loads its cache (shard-loss simulation).
+    /// Delete this cache shard's persistence file before the session
+    /// loads its cache (shard-loss simulation).
     pub shard_loss: Option<usize>,
 }
 

@@ -19,17 +19,24 @@
 //!   injection (behind `youtiao chaos`): scheduled errors, panics,
 //!   delays, cancellations and cache corruption wrapped around any
 //!   executor, reproducible from a seed;
-//! * [`run_batch`] — the JSONL front-end behind `youtiao batch`,
-//!   streaming one result line per job and summarizing throughput,
-//!   latency percentiles, and cache behavior in [`ServeMetrics`];
 //! * [`ShardedCache`] — N content-addressed [`PlanCache`] shards, each
 //!   with its own lock, LRU budget and persistence file, so shard loss
 //!   or corruption is isolated and salvageable per shard;
-//! * [`run_daemon`] — the long-lived `youtiao serve` session: a
-//!   newline-framed JSONL protocol ([`proto`]) with request ids and an
-//!   in-band `ping`/`stats`/`shutdown` control plane, deterministic
-//!   canonical responses, and [`AdmissionController`] policy (bounded
-//!   queue, per-client in-flight caps, deadline-aware shedding).
+//! * one request engine ([`daemon`]) behind every front end: it answers
+//!   requests in request order from the cache, by coalescing duplicate
+//!   keys, by shedding, or through the pool, under
+//!   [`AdmissionController`] policy (bounded queue, per-client
+//!   in-flight caps, deadline-aware shedding), and summarizes
+//!   throughput, latency percentiles, and cache behavior in
+//!   [`ServeMetrics`]. Two calls drive it, both configured by
+//!   [`DaemonOptions`]:
+//!   * [`run_daemon`] — the long-lived `youtiao serve` session: a
+//!     newline-framed JSONL protocol ([`proto`]) with request ids, an
+//!     in-band `ping`/`stats`/`shutdown` control plane, and
+//!     deterministic canonical responses;
+//!   * [`run_batch`] — the session behind `youtiao batch` and `youtiao
+//!     chaos`: bare [`DesignRequest`] lines in, one [`JobRecord`] line
+//!     per request out.
 //!
 //! The crate is pipeline-agnostic: jobs produce any `R: Clone + Send +
 //! Serialize + Deserialize`, and the executor closure supplies the
@@ -51,13 +58,10 @@ pub mod request;
 pub mod shard;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionStats};
-pub use batch::{
-    parse_requests, run_batch, run_batch_sharded, run_batch_stream, run_batch_stream_with_cache,
-    run_batch_with_cache, BatchError, BatchOptions,
-};
+pub use batch::{run_batch, BatchError};
 pub use cache::{content_key, CacheLoadError, CacheStats, PlanCache};
 pub use cancel::{CancelToken, Cancelled};
-pub use daemon::{run_daemon, run_daemon_session, DaemonOptions, DaemonReport};
+pub use daemon::{run_daemon, DaemonOptions, DaemonReport};
 pub use fault::{
     apply_cache_fault, CacheFault, FaultCounters, FaultInjector, FaultKind, FaultPlan,
     OverloadBurst, RequestMutator,

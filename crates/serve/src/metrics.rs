@@ -1,6 +1,7 @@
 //! Batch-run service metrics.
 //!
-//! [`ServeMetrics`] is the end-of-run summary `youtiao batch` prints:
+//! [`ServeMetrics`] is the end-of-session summary `youtiao batch`,
+//! `chaos` and `serve` print:
 //! outcome counts, retry volume, cache behavior, throughput, and
 //! latency percentiles over per-job wall times.
 
@@ -11,7 +12,7 @@ use crate::cache::CacheStats;
 use crate::fault::FaultCounters;
 use crate::job::{ErrorKind, JobRecord, JobStatus};
 
-/// Summary of one batch run.
+/// Summary of one session.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ServeMetrics {
     /// Jobs in the batch.
@@ -52,7 +53,7 @@ pub struct ServeMetrics {
     /// Per-shard cache and latency aggregates, indexed by shard (empty
     /// when the run used a flat, unsharded cache).
     pub shards: Vec<ShardStat>,
-    /// Admission-control counters (all zero outside daemon sessions).
+    /// Admission-control counters.
     pub admission: AdmissionStats,
     /// Faults injected during the run, by kind (all zero outside chaos
     /// runs).
@@ -252,7 +253,7 @@ impl ServeMetrics {
         self
     }
 
-    /// Attaches a daemon session's admission-control counters.
+    /// Attaches a session's admission-control counters.
     pub fn with_admission(mut self, admission: AdmissionStats) -> Self {
         self.admission = admission;
         self

@@ -1,13 +1,14 @@
 //! The daemon's newline-framed JSONL wire protocol.
 //!
 //! One frame per line, JSON object per frame, in both directions —
-//! the same framing `youtiao batch` files use, so a batch input is a
-//! valid daemon session. Blank lines and `#` comment lines are
-//! skipped. Request frames carry an `op` (`design`, `ping`, `stats`,
-//! `shutdown`; a frame with a `request` and no `op` is a design
-//! request, so existing batch JSONL streams work unchanged), an
-//! optional caller-chosen `rid` echoed verbatim in the response, and
-//! an optional `client` name for per-client admission accounting.
+//! the same framing `youtiao batch` files use, read by the same
+//! [`FramedReader`]. Blank lines and `#` comment lines are skipped.
+//! The payloads differ: a batch line is a bare `DesignRequest`, while
+//! a daemon frame wraps one under `request`. Request frames carry an
+//! `op` (`design`, `ping`, `stats`, `shutdown`; a frame with a
+//! `request` and no `op` is a design request), an optional
+//! caller-chosen `rid` echoed verbatim in the response, and an optional
+//! `client` name for per-client admission accounting.
 //!
 //! Responses are emitted **in request order** regardless of completion
 //! order, and every response map is key-sorted (the vendored `Map` is
@@ -103,8 +104,8 @@ pub enum OpKind {
 }
 
 /// One parsed request frame. All fields optional, so control frames
-/// (`{"op":"ping"}`) and bare batch lines (a `DesignRequest` object
-/// under `request`) both parse.
+/// (`{"op":"ping"}`) and design frames (a `DesignRequest` object under
+/// `request`) both parse.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct DaemonRequest {
     /// Operation name; absent means `design` when `request` is set.

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Repo verification: tier-1 build + tests, a batch smoke run with plan
-# validation + stage tracing plus a byte-identity cmp across
-# --plan-threads, a sweep smoke run (JSONL schema, Pareto
-# front, thread-count determinism), repair smoke runs (pinned drift
-# change set -> pinned repaired-plan hash, structural fallback pin,
-# bench-repair schema), a chaos smoke run (seeded fault injection,
+# Repo verification: tier-1 build + tests, the request engine's own
+# tests (youtiao-serve), a batch smoke run with plan validation + stage
+# tracing plus a byte-identity cmp across --plan-threads, --jobs and
+# --shards, a duplicate-request smoke (computed once), a sweep smoke
+# run (JSONL schema, Pareto front, thread-count determinism), repair
+# smoke runs (pinned drift change set -> pinned repaired-plan hash,
+# structural fallback pin, bench-repair schema), a chaos smoke run (seeded fault injection,
 # record-count and determinism checks), a daemon smoke (stdin + socket
 # round trips, byte-identical canonical transcripts across shard and
 # worker counts, torn-shard salvage), then figure ports, the crosstalk
@@ -27,6 +28,9 @@ if [[ "${1:-}" != "--smoke-only" ]]; then
     echo "verify: tier-1 OK"
     exit 0
   fi
+
+  echo "==> request engine: cargo test -q -p youtiao-serve"
+  cargo test -q --offline -p youtiao-serve
 fi
 
 echo "==> smoke: youtiao batch --validate --trace-json"
@@ -60,24 +64,57 @@ for trace in jobs:
 print(f"  trace file OK: {len(jobs)} jobs, all stage spans present")
 PY
 
-echo "==> smoke: youtiao batch (byte-identical results across --plan-threads)"
+echo "==> smoke: youtiao batch (byte-identical results across --plan-threads, --jobs and --shards)"
 # Intra-plan parallelism must be invisible in the output: same jobs,
 # same bytes, whatever the planner's thread count (serve policy doc:
 # explicit values win, auto stays serial while the pool fans out).
-# --canonical zeroes wall-clock latency so the cmp sees only plan bytes.
+# Records come out in request order, so a multi-worker sharded run
+# must match too. --canonical zeroes wall-clock latency and strips
+# shard tags so the cmp sees only plan bytes.
 for pt in 1 2 8; do
   cargo run -q --release --offline --bin youtiao -- batch \
     --in examples/batch_jobs.jsonl --out "$smoke_dir/results_pt$pt.jsonl" \
     --jobs 1 --plan-threads "$pt" --canonical 2> /dev/null
 done
-for pt in 2 8; do
-  if ! cmp -s "$smoke_dir/results_pt1.jsonl" "$smoke_dir/results_pt$pt.jsonl"; then
-    echo "verify: FAILED — batch output differs between --plan-threads 1 and $pt" >&2
-    diff "$smoke_dir/results_pt1.jsonl" "$smoke_dir/results_pt$pt.jsonl" >&2 || true
+cargo run -q --release --offline --bin youtiao -- batch \
+  --in examples/batch_jobs.jsonl --out "$smoke_dir/results_j4s4.jsonl" \
+  --jobs 4 --shards 4 --canonical 2> /dev/null
+for run in pt2 pt8 j4s4; do
+  if ! cmp -s "$smoke_dir/results_pt1.jsonl" "$smoke_dir/results_$run.jsonl"; then
+    echo "verify: FAILED — batch output differs between --plan-threads 1 and $run" >&2
+    diff "$smoke_dir/results_pt1.jsonl" "$smoke_dir/results_$run.jsonl" >&2 || true
     exit 1
   fi
 done
-echo "  batch plan-threads OK: byte-identical results at 1/2/8 threads"
+echo "  batch determinism OK: byte-identical results at 1/2/8 plan threads and 4 jobs x 4 shards"
+
+echo "==> smoke: youtiao batch (a repeated request is computed once)"
+# The second copy of a line parks behind the first and is answered from
+# the cache: one trace per distinct key, exactly one cache hit.
+{ cat examples/batch_jobs.jsonl; grep -m1 '^{' examples/batch_jobs.jsonl; } \
+  > "$smoke_dir/dup_jobs.jsonl"
+cargo run -q --release --offline --bin youtiao -- batch \
+  --in "$smoke_dir/dup_jobs.jsonl" --out "$smoke_dir/dup_results.jsonl" --jobs 4 \
+  --trace-json "$smoke_dir/dup_traces.json" --metrics-json 2> "$smoke_dir/dup_metrics.json"
+python3 - "$smoke_dir/dup_results.jsonl" "$smoke_dir/dup_traces.json" \
+  "$smoke_dir/dup_metrics.json" "$jobs_in" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    records = [json.loads(line) for line in f if line.strip()]
+distinct = int(sys.argv[4])
+assert len(records) == distinct + 1, f"expected {distinct + 1} records, got {len(records)}"
+assert [r["index"] for r in records] == list(range(distinct + 1)), "records out of request order"
+assert records[-1]["cache_hit"] is True, records[-1]
+assert records[-1]["result"] == records[0]["result"], "the repeat answered differently"
+with open(sys.argv[2]) as f:
+    traces = json.load(f)["jobs"]
+assert len(traces) == distinct, f"expected {distinct} traces, got {len(traces)}"
+with open(sys.argv[3]) as f:
+    metrics = json.load(f)
+assert metrics["cache_hits"] == 1, metrics["cache_hits"]
+assert metrics["cache_misses"] == distinct, metrics["cache_misses"]
+print(f"  duplicate smoke OK: {distinct} traces for {distinct + 1} requests, one cache hit")
+PY
 
 echo "==> smoke: youtiao sweep (2x2 grid, determinism across threads)"
 # -q keeps cargo's own stderr chatter out of the captured summary JSON
@@ -316,9 +353,9 @@ cargo run -q --release --offline --bin youtiao -- chaos \
 cargo run -q --release --offline --bin youtiao -- chaos \
   --in examples/batch_jobs.jsonl --faults examples/faults/smoke.json \
   --out "$smoke_dir/chaos2.jsonl" --jobs 3 2> /dev/null
-if ! cmp -s <(sort "$smoke_dir/chaos1.jsonl") <(sort "$smoke_dir/chaos2.jsonl"); then
+if ! cmp -s "$smoke_dir/chaos1.jsonl" "$smoke_dir/chaos2.jsonl"; then
   echo "verify: FAILED — chaos records differ between two equal-seed runs" >&2
-  diff <(sort "$smoke_dir/chaos1.jsonl") <(sort "$smoke_dir/chaos2.jsonl") >&2 || true
+  diff "$smoke_dir/chaos1.jsonl" "$smoke_dir/chaos2.jsonl" >&2 || true
   exit 1
 fi
 python3 - "$smoke_dir/chaos1.jsonl" "$smoke_dir/chaos_metrics.json" "$jobs_in" <<'PY'

@@ -17,7 +17,6 @@
 //! ```
 
 use std::collections::HashMap;
-use std::io::Read;
 use std::process::ExitCode;
 
 use youtiao::bench::perf::{Layout, PerfConfig};
@@ -34,9 +33,8 @@ use youtiao::repair::{
     diff_inputs, repair_plan, replan_from_snapshot, PlanInputs, QualityReport, RepairConfig,
 };
 use youtiao::serve::{
-    apply_cache_fault, content_key, near_square, parse_requests, run_design_batch,
-    run_design_batch_stream, run_design_daemon, shard_file, AdmissionConfig, BatchOptions,
-    DaemonOptions, DaemonReport, DesignRequest, FaultPlan,
+    content_key, near_square, run_design_batch, run_design_daemon, AdmissionConfig, DaemonOptions,
+    DaemonReport, FaultPlan,
 };
 use youtiao::xplore::{parse_objectives, run_sweep, write_csv, SweepOptions, SweepSpec};
 
@@ -75,8 +73,10 @@ usage:
                  [--cache-capacity N] [--shards N]
                  [--metrics-json] [--trace-json FILE] [--validate] [--canonical]
                  (--in - reads stdin; input streams through the framed reader one
-                  line at a time, so the jobs file never loads whole; --out
-                  defaults to stdout; metrics go to stderr;
+                  line at a time; records come out in request order, and a
+                  request repeated within the batch is computed once and its
+                  copies answered from the cache; --out defaults to stdout;
+                  metrics go to stderr;
                   --jobs/--workers/--threads are synonyms: worker threads, 0 = one
                   per core (the default); --plan-threads parallelizes inside each
                   plan — plans are byte-identical at any value; left at 0 it
@@ -113,7 +113,7 @@ usage:
                   threshold, and cache-file corruption; --seed overrides the
                   plan's seed; --faults defaults to the built-in smoke plan;
                   records are emitted canonical — zero latency, no trace — so
-                  equal seeds give byte-identical streams after an index sort)
+                  equal seeds give byte-identical streams)
   youtiao sweep  --spec FILE.json [--out FILE.jsonl] [--csv FILE.csv] [--threads N]
                  [--plan-threads N] [--pareto cost,coax,fidelity,latency]
                  [--cache FILE]
@@ -271,7 +271,13 @@ fn run(args: &[String]) -> Result<(), String> {
             );
             Ok(())
         }
-        "batch" => run_batch_command(&flags),
+        "batch" => {
+            let options = DaemonOptions {
+                canonical: flags.contains_key("canonical"),
+                ..session_options(&flags)?
+            };
+            run_batch_command(&flags, options)
+        }
         "chaos" => run_chaos_command(&flags),
         "serve" => run_serve_command(&flags),
         "sweep" => run_sweep_command(&flags),
@@ -281,74 +287,50 @@ fn run(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// The `batch` subcommand: JSONL requests in, JSONL records out,
-/// metrics summary on stderr. Input streams through the framed reader
-/// one line at a time — the jobs file is never materialized in memory.
-fn run_batch_command(flags: &HashMap<String, Option<String>>) -> Result<(), String> {
-    let options = batch_options(flags)?;
+/// The `batch` and `chaos` subcommands: JSONL requests in (`--in`, `-`
+/// for stdin), read one line at a time; JSONL records out (`--out`,
+/// default stdout) in request order; metrics summary on stderr.
+fn run_batch_command(
+    flags: &HashMap<String, Option<String>>,
+    options: DaemonOptions,
+) -> Result<(), String> {
+    let options = DaemonOptions {
+        trace_json: match flags.get("trace-json") {
+            None => None,
+            Some(Some(path)) => Some(std::path::PathBuf::from(path)),
+            Some(None) => return Err("--trace-json expects a file path".into()),
+        },
+        ..options
+    };
     let input = flags
         .get("in")
         .and_then(|v| v.clone())
         .ok_or("requires --in FILE (JSONL; `-` reads stdin)")?;
-    let metrics = if input == "-" {
-        with_output(flags, |mut out| {
-            run_design_batch_stream(std::io::stdin().lock(), &options, &mut out)
-        })?
+    let reader: Box<dyn std::io::BufRead + Send> = if input == "-" {
+        Box::new(std::io::BufReader::new(std::io::stdin()))
     } else {
         let file = std::fs::File::open(&input).map_err(|e| format!("{input}: {e}"))?;
-        let reader = std::io::BufReader::new(file);
-        with_output(flags, move |mut out| {
-            run_design_batch_stream(reader, &options, &mut out)
-        })?
+        Box::new(std::io::BufReader::new(file))
     };
+    let metrics = with_output(flags, |mut out| {
+        run_design_batch(&options, reader, &mut out)
+    })?;
     report_metrics(&metrics, flags);
     Ok(())
 }
 
-/// The `chaos` subcommand: a batch run under a deterministic seeded
-/// fault-injection schedule. Records are emitted canonical (latency
-/// zeroed, traces stripped) so two equal-seed runs are byte-identical
-/// after an index sort, and a torn cache file salvages to a cold start
-/// instead of failing the run.
+/// The `chaos` subcommand: a batch under a deterministic seeded
+/// fault-injection schedule (the built-in smoke plan unless `--faults`
+/// names one). Records are canonical (latency zeroed, traces stripped)
+/// so two equal-seed runs are byte-identical, and a torn cache file
+/// salvages to a cold start instead of failing the run.
 fn run_chaos_command(flags: &HashMap<String, Option<String>>) -> Result<(), String> {
-    let requests = read_requests(flags)?;
-    let mut plan = match flags.get("faults") {
-        None => FaultPlan::smoke(0),
-        Some(Some(path)) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            serde_json::from_str::<FaultPlan>(&text).map_err(|e| format!("{path}: {e}"))?
-        }
-        Some(None) => return Err("--faults expects a file path".into()),
+    let options = DaemonOptions {
+        canonical: true,
+        cache_salvage: true,
+        faults: fault_plan(flags, Some(FaultPlan::smoke(0)))?,
+        ..session_options(flags)?
     };
-    if let Some(Some(seed)) = flags.get("seed") {
-        plan.seed = Some(seed.parse().map_err(|_| "--seed expects an integer")?);
-    }
-    plan.validate().map_err(|e| format!("fault plan: {e}"))?;
-
-    let mut options = batch_options(flags)?;
-    // Sharded caches persist one file per shard: the torn-write fault
-    // mangles shard 0's file, and the shard-loss fault deletes the
-    // named shard's file — both leave the other shards intact.
-    if let (Some(fault), Some(path)) = (plan.cache_fault, &options.cache_path) {
-        let target = shard_file(path, 0, options.shards.max(1));
-        if target.exists() {
-            apply_cache_fault(&target, fault).map_err(|e| format!("{}: {e}", target.display()))?;
-            eprintln!(
-                "chaos: applied cache fault {fault:?} to {}",
-                target.display()
-            );
-        }
-    }
-    if let (Some(lost), Some(path)) = (plan.shard_loss, &options.cache_path) {
-        let target = shard_file(path, lost, options.shards.max(1));
-        if target.exists() {
-            std::fs::remove_file(&target).map_err(|e| format!("{}: {e}", target.display()))?;
-            eprintln!("chaos: applied shard-loss fault to {}", target.display());
-        }
-    }
-    options.faults = Some(plan);
-    options.canonical = true;
-    options.cache_salvage = true;
 
     // Scheduled panics are contained by the pool (they become Internal
     // error records); keep their default hook output — a "thread
@@ -367,29 +349,12 @@ fn run_chaos_command(flags: &HashMap<String, Option<String>>) -> Result<(), Stri
         }
     }));
 
-    run_and_report(&requests, &options, flags)
+    run_batch_command(flags, options)
 }
 
-/// Reads the `--in` JSONL request file (`-` for stdin).
-fn read_requests(flags: &HashMap<String, Option<String>>) -> Result<Vec<DesignRequest>, String> {
-    let input = flags
-        .get("in")
-        .and_then(|v| v.clone())
-        .ok_or("requires --in FILE (JSONL; `-` reads stdin)")?;
-    let text = if input == "-" {
-        let mut text = String::new();
-        std::io::stdin()
-            .read_to_string(&mut text)
-            .map_err(|e| format!("stdin: {e}"))?;
-        text
-    } else {
-        std::fs::read_to_string(&input).map_err(|e| format!("{input}: {e}"))?
-    };
-    parse_requests(&text).map_err(|e| e.to_string())
-}
-
-/// The batch flags shared by `batch` and `chaos`.
-fn batch_options(flags: &HashMap<String, Option<String>>) -> Result<BatchOptions, String> {
+/// The session flags shared by `batch`, `chaos` and `serve`; every
+/// other option is left at its default for the subcommand to set.
+fn session_options(flags: &HashMap<String, Option<String>>) -> Result<DaemonOptions, String> {
     let deadline_ms = match flags.get("deadline-ms") {
         None => None,
         Some(Some(v)) => Some(
@@ -400,32 +365,50 @@ fn batch_options(flags: &HashMap<String, Option<String>>) -> Result<BatchOptions
     };
     // `--jobs`, `--workers` and `--threads` are synonyms for the pool
     // size; 0 (the default) spawns one worker per available core.
-    let jobs = ["jobs", "workers", "threads"]
+    let workers = ["jobs", "workers", "threads"]
         .iter()
         .find(|key| flags.contains_key(**key))
         .map(|key| get_usize(flags, key, 0))
         .transpose()?
         .unwrap_or(0);
-    Ok(BatchOptions {
-        jobs,
+    Ok(DaemonOptions {
+        workers,
         plan_threads: get_usize(flags, "plan-threads", 0)?,
-        deadline_ms,
         max_retries: get_usize(flags, "retries", 2)? as u32,
+        deadline_ms,
         cache_capacity: get_usize(flags, "cache-capacity", 1024)?,
+        shards: get_usize(flags, "shards", 1)?.max(1),
         cache_path: flags
             .get("cache")
             .and_then(|v| v.clone())
             .map(std::path::PathBuf::from),
-        trace_json: match flags.get("trace-json") {
-            None => None,
-            Some(Some(path)) => Some(std::path::PathBuf::from(path)),
-            Some(None) => return Err("--trace-json expects a file path".into()),
-        },
         validate: flags.contains_key("validate"),
-        canonical: flags.contains_key("canonical"),
-        shards: get_usize(flags, "shards", 1)?.max(1),
-        ..BatchOptions::default()
+        ..DaemonOptions::default()
     })
+}
+
+/// The fault plan of `chaos` and `serve`: `--faults FILE` or
+/// `default`, with `--seed` overriding its seed.
+fn fault_plan(
+    flags: &HashMap<String, Option<String>>,
+    default: Option<FaultPlan>,
+) -> Result<Option<FaultPlan>, String> {
+    let mut faults = match flags.get("faults") {
+        None => default,
+        Some(Some(path)) => {
+            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+            Some(serde_json::from_str::<FaultPlan>(&text).map_err(|e| format!("{path}: {e}"))?)
+        }
+        Some(None) => return Err("--faults expects a file path".into()),
+    };
+    if let Some(Some(seed)) = flags.get("seed") {
+        let seed = seed.parse().map_err(|_| "--seed expects an integer")?;
+        faults.get_or_insert_with(FaultPlan::default).seed = Some(seed);
+    }
+    if let Some(plan) = &faults {
+        plan.validate().map_err(|e| format!("fault plan: {e}"))?;
+    }
+    Ok(faults)
 }
 
 /// Runs `run` against `--out` (default stdout), buffering file output.
@@ -462,36 +445,28 @@ fn report_metrics(metrics: &youtiao::serve::ServeMetrics, flags: &HashMap<String
     }
 }
 
-/// Runs the batch to `--out` (default stdout) and prints the metrics
-/// summary to stderr (JSON with `--metrics-json`).
-fn run_and_report(
-    requests: &[DesignRequest],
-    options: &BatchOptions,
-    flags: &HashMap<String, Option<String>>,
-) -> Result<(), String> {
-    let metrics = with_output(flags, |mut out| {
-        run_design_batch(requests, options, &mut out)
-    })?;
-    report_metrics(&metrics, flags);
-    Ok(())
+/// Prints one daemon session's summary + metrics to stderr.
+fn report_daemon(report: &DaemonReport, flags: &HashMap<String, Option<String>>) {
+    if !flags.contains_key("metrics-json") {
+        let mut line = format!(
+            "session: {} requests, {} responses",
+            report.requests, report.responses
+        );
+        if report.salvaged_shards > 0 {
+            line.push_str(&format!(", {} shards salvaged", report.salvaged_shards));
+        }
+        if report.shutdown {
+            line.push_str(", shutdown");
+        }
+        eprintln!("{line}");
+    }
+    report_metrics(&report.metrics, flags);
 }
 
-/// The serve flags: daemon session + admission policy configuration.
-fn daemon_options(flags: &HashMap<String, Option<String>>) -> Result<DaemonOptions, String> {
-    let deadline_ms = match flags.get("deadline-ms") {
-        None => None,
-        Some(Some(v)) => Some(
-            v.parse()
-                .map_err(|_| "--deadline-ms expects milliseconds")?,
-        ),
-        Some(None) => return Err("--deadline-ms expects a value".into()),
-    };
-    let workers = ["jobs", "workers", "threads"]
-        .iter()
-        .find(|key| flags.contains_key(**key))
-        .map(|key| get_usize(flags, key, 0))
-        .transpose()?
-        .unwrap_or(0);
+/// The `serve` subcommand: a long-lived daemon session over
+/// stdin/stdout, or an accept loop on a unix socket with `--socket`
+/// (one session per connection; an in-band shutdown stops the daemon).
+fn run_serve_command(flags: &HashMap<String, Option<String>>) -> Result<(), String> {
     let est_ms = match flags.get("est-ms") {
         None => 0.0,
         Some(Some(v)) => {
@@ -508,73 +483,17 @@ fn daemon_options(flags: &HashMap<String, Option<String>>) -> Result<DaemonOptio
         }
         Some(None) => return Err("--est-ms expects a value".into()),
     };
-    let mut faults = match flags.get("faults") {
-        None => None,
-        Some(Some(path)) => {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            Some(serde_json::from_str::<FaultPlan>(&text).map_err(|e| format!("{path}: {e}"))?)
-        }
-        Some(None) => return Err("--faults expects a file path".into()),
-    };
-    if let Some(Some(seed)) = flags.get("seed") {
-        let seed = seed.parse().map_err(|_| "--seed expects an integer")?;
-        faults.get_or_insert_with(FaultPlan::default).seed = Some(seed);
-    }
-    if let Some(plan) = &faults {
-        plan.validate().map_err(|e| format!("fault plan: {e}"))?;
-    }
-    Ok(DaemonOptions {
-        workers,
-        plan_threads: get_usize(flags, "plan-threads", 0)?,
-        max_retries: get_usize(flags, "retries", 2)? as u32,
-        deadline_ms,
-        cache_capacity: get_usize(flags, "cache-capacity", 1024)?,
-        shards: get_usize(flags, "shards", 1)?.max(1),
-        cache_path: flags
-            .get("cache")
-            .and_then(|v| v.clone())
-            .map(std::path::PathBuf::from),
+    let options = DaemonOptions {
         cache_salvage: flags.contains_key("salvage"),
         canonical: !flags.contains_key("no-canonical"),
-        trace: false,
-        validate: flags.contains_key("validate"),
-        faults,
+        faults: fault_plan(flags, None)?,
         admission: AdmissionConfig {
             max_queue: get_usize(flags, "max-queue", 1024)?.max(1),
             client_inflight: get_usize(flags, "client-inflight", 0)?,
             est_ms,
         },
-    })
-}
-
-/// Prints one daemon session's summary + metrics to stderr.
-fn report_daemon(report: &DaemonReport, flags: &HashMap<String, Option<String>>) {
-    if flags.contains_key("metrics-json") {
-        match serde_json::to_string_pretty(&report.metrics) {
-            Ok(json) => eprintln!("{json}"),
-            Err(e) => eprintln!("metrics: {e}"),
-        }
-        return;
-    }
-    let mut line = format!(
-        "session: {} requests, {} responses",
-        report.requests, report.responses
-    );
-    if report.salvaged_shards > 0 {
-        line.push_str(&format!(", {} shards salvaged", report.salvaged_shards));
-    }
-    if report.shutdown {
-        line.push_str(", shutdown");
-    }
-    eprintln!("{line}");
-    eprintln!("{}", report.metrics.render());
-}
-
-/// The `serve` subcommand: a long-lived daemon session over
-/// stdin/stdout, or an accept loop on a unix socket with `--socket`
-/// (one session per connection; an in-band shutdown stops the daemon).
-fn run_serve_command(flags: &HashMap<String, Option<String>>) -> Result<(), String> {
-    let options = daemon_options(flags)?;
+        ..session_options(flags)?
+    };
     match flags.get("socket") {
         None => {
             let reader = std::io::BufReader::new(std::io::stdin());

@@ -2,13 +2,14 @@
 //!
 //! `youtiao-serve` is pipeline-agnostic (any executor, any result
 //! type); this module instantiates it with the real thing:
-//! [`design_executor`] runs [`design_chip_with_cancel`] for a
-//! [`DesignRequest`], classifying [`DesignError`]s into the pool's
-//! transient/permanent retry taxonomy, and [`run_design_batch`] is the
-//! one-call JSONL batch service behind `youtiao batch` — and, with
-//! [`BatchOptions::faults`] set, behind `youtiao chaos`: injected
-//! faults flow through the same classification and retry path as real
-//! pipeline failures.
+//! [`repairing_design_executor_threads`] runs
+//! [`design_chip_traced`] for a [`DesignRequest`], classifying
+//! [`DesignError`]s into the pool's transient/permanent retry taxonomy.
+//! [`run_design_batch`] is the JSONL batch session behind `youtiao
+//! batch` — and, with [`DaemonOptions::faults`] set, behind `youtiao
+//! chaos`: injected faults flow through the same classification and
+//! retry path as real pipeline failures. [`run_design_daemon`] is the
+//! `youtiao serve` session. Both run on the same request engine.
 //!
 //! Requests carrying a [`DeltaSpec`] take the warm repair path instead:
 //! the base plan is looked up in (or computed into) a [`RepairStore`]
@@ -19,14 +20,13 @@
 //! # Example
 //!
 //! ```
-//! use youtiao::serve::{
-//!     run_design_batch, BatchOptions, ChipRequest, DesignRequest,
-//! };
+//! use youtiao::serve::{run_design_batch, DaemonOptions};
 //!
-//! let requests = vec![DesignRequest::new(ChipRequest::grid("square", 3, 3))];
+//! let jobs = r#"{"chip":{"topology":"square","rows":3,"cols":3}}"#;
 //! let mut out = Vec::new();
 //! let metrics =
-//!     run_design_batch(&requests, &BatchOptions::default(), &mut out).unwrap();
+//!     run_design_batch(&DaemonOptions::default(), std::io::Cursor::new(jobs), &mut out)
+//!         .unwrap();
 //! assert_eq!(metrics.ok, 1);
 //! assert!(std::str::from_utf8(&out).unwrap().contains("\"status\":\"Ok\""));
 //! ```
@@ -91,13 +91,12 @@ type StoreShard = Mutex<HashMap<u64, Arc<DesignReport>>>;
 /// starts from. The store is capacity-capped: once full, new bases are
 /// still planned but not retained. Cloning shares the entries and the
 /// hit/miss/fallback counters, so the executor (moved into pool
-/// threads) and the batch front-end observe the same state.
+/// threads) and the session observe the same state.
 ///
 /// Like the plan cache, the store shards by
 /// [`shard_of_key`](youtiao_serve::shard_of_key): each shard has its
 /// own lock (lookups on different shards never contend) and its own
-/// slice of the capacity budget. [`RepairStore::new`] is the
-/// single-shard (flat) store.
+/// slice of the capacity budget.
 ///
 /// [`PlanContext`]: youtiao_core::PlanContext
 #[derive(Clone)]
@@ -109,22 +108,10 @@ pub struct RepairStore {
     fallbacks: Arc<AtomicU64>,
 }
 
-impl Default for RepairStore {
-    fn default() -> Self {
-        RepairStore::new(256)
-    }
-}
-
 impl RepairStore {
-    /// A flat (single-shard) store retaining at most `capacity` base
-    /// plans.
-    pub fn new(capacity: usize) -> Self {
-        RepairStore::sharded(capacity, 1)
-    }
-
     /// A store of `shards` independently locked shards (min 1) splitting
     /// a total budget of `capacity` base plans.
-    pub fn sharded(capacity: usize, shards: usize) -> Self {
+    pub fn new(capacity: usize, shards: usize) -> Self {
         let shards = shards.max(1);
         let per_shard = capacity.div_ceil(shards).max(1);
         RepairStore {
@@ -194,31 +181,22 @@ impl RepairStore {
 
 /// The design-flow executor: resolves the request's chip, runs
 /// characterize → plan → tally → route under the attempt's cancel
-/// token, and returns the report summary.
-pub fn design_executor() -> Executor<DesignRequest, ReportSummary> {
-    design_executor_with(false)
-}
-
-/// [`design_executor`] with plan validation on or off: when `validate`
-/// is set, every finished plan is checked against the wiring invariants
-/// and a violation fails the job permanently with
-/// [`ErrorKind::Validation`]. Stage spans land on the attempt's tracer
-/// either way (a no-op unless the pool runs with tracing).
+/// token, and returns the report summary. Stage spans land on the
+/// attempt's tracer (a no-op unless the pool runs with tracing). When
+/// `validate` is set, every finished plan is checked against the wiring
+/// invariants and a violation fails the job permanently with
+/// [`ErrorKind::Validation`]. `plan_threads` is injected into every
+/// request's [`PlannerConfig`] (`0` = one thread per core); sessions
+/// resolve it from their `plan_threads` option and pool width via
+/// [`effective_plan_threads`]. Plans are byte-identical across any
+/// value, so the knob never enters the plan cache or repair-store keys.
 ///
-/// Delta-carrying requests are served through a private [`RepairStore`]
-/// — use [`repairing_design_executor`] to share one across executors
-/// or read its counters.
-pub fn design_executor_with(validate: bool) -> Executor<DesignRequest, ReportSummary> {
-    repairing_design_executor(validate, RepairStore::default())
-}
-
-/// [`design_executor_with`] plus the warm repair path: requests whose
-/// [`DesignRequest::effective_delta`] is set are answered by looking up
-/// (or computing) the base plan in `store` and repairing it toward the
-/// delta'd inputs — the `repair` span on the attempt's tracer records
-/// the outcome, invalidated kernel rows, and regrouped device counts.
-///
-/// Two determinism properties the chaos suite relies on:
+/// Requests whose [`DesignRequest::effective_delta`] is set take the
+/// warm repair path: the base plan is looked up in (or computed into)
+/// `store` and repaired toward the delta'd inputs — the `repair` span
+/// on the attempt's tracer records the outcome, invalidated kernel
+/// rows, and regrouped device counts. Two determinism properties the
+/// chaos suite relies on:
 ///
 /// * the base plan is always characterized with the *request's* seed,
 ///   never the attempt-perturbed one — the store is content-addressed
@@ -228,19 +206,6 @@ pub fn design_executor_with(validate: bool) -> Executor<DesignRequest, ReportSum
 ///   executor never plans the delta'd inputs directly — so a delta
 ///   job's result is a pure function of (base inputs, delta) however
 ///   jobs race across pool threads.
-pub fn repairing_design_executor(
-    validate: bool,
-    store: RepairStore,
-) -> Executor<DesignRequest, ReportSummary> {
-    repairing_design_executor_threads(validate, store, 1)
-}
-
-/// [`repairing_design_executor`] with an explicit intra-plan thread
-/// count injected into every request's [`PlannerConfig`] (`0` = one
-/// thread per core). Front-ends resolve the count from their
-/// `plan_threads` option and pool width via
-/// [`effective_plan_threads`]; plans are byte-identical across any
-/// value, so the knob never enters the plan cache or repair-store keys.
 ///
 /// [`PlannerConfig`]: youtiao_core::PlannerConfig
 pub fn repairing_design_executor_threads(
@@ -326,7 +291,7 @@ fn multi_request(
     Ok(report.summary(&mdc))
 }
 
-/// The delta path of [`repairing_design_executor`]: resolve the base,
+/// The delta path of [`repairing_design_executor_threads`]: resolve the base,
 /// materialize the delta'd snapshot, diff, repair, and run the back
 /// half of the flow (cost/route/validate) over the repaired plan.
 fn repair_request(
@@ -475,72 +440,43 @@ fn delta_chip(chip: &Chip, delta: &DeltaSpec) -> Result<Chip, ExecError> {
     spec.to_chip().map_err(|e| invalid(e.to_string()))
 }
 
-/// Runs a batch of design requests through the worker pool + plan
-/// cache, streaming one JSON record per job into `out`, and returns the
-/// run's [`ServeMetrics`].
+/// The executor of a design session and the repair store behind it:
+/// the store shards like the plan cache, and plan threads resolve
+/// against the pool width.
+fn session_executor(
+    options: &DaemonOptions,
+) -> (Executor<DesignRequest, ReportSummary>, RepairStore) {
+    let store = RepairStore::new(256, options.shards);
+    let workers = PoolOptions {
+        workers: options.workers,
+        ..Default::default()
+    }
+    .effective_workers();
+    let threads = effective_plan_threads(options.plan_threads, workers);
+    let executor = repairing_design_executor_threads(options.validate, store.clone(), threads);
+    (executor, store)
+}
+
+/// Runs the JSONL design requests read from `input` as one batch
+/// session, writing one JSON record per request into `out` in request
+/// order, and returns the run's [`ServeMetrics`]. See [`run_batch`].
 ///
 /// # Errors
 ///
-/// Returns [`BatchError`] for input/output problems only; per-job
-/// failures (bad requests, plan errors, timeouts) are emitted as
-/// structured error records.
-pub fn run_design_batch<W: Write>(
-    requests: &[DesignRequest],
-    options: &BatchOptions,
-    out: &mut W,
-) -> Result<ServeMetrics, BatchError> {
-    let store = RepairStore::default();
-    let threads = batch_plan_threads(options);
-    let metrics = run_batch(
-        requests,
-        repairing_design_executor_threads(options.validate, store.clone(), threads),
-        options,
-        out,
-    )?;
-    Ok(metrics.with_repair(store.stats()))
-}
-
-/// [`run_design_batch`] against a caller-owned [`PlanCache`], for warm
-/// in-process reuse across batches.
-pub fn run_design_batch_with_cache<W: Write>(
-    requests: &[DesignRequest],
-    options: &BatchOptions,
-    cache: &PlanCache<ReportSummary>,
-    out: &mut W,
-) -> Result<ServeMetrics, BatchError> {
-    let store = RepairStore::default();
-    let threads = batch_plan_threads(options);
-    let metrics = run_batch_with_cache(
-        requests,
-        repairing_design_executor_threads(options.validate, store.clone(), threads),
-        options,
-        cache,
-        out,
-    )?;
-    Ok(metrics.with_repair(store.stats()))
-}
-
-/// The streaming variant of [`run_design_batch`]: reads framed JSONL
-/// requests from `input` one line at a time instead of materializing
-/// the whole jobs file, dispatching through a sharded plan cache
-/// (`options.shards`, min 1).
-pub fn run_design_batch_stream<In, W>(
+/// Returns [`BatchError`] for input, output and cache-file problems
+/// only; per-job failures (bad requests, plan errors, timeouts) are
+/// emitted as structured error records.
+pub fn run_design_batch<In, W>(
+    options: &DaemonOptions,
     input: In,
-    options: &BatchOptions,
     out: &mut W,
 ) -> Result<ServeMetrics, BatchError>
 where
-    In: std::io::BufRead,
+    In: std::io::BufRead + Send + 'static,
     W: Write,
 {
-    let store = RepairStore::sharded(256, options.shards.max(1));
-    let threads = batch_plan_threads(options);
-    let metrics = run_batch_stream(
-        input,
-        repairing_design_executor_threads(options.validate, store.clone(), threads),
-        options,
-        out,
-    )?;
+    let (executor, store) = session_executor(options);
+    let metrics = run_batch(executor, options, input, out)?;
     Ok(metrics.with_repair(store.stats()))
 }
 
@@ -557,38 +493,33 @@ where
     In: std::io::BufRead + Send + 'static,
     Out: Write,
 {
-    let store = RepairStore::sharded(256, options.shards.max(1));
-    let workers = PoolOptions {
-        workers: options.workers,
-        ..Default::default()
-    }
-    .effective_workers();
-    let threads = effective_plan_threads(options.plan_threads, workers);
-    let mut report = run_daemon(
-        repairing_design_executor_threads(options.validate, store.clone(), threads),
-        options,
-        input,
-        output,
-    )?;
+    let (executor, store) = session_executor(options);
+    let mut report = run_daemon(executor, options, input, output)?;
     report.metrics = report.metrics.with_repair(store.stats());
     Ok(report)
-}
-
-/// Resolve a batch run's intra-plan thread count: the pool width comes
-/// from `jobs` (0 = per-core), then [`effective_plan_threads`] applies
-/// the oversubscription policy against `plan_threads`.
-fn batch_plan_threads(options: &BatchOptions) -> usize {
-    let workers = PoolOptions {
-        workers: options.jobs,
-        ..Default::default()
-    }
-    .effective_workers();
-    effective_plan_threads(options.plan_threads, workers)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A serial design executor over its own small repair store.
+    fn executor(validate: bool) -> Executor<DesignRequest, ReportSummary> {
+        repairing_design_executor_threads(validate, RepairStore::new(8, 1), 1)
+    }
+
+    /// Runs `requests` as one batch session, one JSONL line each.
+    fn batch(
+        requests: &[DesignRequest],
+        options: &DaemonOptions,
+        out: &mut Vec<u8>,
+    ) -> ServeMetrics {
+        let jobs: String = requests
+            .iter()
+            .map(|r| serde_json::to_string(r).unwrap() + "\n")
+            .collect();
+        run_design_batch(options, std::io::Cursor::new(jobs), out).unwrap()
+    }
 
     #[test]
     fn attempt_zero_keeps_the_seed() {
@@ -599,7 +530,7 @@ mod tests {
 
     #[test]
     fn executor_classifies_invalid_and_plan_errors() {
-        let executor = design_executor();
+        let executor = executor(false);
         let ctx = AttemptCtx::new(0, CancelToken::new());
 
         let bad_chip = DesignRequest::new(ChipRequest::named("tesseract"));
@@ -620,13 +551,13 @@ mod tests {
         // pads, whatever the seed: a permanent error, so one attempt
         // where a transient one would take all three.
         let request = DesignRequest::new(ChipRequest::grid("square", 10, 10));
-        let options = BatchOptions {
+        let options = DaemonOptions {
             canonical: true,
             ..Default::default()
         };
         assert_eq!(options.max_retries, 2);
         let mut out = Vec::new();
-        let metrics = run_design_batch(&[request], &options, &mut out).unwrap();
+        let metrics = batch(&[request], &options, &mut out);
         assert_eq!((metrics.errors, metrics.retries), (1, 0));
         let record: serde::Value =
             serde_json::from_str(std::str::from_utf8(&out).unwrap()).unwrap();
@@ -659,14 +590,14 @@ mod tests {
             })
             .collect();
         let run = || {
-            let options = BatchOptions {
-                jobs: 3,
+            let options = DaemonOptions {
+                workers: 3,
                 faults: Some(FaultPlan::smoke(11)),
                 canonical: true,
                 ..Default::default()
             };
             let mut out = Vec::new();
-            let metrics = run_design_batch(&requests, &options, &mut out).unwrap();
+            let metrics = batch(&requests, &options, &mut out);
             let mut lines: Vec<String> = String::from_utf8(out)
                 .unwrap()
                 .lines()
@@ -694,8 +625,8 @@ mod tests {
 
     #[test]
     fn delta_requests_repair_over_the_resident_base() {
-        let store = RepairStore::new(8);
-        let executor = repairing_design_executor(false, store.clone());
+        let store = RepairStore::new(8, 1);
+        let executor = repairing_design_executor_threads(false, store.clone(), 1);
         let ctx = AttemptCtx::new(0, CancelToken::new());
 
         let base_req = DesignRequest::new(ChipRequest::grid("square", 5, 5));
@@ -738,8 +669,8 @@ mod tests {
 
     #[test]
     fn delta_requests_validate_their_base_address_and_inputs() {
-        let store = RepairStore::new(8);
-        let executor = repairing_design_executor(false, store.clone());
+        let store = RepairStore::new(8, 1);
+        let executor = repairing_design_executor_threads(false, store.clone(), 1);
         let ctx = AttemptCtx::new(0, CancelToken::new());
 
         let mut request = DesignRequest::new(ChipRequest::grid("square", 3, 3));
@@ -790,7 +721,7 @@ mod tests {
 
     #[test]
     fn multi_die_requests_plan_through_the_executor() {
-        let executor = design_executor_with(true);
+        let executor = executor(true);
         let ctx = AttemptCtx::new(0, CancelToken::new());
 
         let mut request = DesignRequest::new(ChipRequest::grid("square", 4, 4));
@@ -833,7 +764,7 @@ mod tests {
 
     #[test]
     fn executor_honours_cancellation() {
-        let executor = design_executor();
+        let executor = executor(false);
         let cancel = CancelToken::new();
         cancel.cancel();
         let ctx = AttemptCtx::new(0, cancel);

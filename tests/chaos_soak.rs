@@ -14,9 +14,9 @@ use std::time::Duration;
 
 use youtiao::serve::{
     apply_cache_fault, run_design_batch, run_design_daemon, shard_file, shard_of_key,
-    AdmissionConfig, BatchOptions, CacheFault, ChipRequest, DaemonOptions, DesignRequest,
-    ErrorKind, ExecError, Executor, FaultInjector, FaultKind, FaultPlan, JobStatus, OverloadBurst,
-    PoolOptions, WorkerPool,
+    AdmissionConfig, CacheFault, ChipRequest, DaemonOptions, DesignRequest, ErrorKind, ExecError,
+    Executor, FaultInjector, FaultKind, FaultPlan, JobStatus, OverloadBurst, PoolOptions,
+    ServeMetrics, WorkerPool,
 };
 
 /// Injected panics are caught by the pool and turned into records; keep
@@ -204,6 +204,19 @@ fn abort_never_leaves_a_registered_job_uncancelled() {
     }
 }
 
+/// Runs `requests` as one batch session, one JSONL line each.
+fn batch(
+    requests: &[DesignRequest],
+    options: &DaemonOptions,
+    out: &mut Vec<u8>,
+) -> Result<ServeMetrics, youtiao::serve::BatchError> {
+    let jobs: String = requests
+        .iter()
+        .map(|r| serde_json::to_string(r).unwrap() + "\n")
+        .collect();
+    run_design_batch(options, std::io::Cursor::new(jobs), out)
+}
+
 #[test]
 fn torn_cache_file_fails_loudly_then_salvages_end_to_end() {
     let path = std::env::temp_dir().join(format!(
@@ -218,33 +231,31 @@ fn torn_cache_file_fails_loudly_then_salvages_end_to_end() {
             r
         })
         .collect();
-    let base = BatchOptions {
-        jobs: 2,
+    let base = DaemonOptions {
+        workers: 2,
         cache_path: Some(path.clone()),
         ..Default::default()
     };
-    run_design_batch(&requests, &base, &mut Vec::new()).unwrap();
+    batch(&requests, &base, &mut Vec::new()).unwrap();
     assert!(path.exists(), "first run did not persist the cache");
 
     // Tear the snapshot the way `youtiao chaos` does, then require the
     // structured failure (no silent empty-cache fallback) ...
     apply_cache_fault(&path, CacheFault::Truncate).unwrap();
-    let err = run_design_batch(&requests, &base, &mut Vec::new())
-        .err()
-        .unwrap();
+    let err = batch(&requests, &base, &mut Vec::new()).err().unwrap();
     let message = err.to_string();
     assert!(message.contains("cache"), "unexpected error: {message}");
 
     // ... unless salvage is opted in, which starts empty and rewrites a
     // healthy snapshot (atomically) that the next run hits fully.
-    let salvage = BatchOptions {
+    let salvage = DaemonOptions {
         cache_salvage: true,
         ..base.clone()
     };
-    let metrics = run_design_batch(&requests, &salvage, &mut Vec::new()).unwrap();
+    let metrics = batch(&requests, &salvage, &mut Vec::new()).unwrap();
     assert_eq!(metrics.ok, 3);
     assert_eq!(metrics.cache_hits, 0);
-    let rerun = run_design_batch(&requests, &base, &mut Vec::new()).unwrap();
+    let rerun = batch(&requests, &base, &mut Vec::new()).unwrap();
     assert_eq!(rerun.cache_hits, 3, "salvaged snapshot was not rewritten");
     let _ = std::fs::remove_file(&path);
 }
@@ -266,8 +277,8 @@ fn drift_faults_exercise_the_repair_warm_path_deterministically() {
         })
         .collect();
     let run = || {
-        let options = BatchOptions {
-            jobs: 3,
+        let options = DaemonOptions {
+            workers: 3,
             faults: Some(FaultPlan {
                 seed: Some(13),
                 drift_rate: Some(0.5),
@@ -277,7 +288,7 @@ fn drift_faults_exercise_the_repair_warm_path_deterministically() {
             ..Default::default()
         };
         let mut out = Vec::new();
-        let metrics = run_design_batch(&requests, &options, &mut out).unwrap();
+        let metrics = batch(&requests, &options, &mut out).unwrap();
         let mut lines: Vec<String> = String::from_utf8(out)
             .unwrap()
             .lines()
@@ -322,7 +333,7 @@ fn daemon_session_input(count: usize, deadline_ms: Option<u64>) -> String {
     input
 }
 
-fn run_daemon_session_lines(
+fn daemon_lines(
     input: &str,
     options: &DaemonOptions,
 ) -> (Vec<String>, youtiao::serve::DaemonReport) {
@@ -364,8 +375,8 @@ fn daemon_overload_burst_sheds_deterministically_end_to_end() {
         }),
         ..DaemonOptions::default()
     };
-    let (lines, report) = run_daemon_session_lines(&input, &options);
-    let (again, report_again) = run_daemon_session_lines(&input, &options);
+    let (lines, report) = daemon_lines(&input, &options);
+    let (again, report_again) = daemon_lines(&input, &options);
     assert_eq!(lines, again, "pinned overload must be reproducible");
     assert_eq!(report.metrics.admission.shed, 4);
     assert_eq!(
@@ -412,12 +423,12 @@ fn daemon_slow_client_backpressure_never_changes_bytes() {
         }),
         ..DaemonOptions::default()
     };
-    let (slow_lines, slow_report) = run_daemon_session_lines(&input, &constrained);
+    let (slow_lines, slow_report) = daemon_lines(&input, &constrained);
     let free = DaemonOptions {
         workers: 4,
         ..DaemonOptions::default()
     };
-    let (free_lines, free_report) = run_daemon_session_lines(&input, &free);
+    let (free_lines, free_report) = daemon_lines(&input, &free);
     assert_eq!(
         slow_lines, free_lines,
         "backpressure altered response bytes"
@@ -449,9 +460,9 @@ fn daemon_shard_loss_salvages_only_the_torn_shard() {
         ..DaemonOptions::default()
     };
 
-    let (cold_lines, cold) = run_daemon_session_lines(&input, &options);
+    let (cold_lines, cold) = daemon_lines(&input, &options);
     assert_eq!(cold.metrics.cache_hits, 0);
-    let (warm_lines, warm) = run_daemon_session_lines(&input, &options);
+    let (warm_lines, warm) = daemon_lines(&input, &options);
     assert_eq!(
         warm.metrics.cache_hits, DESIGNS as u64,
         "all keys persisted"
@@ -493,14 +504,14 @@ fn daemon_shard_loss_salvages_only_the_torn_shard() {
         cache_salvage: true,
         ..options.clone()
     };
-    let (salvage_lines, salvaged) = run_daemon_session_lines(&input, &salvage);
+    let (salvage_lines, salvaged) = daemon_lines(&input, &salvage);
     assert_eq!(salvaged.salvaged_shards, 1, "exactly one shard was torn");
     assert_eq!(salvaged.metrics.cache_hits, DESIGNS as u64 - lost);
     assert_eq!(salvaged.metrics.cache_misses, lost);
     assert_eq!(salvage_lines, cold_lines, "salvage must not change bytes");
 
     // The salvage run rewrote a healthy snapshot for the torn shard.
-    let (_, healed) = run_daemon_session_lines(&input, &options);
+    let (_, healed) = daemon_lines(&input, &options);
     assert_eq!(healed.metrics.cache_hits, DESIGNS as u64);
     for index in 0..SHARDS {
         let _ = std::fs::remove_file(shard_file(&path, index, SHARDS));
@@ -522,7 +533,7 @@ fn daemon_transcripts_are_byte_identical_across_plan_threads() {
         plan_threads: 1,
         ..DaemonOptions::default()
     };
-    let (reference_lines, _) = run_daemon_session_lines(&input, &reference);
+    let (reference_lines, _) = daemon_lines(&input, &reference);
     for workers in [1usize, 4] {
         for plan_threads in [0usize, 1, 2, 8] {
             let options = DaemonOptions {
@@ -530,7 +541,7 @@ fn daemon_transcripts_are_byte_identical_across_plan_threads() {
                 plan_threads,
                 ..DaemonOptions::default()
             };
-            let (lines, report) = run_daemon_session_lines(&input, &options);
+            let (lines, report) = daemon_lines(&input, &options);
             assert_eq!(
                 lines, reference_lines,
                 "workers={workers} plan_threads={plan_threads}: \

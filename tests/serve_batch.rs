@@ -5,9 +5,7 @@
 use std::process::Command;
 
 use serde::Value;
-use youtiao::serve::{
-    parse_requests, run_design_batch, run_design_batch_with_cache, BatchOptions, PlanCache,
-};
+use youtiao::serve::{run_design_batch, DaemonOptions, ServeMetrics};
 
 /// The standard sweep used across tests: a few small distinct chips,
 /// each appearing once, with explicit ids.
@@ -22,17 +20,23 @@ fn sweep_jsonl() -> String {
     .join("\n")
 }
 
+/// Runs `jobs` (JSONL text) as one batch session, collecting its
+/// record lines into `out`.
+fn batch(jobs: String, options: &DaemonOptions, out: &mut Vec<u8>) -> ServeMetrics {
+    run_design_batch(options, std::io::Cursor::new(jobs), out).unwrap()
+}
+
 /// Runs the sweep at a given worker count and returns `(metrics_ok,
 /// id -> serialized result)` sorted by id.
-fn run_sweep(jobs: usize) -> Vec<(String, String)> {
-    let requests = parse_requests(&sweep_jsonl()).unwrap();
-    let options = BatchOptions {
-        jobs,
+fn run_sweep(workers: usize) -> Vec<(String, String)> {
+    let requests = sweep_jsonl().lines().count();
+    let options = DaemonOptions {
+        workers,
         ..Default::default()
     };
     let mut out = Vec::new();
-    let metrics = run_design_batch(&requests, &options, &mut out).unwrap();
-    assert_eq!(metrics.ok, requests.len(), "all sweep jobs succeed");
+    let metrics = batch(sweep_jsonl(), &options, &mut out);
+    assert_eq!(metrics.ok, requests, "all sweep jobs succeed");
     let mut results: Vec<(String, String)> = std::str::from_utf8(&out)
         .unwrap()
         .lines()
@@ -62,22 +66,27 @@ fn parallel_results_match_serial_byte_for_byte() {
 
 #[test]
 fn warm_cache_answers_everything_identically() {
-    let requests = parse_requests(&sweep_jsonl()).unwrap();
-    let options = BatchOptions::default();
-    let cache = PlanCache::new(64);
+    let requests = sweep_jsonl().lines().count();
+    let cache = std::env::temp_dir().join(format!(
+        "youtiao-warm-cache-test-{}.json",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&cache);
+    let options = DaemonOptions {
+        cache_path: Some(cache.clone()),
+        canonical: false,
+        ..Default::default()
+    };
 
     let mut cold_out = Vec::new();
-    let cold = run_design_batch_with_cache(&requests, &options, &cache, &mut cold_out).unwrap();
+    let cold = batch(sweep_jsonl(), &options, &mut cold_out);
     assert_eq!(cold.cache_hits, 0);
-    assert_eq!(cold.cache_misses, requests.len() as u64);
+    assert_eq!(cold.cache_misses, requests as u64);
 
     let mut warm_out = Vec::new();
-    let warm = run_design_batch_with_cache(&requests, &options, &cache, &mut warm_out).unwrap();
-    assert_eq!(
-        warm.cache_hits,
-        requests.len() as u64,
-        "every job a cache hit"
-    );
+    let warm = batch(sweep_jsonl(), &options, &mut warm_out);
+    let _ = std::fs::remove_file(&cache);
+    assert_eq!(warm.cache_hits, requests as u64, "every job a cache hit");
     assert!((warm.cache_hit_rate - 1.0).abs() < 1e-9);
 
     let result_by_id = |bytes: &[u8]| -> Vec<(String, String)> {
@@ -113,9 +122,8 @@ fn failures_surface_as_structured_records_not_aborts() {
         r#"{"id":"too-slow","chip":{"topology":"square","rows":4,"cols":4},"deadline_ms":0}"#,
     ]
     .join("\n");
-    let requests = parse_requests(&text).unwrap();
     let mut out = Vec::new();
-    let metrics = run_design_batch(&requests, &BatchOptions::default(), &mut out).unwrap();
+    let metrics = batch(text, &DaemonOptions::default(), &mut out);
 
     assert_eq!(metrics.jobs, 4);
     assert_eq!(metrics.ok, 1);
@@ -210,4 +218,30 @@ fn cli_batch_requires_input() {
     let (ok, _, stderr) = youtiao(&["batch"]);
     assert!(!ok);
     assert!(stderr.contains("--in"), "{stderr}");
+}
+
+#[test]
+fn cli_chaos_records_stay_canonical_under_no_canonical() {
+    // `chaos` always emits canonical records: `--no-canonical` is a
+    // `serve` flag and must not bring latency back into its stream.
+    let dir = std::env::temp_dir().join(format!("youtiao-chaos-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let jobs = dir.join("jobs.jsonl");
+    std::fs::write(&jobs, sweep_jsonl()).unwrap();
+    let run = |extra: &[&str]| {
+        let mut args = vec!["chaos", "--in", jobs.to_str().unwrap(), "--jobs", "2"];
+        args.extend_from_slice(extra);
+        let (ok, stdout, stderr) = youtiao(&args);
+        assert!(ok, "{stderr}");
+        stdout
+    };
+    let canonical = run(&[]);
+    assert_eq!(canonical.lines().count(), 5);
+    for line in canonical.lines() {
+        let v: Value = serde_json::from_str(line).unwrap();
+        assert_eq!(v["latency_ms"], 0.0, "{line}");
+        assert!(v.get("trace").is_none(), "{line}");
+    }
+    assert_eq!(run(&["--no-canonical"]), canonical);
+    std::fs::remove_dir_all(&dir).ok();
 }
