@@ -46,5 +46,5 @@ pub fn target_chip_64() -> youtiao_chip::Chip {
 /// using the paper's 5-fold CV procedure: the characterization step
 /// every design front-end shares, so binaries and sweeps agree.
 pub fn fitted_xy_model(chip: &youtiao_chip::Chip, seed: u64) -> youtiao_noise::CrosstalkModel {
-    youtiao_noise::characterize_xy(chip, seed)
+    youtiao_noise::characterize_xy(chip, seed).expect("evaluation chips have enough qubit pairs")
 }

@@ -4,6 +4,7 @@ use std::error::Error;
 use std::fmt;
 
 use youtiao_chip::QubitId;
+use youtiao_noise::FitError;
 
 /// Errors produced while building a wiring plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,6 +20,10 @@ pub enum PlanError {
     },
     /// The chip has no qubits to plan for.
     EmptyChip,
+    /// The crosstalk model could not be fitted to the chip's
+    /// characterization data (too few qubit pairs for cross-validation).
+    /// The chip's shape decides it, not the seed.
+    Characterize(FitError),
 }
 
 impl fmt::Display for PlanError {
@@ -29,11 +34,19 @@ impl fmt::Display for PlanError {
                 write!(f, "no frequency cell available for {qubit}")
             }
             PlanError::EmptyChip => write!(f, "chip has no qubits"),
+            PlanError::Characterize(e) => write!(f, "characterization failed: {e}"),
         }
     }
 }
 
-impl Error for PlanError {}
+impl Error for PlanError {
+    fn source(&self) -> Option<&(dyn Error + 'static)> {
+        match self {
+            PlanError::Characterize(e) => Some(e),
+            _ => None,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -50,6 +63,12 @@ mod tests {
         .to_string()
         .contains("q3"));
         assert!(!PlanError::EmptyChip.to_string().is_empty());
+        let fit = PlanError::Characterize(FitError::NotEnoughSamples {
+            available: 2,
+            required: 5,
+        });
+        assert!(fit.to_string().starts_with("characterization failed: "));
+        assert!(fit.source().is_some());
     }
 
     #[test]

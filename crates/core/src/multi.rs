@@ -202,7 +202,9 @@ pub fn plan_multi(
 fn plan_die(chip: &Chip, config: &MultiPlanConfig, die: usize) -> Result<DiePlan, PlanError> {
     let model = config
         .use_model
-        .then(|| characterize_xy(chip, die_seed(config.seed, die)));
+        .then(|| characterize_xy(chip, die_seed(config.seed, die)))
+        .transpose()
+        .map_err(PlanError::Characterize)?;
     let ctx = PlanContext::build(chip, model.as_ref(), config.planner.weights);
     let mut planner = YoutiaoPlanner::new(chip)
         .with_config(config.planner.clone())

@@ -7,8 +7,11 @@
 //! w_phy` (scaling both weights by a common factor leaves tree splits
 //! unchanged, so the simplex is the full effective search space).
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -20,7 +23,7 @@ use crate::data::{synthesize, CrosstalkKind, CrosstalkSample, SynthConfig};
 use crate::forest::{RandomForest, RandomForestConfig};
 use crate::model::CrosstalkModel;
 use crate::stats::mse;
-use crate::tree::{Grower, RankedFeature};
+use crate::tree::{Drawn, Grower, RankedFeature};
 
 /// Configuration for [`fit_crosstalk_model`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,7 +76,8 @@ pub enum FitError {
         /// Required minimum (the fold count).
         required: usize,
     },
-    /// The configuration requested zero folds or zero weight steps.
+    /// The configuration requested fewer than two folds, zero weight
+    /// steps or zero trees.
     InvalidConfig,
 }
 
@@ -90,7 +94,7 @@ impl fmt::Display for FitError {
             FitError::InvalidConfig => {
                 write!(
                     f,
-                    "fit configuration needs folds >= 2 and weight_steps >= 1"
+                    "fit configuration needs folds >= 2, weight_steps >= 1 and num_trees >= 1"
                 )
             }
         }
@@ -103,22 +107,57 @@ impl Error for FitError {}
 /// does: synthesizes one XY sample per ordered qubit pair with `seed`
 /// ([`SynthConfig::xy`]) and fits them under [`FitConfig::paper`].
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the chip has fewer than three qubits (fewer ordered pairs
-/// than the paper's five folds).
+/// [`FitError::NotEnoughSamples`] when the chip has fewer than three
+/// qubits: fewer ordered pairs than the paper's five folds.
 ///
 /// # Example
 ///
 /// ```
 /// use youtiao_chip::topology;
 ///
-/// let model = youtiao_noise::characterize_xy(&topology::square_grid(3, 3), 7);
+/// let model = youtiao_noise::characterize_xy(&topology::square_grid(3, 3), 7)?;
 /// assert!(model.predict(1.0, 1.0) > model.predict(4.0, 24.0));
+/// assert!(youtiao_noise::characterize_xy(&topology::linear(2), 7).is_err());
+/// # Ok::<(), youtiao_noise::FitError>(())
 /// ```
-pub fn characterize_xy(chip: &Chip, seed: u64) -> CrosstalkModel {
+pub fn characterize_xy(chip: &Chip, seed: u64) -> Result<CrosstalkModel, FitError> {
     let samples = synthesize(chip, CrosstalkKind::Xy, &SynthConfig::xy(), seed);
-    fit_crosstalk_model(&samples, &FitConfig::paper()).expect("synthesized data always fits")
+    fit_crosstalk_model(&samples, &FitConfig::paper())
+}
+
+/// Fits in flight in this process. A concurrency gauge, not a work
+/// counter: a fit reads it once, when it starts, to decide whether its
+/// weight grid may take the idle cores. It never reaches an output.
+static FITS_IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
+
+/// A fit's place in [`FITS_IN_FLIGHT`], given back on drop.
+struct InFlight;
+
+impl InFlight {
+    /// Joins the gauge and returns how many fits were already running.
+    fn enter() -> (InFlight, usize) {
+        (InFlight, FITS_IN_FLIGHT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Drop for InFlight {
+    fn drop(&mut self) {
+        FITS_IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// How many contiguous chunks a fit splits its weight grid of `points`
+/// into: one per core when no other fit is `running`, else one. Only a
+/// fit that found the process idle fans out, so fits never multiply
+/// their threads across a busy worker pool.
+pub(crate) fn chunk_count(cores: usize, running: usize, points: usize) -> usize {
+    if running == 0 {
+        cores.min(points).max(1)
+    } else {
+        1
+    }
 }
 
 /// Fits a [`CrosstalkModel`] to measurement samples by grid-searching the
@@ -126,112 +165,241 @@ pub fn characterize_xy(chip: &Chip, seed: u64) -> CrosstalkModel {
 /// retraining the winning configuration on all data.
 ///
 /// Samples with non-finite distance components (disconnected pairs) are
-/// ignored.
+/// ignored. A fit that starts while no other fit runs in the process
+/// spreads its weight grid over the machine's cores; the result does not
+/// depend on how many it uses.
 ///
 /// # Errors
 ///
-/// * [`FitError::InvalidConfig`] — `folds < 2` or `weight_steps < 1`.
+/// * [`FitError::InvalidConfig`] — `folds < 2`, `weight_steps < 1` or
+///   `forest.num_trees == 0`.
 /// * [`FitError::NotEnoughSamples`] — fewer finite samples than folds.
-///
-/// # Panics
-///
-/// Panics if `config.forest.num_trees == 0`.
 pub fn fit_crosstalk_model(
     samples: &[CrosstalkSample],
     config: &FitConfig,
 ) -> Result<CrosstalkModel, FitError> {
-    if config.folds < 2 || config.weight_steps < 1 {
-        return Err(FitError::InvalidConfig);
-    }
-    let usable: Vec<&CrosstalkSample> = samples
-        .iter()
-        .filter(|s| s.d_phy.is_finite() && s.d_top.is_finite() && s.value.is_finite())
-        .collect();
-    if usable.len() < config.folds {
-        return Err(FitError::NotEnoughSamples {
-            available: usable.len(),
-            required: config.folds,
-        });
-    }
-
-    // The weight grid, each point's feature ranked once.
-    let grid: Vec<(EquivalentWeights, RankedFeature)> = (0..=config.weight_steps)
-        .filter_map(|i| {
-            let w_phy = i as f64 / config.weight_steps as f64;
-            let w_top = 1.0 - w_phy;
-            // The both-zero corner cannot occur on the simplex.
-            let weights = EquivalentWeights::new(w_phy, w_top).ok()?;
-            let xs: Vec<f64> = usable
-                .iter()
-                .map(|s| weights.combine(s.d_phy, s.d_top))
-                .collect();
-            Some((weights, RankedFeature::new(&xs)))
-        })
-        .collect();
-    let ys: Vec<f64> = usable.iter().map(|s| s.value).collect();
-
+    let (_in_flight, running) = InFlight::enter();
+    let grid = WeightGrid::new(samples, config)?;
+    let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    let chunks = chunk_count(cores, running, grid.points.len());
     let mut best: Option<(usize, f64)> = None;
-    for (point, score) in cv_mse(&grid, &ys, config).into_iter().enumerate() {
+    for (point, score) in grid.cv_mse(chunks).into_iter().enumerate() {
         if best.is_none_or(|(_, b)| score < b) {
             best = Some((point, score));
         }
     }
     let (point, score) = best.expect("weight grid is non-empty");
-    let (weights, feature) = &grid[point];
-    let forest = RandomForest::fit_ranked(feature, &ys, config.forest);
+    let (weights, feature) = &grid.points[point];
+    let forest = RandomForest::fit_keyed(feature, &grid.keys, &grid.ys, config.forest);
     Ok(CrosstalkModel::from_parts(*weights, forest, score))
 }
 
-/// k-fold cross-validated MSE of every weight point, in grid order.
+/// A fit's weight grid, ready for cross-validation.
 ///
-/// Each fold's forests all reseed with `config.forest.seed` and draw
-/// over the same training positions, so one bootstrap per (fold, tree)
-/// serves every weight point. Test predictions are accumulated per
-/// distinct feature value, so no CV forest is ever stored.
+/// Samples with bit-equal `(d_phy, d_top)` form a distance class and get
+/// bit-equal `d_equiv` at every weight point, so each point ranks the
+/// classes, and each sample is keyed by its class.
+pub(crate) struct WeightGrid {
+    /// The checked configuration.
+    config: FitConfig,
+    /// The weight points, each with its feature ranked over the classes.
+    points: Vec<(EquivalentWeights, RankedFeature)>,
+    /// Each usable sample's class.
+    keys: Vec<u32>,
+    /// Each usable sample's target.
+    ys: Vec<f64>,
+}
+
+impl WeightGrid {
+    /// Checks `config`, keeps the usable samples (finite distances and
+    /// value) and ranks every weight point.
+    pub(crate) fn new(samples: &[CrosstalkSample], config: &FitConfig) -> Result<Self, FitError> {
+        if config.folds < 2 || config.weight_steps < 1 || config.forest.num_trees == 0 {
+            return Err(FitError::InvalidConfig);
+        }
+        let usable: Vec<&CrosstalkSample> = samples
+            .iter()
+            .filter(|s| s.d_phy.is_finite() && s.d_top.is_finite() && s.value.is_finite())
+            .collect();
+        if usable.len() < config.folds {
+            return Err(FitError::NotEnoughSamples {
+                available: usable.len(),
+                required: config.folds,
+            });
+        }
+        // Class ids in order of first appearance; the map is never iterated.
+        let mut class_ids: HashMap<(u64, u64), u32> = HashMap::new();
+        let mut classes: Vec<(f64, f64)> = Vec::new();
+        let keys: Vec<u32> = usable
+            .iter()
+            .map(|s| {
+                *class_ids
+                    .entry((s.d_phy.to_bits(), s.d_top.to_bits()))
+                    .or_insert_with(|| {
+                        classes.push((s.d_phy, s.d_top));
+                        classes.len() as u32 - 1
+                    })
+            })
+            .collect();
+        let points = (0..=config.weight_steps)
+            .filter_map(|i| {
+                let w_phy = i as f64 / config.weight_steps as f64;
+                let w_top = 1.0 - w_phy;
+                // The both-zero corner cannot occur on the simplex.
+                let weights = EquivalentWeights::new(w_phy, w_top).ok()?;
+                let xs: Vec<f64> = classes
+                    .iter()
+                    .map(|&(d_phy, d_top)| weights.combine(d_phy, d_top))
+                    .collect();
+                Some((weights, RankedFeature::new(&xs)))
+            })
+            .collect();
+        Ok(WeightGrid {
+            config: *config,
+            points,
+            keys,
+            ys: usable.iter().map(|s| s.value).collect(),
+        })
+    }
+
+    /// The weights of every point, in grid order.
+    #[cfg(test)]
+    pub(crate) fn weights(&self) -> impl Iterator<Item = EquivalentWeights> + '_ {
+        self.points.iter().map(|&(weights, _)| weights)
+    }
+
+    /// k-fold cross-validated MSE of every weight point, in grid order.
+    ///
+    /// The grid is split into `chunks` contiguous chunks (at most one
+    /// per point): the first runs on the caller, every other one on a
+    /// scoped thread of its own. A point's score is computed within one
+    /// chunk, so the chunk count leaves every bit unchanged.
+    pub(crate) fn cv_mse(&self, chunks: usize) -> Vec<f64> {
+        let config = &self.config;
+        let folds: Vec<Fold> = (0..config.folds)
+            .map(|fold| {
+                let (train, test) =
+                    (0..self.ys.len() as u32).partition(|&i| i as usize % config.folds != fold);
+                Fold { train, test }
+            })
+            .collect();
+        let chunks = chunks.clamp(1, self.points.len());
+        let bound = |chunk: usize| self.points.len() * chunk / chunks;
+        let chunk_mse = |chunk: usize| {
+            let points = &self.points[bound(chunk)..bound(chunk + 1)];
+            cv_chunk_mse(points, &folds, &self.keys, &self.ys, config)
+        };
+        std::thread::scope(|scope| {
+            let others: Vec<_> = (1..chunks)
+                .map(|chunk| scope.spawn(move || chunk_mse(chunk)))
+                .collect();
+            let mut scores = chunk_mse(0);
+            for other in others {
+                scores.extend(
+                    other
+                        .join()
+                        .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+                );
+            }
+            scores
+        })
+    }
+}
+
+/// One cross-validation fold: the sample indices it trains and tests on.
+struct Fold {
+    train: Vec<u32>,
+    test: Vec<u32>,
+}
+
+/// [`WeightGrid::cv_mse`] of the `points` of one chunk, on the calling
+/// thread. Sample `i` has key `keys[i]`, ranked by every point's
+/// feature, and target `ys[i]`.
 ///
-/// The caller guarantees `ys.len() >= config.folds >= 2`, so every
-/// fold has both training and test samples.
-fn cv_mse(grid: &[(EquivalentWeights, RankedFeature)], ys: &[f64], config: &FitConfig) -> Vec<f64> {
+/// Every fold's forests reseed ChaCha8 with `forest.seed` and draw
+/// `gen_range(0..m)` over the fold's `m` training positions, so folds
+/// of equal size draw the same positions, for every weight point. The
+/// loop runs tree → fold → weight point: it draws once per (training
+/// size, tree) and gathers the drawn keys and targets once per (fold,
+/// tree). Test predictions are summed per distinct value, so no CV
+/// forest is ever stored.
+fn cv_chunk_mse(
+    points: &[(EquivalentWeights, RankedFeature)],
+    folds: &[Fold],
+    keys: &[u32],
+    ys: &[f64],
+    config: &FitConfig,
+) -> Vec<f64> {
     let forest = config.forest;
-    assert!(forest.num_trees > 0, "forest needs at least one tree");
-    let mut totals = vec![0.0; grid.len()];
-    let mut grower = Grower::default();
-    let mut draws = Vec::new();
-    let mut preds = Vec::new();
-    // Per weight point and distinct value: the trees' predictions summed
-    // in tree order from −0.0, as `Iterator::sum` sums a forest's trees.
-    let mut sums: Vec<Vec<f64>> = grid
+    let num_keys = points[0].1.num_keys();
+    // One ChaCha8 stream and position list per distinct training size.
+    let mut streams: Vec<(usize, ChaCha8Rng, Vec<u32>)> = Vec::new();
+    let stream_of: Vec<usize> = folds
         .iter()
-        .map(|(_, feature)| vec![-0.0; feature.values().len()])
+        .map(|fold| {
+            let m = fold.train.len();
+            streams.iter().position(|s| s.0 == m).unwrap_or_else(|| {
+                let rng = ChaCha8Rng::seed_from_u64(forest.seed);
+                streams.push((m, rng, Vec::with_capacity(m)));
+                streams.len() - 1
+            })
+        })
         .collect();
-    for fold in 0..config.folds {
-        let (train, test): (Vec<u32>, Vec<u32>) =
-            (0..ys.len() as u32).partition(|&i| i as usize % config.folds != fold);
-        let mut rng = ChaCha8Rng::seed_from_u64(forest.seed);
-        for _ in 0..forest.num_trees {
-            draws.clear();
-            draws.extend((0..train.len()).map(|_| train[rng.gen_range(0..train.len())]));
-            for ((_, feature), sums) in grid.iter().zip(&mut sums) {
-                let tree = grower.grow(feature, ys, &draws, forest.tree);
+    let mut drawn = Drawn::default();
+    let mut grower = Grower::default();
+    // Per fold, weight point and distinct value: the trees' predictions
+    // summed in tree order from −0.0, as `Iterator::sum` sums a forest's
+    // trees.
+    let mut sums: Vec<Vec<Vec<f64>>> = folds
+        .iter()
+        .map(|_| {
+            points
+                .iter()
+                .map(|(_, feature)| vec![-0.0; feature.values().len()])
+                .collect()
+        })
+        .collect();
+    for _ in 0..forest.num_trees {
+        for (m, rng, positions) in &mut streams {
+            positions.clear();
+            positions.extend((0..*m).map(|_| rng.gen_range(0..*m) as u32));
+        }
+        for ((fold, &stream), sums) in folds.iter().zip(&stream_of).zip(&mut sums) {
+            drawn.refill(
+                num_keys,
+                streams[stream].2.iter().map(|&p| {
+                    let i = fold.train[p as usize] as usize;
+                    (keys[i], ys[i])
+                }),
+            );
+            for ((_, feature), sums) in points.iter().zip(sums.iter_mut()) {
+                let tree = grower.grow(feature, &drawn, forest.tree);
                 for (sum, &x) in sums.iter_mut().zip(feature.values()) {
                     *sum += tree.predict(x);
                 }
             }
         }
-        let test_y: Vec<f64> = test.iter().map(|&i| ys[i as usize]).collect();
-        for ((total, (_, feature)), sums) in totals.iter_mut().zip(grid).zip(&mut sums) {
-            preds.clear();
-            preds.extend(
-                test.iter()
-                    .map(|&i| sums[feature.rank(i)] / forest.num_trees as f64),
-            );
-            *total += mse(&preds, &test_y);
-            sums.fill(-0.0);
-        }
     }
-    totals
-        .into_iter()
-        .map(|total| (total / config.folds as f64).max(0.0))
+    points
+        .iter()
+        .enumerate()
+        .map(|(point, (_, feature))| {
+            // The folds' MSEs summed in fold order.
+            let mut total = 0.0;
+            for (fold, sums) in folds.iter().zip(&sums) {
+                let sums = &sums[point];
+                let (preds, test_y): (Vec<f64>, Vec<f64>) = fold
+                    .test
+                    .iter()
+                    .map(|&i| {
+                        let i = i as usize;
+                        (sums[feature.rank(keys[i])] / forest.num_trees as f64, ys[i])
+                    })
+                    .unzip();
+                total += mse(&preds, &test_y);
+            }
+            (total / config.folds as f64).max(0.0)
+        })
         .collect()
 }
 
@@ -316,6 +484,13 @@ mod tests {
             fit_crosstalk_model(&samples, &bad2).unwrap_err(),
             FitError::InvalidConfig
         );
+        // Checked when the fit starts, not by an assert on a chunk thread.
+        let mut no_trees = FitConfig::fast();
+        no_trees.forest.num_trees = 0;
+        assert_eq!(
+            fit_crosstalk_model(&samples, &no_trees).unwrap_err(),
+            FitError::InvalidConfig
+        );
     }
 
     #[test]
@@ -340,5 +515,6 @@ mod tests {
         };
         assert!(e.to_string().contains("5"));
         assert!(FitError::InvalidConfig.to_string().contains("folds"));
+        assert!(FitError::InvalidConfig.to_string().contains("num_trees"));
     }
 }

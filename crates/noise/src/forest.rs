@@ -14,7 +14,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::tree::{Grower, RankedFeature, RegressionTree, TreeConfig};
+use crate::tree::{Drawn, Grower, RankedFeature, RegressionTree, TreeConfig};
 
 /// Hyper-parameters of a [`RandomForest`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,24 +72,33 @@ impl RandomForest {
         assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
         assert!(!xs.is_empty(), "cannot fit a forest to zero samples");
         assert!(config.num_trees > 0, "forest needs at least one tree");
-        RandomForest::fit_ranked(&RankedFeature::new(xs), ys, config)
+        let feature = RankedFeature::new(xs);
+        let keys: Vec<u32> = (0..feature.num_keys() as u32).collect();
+        RandomForest::fit_keyed(&feature, &keys, ys, config)
     }
 
-    /// [`RandomForest::fit`] over an already ranked feature.
-    pub(crate) fn fit_ranked(
+    /// [`RandomForest::fit`] over samples with keys: sample `i` has key
+    /// `keys[i]`, ranked by `feature`, and target `ys[i]`.
+    pub(crate) fn fit_keyed(
         feature: &RankedFeature,
+        keys: &[u32],
         ys: &[f64],
         config: RandomForestConfig,
     ) -> Self {
-        let n = feature.len();
+        let n = keys.len();
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let mut grower = Grower::default();
-        let mut draws = Vec::with_capacity(n);
+        let mut drawn = Drawn::default();
         let trees: Vec<RegressionTree> = (0..config.num_trees)
             .map(|_| {
-                draws.clear();
-                draws.extend((0..n).map(|_| rng.gen_range(0..n) as u32));
-                grower.grow(feature, ys, &draws, config.tree).clone()
+                drawn.refill(
+                    feature.num_keys(),
+                    (0..n).map(|_| {
+                        let i = rng.gen_range(0..n);
+                        (keys[i], ys[i])
+                    }),
+                );
+                grower.grow(feature, &drawn, config.tree).clone()
             })
             .collect();
         RandomForest::compile(&trees)

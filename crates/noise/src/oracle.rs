@@ -160,7 +160,7 @@ pub(crate) fn fit(
     samples: &[CrosstalkSample],
     config: &FitConfig,
 ) -> Result<(EquivalentWeights, f64, Forest), FitError> {
-    if config.folds < 2 || config.weight_steps < 1 {
+    if config.folds < 2 || config.weight_steps < 1 || config.forest.num_trees == 0 {
         return Err(FitError::InvalidConfig);
     }
     let usable: Vec<&CrosstalkSample> = samples
@@ -233,7 +233,7 @@ fn cv_mse(samples: &[&CrosstalkSample], weights: EquivalentWeights, config: &Fit
 mod tests {
     use super::*;
     use crate::data::{synthesize, CrosstalkKind, SynthConfig};
-    use crate::fit::fit_crosstalk_model;
+    use crate::fit::{chunk_count, fit_crosstalk_model, WeightGrid};
     use crate::forest::RandomForest;
     use crate::tree::RegressionTree;
     use youtiao_chip::surface::SurfaceCode;
@@ -275,6 +275,30 @@ mod tests {
         }
     }
 
+    /// Every point's CV MSE, at every chunk count from one to one past
+    /// the grid size, equals the oracle's bit for bit.
+    fn assert_cv_matches(samples: &[CrosstalkSample], config: &FitConfig) {
+        let grid = match WeightGrid::new(samples, config) {
+            Ok(grid) => grid,
+            Err(e) => {
+                assert_eq!(fit(samples, config).err(), Some(e));
+                return;
+            }
+        };
+        let usable: Vec<&CrosstalkSample> = samples
+            .iter()
+            .filter(|s| s.d_phy.is_finite() && s.d_top.is_finite() && s.value.is_finite())
+            .collect();
+        let want: Vec<u64> = grid
+            .weights()
+            .map(|weights| cv_mse(&usable, weights, config).to_bits())
+            .collect();
+        for chunks in 1..=want.len() + 1 {
+            let got: Vec<u64> = grid.cv_mse(chunks).iter().map(|s| s.to_bits()).collect();
+            assert_eq!(got, want, "CV MSE bits with {chunks} chunk(s)");
+        }
+    }
+
     fn assert_fit_matches(samples: &[CrosstalkSample], config: &FitConfig) {
         let got = fit_crosstalk_model(samples, config);
         let want = fit(samples, config);
@@ -301,6 +325,12 @@ mod tests {
     fn assert_chip_matches(chip: &Chip, config: &FitConfig) {
         let samples = synthesize(chip, CrosstalkKind::Xy, &SynthConfig::xy(), 1);
         assert_fit_matches(&samples, config);
+    }
+
+    /// The fit and every chunk count of its CV against the oracle.
+    fn assert_all_match(samples: &[CrosstalkSample], config: &FitConfig) {
+        assert_fit_matches(samples, config);
+        assert_cv_matches(samples, config);
     }
 
     fn sample(d_phy: f64, d_top: f64, value: f64) -> CrosstalkSample {
@@ -341,6 +371,102 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "the oracle's 100-qubit paper fit is too slow in debug builds; run with --release"]
+    fn square_10x10_fits_like_the_oracle() {
+        assert_chip_matches(&topology::square_grid(10, 10), &FitConfig::paper());
+    }
+
+    /// 773 distance classes that merge into 113–639 values, depending on
+    /// the weights.
+    #[test]
+    #[ignore = "the oracle's 127-qubit paper fit is too slow in debug builds; run with --release"]
+    fn heavy_hex_127_fits_like_the_oracle() {
+        assert_chip_matches(&topology::ibm_heavy_hex(127), &FitConfig::paper());
+    }
+
+    #[test]
+    fn small_chips_cross_validate_like_the_oracle_at_every_chunk_count() {
+        let chips = [
+            topology::square_grid(4, 4),
+            topology::heavy_square(2, 2),
+            topology::heavy_hexagon(1, 2),
+        ];
+        for chip in &chips {
+            let samples = synthesize(chip, CrosstalkKind::Xy, &SynthConfig::xy(), 1);
+            assert_cv_matches(&samples, &FitConfig::fast());
+            assert_cv_matches(&samples, &FitConfig::paper());
+        }
+    }
+
+    #[test]
+    fn sample_counts_on_and_off_the_fold_count_fit_like_the_oracle() {
+        // Repeating distance classes; 30 is a multiple of both fold
+        // counts (3 in `fast()`, 5 in `paper()`), 31–34 cover every other
+        // remainder, so folds train on one size or on two.
+        let ramp = |i: usize| {
+            let d_phy = (i % 6) as f64 * 0.5 + 1.0;
+            let d_top = (i % 4 + 1) as f64;
+            sample(
+                d_phy,
+                d_top,
+                1e-3 / (1.0 + d_phy * d_top) + (i % 7) as f64 * 1e-6,
+            )
+        };
+        let all: Vec<CrosstalkSample> = (0..34).map(ramp).collect();
+        for n in 30..=34 {
+            assert_all_match(&all[..n], &FitConfig::fast());
+            assert_all_match(&all[..n], &FitConfig::paper());
+        }
+    }
+
+    #[test]
+    fn classes_tying_at_some_weights_fit_like_the_oracle() {
+        // (1,3), (3,1) and (2,2) tie at w_phy = ½ only; d and the next
+        // float up tie wherever the weights round them together.
+        let d = 2.0_f64;
+        let classes = [
+            (1.0, 3.0),
+            (3.0, 1.0),
+            (2.0, 2.0),
+            (d, 5.0),
+            (d.next_up(), 5.0),
+            (4.0, d),
+            (4.0, d.next_up()),
+            (1.5, 1.5f64.next_down()),
+        ];
+        let samples: Vec<CrosstalkSample> = (0..48)
+            .map(|i| {
+                let (d_phy, d_top) = classes[(i * 5) % classes.len()];
+                sample(d_phy, d_top, 1e-4 * (1 + i % 5) as f64 / (d_phy + d_top))
+            })
+            .collect();
+        assert_all_match(&samples, &FitConfig::fast());
+        assert_all_match(&samples, &FitConfig::paper());
+    }
+
+    #[test]
+    fn zero_trees_is_an_invalid_config_on_both_sides() {
+        let samples: Vec<CrosstalkSample> = (0..12)
+            .map(|i| sample(i as f64, 1.0, 1e-4 / (1 + i) as f64))
+            .collect();
+        let mut config = FitConfig::fast();
+        config.forest.num_trees = 0;
+        assert_eq!(fit(&samples, &config).err(), Some(FitError::InvalidConfig));
+        assert_all_match(&samples, &config);
+    }
+
+    #[test]
+    fn only_a_fit_that_starts_alone_fans_out() {
+        // (cores, fits already running, weight points) -> chunks
+        assert_eq!(chunk_count(2, 0, 11), 2);
+        assert_eq!(chunk_count(16, 0, 11), 11);
+        assert_eq!(chunk_count(1, 0, 11), 1);
+        assert_eq!(chunk_count(8, 0, 1), 1);
+        assert_eq!(chunk_count(8, 1, 11), 1);
+        assert_eq!(chunk_count(2, 3, 11), 1);
+    }
+
+    #[test]
     fn degenerate_samples_fit_like_the_oracle() {
         let ramp = |i: usize| sample(i as f64 * 0.3, (i % 7) as f64, 1e-4 / (1 + i) as f64);
         // All x equal under every weight point.
@@ -361,8 +487,8 @@ mod tests {
         let all_negative_zero: Vec<CrosstalkSample> =
             (0..24).map(|i| sample(i as f64, 1.0, -0.0)).collect();
         for samples in [&flat, &minimal, &doubled, &signed, &all_negative_zero] {
-            assert_fit_matches(samples, &FitConfig::fast());
-            assert_fit_matches(samples, &FitConfig::paper());
+            assert_all_match(samples, &FitConfig::fast());
+            assert_all_match(samples, &FitConfig::paper());
         }
         assert_fit_matches(&minimal[..4], &FitConfig::paper());
     }

@@ -6,12 +6,13 @@
 //! targets. Splits greedily minimize the summed squared error of the two
 //! children (equivalently, maximize variance reduction).
 //!
-//! A fit ranks the feature once ([`RankedFeature`]) and grows each tree
-//! from a list of sample indices over it ([`Grower`]): a counting sort by
-//! rank orders the samples, and prefix sums read at the ends of
-//! equal-value buckets score every candidate split. DESIGN.md §4l states
-//! why this gives the bits of a comparison sort followed by an
-//! element-by-element scan.
+//! A fit ranks the feature once per key ([`RankedFeature`]; a key is a
+//! sample, or a class of samples that share their feature value), lists
+//! each tree's sample as keys and targets ([`Drawn`]) and grows the tree
+//! from that list ([`Grower`]): a counting sort by rank orders the
+//! targets, and prefix sums read at the ends of equal-value buckets score
+//! every candidate split. DESIGN.md §4l states why this gives the bits of
+//! a comparison sort followed by an element-by-element scan.
 
 /// Hyper-parameters of a regression tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,8 +69,9 @@ impl RegressionTree {
         assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
         assert!(!xs.is_empty(), "cannot fit a tree to zero samples");
         let feature = RankedFeature::new(xs);
-        let every: Vec<u32> = (0..feature.len() as u32).collect();
-        Grower::default().grow(&feature, ys, &every, config).clone()
+        let mut every = Drawn::default();
+        every.refill(xs.len(), (0..).zip(ys.iter().copied()));
+        Grower::default().grow(&feature, &every, config).clone()
     }
 
     /// Predicts the target value for feature `x`.
@@ -119,10 +121,10 @@ impl RegressionTree {
     }
 }
 
-/// A feature column ranked once: its distinct values in ascending
-/// [`f64::total_cmp`] order and each sample's dense rank among them.
+/// A feature ranked once: its distinct values in ascending
+/// [`f64::total_cmp`] order and each key's dense rank among them.
 ///
-/// Ranks order samples exactly as a `total_cmp` sort does, so a stable
+/// Ranks order keys exactly as a `total_cmp` sort does, so a stable
 /// counting sort by rank reproduces a stable comparison sort.
 #[derive(Debug)]
 pub(crate) struct RankedFeature {
@@ -131,13 +133,13 @@ pub(crate) struct RankedFeature {
 }
 
 impl RankedFeature {
-    /// Ranks `xs`.
+    /// Ranks `xs`, the feature value of each key.
     ///
     /// # Panics
     ///
-    /// Panics if `xs` has more than `u32::MAX` samples.
+    /// Panics if `xs` has more than `u32::MAX` keys.
     pub(crate) fn new(xs: &[f64]) -> Self {
-        let n = u32::try_from(xs.len()).expect("too many samples to rank");
+        let n = u32::try_from(xs.len()).expect("too many keys to rank");
         let mut order: Vec<u32> = (0..n).collect();
         order.sort_unstable_by(|&a, &b| xs[a as usize].total_cmp(&xs[b as usize]));
         let mut values: Vec<f64> = Vec::new();
@@ -153,8 +155,8 @@ impl RankedFeature {
         RankedFeature { values, ranks }
     }
 
-    /// Number of samples.
-    pub(crate) fn len(&self) -> usize {
+    /// Number of keys.
+    pub(crate) fn num_keys(&self) -> usize {
         self.ranks.len()
     }
 
@@ -163,23 +165,52 @@ impl RankedFeature {
         &self.values
     }
 
-    /// Sample `i`'s index into [`RankedFeature::values`].
-    pub(crate) fn rank(&self, i: u32) -> usize {
-        self.ranks[i as usize] as usize
+    /// Key `key`'s index into [`RankedFeature::values`].
+    pub(crate) fn rank(&self, key: u32) -> usize {
+        self.ranks[key as usize] as usize
+    }
+}
+
+/// The sample a tree grows on: each element's key and target in list
+/// order (repeats allowed), and how many elements carry each key.
+#[derive(Debug, Default)]
+pub(crate) struct Drawn {
+    keys: Vec<u32>,
+    ys: Vec<f64>,
+    counts: Vec<u32>,
+}
+
+impl Drawn {
+    /// Replaces the list with `elements`, `(key, target)` pairs whose
+    /// keys are below `num_keys`.
+    pub(crate) fn refill(
+        &mut self,
+        num_keys: usize,
+        elements: impl IntoIterator<Item = (u32, f64)>,
+    ) {
+        self.keys.clear();
+        self.ys.clear();
+        self.counts.clear();
+        self.counts.resize(num_keys, 0);
+        for (key, y) in elements {
+            self.keys.push(key);
+            self.ys.push(y);
+            self.counts[key as usize] += 1;
+        }
     }
 }
 
 /// Reusable buffers for growing trees over a [`RankedFeature`].
 ///
-/// The drawn samples are counting-sorted into buckets of equal feature
+/// The listed targets are counting-sorted into buckets of equal feature
 /// value. Nodes only ever split between buckets, so every node is a run
 /// of whole buckets, and the running sums a node needs are read at
 /// bucket ends.
 #[derive(Debug, Default)]
 pub(crate) struct Grower {
-    /// Per-rank draw counts, then per-rank write cursors.
+    /// Per-rank element counts, then per-rank write cursors.
     cursor: Vec<u32>,
-    /// Drawn targets in sorted feature order.
+    /// The targets in sorted feature order.
     ys: Vec<f64>,
     /// Exclusive end of each bucket in `ys`.
     ends: Vec<u32>,
@@ -190,27 +221,27 @@ pub(crate) struct Grower {
     /// element of the node that last scanned the bucket.
     sum: Vec<f64>,
     sq: Vec<f64>,
+    /// The split score of each candidate bucket of the node being split.
+    sse: Vec<f64>,
     /// The tree grown last.
     tree: RegressionTree,
 }
 
 impl Grower {
-    /// Grows a tree on the samples listed in `draws` (indices into
-    /// `feature` and `ys`; repeats allowed). The result equals
-    /// fitting the listed `(x, y)` pairs in list order.
+    /// Grows a tree on `drawn`, whose keys `feature` ranks. The result
+    /// equals fitting the listed `(x, y)` pairs in list order.
     pub(crate) fn grow(
         &mut self,
         feature: &RankedFeature,
-        ys: &[f64],
-        draws: &[u32],
+        drawn: &Drawn,
         config: TreeConfig,
     ) -> &RegressionTree {
-        debug_assert!(!draws.is_empty(), "a tree needs at least one sample");
-        self.bucket(feature, draws);
-        self.ys.resize(draws.len(), 0.0);
-        for &i in draws {
-            let slot = &mut self.cursor[feature.rank(i)];
-            self.ys[*slot as usize] = ys[i as usize];
+        debug_assert!(!drawn.keys.is_empty(), "a tree needs at least one sample");
+        self.bucket(feature, drawn);
+        self.ys.resize(drawn.keys.len(), 0.0);
+        for (&key, &y) in drawn.keys.iter().zip(&drawn.ys) {
+            let slot = &mut self.cursor[feature.rank(key)];
+            self.ys[*slot as usize] = y;
             *slot += 1;
         }
         let buckets = self.ends.len();
@@ -222,13 +253,13 @@ impl Grower {
         &self.tree
     }
 
-    /// Lays out the buckets of a stable counting sort of `draws` by rank
+    /// Lays out the buckets of a stable counting sort of `drawn` by rank
     /// and leaves `cursor` at each rank's first slot.
-    fn bucket(&mut self, feature: &RankedFeature, draws: &[u32]) {
+    fn bucket(&mut self, feature: &RankedFeature, drawn: &Drawn) {
         self.cursor.clear();
         self.cursor.resize(feature.values().len(), 0);
-        for &i in draws {
-            self.cursor[feature.rank(i)] += 1;
+        for (key, &count) in (0..).zip(&drawn.counts) {
+            self.cursor[feature.rank(key)] += count;
         }
         self.ends.clear();
         self.values.clear();
@@ -313,29 +344,37 @@ impl Grower {
     ///
     /// Returns `None` when no split separates distinct feature values or
     /// no split improves on the parent.
-    fn best_split(&self, lo: usize, hi: usize) -> Option<usize> {
+    fn best_split(&mut self, lo: usize, hi: usize) -> Option<usize> {
         let first = self.start(lo);
-        let n = (self.ends[hi - 1] - first) as usize;
+        let n = self.ends[hi - 1] - first;
         let total_sum = self.sum[hi - 1];
         let total_sq = self.sq[hi - 1];
         let parent_sse = total_sq - total_sum * total_sum / n as f64;
 
+        // Every candidate's score first, in a loop without branches.
+        // These sums start at −0.0, where the criterion's left sums start
+        // at +0.0. That changes at most the sign of a zero, which the
+        // squares below remove (DESIGN.md §4l).
+        self.sse.clear();
+        self.sse.extend(
+            self.ends[lo..hi - 1]
+                .iter()
+                .zip(&self.sum[lo..hi - 1])
+                .zip(&self.sq[lo..hi - 1])
+                .map(|((&end, &left_sum), &left_sq)| {
+                    let i = end - first;
+                    let right_sum = total_sum - left_sum;
+                    let right_sq = total_sq - left_sq;
+                    (left_sq - left_sum * left_sum / i as f64)
+                        + (right_sq - right_sum * right_sum / (n - i) as f64)
+                }),
+        );
         let mut best: Option<(usize, f64)> = None;
-        for b in lo + 1..hi {
+        for (b, &sse) in (lo + 1..hi).zip(&self.sse) {
             // A split between equal feature values is not realizable.
             if self.values[b - 1] == self.values[b] {
                 continue;
             }
-            let i = (self.ends[b - 1] - first) as usize;
-            // These sums start at −0.0, where the criterion's left sums
-            // start at +0.0. That changes at most the sign of a zero,
-            // which the squares below remove (DESIGN.md §4l).
-            let left_sum = self.sum[b - 1];
-            let left_sq = self.sq[b - 1];
-            let right_sum = total_sum - left_sum;
-            let right_sq = total_sq - left_sq;
-            let sse = (left_sq - left_sum * left_sum / i as f64)
-                + (right_sq - right_sum * right_sum / (n - i) as f64);
             if best.map_or(sse < parent_sse - 1e-15, |(_, b)| sse < b) {
                 best = Some((b, sse));
             }

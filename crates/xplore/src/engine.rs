@@ -36,7 +36,7 @@ use youtiao_core::freq::{allocate_frequencies, FreqConfig};
 use youtiao_core::tdm::DemuxLevel;
 use youtiao_core::{
     die_seed, plan_multi, MultiPlanConfig, PairKernels, ParallelExec, PartitionConfig, PlanContext,
-    PlannerConfig, YoutiaoPlanner,
+    PlanError, PlannerConfig, YoutiaoPlanner,
 };
 use youtiao_cost::WiringTally;
 use youtiao_noise::{characterize_xy, CrosstalkModel};
@@ -350,7 +350,16 @@ pub fn run_sweep_with_cache<W: Write>(
     let mut contexts: HashMap<(usize, u64), ChipCtx> = HashMap::new();
     for (chip_idx, (chip, spec_key)) in chips.iter().enumerate() {
         for &seed in &ctx_seeds {
-            let model = spec.uses_model().then(|| characterize_xy(chip, seed));
+            let model = spec
+                .uses_model()
+                .then(|| characterize_xy(chip, seed))
+                .transpose()
+                .map_err(|e| {
+                    SweepError::Spec(SpecError::Chip {
+                        index: chip_idx,
+                        message: PlanError::Characterize(e).to_string(),
+                    })
+                })?;
             let plan_ctx = PlanContext::build(chip, model.as_ref(), fallback);
             contexts.insert(
                 (chip_idx, seed),
@@ -731,7 +740,8 @@ fn compute_multi_point(
                 .map_err(|e| e.to_string())?;
                 let mut errs = Vec::with_capacity(mdc.total_qubits());
                 for die in 0..mdc.num_dies() {
-                    let model = characterize_xy(&ctx.chip, die_seed(seed, die));
+                    let model = characterize_xy(&ctx.chip, die_seed(seed, die))
+                        .map_err(|e| PlanError::Characterize(e).to_string())?;
                     let scenario = FdmScenario {
                         chip: &ctx.chip,
                         lines: &lines,

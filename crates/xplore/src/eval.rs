@@ -120,7 +120,7 @@ mod tests {
     #[test]
     fn optimized_scheme_beats_naive() {
         let chip = topology::square_grid(4, 4);
-        let model = characterize_xy(&chip, 3);
+        let model = characterize_xy(&chip, 3).unwrap();
         let eq = equivalent_matrix(&chip, model.weights());
         let xtalk = crosstalk_matrix(&chip, &eq, Some(&model));
         let lines = group_fdm(&chip, &eq, 4);
@@ -149,7 +149,7 @@ mod tests {
     #[test]
     fn fidelity_decays_with_layers() {
         let chip = topology::square_grid(3, 3);
-        let model = characterize_xy(&chip, 4);
+        let model = characterize_xy(&chip, 4).unwrap();
         let eq = equivalent_matrix(&chip, model.weights());
         let xtalk = crosstalk_matrix(&chip, &eq, Some(&model));
         let lines = group_fdm(&chip, &eq, 4);

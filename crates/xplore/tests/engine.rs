@@ -4,8 +4,8 @@
 
 use youtiao_core::PlanContext;
 use youtiao_xplore::{
-    parse_objectives, run_sweep, run_sweep_with_cache, ChipRequest, PlanCache, SweepError,
-    SweepMode, SweepOptions, SweepSpec,
+    parse_objectives, run_sweep, run_sweep_with_cache, ChipRequest, PlanCache, SpecError,
+    SweepError, SweepMode, SweepOptions, SweepSpec,
 };
 
 fn no_model_spec() -> SweepSpec {
@@ -213,6 +213,23 @@ fn per_chip_chiplet_knobs_are_rejected() {
     let err = run_sweep(&spec, &SweepOptions::default(), &mut Vec::new()).unwrap_err();
     assert!(matches!(err, SweepError::Spec(_)), "{err}");
     assert!(err.to_string().contains("chiplets"), "{err}");
+}
+
+#[test]
+fn chips_too_small_to_characterize_are_spec_errors() {
+    // Two qubits give fewer ordered pairs than the fit's five folds: the
+    // context phase reports the chip, it does not panic.
+    let mut tiny = ChipRequest::named("linear");
+    tiny.size = Some(2);
+    let spec = SweepSpec::new(vec![tiny, ChipRequest::grid("square", 3, 3)]);
+    let err = run_sweep(&spec, &SweepOptions::default(), &mut Vec::new()).unwrap_err();
+    match &err {
+        SweepError::Spec(SpecError::Chip { index, message }) => {
+            assert_eq!(*index, 0);
+            assert!(message.contains("characterization failed"), "{message}");
+        }
+        other => panic!("expected a chip spec error, got {other}"),
+    }
 }
 
 #[test]

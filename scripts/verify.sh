@@ -9,13 +9,22 @@
 # record-count and determinism checks), a daemon smoke (stdin + socket
 # round trips, byte-identical canonical transcripts across shard and
 # worker counts, torn-shard salvage), then figure ports, the crosstalk
-# fit's differential suite and style gates.
+# fit's differential suite and style gates. The batch determinism smoke
+# and the fit's suite run again pinned to one core, where every fit
+# takes its one-chunk path.
 #
 # Usage: scripts/verify.sh [--tier1-only|--smoke-only]
 #
 # Everything runs offline (all dependencies are vendored in vendor/).
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+# Whether a run can be pinned to one core with `taskset -c 0`: a fit
+# that starts alone spreads its weight grid over the cores it may use,
+# so a pinned run checks the one-chunk path.
+can_pin_one_core() {
+  command -v taskset >/dev/null 2>&1 && [[ "$(nproc 2>/dev/null || echo 1)" -gt 1 ]]
+}
 
 if [[ "${1:-}" != "--smoke-only" ]]; then
   echo "==> tier 1: cargo build --release"
@@ -87,6 +96,21 @@ for run in pt2 pt8 j4s4; do
   fi
 done
 echo "  batch determinism OK: byte-identical results at 1/2/8 plan threads and 4 jobs x 4 shards"
+
+echo "==> smoke: youtiao batch pinned to one core (one-chunk crosstalk fits, same bytes)"
+if can_pin_one_core; then
+  taskset -c 0 cargo run -q --release --offline --bin youtiao -- batch \
+    --in examples/batch_jobs.jsonl --out "$smoke_dir/results_cpu0.jsonl" \
+    --jobs 1 --canonical 2> /dev/null
+  if ! cmp -s "$smoke_dir/results_pt1.jsonl" "$smoke_dir/results_cpu0.jsonl"; then
+    echo "verify: FAILED — batch output differs between one core and every core" >&2
+    diff "$smoke_dir/results_pt1.jsonl" "$smoke_dir/results_cpu0.jsonl" >&2 || true
+    exit 1
+  fi
+  echo "  one-core batch OK: byte-identical to the --jobs 1 run"
+else
+  echo "  (skipped: taskset is missing or nproc is 1)"
+fi
 
 echo "==> smoke: youtiao batch (a repeated request is computed once)"
 # The second copy of a line parks behind the first and is answered from
@@ -496,6 +520,13 @@ cargo test -q --release --offline -p youtiao-bench --test fig_ports -- --include
 
 echo "==> crosstalk fit: bit-identical to the oracle fit, release-only chips included"
 cargo test -q --release --offline -p youtiao-noise -- --include-ignored
+
+echo "==> crosstalk fit: the same suite pinned to one core (one-chunk fits)"
+if can_pin_one_core; then
+  taskset -c 0 cargo test -q --release --offline -p youtiao-noise -- --include-ignored
+else
+  echo "  (skipped: taskset is missing or nproc is 1)"
+fi
 
 echo "==> style: cargo fmt --check"
 if cargo fmt --version >/dev/null 2>&1; then

@@ -239,7 +239,9 @@ impl From<RouteError> for DesignError {
 ///
 /// # Errors
 ///
-/// Returns [`DesignError`] when planning or routing fails.
+/// Returns [`DesignError`] when characterization, planning or routing
+/// fails; a chip too small to characterize (fewer than three qubits)
+/// fails with [`PlanError::Characterize`].
 ///
 /// # Example
 ///
@@ -304,7 +306,7 @@ pub fn design_chip_traced(
         // One sample per ordered qubit pair.
         let n = chip.num_qubits();
         span.annotate("samples", (n * n.saturating_sub(1)) as u64);
-        characterize_xy(chip, options.seed)
+        characterize_xy(chip, options.seed).map_err(PlanError::Characterize)?
     };
 
     // 2. Plan. The matrices are built as a shared-ready PlanContext

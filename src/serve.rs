@@ -566,6 +566,36 @@ mod tests {
     }
 
     #[test]
+    fn chips_too_small_to_characterize_fail_after_one_attempt() {
+        // Two qubits give two ordered pairs, fewer than the fit's five
+        // folds, whatever the seed: a permanent Plan error, not a panic,
+        // for a monolithic chip and for a chiplet array of such dies.
+        let mut linear = ChipRequest::named("linear");
+        linear.size = Some(2);
+        let mut array = linear.clone();
+        array.chiplets = Some(2);
+        let requests = [
+            DesignRequest::new(linear),
+            DesignRequest::new(ChipRequest::grid("square", 1, 2)),
+            DesignRequest::new(array),
+        ];
+        let options = DaemonOptions {
+            canonical: true,
+            ..Default::default()
+        };
+        let mut out = Vec::new();
+        let metrics = batch(&requests, &options, &mut out);
+        assert_eq!((metrics.errors, metrics.retries), (3, 0));
+        for line in std::str::from_utf8(&out).unwrap().lines() {
+            let record: serde::Value = serde_json::from_str(line).unwrap();
+            assert_eq!(record["attempts"], 1, "{line}");
+            assert_eq!(record["error"]["kind"], "Plan", "{line}");
+            let message = record["error"]["message"].as_str().unwrap();
+            assert!(message.contains("characterization failed"), "{message}");
+        }
+    }
+
+    #[test]
     fn chaos_over_the_real_design_flow_is_deterministic() {
         // Injected panics are contained by the pool; keep the default
         // hook's per-panic output out of the test log.

@@ -115,3 +115,20 @@ fn bad_distance_rejected() {
     assert!(!ok);
     assert!(stderr.contains("odd"));
 }
+
+#[test]
+fn sweep_over_a_chip_too_small_to_characterize_fails_cleanly() {
+    let path = std::env::temp_dir().join(format!("youtiao_tiny_sweep_{}.json", std::process::id()));
+    std::fs::write(&path, r#"{"chips":[{"topology":"linear","size":2}]}"#).unwrap();
+    let out = Command::new(env!("CARGO_BIN_EXE_youtiao"))
+        .args(["sweep", "--spec", path.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    // An error exit with the reason, not a panic (exit code 101).
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("chips[0]"), "{stderr}");
+    assert!(stderr.contains("characterization failed"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
