@@ -14,7 +14,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-use crate::tree::{Drawn, Grower, RankedFeature, RegressionTree, TreeConfig};
+use crate::tree::{Grower, KeySums, RankedFeature, RegressionTree, TreeConfig};
 
 /// Hyper-parameters of a [`RandomForest`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -88,7 +88,7 @@ impl RandomForest {
         let n = keys.len();
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let mut grower = Grower::default();
-        let mut drawn = Drawn::default();
+        let mut drawn = KeySums::default();
         let trees: Vec<RegressionTree> = (0..config.num_trees)
             .map(|_| {
                 drawn.refill(
@@ -106,7 +106,8 @@ impl RandomForest {
 
     /// Compiles trees into one step function. Every `x` in an interval
     /// takes the same branch at every threshold as the interval's right
-    /// end, so evaluating the trees there gives the interval's value.
+    /// end, so one sweep of each tree's leaves over the right ends gives
+    /// every interval's value.
     fn compile(trees: &[RegressionTree]) -> Self {
         let mut thresholds: Vec<f64> = trees
             .iter()
@@ -119,11 +120,13 @@ impl RandomForest {
         // NaN fails every `x <= t`, as any x above the top threshold does.
         // Summing in tree order from −0.0 (`Iterator::sum`) makes each
         // value the bit-exact mean of the trees' own predictions.
-        let values = thresholds
-            .iter()
-            .chain([&f64::NAN])
-            .map(|&x| trees.iter().map(|t| t.predict(x)).sum::<f64>() / trees.len() as f64)
-            .collect();
+        thresholds.push(f64::NAN);
+        let mut values = vec![-0.0; thresholds.len()];
+        for tree in trees {
+            tree.add_predictions(&thresholds, &mut values);
+        }
+        thresholds.pop();
+        values.iter_mut().for_each(|v| *v /= trees.len() as f64);
         RandomForest {
             thresholds,
             values,

@@ -7,12 +7,13 @@
 //! children (equivalently, maximize variance reduction).
 //!
 //! A fit ranks the feature once per key ([`RankedFeature`]; a key is a
-//! sample, or a class of samples that share their feature value), lists
-//! each tree's sample as keys and targets ([`Drawn`]) and grows the tree
-//! from that list ([`Grower`]): a counting sort by rank orders the
-//! targets, and prefix sums read at the ends of equal-value buckets score
-//! every candidate split. DESIGN.md §4l states why this gives the bits of
-//! a comparison sort followed by an element-by-element scan.
+//! sample, or a class of samples that share their feature value), sums
+//! each tree's sample per key ([`KeySums`]: count, Σy and Σy²) and grows
+//! the tree from those sums ([`Grower`]): the keys of each distinct value
+//! merge into one bucket, and running sums over the buckets score every
+//! candidate split. A tree needs nothing else, so no sample is sorted or
+//! scanned again. DESIGN.md §4l states how close this stays to an
+//! element-by-element scan of the sorted sample.
 
 /// Hyper-parameters of a regression tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -69,7 +70,7 @@ impl RegressionTree {
         assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
         assert!(!xs.is_empty(), "cannot fit a tree to zero samples");
         let feature = RankedFeature::new(xs);
-        let mut every = Drawn::default();
+        let mut every = KeySums::default();
         every.refill(xs.len(), (0..).zip(ys.iter().copied()));
         Grower::default().grow(&feature, &every, config).clone()
     }
@@ -119,17 +120,45 @@ impl RegressionTree {
             Node::Leaf { .. } => None,
         })
     }
+
+    /// Adds `predict(xs[i])` to `out[i]` for every `i`, visiting the
+    /// leaves once, in order. `xs` must ascend in [`f64::total_cmp`]
+    /// order.
+    pub(crate) fn add_predictions(&self, xs: &[f64], out: &mut [f64]) {
+        // NaN goes right at every split, but a negative NaN sorts first.
+        let nan = xs.partition_point(|x| x.is_nan() && x.is_sign_negative());
+        let last_leaf = self.predict(f64::NAN);
+        out[..nan].iter_mut().for_each(|o| *o += last_leaf);
+        self.sweep(0, &xs[nan..], &mut out[nan..]);
+    }
+
+    /// [`RegressionTree::add_predictions`] below node `at`.
+    fn sweep(&self, at: usize, xs: &[f64], out: &mut [f64]) {
+        match self.nodes[at] {
+            Node::Leaf { prediction } => out.iter_mut().for_each(|o| *o += prediction),
+            Node::Split { threshold, right } => {
+                // `x <= threshold` holds on a prefix of ascending xs:
+                // none if the threshold is NaN, never a trailing NaN.
+                let mid = xs.partition_point(|&x| x <= threshold);
+                let (left_out, right_out) = out.split_at_mut(mid);
+                self.sweep(at + 1, &xs[..mid], left_out);
+                self.sweep(right as usize, &xs[mid..], right_out);
+            }
+        }
+    }
 }
 
 /// A feature ranked once: its distinct values in ascending
-/// [`f64::total_cmp`] order and each key's dense rank among them.
+/// [`f64::total_cmp`] order, each key's dense rank among them, and the
+/// keys in rank order (keys of one rank in key order).
 ///
-/// Ranks order keys exactly as a `total_cmp` sort does, so a stable
-/// counting sort by rank reproduces a stable comparison sort.
+/// Equal ranks mean bit-equal values, except that every NaN key has a
+/// rank of its own: NaN != NaN, so a split may fall between any two.
 #[derive(Debug)]
 pub(crate) struct RankedFeature {
     values: Vec<f64>,
     ranks: Vec<u32>,
+    order: Vec<u32>,
 }
 
 impl RankedFeature {
@@ -141,18 +170,22 @@ impl RankedFeature {
     pub(crate) fn new(xs: &[f64]) -> Self {
         let n = u32::try_from(xs.len()).expect("too many keys to rank");
         let mut order: Vec<u32> = (0..n).collect();
-        order.sort_unstable_by(|&a, &b| xs[a as usize].total_cmp(&xs[b as usize]));
+        order.sort_by(|&a, &b| xs[a as usize].total_cmp(&xs[b as usize]));
         let mut values: Vec<f64> = Vec::new();
         let mut ranks = vec![0; xs.len()];
         for &i in &order {
             let x = xs[i as usize];
             // `total_cmp` equality is bit equality.
-            if values.last().is_none_or(|v| v.to_bits() != x.to_bits()) {
+            if x.is_nan() || values.last().is_none_or(|v| v.to_bits() != x.to_bits()) {
                 values.push(x);
             }
             ranks[i as usize] = values.len() as u32 - 1;
         }
-        RankedFeature { values, ranks }
+        RankedFeature {
+            values,
+            ranks,
+            order,
+        }
     }
 
     /// Number of keys.
@@ -171,56 +204,70 @@ impl RankedFeature {
     }
 }
 
-/// The sample a tree grows on: each element's key and target in list
-/// order (repeats allowed), and how many elements carry each key.
-#[derive(Debug, Default)]
-pub(crate) struct Drawn {
-    keys: Vec<u32>,
-    ys: Vec<f64>,
-    counts: Vec<u32>,
+/// A count of targets with their sum and sum of squares. Sums start at
+/// −0.0, as `Iterator::sum` does, so a sum of −0.0 targets stays −0.0.
+#[derive(Debug, Clone, Copy)]
+struct Sums {
+    n: u32,
+    sum: f64,
+    sq: f64,
 }
 
-impl Drawn {
-    /// Replaces the list with `elements`, `(key, target)` pairs whose
-    /// keys are below `num_keys`.
+impl Sums {
+    const EMPTY: Sums = Sums {
+        n: 0,
+        sum: -0.0,
+        sq: -0.0,
+    };
+
+    fn add(&mut self, other: Sums) {
+        self.n += other.n;
+        self.sum += other.sum;
+        self.sq += other.sq;
+    }
+}
+
+/// The sample a tree grows on, summed per key: how many elements carry
+/// each key, and their targets' sum and sum of squares, added in list
+/// order.
+#[derive(Debug, Default)]
+pub(crate) struct KeySums(Vec<Sums>);
+
+impl KeySums {
+    /// Replaces the sums with those of `elements`, `(key, target)`
+    /// pairs whose keys are below `num_keys`.
     pub(crate) fn refill(
         &mut self,
         num_keys: usize,
         elements: impl IntoIterator<Item = (u32, f64)>,
     ) {
-        self.keys.clear();
-        self.ys.clear();
-        self.counts.clear();
-        self.counts.resize(num_keys, 0);
+        self.0.clear();
+        self.0.resize(num_keys, Sums::EMPTY);
         for (key, y) in elements {
-            self.keys.push(key);
-            self.ys.push(y);
-            self.counts[key as usize] += 1;
+            let one = Sums {
+                n: 1,
+                sum: y,
+                sq: y * y,
+            };
+            self.0[key as usize].add(one);
         }
     }
 }
 
 /// Reusable buffers for growing trees over a [`RankedFeature`].
 ///
-/// The listed targets are counting-sorted into buckets of equal feature
-/// value. Nodes only ever split between buckets, so every node is a run
-/// of whole buckets, and the running sums a node needs are read at
-/// bucket ends.
+/// The keys of each drawn value merge into one bucket. Nodes only ever
+/// split between buckets, so every node is a run of whole buckets, and
+/// the running sums a node needs are read at bucket ends.
 #[derive(Debug, Default)]
 pub(crate) struct Grower {
-    /// Per-rank element counts, then per-rank write cursors.
-    cursor: Vec<u32>,
-    /// The targets in sorted feature order.
-    ys: Vec<f64>,
-    /// Exclusive end of each bucket in `ys`.
-    ends: Vec<u32>,
     /// Feature value of each bucket.
     values: Vec<f64>,
-    /// Running target sum and sum of squares at each bucket's end,
-    /// started (at −0.0, as `Iterator::sum` starts) from the first
-    /// element of the node that last scanned the bucket.
-    sum: Vec<f64>,
-    sq: Vec<f64>,
+    /// Each bucket's count and sums: its keys' sums, added in key order.
+    buckets: Vec<Sums>,
+    /// Running count and sums at each bucket's end, started from the
+    /// first bucket of the node that last scanned the bucket.
+    running: Vec<Sums>,
     /// The split score of each candidate bucket of the node being split.
     sse: Vec<f64>,
     /// The tree grown last.
@@ -228,92 +275,57 @@ pub(crate) struct Grower {
 }
 
 impl Grower {
-    /// Grows a tree on `drawn`, whose keys `feature` ranks. The result
-    /// equals fitting the listed `(x, y)` pairs in list order.
+    /// Grows a tree on the sample `sums` holds, whose keys `feature`
+    /// ranks.
     pub(crate) fn grow(
         &mut self,
         feature: &RankedFeature,
-        drawn: &Drawn,
+        sums: &KeySums,
         config: TreeConfig,
     ) -> &RegressionTree {
-        debug_assert!(!drawn.keys.is_empty(), "a tree needs at least one sample");
-        self.bucket(feature, drawn);
-        self.ys.resize(drawn.keys.len(), 0.0);
-        for (&key, &y) in drawn.keys.iter().zip(&drawn.ys) {
-            let slot = &mut self.cursor[feature.rank(key)];
-            self.ys[*slot as usize] = y;
-            *slot += 1;
+        self.values.clear();
+        self.buckets.clear();
+        let mut last = usize::MAX;
+        for &key in &feature.order {
+            let key_sums = sums.0[key as usize];
+            if key_sums.n == 0 {
+                continue;
+            }
+            let rank = feature.rank(key);
+            if rank == last {
+                self.buckets
+                    .last_mut()
+                    .expect("a bucket is open")
+                    .add(key_sums);
+            } else {
+                self.values.push(feature.values[rank]);
+                self.buckets.push(key_sums);
+                last = rank;
+            }
         }
-        let buckets = self.ends.len();
-        self.sum.resize(buckets, 0.0);
-        self.sq.resize(buckets, 0.0);
+        let buckets = self.buckets.len();
+        self.running.resize(buckets, Sums::EMPTY);
         self.tree.nodes.clear();
         self.scan(0, buckets);
         self.node(0, buckets, 0, config);
         &self.tree
     }
 
-    /// Lays out the buckets of a stable counting sort of `drawn` by rank
-    /// and leaves `cursor` at each rank's first slot.
-    fn bucket(&mut self, feature: &RankedFeature, drawn: &Drawn) {
-        self.cursor.clear();
-        self.cursor.resize(feature.values().len(), 0);
-        for (key, &count) in (0..).zip(&drawn.counts) {
-            self.cursor[feature.rank(key)] += count;
-        }
-        self.ends.clear();
-        self.values.clear();
-        let mut end = 0;
-        for (slot, &value) in self.cursor.iter_mut().zip(feature.values()) {
-            let count = std::mem::replace(slot, end);
-            if value.is_nan() {
-                // NaN != NaN, so a split may fall between any two NaN
-                // samples: each one is a bucket of its own.
-                for _ in 0..count {
-                    end += 1;
-                    self.ends.push(end);
-                    self.values.push(value);
-                }
-            } else if count > 0 {
-                end += count;
-                self.ends.push(end);
-                self.values.push(value);
-            }
-        }
-    }
-
-    /// First position of bucket `b` in `ys`.
-    fn start(&self, b: usize) -> u32 {
-        if b == 0 {
-            0
-        } else {
-            self.ends[b - 1]
-        }
-    }
-
-    /// Recomputes the running sums of buckets `lo..hi` from bucket
-    /// `lo`'s first element.
+    /// Recomputes the running sums of buckets `lo..hi` from bucket `lo`.
     fn scan(&mut self, lo: usize, hi: usize) {
-        let mut sum = -0.0;
-        let mut sq = -0.0;
-        let mut at = self.start(lo) as usize;
+        let mut run = Sums::EMPTY;
         for b in lo..hi {
-            let end = self.ends[b] as usize;
-            for &y in &self.ys[at..end] {
-                sum += y;
-                sq += y * y;
-            }
-            self.sum[b] = sum;
-            self.sq[b] = sq;
-            at = end;
+            run.add(self.buckets[b]);
+            self.running[b] = run;
         }
     }
 
     /// Grows the node over buckets `lo..hi`, whose running sums start at
-    /// its own first element.
+    /// its own first bucket.
     fn node(&mut self, lo: usize, hi: usize, depth: usize, config: TreeConfig) {
-        let len = (self.ends[hi - 1] - self.start(lo)) as usize;
-        let mean = self.sum[hi - 1] / len as f64;
+        let node = self.running[hi - 1];
+        let len = node.n as usize;
+        let mean = node.sum / len as f64;
         let split = if depth >= config.max_depth || len < config.min_samples_split {
             None
         } else {
@@ -345,30 +357,18 @@ impl Grower {
     /// Returns `None` when no split separates distinct feature values or
     /// no split improves on the parent.
     fn best_split(&mut self, lo: usize, hi: usize) -> Option<usize> {
-        let first = self.start(lo);
-        let n = self.ends[hi - 1] - first;
-        let total_sum = self.sum[hi - 1];
-        let total_sq = self.sq[hi - 1];
-        let parent_sse = total_sq - total_sum * total_sum / n as f64;
+        let Sums { n, sum, sq } = self.running[hi - 1];
+        let parent_sse = sq - sum * sum / n as f64;
 
         // Every candidate's score first, in a loop without branches.
-        // These sums start at −0.0, where the criterion's left sums start
-        // at +0.0. That changes at most the sign of a zero, which the
-        // squares below remove (DESIGN.md §4l).
+        // The left sums start at −0.0, which changes at most the sign of
+        // a zero; the squares below remove it (DESIGN.md §4l).
         self.sse.clear();
-        self.sse.extend(
-            self.ends[lo..hi - 1]
-                .iter()
-                .zip(&self.sum[lo..hi - 1])
-                .zip(&self.sq[lo..hi - 1])
-                .map(|((&end, &left_sum), &left_sq)| {
-                    let i = end - first;
-                    let right_sum = total_sum - left_sum;
-                    let right_sq = total_sq - left_sq;
-                    (left_sq - left_sum * left_sum / i as f64)
-                        + (right_sq - right_sum * right_sum / (n - i) as f64)
-                }),
-        );
+        self.sse.extend(self.running[lo..hi - 1].iter().map(|left| {
+            let (right_sum, right_sq) = (sum - left.sum, sq - left.sq);
+            (left.sq - left.sum * left.sum / left.n as f64)
+                + (right_sq - right_sum * right_sum / (n - left.n) as f64)
+        }));
         let mut best: Option<(usize, f64)> = None;
         for (b, &sse) in (lo + 1..hi).zip(&self.sse) {
             // A split between equal feature values is not realizable.

@@ -23,8 +23,7 @@ use youtiao::bench::perf::{Layout, PerfConfig};
 use youtiao::bench::repair_perf::RepairBenchConfig;
 use youtiao::chip::multi::{LinkTopology, MultiDieChip};
 use youtiao::chip::spec::ChipSpec;
-use youtiao::chip::surface::SurfaceCode;
-use youtiao::chip::{topology, Chip, CouplerId, DeviceId, QubitId};
+use youtiao::chip::{Chip, CouplerId, DeviceId, QubitId};
 use youtiao::core::tdm::brickwork_activity;
 use youtiao::core::{CryostatBudget, PlanContext, PlanSummary, PlannerConfig, YoutiaoPlanner};
 use youtiao::cost::WiringTally;
@@ -33,8 +32,8 @@ use youtiao::repair::{
     diff_inputs, repair_plan, replan_from_snapshot, PlanInputs, QualityReport, RepairConfig,
 };
 use youtiao::serve::{
-    content_key, near_square, run_design_batch, run_design_daemon, AdmissionConfig, DaemonOptions,
-    DaemonReport, FaultPlan,
+    content_key, near_square, run_design_batch, run_design_daemon, AdmissionConfig, ChipRequest,
+    DaemonOptions, DaemonReport, FaultPlan,
 };
 use youtiao::xplore::{parse_objectives, run_sweep, write_csv, SweepOptions, SweepSpec};
 
@@ -944,39 +943,33 @@ fn get_usize(
     }
 }
 
+/// The chip the flags describe: a `ChipSpec` file (`--chip`), or a
+/// named generator built by the request engine's own table, which
+/// rejects zero sizes instead of panicking on them.
 fn load_chip(flags: &HashMap<String, Option<String>>) -> Result<Chip, String> {
     if let Some(Some(path)) = flags.get("chip") {
         let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         let spec: ChipSpec = serde_json::from_str(&json).map_err(|e| format!("{path}: {e}"))?;
         return spec.to_chip().map_err(|e| e.to_string());
     }
-    let topo = flags
+    let topology = flags
         .get("topology")
         .and_then(|v| v.clone())
         .ok_or("missing --topology or --chip")?;
-    let rows = get_usize(flags, "rows", 3)?;
-    let cols = get_usize(flags, "cols", 3)?;
-    let size = get_usize(flags, "size", 16)?;
-    let chip = match topo.as_str() {
-        "square" => topology::square_grid(rows, cols),
-        "heavy-square" => topology::heavy_square(rows, cols),
-        "hexagon" => topology::hexagon_patch(rows, cols),
-        "heavy-hexagon" => topology::heavy_hexagon(rows, cols),
-        "low-density" => topology::low_density(rows, cols.max(2)),
-        "sycamore" => topology::sycamore(rows, cols),
-        "linear" => topology::linear(size),
-        "ring" => topology::ring(size.max(3)),
-        "ibm-heavy-hex" => topology::ibm_heavy_hex(size.max(12)),
-        "surface" => {
-            let d = get_usize(flags, "distance", 3)?;
-            if d < 3 || d % 2 == 0 {
-                return Err("--distance must be odd and >= 3".into());
-            }
-            SurfaceCode::rotated(d).into_chip()
-        }
-        other => return Err(format!("unknown topology `{other}`")),
+    let dimension = |key: &str| {
+        flags
+            .contains_key(key)
+            .then(|| get_usize(flags, key, 0))
+            .transpose()
     };
-    Ok(chip)
+    let request = ChipRequest {
+        rows: dimension("rows")?,
+        cols: dimension("cols")?,
+        size: dimension("size")?,
+        distance: dimension("distance")?,
+        ..ChipRequest::named(topology)
+    };
+    request.build().map_err(|e| e.to_string())
 }
 
 fn planner_config(flags: &HashMap<String, Option<String>>) -> Result<PlannerConfig, String> {

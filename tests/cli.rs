@@ -132,3 +132,42 @@ fn sweep_over_a_chip_too_small_to_characterize_fails_cleanly() {
     assert!(stderr.contains("characterization failed"), "{stderr}");
     assert!(!stderr.contains("panicked"), "{stderr}");
 }
+
+#[test]
+fn zero_size_chips_fail_cleanly() {
+    for args in [
+        &["plan", "--topology", "square", "--rows", "0"][..],
+        &["cost", "--topology", "square", "--cols", "0"],
+        &[
+            "export-chip",
+            "--topology",
+            "linear",
+            "--size",
+            "0",
+            "--out",
+            "unused.json",
+        ],
+        &[
+            "repair",
+            "--topology",
+            "heavy-square",
+            "--rows",
+            "0",
+            "--cols",
+            "2",
+        ],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_youtiao"))
+            .args(args)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        // The request engine's message, not a panic (exit code 101).
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("bad parameter: dimensions must be positive"),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
