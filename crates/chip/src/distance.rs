@@ -160,6 +160,16 @@ impl DistanceMatrix {
         self.values[a.index() * self.n + b.index()]
     }
 
+    /// Row `a`: the distances from qubit `a` to every qubit, in id order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is out of range.
+    pub fn row(&self, a: QubitId) -> &[f64] {
+        assert!(a.index() < self.n, "index out of range");
+        &self.values[a.index() * self.n..][..self.n]
+    }
+
     /// Writes the distance between two qubits symmetrically.
     ///
     /// # Panics

@@ -14,9 +14,10 @@
 //! # Determinism contract
 //!
 //! The kernels are a *representation* change, not an algorithm change:
-//! every table entry is computed by exactly the functions the naive path
-//! calls ([`crate::tdm::legal_pair`], the topo-fraction and noisy-score
-//! helpers), so a kernelized pass produces **byte-identical** output to
+//! the tables, filled a row at a time from each device's neighbourhood,
+//! hold the naive path's per-pair values bit for bit (unit tests compare
+//! every entry with [`crate::tdm::legal_pair`] and the topo-fraction and
+//! noisy-score helpers), so a kernelized pass is **byte-identical** to
 //! the retained naive implementations (`naive` feature / test builds).
 //! Differential tests in `crate::tdm` and `crate::refine` enforce this
 //! across random chips, θ values, activity profiles and budgets.
@@ -196,21 +197,18 @@ impl PairKernels {
             };
         }
 
-        // Dense pairwise tables. Every entry is produced by the exact
-        // function the naive path calls, so lookups are bit-identical.
-        let mut legal = scratch.take_u64(n * words, 0);
+        let ends: Vec<[QubitId; 2]> = chip.couplers().map(|c| c.endpoints().into()).collect();
+        let gateless: Vec<usize> = (0..chip.num_qubits())
+            .filter(|&q| chip.couplers_of(q.into()).is_empty())
+            .collect();
+        let mut legal = scratch.take_u64(n * words, !0);
         let mut topo = scratch.take_f64(n * n, 0.0);
         let mut noise = scratch.take_f64(n * n, 0.0);
         for i in 0..n {
             let a = index.device(i);
-            for j in 0..n {
-                let b = index.device(j);
-                if crate::tdm::legal_pair(chip, a, b) {
-                    legal[i * words + j / 64] |= 1u64 << (j % 64);
-                }
-                topo[i * n + j] = crate::tdm::topo_nonparallel_fraction(chip, a, b);
-                noise[i * n + j] = crate::tdm::noisy_score(chip, xtalk, a, b);
-            }
+            legal_row(chip, a, i, n, &mut legal[i * words..][..words]);
+            topo_row(chip, a, &ends, &gateless, &mut topo[i * n..][..n]);
+            noise_row(xtalk, a, &ends, &mut noise[i * n..][..n]);
         }
 
         BUILDS.fetch_add(1, Ordering::Relaxed);
@@ -337,10 +335,9 @@ impl PairKernels {
     /// removed, qubit count changes) invalidate the densification
     /// itself and require a fresh [`PairKernels::build`].
     ///
-    /// Every recomputed entry is produced by the same
-    /// [`crate::tdm::noisy_score`] call as a fresh build, so the
-    /// updated kernels are bit-identical to rebuilding from scratch
-    /// (the differential test below enforces it).
+    /// Every recomputed entry comes from [`crate::tdm::noisy_score`],
+    /// which a fresh build's rows match bit for bit, so the updated
+    /// kernels equal a rebuild from scratch (`tests/probes.rs` checks).
     ///
     /// Returns the number of device rows recomputed and advances the
     /// [`Self::invalidation_count`] probe.
@@ -415,6 +412,68 @@ impl PairKernels {
     }
 }
 
+/// Row `i` of the legality table ([`crate::tdm::legal_pair`]), over a
+/// row of ones: all `n` devices (no bit past them) but `a`, each gate
+/// of `a` and the gates' ends.
+fn legal_row(chip: &Chip, a: DeviceId, i: usize, n: usize, row: &mut [u64]) {
+    row[row.len() - 1] = !0 >> (64 * row.len() - n);
+    let mut clear = |j: usize| row[j / 64] &= !(1u64 << (j % 64));
+    clear(i);
+    for &c in crate::tdm::device_gates(chip, a).as_slice() {
+        let (x, y) = chip.coupler(c).expect("gate id in range").endpoints();
+        for j in [x.index(), y.index(), chip.num_qubits() + c.index()] {
+            clear(j);
+        }
+    }
+}
+
+/// Device `a`'s row of the topological table, over a zeroed `row`: 1.0
+/// where either device has no gate, else 0.0 unless a gate of each
+/// shares an endpoint ([`crate::tdm::topo_nonparallel_fraction`]).
+fn topo_row(chip: &Chip, a: DeviceId, ends: &[[QubitId; 2]], gateless: &[usize], row: &mut [f64]) {
+    let gates = crate::tdm::device_gates(chip, a);
+    if gates.as_slice().is_empty() {
+        return row.fill(1.0);
+    }
+    gateless.iter().for_each(|&j| row[j] = 1.0);
+    for &g in gates.as_slice() {
+        for &h in ends[g.index()].iter().flat_map(|&e| chip.couplers_of(e)) {
+            let [h0, h1] = ends[h.index()];
+            let h = (chip.num_qubits() + h.index(), DeviceId::Coupler(h));
+            for (j, b) in [h, (h0.index(), h0.into()), (h1.index(), h1.into())] {
+                // Positive once computed: `h` shares an end with `g`.
+                if row[j] == 0.0 {
+                    row[j] = crate::tdm::topo_nonparallel_fraction(chip, a, b);
+                }
+            }
+        }
+    }
+}
+
+/// Device `a`'s row of the noise table, over a zeroed `row`
+/// ([`crate::tdm::noisy_score`]): the same maxima in the same order,
+/// reading `xtalk` a row at a time. Coupler `c` has endpoints `ends[c]`.
+fn noise_row(xtalk: &DistanceMatrix, a: DeviceId, ends: &[[QubitId; 2]], row: &mut [f64]) {
+    let own = match a {
+        DeviceId::Qubit(q) => &[q][..],
+        DeviceId::Coupler(c) => &ends[c.index()][..],
+    };
+    let (qubits, couplers) = row.split_at_mut(xtalk.len());
+    for &x in own {
+        let from = xtalk.row(x);
+        for ((y, slot), &value) in qubits.iter_mut().enumerate().zip(from) {
+            if x.index() != y {
+                *slot = slot.max(value);
+            }
+        }
+        for (slot, pair) in couplers.iter_mut().zip(ends) {
+            for &y in pair.iter().filter(|&&y| y != x) {
+                *slot = slot.max(from[y.index()]);
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -444,26 +503,113 @@ mod tests {
         }
     }
 
-    #[test]
-    fn tables_match_the_scalar_functions() {
-        let (chip, xtalk) = setup(3);
-        let k = PairKernels::build(&chip, &xtalk);
+    /// Checks every entry of `k` against the per-pair functions on
+    /// `xtalk`, bit for bit.
+    fn assert_tables_match(chip: &Chip, xtalk: &DistanceMatrix, k: &PairKernels) {
+        let name = chip.name();
         for a in chip.device_ids() {
-            assert_eq!(k.parallelism(a), crate::tdm::parallelism_index(&chip, a));
+            assert_eq!(
+                k.parallelism(a).to_bits(),
+                crate::tdm::parallelism_index(chip, a).to_bits(),
+                "{name}: {a}"
+            );
             for b in chip.device_ids() {
-                assert_eq!(k.legal(a, b), crate::tdm::legal_pair(&chip, a, b));
+                assert_eq!(
+                    k.legal(a, b),
+                    crate::tdm::legal_pair(chip, a, b),
+                    "{name}: {a} {b}"
+                );
                 assert_eq!(
                     k.topo(a, b).to_bits(),
-                    crate::tdm::topo_nonparallel_fraction(&chip, a, b).to_bits(),
-                    "{a} {b}"
+                    crate::tdm::topo_nonparallel_fraction(chip, a, b).to_bits(),
+                    "{name}: {a} {b}"
                 );
                 assert_eq!(
                     k.noise(a, b).to_bits(),
-                    crate::tdm::noisy_score(&chip, &xtalk, a, b).to_bits(),
-                    "{a} {b}"
+                    crate::tdm::noisy_score(chip, xtalk, a, b).to_bits(),
+                    "{name}: {a} {b}"
                 );
             }
         }
+        // Bits past the last device stay clear in every row.
+        let n = k.num_devices();
+        if !n.is_multiple_of(64) {
+            for row in k.legal.chunks_exact(k.words) {
+                assert_eq!(row[n / 64] >> (n % 64), 0, "{name}");
+            }
+        }
+    }
+
+    /// Compares the tables of every chip's context without a model,
+    /// with a fitted XY model, and after `with_zz_model` rebuilt them
+    /// from recycled storage.
+    fn assert_contexts_match(chips: &[Chip]) {
+        use crate::PlanContext;
+        use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
+        use youtiao_noise::fit::{fit_crosstalk_model, FitConfig};
+        let fit = |kind, config: &SynthConfig| {
+            let samples = synthesize(&topology::square_grid(4, 4), kind, config, 5);
+            fit_crosstalk_model(&samples, &FitConfig::fast()).expect("4x4 fits")
+        };
+        let xy = fit(CrosstalkKind::Xy, &SynthConfig::xy());
+        let zz = fit(CrosstalkKind::Zz, &SynthConfig::zz());
+        for chip in chips {
+            for model in [None, Some(&xy)] {
+                let ctx = PlanContext::build(chip, model, EquivalentWeights::balanced());
+                assert_tables_match(chip, ctx.crosstalk(), ctx.kernels());
+            }
+            let ctx = PlanContext::build(chip, Some(&xy), EquivalentWeights::balanced())
+                .with_zz_model(chip, &zz);
+            let zz_matrix = ctx.zz_crosstalk().expect("zz matrix");
+            assert_tables_match(chip, zz_matrix, ctx.kernels());
+        }
+    }
+
+    #[test]
+    fn tables_match_the_scalar_functions() {
+        use youtiao_chip::surface::SurfaceCode;
+        use youtiao_chip::{ChipBuilder, Position, TopologyKind};
+        // Qubit 2 has no coupler: gateless columns inside gated rows.
+        let isolated = (0..6)
+            .fold(
+                ChipBuilder::new("isolated", TopologyKind::Custom),
+                |b, i| b.qubit(Position::new(i as f64, (i % 2) as f64)),
+            )
+            .coupler(0u32.into(), 1u32.into())
+            .coupler(1u32.into(), 3u32.into())
+            .coupler(3u32.into(), 4u32.into())
+            .coupler(4u32.into(), 5u32.into())
+            .coupler(5u32.into(), 3u32.into())
+            .build()
+            .expect("valid chip");
+        assert_contexts_match(&[
+            topology::square_grid(3, 3),
+            topology::square_grid(4, 5),
+            topology::heavy_square(3, 3),
+            topology::hexagon_patch(2, 2),
+            topology::heavy_hexagon(2, 2),
+            topology::ibm_heavy_hex(27),
+            topology::low_density(4, 4),
+            topology::sycamore(4, 4),
+            topology::ring(8),
+            topology::linear(1),
+            topology::linear(2),
+            topology::linear(7),
+            SurfaceCode::rotated(3).into_chip(),
+            SurfaceCode::rotated(5).into_chip(),
+            topology::square_grid(1, 1),
+            isolated,
+        ]);
+    }
+
+    #[test]
+    #[ignore = "hundreds of devices squared against the per-pair functions; run with --release"]
+    fn large_tables_match_the_scalar_functions() {
+        assert_contexts_match(&[
+            youtiao_chip::surface::SurfaceCode::rotated(9).into_chip(),
+            topology::square_grid(16, 16),
+            topology::square_grid(24, 24),
+        ]);
     }
 
     #[test]
@@ -506,30 +652,6 @@ mod tests {
         let (chip, _) = setup(3);
         let wrong = DistanceMatrix::zeros(4);
         let _ = PairKernels::build(&chip, &wrong);
-    }
-
-    #[test]
-    fn apply_delta_matches_a_fresh_build() {
-        let (chip, xtalk) = setup(4);
-        let mut patched = PairKernels::build(&chip, &xtalk);
-
-        // Drift a few entries: one coupler edge, one distant pair, one
-        // entry zeroed out.
-        let mut drifted = xtalk.clone();
-        let (a, b) = chip.coupler(0u32.into()).unwrap().endpoints();
-        drifted.set(a, b, xtalk.get(a, b) * 3.0 + 1e-3);
-        let (p, q) = (QubitId::new(2), QubitId::new(13));
-        drifted.set(p, q, 0.0421);
-        drifted.set(QubitId::new(5), QubitId::new(6), 0.0);
-
-        let before = PairKernels::invalidation_count();
-        let dirty = vec![a, b, p, q, QubitId::new(5), QubitId::new(6)];
-        let rows = patched.apply_delta(&chip, &drifted, &dirty);
-        assert!(rows >= dirty.len(), "each dirty qubit dirties >= 1 row");
-        assert_eq!(PairKernels::invalidation_count(), before + 1);
-
-        let fresh = PairKernels::build(&chip, &drifted);
-        assert_eq!(patched, fresh, "delta-patched kernels must be exact");
     }
 
     #[test]

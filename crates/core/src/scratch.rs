@@ -327,64 +327,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn takes_are_filled_and_reuse_retired_capacity() {
-        let mut s = Scratch::default();
-        let before = (fresh_count(), reuse_count());
-        let buf = s.take_f64(64, f64::NAN);
-        assert_eq!(buf.len(), 64);
-        assert!(buf.iter().all(|v| v.is_nan()));
-        assert_eq!(fresh_count(), before.0 + 1);
-        s.retire_f64(buf);
-        let buf = s.take_f64(32, 0.5);
-        assert_eq!(buf.len(), 32);
-        assert!(buf.iter().all(|&v| v == 0.5));
-        assert_eq!(reuse_count(), before.1 + 1, "shrinking take reuses");
-        s.retire_f64(buf);
-        // A grower may have to reallocate: counted as fresh.
-        let fresh_before = fresh_count();
-        let buf = s.take_f64(1024, 0.0);
-        assert_eq!(buf.len(), 1024);
-        assert_eq!(fresh_count(), fresh_before + 1);
-    }
-
-    #[test]
-    fn nested_takes_clear_inners_but_keep_capacity() {
-        let mut s = Scratch::default();
-        let mut rows = s.take_rows(4);
-        rows[2].extend([1.0, 2.0, 3.0]);
-        let kept = rows[2].capacity();
-        s.retire_rows(rows);
-        let before = reuse_count();
-        let rows = s.take_rows(4);
-        assert_eq!(rows.len(), 4);
-        assert!(rows.iter().all(Vec::is_empty), "inners come back cleared");
-        assert!(rows[2].capacity() >= kept);
-        assert_eq!(reuse_count(), before + 1);
-        s.retire_rows(rows);
-    }
-
-    #[test]
-    fn nested_shapes_coexist_instead_of_cannibalizing() {
-        // The XY/readout alternation: a wide table and a narrow table
-        // cycling through one arena must each stay warm — a shrinking
-        // reuse would drop the wide table's row capacities every plan.
-        let mut s = Scratch::default();
-        let wide = s.take_rows(60);
-        s.retire_rows(wide);
-        let narrow = s.take_rows(5); // fresh: must not shrink the wide one
-        s.retire_rows(narrow);
-        let before = (fresh_count(), reuse_count());
-        for _ in 0..3 {
-            let wide = s.take_rows(60);
-            s.retire_rows(wide);
-            let narrow = s.take_rows(5);
-            s.retire_rows(narrow);
-        }
-        assert_eq!(fresh_count(), before.0, "steady-state takes stay warm");
-        assert_eq!(reuse_count(), before.1 + 6);
-    }
-
-    #[test]
     fn pool_checkout_returns_arenas_on_drop() {
         let pool = ScratchPool::new();
         assert_eq!(pool.idle(), 0);

@@ -11,14 +11,13 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use youtiao_chip::distance::EquivalentWeights;
 use youtiao_chip::Chip;
 
 use crate::data::{synthesize, CrosstalkKind, CrosstalkSample, SynthConfig};
-use crate::forest::{RandomForest, RandomForestConfig};
+use crate::forest::{draw_positions, RandomForest, RandomForestConfig};
 use crate::model::CrosstalkModel;
 use crate::stats::mse;
 use crate::tree::{Grower, KeySums, RankedFeature};
@@ -231,13 +230,13 @@ impl WeightGrid {
     /// k-fold cross-validated MSE of every weight point, in grid order.
     ///
     /// Every fold's forests reseed ChaCha8 with `forest.seed` and draw
-    /// `gen_range(0..m)` over the fold's `m` training positions, so folds
-    /// of equal size draw the same positions, for every weight point.
-    /// The loop runs tree → fold → weight point: it draws once per
-    /// (training size, tree) and sums the drawn targets per key once per
-    /// (fold, tree), which every weight point's tree grows from. Test
-    /// predictions are summed per distinct value, so no CV forest is
-    /// ever stored.
+    /// `gen_range(0..m)` over the fold's `m` training positions
+    /// ([`draw_positions`]), so folds of equal size draw the same
+    /// positions, for every weight point. The loop runs tree → fold →
+    /// weight point: it draws once per (training size, tree) and sums the
+    /// drawn targets per key once per (fold, tree), which every weight
+    /// point's tree grows from. Test predictions are summed per distinct
+    /// value, so no CV forest is ever stored.
     pub(crate) fn cv_mse(&self) -> Vec<f64> {
         let (config, keys, ys) = (&self.config, &self.keys, &self.ys);
         let forest = config.forest;
@@ -257,7 +256,7 @@ impl WeightGrid {
                 let m = fold.train.len();
                 streams.iter().position(|s| s.0 == m).unwrap_or_else(|| {
                     let rng = ChaCha8Rng::seed_from_u64(forest.seed);
-                    streams.push((m, rng, Vec::with_capacity(m)));
+                    streams.push((m, rng, Vec::new()));
                     streams.len() - 1
                 })
             })
@@ -275,8 +274,7 @@ impl WeightGrid {
         let mut sums = vec![per_point; folds.len()];
         for _ in 0..forest.num_trees {
             for (m, rng, positions) in &mut streams {
-                positions.clear();
-                positions.extend((0..*m).map(|_| rng.gen_range(0..*m) as u32));
+                draw_positions(rng, *m, positions);
             }
             for ((fold, &stream), sums) in folds.iter().zip(&stream_of).zip(&mut sums) {
                 drawn.refill(

@@ -10,11 +10,33 @@
 
 use std::cmp::Ordering;
 
-use rand::Rng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::tree::{Grower, KeySums, RankedFeature, RegressionTree, TreeConfig};
+
+/// Replaces `out` with `m` draws of `rng.gen_range(0..m)`, taking the
+/// same words from `rng`: rand 0.8's widening multiply, rejecting low
+/// halves above the zone. Rather than branch on each rejected word, it
+/// writes every candidate (into one spare slot after the last
+/// acceptance) and adds the accept bit to the write index.
+///
+/// # Panics
+///
+/// Panics if `m` is 0 (as `gen_range(0..0)` does) or above `u32::MAX`.
+pub(crate) fn draw_positions(rng: &mut impl RngCore, m: usize, out: &mut Vec<u32>) {
+    assert!(m > 0, "gen_range: empty range");
+    let span = u64::from(u32::try_from(m).expect("bootstrap positions fit in u32"));
+    let zone = (span << span.leading_zeros()).wrapping_sub(1);
+    out.resize(m + 1, 0);
+    let mut filled = 0;
+    while filled < m {
+        let product = u128::from(rng.next_u64()) * u128::from(span);
+        out[filled] = (product >> 64) as u32;
+        filled += usize::from(product as u64 <= zone);
+    }
+    out.truncate(m);
+}
 
 /// Hyper-parameters of a [`RandomForest`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -66,8 +88,8 @@ impl RandomForest {
     ///
     /// # Panics
     ///
-    /// Panics if inputs are empty, have mismatched lengths, or
-    /// `config.num_trees == 0`.
+    /// Panics if inputs are empty, have mismatched lengths or more than
+    /// `u32::MAX` elements, or if `config.num_trees == 0`.
     pub fn fit(xs: &[f64], ys: &[f64], config: RandomForestConfig) -> Self {
         assert_eq!(xs.len(), ys.len(), "feature/target length mismatch");
         assert!(!xs.is_empty(), "cannot fit a forest to zero samples");
@@ -85,19 +107,17 @@ impl RandomForest {
         ys: &[f64],
         config: RandomForestConfig,
     ) -> Self {
-        let n = keys.len();
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
         let mut grower = Grower::default();
         let mut drawn = KeySums::default();
+        let mut positions = Vec::new();
         let trees: Vec<RegressionTree> = (0..config.num_trees)
             .map(|_| {
-                drawn.refill(
-                    feature.num_keys(),
-                    (0..n).map(|_| {
-                        let i = rng.gen_range(0..n);
-                        (keys[i], ys[i])
-                    }),
-                );
+                draw_positions(&mut rng, keys.len(), &mut positions);
+                let pairs = positions
+                    .iter()
+                    .map(|&i| (keys[i as usize], ys[i as usize]));
+                drawn.refill(feature.num_keys(), pairs);
                 grower.grow(feature, &drawn, config.tree).clone()
             })
             .collect();
@@ -151,6 +171,7 @@ impl RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
 
     fn noisy_exp_data(n: usize) -> (Vec<f64>, Vec<f64>) {
         // Deterministic pseudo-noise so the test is stable.
@@ -211,6 +232,56 @@ mod tests {
                 .sum()
         };
         assert!(err(&large) <= err(&small) * 1.5);
+    }
+
+    #[test]
+    fn draw_positions_draws_as_gen_range() {
+        // Rejected words per draw, from about none (7920: 3 %) to half
+        // (powers of two, 16474, 2^20 + 1). The cross-validation trains
+        // on spans like 3225/3226 (8x8) and 9900 (surface d9).
+        let spans = [
+            1,
+            2,
+            3,
+            3225,
+            3226,
+            4290,
+            7920,
+            9900,
+            16474,
+            1 << 20,
+            (1 << 20) + 1,
+        ];
+        let mut positions = Vec::new();
+        // Ascending, then descending: a reused buffer is replaced whole.
+        for m in spans.into_iter().chain(spans.into_iter().rev()) {
+            for seed in [0x464F_5245, 7] {
+                let mut bulk = ChaCha8Rng::seed_from_u64(seed);
+                let mut one_by_one = bulk.clone();
+                draw_positions(&mut bulk, m, &mut positions);
+                let want: Vec<u32> = (0..m).map(|_| one_by_one.gen_range(0..m) as u32).collect();
+                assert!(positions == want, "m = {m}, seed {seed}");
+                // The bootstrap took the same words, no more and no fewer.
+                assert_eq!(
+                    bulk.next_u64(),
+                    one_by_one.next_u64(),
+                    "m = {m}, seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn drawing_from_an_empty_range_panics() {
+        draw_positions(&mut ChaCha8Rng::seed_from_u64(1), 0, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "fit in u32")]
+    fn spans_above_u32_are_rejected() {
+        let m = u32::MAX as usize + 1;
+        draw_positions(&mut ChaCha8Rng::seed_from_u64(1), m, &mut Vec::new());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 # worker counts, torn-shard salvage), per-record SHA-256 pins of
 # cold-design's request classes (a canonical batch and a fidelity
 # sweep), then figure ports, eight experiment binaries against their
-# results/ files, the crosstalk fit's differential and property suites
-# and style gates. The batch determinism smoke and the cold-class pins
+# results/ files, the crosstalk fit's differential and property suites,
+# the pair tables against the per-pair functions, the ChaCha8 keystream
+# against its scalar blocks and style gates. The batch determinism smoke and the cold-class pins
 # run again pinned to one core, where plans and dies run serially.
 #
 # Usage: scripts/verify.sh [--tier1-only|--smoke-only]
@@ -571,6 +572,12 @@ echo "  experiment outputs OK: byte-identical to results/"
 
 echo "==> crosstalk fit: within tolerance of the oracle fit, release-only chips included; property suite"
 cargo test -q --release --offline -p youtiao-noise -- --include-ignored
+
+echo "==> pair tables: row fills bit-equal to the per-pair functions, release-only chips included"
+cargo test -q --release --offline -p youtiao-core kernels -- --include-ignored
+
+echo "==> keystream: the four-block ChaCha8 refill word for word against the scalar blocks"
+cargo test -q --release --offline -p rand_chacha
 
 echo "==> style: cargo fmt --check"
 if cargo fmt --version >/dev/null 2>&1; then
