@@ -35,7 +35,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use youtiao_chip::distance::{equivalent_matrix, DistanceMatrix, EquivalentWeights};
-use youtiao_chip::{Chip, QubitId};
+use youtiao_chip::{Chip, DeviceId, QubitId};
 use youtiao_noise::CrosstalkModel;
 
 use crate::error::PlanError;
@@ -48,6 +48,11 @@ use crate::scratch::ScratchPool;
 /// asserting that a sweep builds its matrices once per chip axis value
 /// instead of once per grid point.
 static BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// Global count of [`PlanContext::apply_crosstalk_delta`] calls that
+/// applied — the `kernels_invalidated` probe: tests and the repair bench
+/// assert that a repair takes a delta instead of rebuilding a context.
+static INVALIDATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Stable fingerprint of a chip's wiring-relevant structure: qubit
 /// count, coupler count, and every coupler's endpoint pair (FNV-1a).
@@ -73,7 +78,8 @@ pub fn chip_fingerprint(chip: &Chip) -> u64 {
 
 /// Immutable chip-level planning state shared across sweep points: the
 /// equivalent-distance matrix, the XY crosstalk matrix, (optionally)
-/// the ZZ crosstalk matrix, and the grouping [`PairKernels`], together
+/// the ZZ crosstalk matrix, and the topology-only grouping
+/// [`PairKernels`], together
 /// with the weights and the chip fingerprint they were built from so a
 /// mismatched or structurally-changed chip is rejected instead of
 /// silently planning against stale matrices.
@@ -103,20 +109,7 @@ impl PlanContext {
         let weights = model.map(|m| m.weights()).unwrap_or(fallback);
         let equivalent = equivalent_matrix(chip, weights);
         let crosstalk = crosstalk_matrix(chip, &equivalent, model);
-        let kernels = PairKernels::build(chip, &crosstalk);
-        let freq_kernels = FreqKernels::build(&crosstalk);
-        BUILDS.fetch_add(1, Ordering::Relaxed);
-        PlanContext {
-            num_qubits: chip.num_qubits(),
-            fingerprint: chip_fingerprint(chip),
-            weights,
-            equivalent,
-            crosstalk,
-            zz_crosstalk: None,
-            kernels,
-            freq_kernels,
-            scratch: ScratchPool::new(),
-        }
+        Self::from_parts(chip, weights, equivalent, crosstalk)
     }
 
     /// Builds a context from an explicit crosstalk matrix instead of a
@@ -134,7 +127,16 @@ impl PlanContext {
             "crosstalk matrix size mismatch"
         );
         let equivalent = equivalent_matrix(chip, weights);
-        let kernels = PairKernels::build(chip, &crosstalk);
+        Self::from_parts(chip, weights, equivalent, crosstalk)
+    }
+
+    /// The context over matrices already built for `chip`.
+    fn from_parts(
+        chip: &Chip,
+        weights: EquivalentWeights,
+        equivalent: DistanceMatrix,
+        crosstalk: DistanceMatrix,
+    ) -> Self {
         let freq_kernels = FreqKernels::build(&crosstalk);
         BUILDS.fetch_add(1, Ordering::Relaxed);
         PlanContext {
@@ -144,7 +146,7 @@ impl PlanContext {
             equivalent,
             crosstalk,
             zz_crosstalk: None,
-            kernels,
+            kernels: PairKernels::build(chip),
             freq_kernels,
             scratch: ScratchPool::new(),
         }
@@ -164,21 +166,11 @@ impl PlanContext {
             "zz model chip does not match the context's chip"
         );
         let eq = equivalent_matrix(chip, model.weights());
-        let zz = crosstalk_matrix(chip, &eq, Some(model));
-        // The kernels' noise table must track the matrix TDM grouping
-        // will actually score with — the ZZ matrix from here on. The
-        // freq kernels stay on the XY matrix: frequency allocation
-        // always scores XY crosstalk regardless of the TDM noise model.
-        // The superseded XY-noise tables retire into the context's
-        // arena pool so the rebuild reuses their capacity.
-        let mut arena = self.scratch.checkout();
-        let old = std::mem::replace(
-            &mut self.kernels,
-            PairKernels::build_in(chip, &zz, &mut arena),
-        );
-        old.retire_into(&mut arena);
-        drop(arena);
-        self.zz_crosstalk = Some(zz);
+        // TDM grouping scores with the ZZ matrix from here on; the
+        // kernels are topology-only and stay. The freq kernels stay on
+        // the XY matrix: frequency allocation always scores XY
+        // crosstalk regardless of the TDM noise model.
+        self.zz_crosstalk = Some(crosstalk_matrix(chip, &eq, Some(model)));
         self
     }
 
@@ -207,9 +199,15 @@ impl PlanContext {
         self.zz_crosstalk.as_ref()
     }
 
-    /// The grouping kernels, built on the same crosstalk matrix TDM
-    /// grouping scores with (the ZZ matrix after
-    /// [`Self::with_zz_model`], the XY matrix otherwise).
+    /// The matrix TDM grouping and refinement score crosstalk with:
+    /// the ZZ matrix after [`Self::with_zz_model`], the XY matrix
+    /// otherwise.
+    pub fn tdm_crosstalk(&self) -> &DistanceMatrix {
+        self.zz_crosstalk.as_ref().unwrap_or(&self.crosstalk)
+    }
+
+    /// The grouping kernels: functions of the chip's topology alone,
+    /// read together with [`Self::tdm_crosstalk`].
     pub fn kernels(&self) -> &PairKernels {
         &self.kernels
     }
@@ -240,9 +238,9 @@ impl PlanContext {
     }
 
     /// Applies a crosstalk-value delta in place: replaces the XY
-    /// crosstalk matrix and patches the kernels' noise rows for the
-    /// `dirty` qubits via [`PairKernels::apply_delta`], advancing the
-    /// [`Self::kernels_invalidated`] probe instead of the build count.
+    /// crosstalk matrix and rebuilds the freq kernels from it, advancing
+    /// the [`Self::kernels_invalidated`] probe instead of the build
+    /// count. The topology-only [`PairKernels`] stay as they are.
     ///
     /// This is the explicit rebuild-vs-delta choice: mutating inputs
     /// and reusing a context used to silently serve stale kernels; now
@@ -250,13 +248,19 @@ impl PlanContext {
     /// and a value-only drift is applied exactly (the patched context
     /// equals a fresh [`Self::from_matrix`] build bit-for-bit).
     ///
-    /// Returns the number of kernel rows recomputed.
+    /// Returns the number of invalidated device rows: the devices whose
+    /// worst-case crosstalk reads a dirty qubit's row (each dirty qubit
+    /// and every coupler incident to it).
     ///
     /// # Errors
     ///
     /// [`PlanError::InvalidConfig`] when the chip changed structurally,
     /// the matrix dimension mismatches, or the context carries a ZZ
-    /// matrix (whose kernels would not track an XY-only delta).
+    /// matrix (which an XY-only delta would leave stale).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a dirty qubit is out of range.
     pub fn apply_crosstalk_delta(
         &mut self,
         chip: &Chip,
@@ -278,13 +282,21 @@ impl PlanContext {
                 "zz-backed contexts cannot take an xy crosstalk delta; rebuild",
             ));
         }
-        let rows = self.kernels.apply_delta(chip, &crosstalk, dirty);
+        let mut rows: Vec<DeviceId> = Vec::new();
+        for &q in dirty {
+            assert!(q.index() < chip.num_qubits(), "dirty qubit out of range");
+            rows.push(DeviceId::Qubit(q));
+            rows.extend(chip.couplers_of(q).iter().map(|&c| DeviceId::Coupler(c)));
+        }
+        rows.sort_unstable();
+        rows.dedup();
+        INVALIDATIONS.fetch_add(1, Ordering::Relaxed);
         // Freq kernels are plain sparse rows over the matrix — a
         // rebuild from the new matrix is already row-cheap and is
         // trivially bit-identical to a fresh context's build.
         self.freq_kernels = FreqKernels::build(&crosstalk);
         self.crosstalk = crosstalk;
-        Ok(rows)
+        Ok(rows.len())
     }
 
     /// Verifies the context matches the planner's resolved chip and
@@ -318,12 +330,10 @@ impl PlanContext {
         BUILDS.load(Ordering::Relaxed)
     }
 
-    /// Cumulative number of kernel delta invalidations in this process
-    /// — the `kernels_invalidated` probe alongside
-    /// [`Self::build_count`] (delegates to
-    /// [`PairKernels::invalidation_count`]).
+    /// Cumulative number of crosstalk deltas applied in this process —
+    /// the `kernels_invalidated` probe alongside [`Self::build_count`].
     pub fn kernels_invalidated() -> u64 {
-        PairKernels::invalidation_count()
+        INVALIDATIONS.load(Ordering::Relaxed)
     }
 }
 
@@ -503,5 +513,18 @@ mod tests {
             .plan()
             .unwrap();
         assert_eq!(direct, shared);
+
+        // A planner-local ZZ model over an XY-only context scores the
+        // ZZ matrix with the context's topology-only kernels.
+        let xy_ctx = PlanContext::build(&chip, Some(&xy), EquivalentWeights::balanced());
+        let mut names = Vec::new();
+        let local = YoutiaoPlanner::new(&chip)
+            .with_crosstalk_model(&xy)
+            .with_zz_model(&zz)
+            .with_context(&xy_ctx)
+            .plan_with_hook(&mut |name, _| names.push(name))
+            .unwrap();
+        assert!(!names.contains(&"kernels"), "{names:?}");
+        assert_eq!(local, direct);
     }
 }

@@ -6,21 +6,25 @@
 //! implementations re-derive every pairwise term — legality, topological
 //! non-parallelism, worst-case crosstalk, per-coupler gate adjacency —
 //! per candidate per iteration, allocating as they go. A [`PairKernels`]
-//! precomputes all of it **once per chip** into dense tables indexed by
-//! a flat [`DeviceIndex`] densification, so the rewritten inner loops
-//! are pure table lookups (see `group_tdm_kernels` /
-//! `refine_tdm_groups_kernels`).
+//! precomputes the terms that depend on the chip's topology alone
+//! **once per chip**, indexed by a flat [`DeviceIndex`] densification: a
+//! legality bitset, each device's sparse row of topological fractions
+//! (only devices sharing a gate endpoint have a non-zero one) and each
+//! device's qubits. Worst-case crosstalk is read from the qubit
+//! crosstalk matrix the plan scores with, which the kernels never copy,
+//! so the rewritten inner loops need no devices×devices table (see
+//! `group_tdm_kernels` / `refine_tdm_groups_kernels`).
 //!
 //! # Determinism contract
 //!
 //! The kernels are a *representation* change, not an algorithm change:
-//! the tables, filled a row at a time from each device's neighbourhood,
-//! hold the naive path's per-pair values bit for bit (unit tests compare
-//! every entry with [`crate::tdm::legal_pair`] and the topo-fraction and
-//! noisy-score helpers), so a kernelized pass is **byte-identical** to
-//! the retained naive implementations (`naive` feature / test builds).
-//! Differential tests in `crate::tdm` and `crate::refine` enforce this
-//! across random chips, θ values, activity profiles and budgets.
+//! every lookup returns the naive path's per-pair value bit for bit
+//! (unit tests compare every pair with [`crate::tdm::legal_pair`] and
+//! the topo-fraction and noisy-score helpers), so a kernelized pass is
+//! **byte-identical** to the retained naive implementations (`naive`
+//! feature / test builds). Differential tests in `crate::tdm` and
+//! `crate::refine` enforce this across random chips, θ values, activity
+//! profiles and budgets.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -34,11 +38,6 @@ use crate::tdm::ActivityProfile;
 /// the bench harness asserting kernels are built once per chip, not per
 /// plan or per grid point.
 static BUILDS: AtomicU64 = AtomicU64::new(0);
-
-/// Global count of [`PairKernels::apply_delta`] calls — the
-/// `kernels_invalidated` probe: tests and the repair bench assert that
-/// a repair invalidates rows instead of rebuilding whole tables.
-static INVALIDATIONS: AtomicU64 = AtomicU64::new(0);
 
 /// Dense `DeviceId → usize` densification: qubits map to `0..nq`,
 /// couplers to `nq..nq + nc`. Both id spaces are already dense, so the
@@ -103,9 +102,13 @@ impl DeviceIndex {
     }
 }
 
-/// Precomputed pairwise interaction kernels for one (chip, crosstalk
-/// matrix) pair: everything the grouping and refinement inner loops
-/// would otherwise recompute per candidate.
+/// Precomputed pairwise interaction kernels for one chip: everything
+/// topological the grouping and refinement inner loops would otherwise
+/// recompute per candidate.
+///
+/// The kernels hold no crosstalk value: [`Self::noise`] reads the
+/// matrix the caller scores with, so one set of kernels serves the XY
+/// matrix, a ZZ matrix and every drifted matrix of the same chip.
 ///
 /// Owned by [`crate::PlanContext`] (built once per chip and shared
 /// across sweep points) and buildable standalone via
@@ -120,10 +123,17 @@ pub struct PairKernels {
     /// Row-major legality bitset: bit `j` of row `i` set when devices
     /// `i` and `j` may share a DEMUX.
     legal: Vec<u64>,
-    /// Dense n×n `topo_nonparallel_fraction` lookup table.
-    topo: Vec<f64>,
-    /// Dense n×n `noisy_score` lookup table.
-    noise: Vec<f64>,
+    /// Where each device's row starts in `topo_entries`, plus the end.
+    topo_starts: Vec<usize>,
+    /// Per device, `(flat index, topo_nonparallel_fraction)` for every
+    /// device sharing a gate endpoint with it, sorted by index: the
+    /// only gated pairs with a non-zero fraction.
+    topo_entries: Vec<(u32, f64)>,
+    /// Devices without a gate (qubits without couplers), whose fraction
+    /// is 1.0 against every device.
+    gateless: Vec<bool>,
+    /// Each device's qubits: a qubit twice, a coupler's two endpoints.
+    qubits: Vec<[QubitId; 2]>,
     /// Per-coupler adjacent gates (couplers sharing a qubit endpoint),
     /// sorted and deduplicated — what `adjacent_gates` used to allocate
     /// and sort on every call.
@@ -131,32 +141,8 @@ pub struct PairKernels {
 }
 
 impl PairKernels {
-    /// Precomputes every pairwise kernel for `chip` against the
-    /// crosstalk matrix that will drive the noisy non-parallelism score
-    /// (the ZZ matrix when fitted, the XY matrix otherwise — the same
-    /// matrix the naive grouping would receive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix dimension mismatches the chip.
-    pub fn build(chip: &Chip, xtalk: &DistanceMatrix) -> Self {
-        Self::build_in(chip, xtalk, &mut Scratch::default())
-    }
-
-    /// [`Self::build`] drawing the dense table storage from a scratch
-    /// arena instead of allocating — pair with [`Self::retire_into`] to
-    /// recycle a superseded table's buffers (e.g. when a context's ZZ
-    /// model refit replaces its kernels).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix dimension mismatches the chip.
-    pub fn build_in(chip: &Chip, xtalk: &DistanceMatrix, scratch: &mut Scratch) -> Self {
-        assert_eq!(
-            xtalk.len(),
-            chip.num_qubits(),
-            "crosstalk matrix size mismatch"
-        );
+    /// Precomputes every topological pairwise kernel for `chip`.
+    pub fn build(chip: &Chip) -> Self {
         let index = DeviceIndex::new(chip);
         let n = index.len();
         let words = n.div_ceil(64).max(1);
@@ -181,9 +167,8 @@ impl PairKernels {
             .collect();
 
         // Parallelism indices from the cached adjacency.
-        let mut parallelism = scratch.take_f64(n, 0.0);
-        for (i, slot) in parallelism.iter_mut().enumerate() {
-            *slot = match index.device(i) {
+        let parallelism: Vec<f64> = (0..n)
+            .map(|i| match index.device(i) {
                 DeviceId::Coupler(c) => adjacency[c.index()].len() as f64,
                 DeviceId::Qubit(q) => {
                     let gates = chip.couplers_of(q);
@@ -194,22 +179,31 @@ impl PairKernels {
                         total as f64 / chip.connectivity(q).max(1) as f64
                     }
                 }
-            };
-        }
+            })
+            .collect();
 
         let ends: Vec<[QubitId; 2]> = chip.couplers().map(|c| c.endpoints().into()).collect();
-        let gateless: Vec<usize> = (0..chip.num_qubits())
-            .filter(|&q| chip.couplers_of(q.into()).is_empty())
-            .collect();
-        let mut legal = scratch.take_u64(n * words, !0);
-        let mut topo = scratch.take_f64(n * n, 0.0);
-        let mut noise = scratch.take_f64(n * n, 0.0);
+        let mut legal = vec![!0; n * words];
+        let mut topo_starts = Vec::with_capacity(n + 1);
+        let mut topo_entries = Vec::new();
+        let mut neighbours = Vec::new();
+        topo_starts.push(0);
         for i in 0..n {
             let a = index.device(i);
             legal_row(chip, a, i, n, &mut legal[i * words..][..words]);
-            topo_row(chip, a, &ends, &gateless, &mut topo[i * n..][..n]);
-            noise_row(xtalk, a, &ends, &mut noise[i * n..][..n]);
+            topo_neighbours(chip, a, &ends, &mut neighbours);
+            topo_entries.extend(neighbours.iter().map(|&j| {
+                let b = index.device(j);
+                (j as u32, crate::tdm::topo_nonparallel_fraction(chip, a, b))
+            }));
+            topo_starts.push(topo_entries.len());
         }
+        topo_entries.shrink_to_fit();
+        let nq = chip.num_qubits();
+        let gateless = (0..n)
+            .map(|i| i < nq && chip.couplers_of(i.into()).is_empty())
+            .collect();
+        let qubits = (0..nq).map(|q| [q.into(); 2]).chain(ends).collect();
 
         BUILDS.fetch_add(1, Ordering::Relaxed);
         PairKernels {
@@ -217,8 +211,10 @@ impl PairKernels {
             words,
             parallelism,
             legal,
-            topo,
-            noise,
+            topo_starts,
+            topo_entries,
+            gateless,
+            qubits,
             adjacency,
         }
     }
@@ -231,6 +227,12 @@ impl PairKernels {
     /// Number of Z-controlled devices covered.
     pub fn num_devices(&self) -> usize {
         self.index.len()
+    }
+
+    /// Number of qubits of the chip: the dimension of every crosstalk
+    /// matrix [`Self::noise`] may read.
+    pub fn num_qubits(&self) -> usize {
+        self.index.num_qubits
     }
 
     /// Flat index of a device (delegates to [`DeviceIndex::dense`]).
@@ -253,29 +255,68 @@ impl PairKernels {
     }
 
     /// Fraction of gate pairs between two devices that topologically
-    /// conflict (table lookup).
+    /// conflict.
     #[inline]
     pub fn topo(&self, a: DeviceId, b: DeviceId) -> f64 {
         self.topo_dense(self.index.dense(a), self.index.dense(b))
     }
 
-    /// [`Self::topo`] over flat indices.
+    /// [`Self::topo`] over flat indices: 1.0 when either device is
+    /// gateless, else the entry of `j` in `i`'s row, or 0.0 without one.
     #[inline]
     pub fn topo_dense(&self, i: usize, j: usize) -> f64 {
-        self.topo[i * self.index.len() + j]
+        if self.gateless[i] || self.gateless[j] {
+            return 1.0;
+        }
+        let row = self.topo_entries(i);
+        row.binary_search_by_key(&(j as u32), |&(k, _)| k)
+            .map_or(0.0, |at| row[at].1)
     }
 
-    /// Worst-case crosstalk between the qubits of two devices (table
-    /// lookup).
+    /// Device `i`'s positive fractions against gated devices, as
+    /// `(flat index, fraction)` sorted by index; empty for a gateless
+    /// device.
     #[inline]
-    pub fn noise(&self, a: DeviceId, b: DeviceId) -> f64 {
-        self.noise_dense(self.index.dense(a), self.index.dense(b))
+    pub fn topo_entries(&self, i: usize) -> &[(u32, f64)] {
+        &self.topo_entries[self.topo_starts[i]..self.topo_starts[i + 1]]
     }
 
-    /// [`Self::noise`] over flat indices.
+    /// Whether the device at flat index `i` has no gate.
     #[inline]
-    pub fn noise_dense(&self, i: usize, j: usize) -> f64 {
-        self.noise[i * self.index.len() + j]
+    pub fn gateless(&self, i: usize) -> bool {
+        self.gateless[i]
+    }
+
+    /// The qubits of the device at flat index `i`: the qubit itself, or
+    /// a coupler's two endpoints.
+    #[inline]
+    pub fn qubits(&self, i: usize) -> &[QubitId] {
+        &self.qubits[i][..if i < self.index.num_qubits { 1 } else { 2 }]
+    }
+
+    /// [`Self::qubits`] as a pair: a qubit twice.
+    #[inline]
+    pub fn qubit_pair(&self, i: usize) -> [QubitId; 2] {
+        self.qubits[i]
+    }
+
+    /// Worst-case crosstalk under `xtalk` between the qubits of two
+    /// devices: the naive `noisy_score` bit for bit, the same maxima
+    /// in the same order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the matrix is smaller than the chip.
+    pub fn noise(&self, xtalk: &DistanceMatrix, a: DeviceId, b: DeviceId) -> f64 {
+        let mut worst = 0.0f64;
+        for &x in self.qubits(self.index.dense(a)) {
+            for &y in self.qubits(self.index.dense(b)) {
+                if x != y {
+                    worst = worst.max(xtalk.get(x, y));
+                }
+            }
+        }
+        worst
     }
 
     /// The parallelism index of a device (table lookup; equals
@@ -324,91 +365,10 @@ impl PairKernels {
         masks
     }
 
-    /// Applies a crosstalk-value delta in place: recomputes the noisy
-    /// non-parallelism rows (and columns) of every device whose qubit
-    /// set touches a `dirty` qubit, against the updated matrix.
-    ///
-    /// Only the `noise` table depends on crosstalk *values*; legality,
-    /// topological fractions, parallelism indices and gate adjacency are
-    /// functions of the chip topology alone, so a value-only drift
-    /// leaves them exact. Structural changes (couplers added or
-    /// removed, qubit count changes) invalidate the densification
-    /// itself and require a fresh [`PairKernels::build`].
-    ///
-    /// Every recomputed entry comes from [`crate::tdm::noisy_score`],
-    /// which a fresh build's rows match bit for bit, so the updated
-    /// kernels equal a rebuild from scratch (`tests/probes.rs` checks).
-    ///
-    /// Returns the number of device rows recomputed and advances the
-    /// [`Self::invalidation_count`] probe.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the matrix dimension or the chip's device counts
-    /// mismatch the tables (i.e. the chip changed structurally).
-    pub fn apply_delta(&mut self, chip: &Chip, xtalk: &DistanceMatrix, dirty: &[QubitId]) -> usize {
-        assert_eq!(
-            xtalk.len(),
-            chip.num_qubits(),
-            "crosstalk matrix size mismatch"
-        );
-        assert_eq!(
-            self.index,
-            DeviceIndex::new(chip),
-            "chip changed structurally; rebuild the kernels instead"
-        );
-        let n = self.index.len();
-
-        // Dirty devices: each dirty qubit's own Z device plus every
-        // coupler incident to it (noisy_score reads the crosstalk rows
-        // of a device's qubit endpoints).
-        let mut rows: Vec<usize> = Vec::new();
-        for &q in dirty {
-            assert!(q.index() < chip.num_qubits(), "dirty qubit out of range");
-            rows.push(self.index.dense(DeviceId::Qubit(q)));
-            for &c in chip.couplers_of(q) {
-                rows.push(self.index.dense(DeviceId::Coupler(c)));
-            }
-        }
-        rows.sort_unstable();
-        rows.dedup();
-
-        for &i in &rows {
-            let a = self.index.device(i);
-            for j in 0..n {
-                let b = self.index.device(j);
-                self.noise[i * n + j] = crate::tdm::noisy_score(chip, xtalk, a, b);
-                self.noise[j * n + i] = crate::tdm::noisy_score(chip, xtalk, b, a);
-            }
-        }
-
-        INVALIDATIONS.fetch_add(1, Ordering::Relaxed);
-        rows.len()
-    }
-
-    /// Consumes the kernels, retiring their dense table storage into a
-    /// scratch arena so the next [`Self::build_in`] on a similar chip
-    /// reuses the capacity instead of reallocating. The adjacency lists
-    /// are nested per-coupler allocations built once per chip and are
-    /// simply dropped.
-    pub fn retire_into(self, scratch: &mut Scratch) {
-        scratch.retire_f64(self.parallelism);
-        scratch.retire_u64(self.legal);
-        scratch.retire_f64(self.topo);
-        scratch.retire_f64(self.noise);
-    }
-
     /// Cumulative number of kernel tables built in this process (probe
     /// for the bench harness and the `verify.sh` bench-smoke step).
     pub fn build_count() -> u64 {
         BUILDS.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative number of [`Self::apply_delta`] invalidations in this
-    /// process — the `kernels_invalidated` probe next to
-    /// [`Self::build_count`].
-    pub fn invalidation_count() -> u64 {
-        INVALIDATIONS.load(Ordering::Relaxed)
     }
 }
 
@@ -427,70 +387,31 @@ fn legal_row(chip: &Chip, a: DeviceId, i: usize, n: usize, row: &mut [u64]) {
     }
 }
 
-/// Device `a`'s row of the topological table, over a zeroed `row`: 1.0
-/// where either device has no gate, else 0.0 unless a gate of each
-/// shares an endpoint ([`crate::tdm::topo_nonparallel_fraction`]).
-fn topo_row(chip: &Chip, a: DeviceId, ends: &[[QubitId; 2]], gateless: &[usize], row: &mut [f64]) {
-    let gates = crate::tdm::device_gates(chip, a);
-    if gates.as_slice().is_empty() {
-        return row.fill(1.0);
-    }
-    gateless.iter().for_each(|&j| row[j] = 1.0);
-    for &g in gates.as_slice() {
+/// The flat indices, sorted and deduplicated into `out`, of the devices
+/// a gate of which shares an endpoint with a gate of `a`: the only
+/// devices with a non-zero [`crate::tdm::topo_nonparallel_fraction`]
+/// against a gated `a`. Coupler `c` has endpoints `ends[c]`.
+fn topo_neighbours(chip: &Chip, a: DeviceId, ends: &[[QubitId; 2]], out: &mut Vec<usize>) {
+    out.clear();
+    for &g in crate::tdm::device_gates(chip, a).as_slice() {
         for &h in ends[g.index()].iter().flat_map(|&e| chip.couplers_of(e)) {
             let [h0, h1] = ends[h.index()];
-            let h = (chip.num_qubits() + h.index(), DeviceId::Coupler(h));
-            for (j, b) in [h, (h0.index(), h0.into()), (h1.index(), h1.into())] {
-                // Positive once computed: `h` shares an end with `g`.
-                if row[j] == 0.0 {
-                    row[j] = crate::tdm::topo_nonparallel_fraction(chip, a, b);
-                }
-            }
+            out.extend([chip.num_qubits() + h.index(), h0.index(), h1.index()]);
         }
     }
-}
-
-/// Device `a`'s row of the noise table, over a zeroed `row`
-/// ([`crate::tdm::noisy_score`]): the same maxima in the same order,
-/// reading `xtalk` a row at a time. Coupler `c` has endpoints `ends[c]`.
-fn noise_row(xtalk: &DistanceMatrix, a: DeviceId, ends: &[[QubitId; 2]], row: &mut [f64]) {
-    let own = match a {
-        DeviceId::Qubit(q) => &[q][..],
-        DeviceId::Coupler(c) => &ends[c.index()][..],
-    };
-    let (qubits, couplers) = row.split_at_mut(xtalk.len());
-    for &x in own {
-        let from = xtalk.row(x);
-        for ((y, slot), &value) in qubits.iter_mut().enumerate().zip(from) {
-            if x.index() != y {
-                *slot = slot.max(value);
-            }
-        }
-        for (slot, pair) in couplers.iter_mut().zip(ends) {
-            for &y in pair.iter().filter(|&&y| y != x) {
-                *slot = slot.max(from[y.index()]);
-            }
-        }
-    }
+    out.sort_unstable();
+    out.dedup();
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::crosstalk_matrix;
-    use youtiao_chip::distance::{equivalent_matrix, EquivalentWeights};
+    use youtiao_chip::distance::EquivalentWeights;
     use youtiao_chip::topology;
-
-    fn setup(n: usize) -> (Chip, DistanceMatrix) {
-        let chip = topology::square_grid(n, n);
-        let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
-        let xtalk = crosstalk_matrix(&chip, &eq, None);
-        (chip, xtalk)
-    }
 
     #[test]
     fn dense_index_round_trips() {
-        let (chip, _) = setup(3);
+        let chip = topology::square_grid(3, 3);
         let index = DeviceIndex::new(&chip);
         assert_eq!(index.len(), chip.num_z_devices());
         for (i, d) in chip.device_ids().enumerate() {
@@ -525,11 +446,15 @@ mod tests {
                     "{name}: {a} {b}"
                 );
                 assert_eq!(
-                    k.noise(a, b).to_bits(),
+                    k.noise(xtalk, a, b).to_bits(),
                     crate::tdm::noisy_score(chip, xtalk, a, b).to_bits(),
                     "{name}: {a} {b}"
                 );
             }
+            // Sparse rows list positive fractions only, in index order.
+            let row = k.topo_entries(k.dense(a));
+            assert!(row.iter().all(|&(_, v)| v > 0.0), "{name}: {a}");
+            assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "{name}: {a}");
         }
         // Bits past the last device stay clear in every row.
         let n = k.num_devices();
@@ -540,9 +465,10 @@ mod tests {
         }
     }
 
-    /// Compares the tables of every chip's context without a model,
-    /// with a fitted XY model, and after `with_zz_model` rebuilt them
-    /// from recycled storage.
+    /// Compares the kernels of every chip's context with the per-pair
+    /// functions on the matrix TDM grouping scores with: the XY matrix
+    /// without a model and with a fitted one, then the ZZ matrix after
+    /// `with_zz_model`, which keeps the topology-only kernels.
     fn assert_contexts_match(chips: &[Chip]) {
         use crate::PlanContext;
         use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
@@ -556,11 +482,13 @@ mod tests {
         for chip in chips {
             for model in [None, Some(&xy)] {
                 let ctx = PlanContext::build(chip, model, EquivalentWeights::balanced());
-                assert_tables_match(chip, ctx.crosstalk(), ctx.kernels());
+                assert_tables_match(chip, ctx.tdm_crosstalk(), ctx.kernels());
             }
             let ctx = PlanContext::build(chip, Some(&xy), EquivalentWeights::balanced())
                 .with_zz_model(chip, &zz);
             let zz_matrix = ctx.zz_crosstalk().expect("zz matrix");
+            assert_eq!(ctx.tdm_crosstalk(), zz_matrix);
+            assert_eq!(ctx.kernels(), &PairKernels::build(chip));
             assert_tables_match(chip, zz_matrix, ctx.kernels());
         }
     }
@@ -600,6 +528,14 @@ mod tests {
             topology::square_grid(1, 1),
             isolated,
         ]);
+        // A non-zero diagonal, which the worst-case score skips.
+        let chip = topology::square_grid(3, 3);
+        let ctx = crate::PlanContext::build(&chip, None, EquivalentWeights::balanced());
+        let mut xtalk = ctx.crosstalk().clone();
+        for q in chip.qubit_ids() {
+            xtalk.set(q, q, 1.0);
+        }
+        assert_tables_match(&chip, &xtalk, ctx.kernels());
     }
 
     #[test]
@@ -614,8 +550,8 @@ mod tests {
 
     #[test]
     fn adjacency_is_sorted_and_excludes_self() {
-        let (chip, xtalk) = setup(4);
-        let k = PairKernels::build(&chip, &xtalk);
+        let chip = topology::square_grid(4, 4);
+        let k = PairKernels::build(&chip);
         for c in chip.coupler_ids() {
             let adj = k.adjacent_gates(c);
             assert!(adj.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
@@ -625,8 +561,8 @@ mod tests {
 
     #[test]
     fn activity_densification_matches_map_lookups() {
-        let (chip, xtalk) = setup(3);
-        let k = PairKernels::build(&chip, &xtalk);
+        let chip = topology::square_grid(3, 3);
+        let k = PairKernels::build(&chip);
         let profile = crate::tdm::brickwork_activity(&chip);
         let masks = k.densify_activity(&profile);
         for d in chip.device_ids() {
@@ -640,37 +576,9 @@ mod tests {
 
     #[test]
     fn build_count_probe_advances() {
-        let (chip, xtalk) = setup(2);
+        let chip = topology::square_grid(2, 2);
         let before = PairKernels::build_count();
-        let _k = PairKernels::build(&chip, &xtalk);
+        let _k = PairKernels::build(&chip);
         assert!(PairKernels::build_count() > before);
-    }
-
-    #[test]
-    #[should_panic(expected = "crosstalk matrix size mismatch")]
-    fn mismatched_matrix_rejected() {
-        let (chip, _) = setup(3);
-        let wrong = DistanceMatrix::zeros(4);
-        let _ = PairKernels::build(&chip, &wrong);
-    }
-
-    #[test]
-    fn apply_delta_with_no_dirty_qubits_is_a_noop() {
-        let (chip, xtalk) = setup(3);
-        let mut k = PairKernels::build(&chip, &xtalk);
-        let copy = k.clone();
-        assert_eq!(k.apply_delta(&chip, &xtalk, &[]), 0);
-        assert_eq!(k, copy);
-    }
-
-    #[test]
-    #[should_panic(expected = "rebuild the kernels")]
-    fn apply_delta_rejects_structural_change() {
-        let (chip, xtalk) = setup(3);
-        let mut k = PairKernels::build(&chip, &xtalk);
-        let bigger = topology::square_grid(4, 4);
-        let eq = equivalent_matrix(&bigger, EquivalentWeights::balanced());
-        let wider = crosstalk_matrix(&bigger, &eq, None);
-        let _ = k.apply_delta(&bigger, &wider, &[QubitId::new(0)]);
     }
 }

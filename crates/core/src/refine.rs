@@ -14,8 +14,9 @@
 //! refined plan remains schedulable.
 //!
 //! Like the grouping pass, the swap inner loop runs against
-//! [`PairKernels`](crate::kernels::PairKernels): legality and noise are
-//! O(1) table lookups, and per-group slot-count states turn the
+//! [`PairKernels`](crate::kernels::PairKernels): legality is an O(1)
+//! bitset lookup, worst-case crosstalk at most four reads of the
+//! crosstalk matrix, and per-group slot-count states turn the
 //! extra-windows evaluation of a candidate swap into an O(affected
 //! slots) delta instead of two full recounts. The original
 //! implementation is retained in [`naive`] for differential testing;
@@ -60,20 +61,20 @@ pub fn refine_tdm_groups(
     groups: Vec<TdmGroup>,
     refine: &RefineConfig,
 ) -> (Vec<TdmGroup>, usize) {
-    assert_eq!(
-        xtalk.len(),
-        chip.num_qubits(),
-        "crosstalk matrix size mismatch"
-    );
-    let kernels = PairKernels::build(chip, xtalk);
-    refine_tdm_groups_kernels(&kernels, activity, config, groups, refine)
+    let kernels = PairKernels::build(chip);
+    refine_tdm_groups_kernels(&kernels, xtalk, activity, config, groups, refine)
 }
 
-/// [`refine_tdm_groups`] against precomputed [`PairKernels`]: the
-/// refinement hot path. Produces byte-identical refinements to the
-/// naive recomputation (differential tests enforce it).
+/// [`refine_tdm_groups`] against precomputed [`PairKernels`] of the
+/// chip: the refinement hot path. Produces byte-identical refinements
+/// to the naive recomputation (differential tests enforce it).
+///
+/// # Panics
+///
+/// Panics if `xtalk` does not match the kernels' chip dimension.
 pub fn refine_tdm_groups_kernels(
     kernels: &PairKernels,
+    xtalk: &DistanceMatrix,
     activity: &ActivityProfile,
     config: &TdmConfig,
     groups: Vec<TdmGroup>,
@@ -81,6 +82,7 @@ pub fn refine_tdm_groups_kernels(
 ) -> (Vec<TdmGroup>, usize) {
     refine_tdm_groups_kernels_in(
         kernels,
+        xtalk,
         activity,
         config,
         groups,
@@ -93,14 +95,24 @@ pub fn refine_tdm_groups_kernels(
 /// from a scratch arena so repeated plans reuse capacity instead of
 /// reallocating. Output is identical — the arena only changes where the
 /// buffer lives.
+///
+/// # Panics
+///
+/// Panics if `xtalk` does not match the kernels' chip dimension.
 pub fn refine_tdm_groups_kernels_in(
     kernels: &PairKernels,
+    xtalk: &DistanceMatrix,
     activity: &ActivityProfile,
     config: &TdmConfig,
     mut groups: Vec<TdmGroup>,
     refine: &RefineConfig,
     scratch: &mut Scratch,
 ) -> (Vec<TdmGroup>, usize) {
+    assert_eq!(
+        xtalk.len(),
+        kernels.num_qubits(),
+        "crosstalk matrix size mismatch"
+    );
     let masks = kernels.densify_activity_in(activity, scratch);
     let mask_of = |d: DeviceId| masks[kernels.dense(d)];
     let mut states: Vec<GroupState> = groups
@@ -158,6 +170,7 @@ pub fn refine_tdm_groups_kernels_in(
             for b in (a + 1)..groups.len() {
                 let (best, gain) = best_swap_kernels(
                     kernels,
+                    xtalk,
                     &mask_of,
                     config,
                     (&groups[a], &states[a]),
@@ -255,13 +268,14 @@ impl GroupState {
 /// (noisy non-parallel devices belong together), then toward the
 /// earliest candidate in scan order, keeping the result deterministic.
 ///
-/// All pairwise terms are kernel lookups; the swapped groups are never
-/// materialized. The full pairwise legality check is retained (rather
+/// Legality is a kernel lookup and crosstalk a read of `xtalk`; the
+/// swapped groups are never materialized. The full pairwise legality check is retained (rather
 /// than only pairs involving the swapped devices) because callers may
 /// hand in groups that were never internally legal, and the naive
 /// reference rejects those swaps too.
 fn best_swap_kernels<F: Fn(DeviceId) -> u32>(
     kernels: &PairKernels,
+    xtalk: &DistanceMatrix,
     mask_of: &F,
     config: &TdmConfig,
     (ga, sa): (&TdmGroup, &GroupState),
@@ -305,7 +319,7 @@ fn best_swap_kernels<F: Fn(DeviceId) -> u32>(
                 let mut total = 0.0;
                 for i in 0..len {
                     for j in (i + 1)..len {
-                        total += kernels.noise(g(i), g(j));
+                        total += kernels.noise(xtalk, g(i), g(j));
                     }
                 }
                 total

@@ -17,16 +17,16 @@
 //! threshold `θ` splits devices between dense 1:4 DEMUXes (low
 //! parallelism) and shallow 1:2 DEMUXes (high parallelism).
 //!
-//! The grouping inner loop runs against precomputed
-//! [`PairKernels`](crate::kernels::PairKernels) tables with incremental
-//! per-group aggregates — O(1) lookups per candidate instead of
-//! re-deriving every pairwise term. The original per-candidate
-//! implementation is retained in [`naive`] (test builds and the `naive`
-//! feature) as the differential-testing reference; both paths produce
-//! byte-identical groupings.
+//! The grouping inner loop runs against precomputed, topology-only
+//! [`PairKernels`](crate::kernels::PairKernels) and the crosstalk
+//! matrix, with incremental per-group aggregates — O(1) lookups per
+//! candidate instead of re-deriving every pairwise term. The original
+//! per-candidate implementation is retained in [`naive`] (test builds
+//! and the `naive` feature) as the differential-testing reference; both
+//! paths produce byte-identical groupings.
 
 use youtiao_chip::distance::DistanceMatrix;
-use youtiao_chip::{Chip, CouplerId, DeviceId, QubitId};
+use youtiao_chip::{Chip, CouplerId, DeviceId};
 
 use crate::kernels::PairKernels;
 use crate::scratch::Scratch;
@@ -350,7 +350,8 @@ pub(crate) fn topo_nonparallel_fraction(chip: &Chip, a: DeviceId, b: DeviceId) -
 
 /// Representative qubits of a device (itself, or a coupler's
 /// endpoints), inline — returns the qubit array and its filled length.
-fn device_qubits(chip: &Chip, d: DeviceId) -> ([QubitId; 2], usize) {
+#[cfg(any(test, feature = "naive"))]
+fn device_qubits(chip: &Chip, d: DeviceId) -> ([youtiao_chip::QubitId; 2], usize) {
     match d {
         DeviceId::Qubit(q) => ([q, q], 1),
         DeviceId::Coupler(c) => {
@@ -360,7 +361,9 @@ fn device_qubits(chip: &Chip, d: DeviceId) -> ([QubitId; 2], usize) {
     }
 }
 
-/// Worst-case crosstalk between the qubits of two devices.
+/// Worst-case crosstalk between the qubits of two devices: the naive
+/// form of [`PairKernels::noise`].
+#[cfg(any(test, feature = "naive"))]
 pub(crate) fn noisy_score(chip: &Chip, xtalk: &DistanceMatrix, a: DeviceId, b: DeviceId) -> f64 {
     let (qa, na) = device_qubits(chip, a);
     let (qb, nb) = device_qubits(chip, b);
@@ -424,39 +427,57 @@ pub fn group_tdm_with_activity(
     devices: &[DeviceId],
     activity: &ActivityProfile,
 ) -> Vec<TdmGroup> {
-    assert_eq!(
-        xtalk.len(),
-        chip.num_qubits(),
-        "crosstalk matrix size mismatch"
-    );
-    let kernels = PairKernels::build(chip, xtalk);
-    group_tdm_kernels(&kernels, config, devices, activity)
+    let kernels = PairKernels::build(chip);
+    group_tdm_kernels(&kernels, xtalk, config, devices, activity)
 }
 
-/// [`group_tdm_with_activity`] against precomputed [`PairKernels`]:
-/// the grouping hot path. Produces byte-identical groupings to the
-/// naive per-candidate recomputation (differential tests enforce it).
+/// [`group_tdm_with_activity`] against precomputed [`PairKernels`] of
+/// the chip: the grouping hot path. Produces byte-identical groupings
+/// to the naive per-candidate recomputation (differential tests enforce
+/// it).
+///
+/// # Panics
+///
+/// Panics if the matrix dimension mismatches the kernels' chip.
 pub fn group_tdm_kernels(
     kernels: &PairKernels,
+    xtalk: &DistanceMatrix,
     config: &TdmConfig,
     devices: &[DeviceId],
     activity: &ActivityProfile,
 ) -> Vec<TdmGroup> {
-    group_tdm_kernels_in(kernels, config, devices, activity, &mut Scratch::default())
+    group_tdm_kernels_in(
+        kernels,
+        xtalk,
+        config,
+        devices,
+        activity,
+        &mut Scratch::default(),
+    )
 }
 
 /// [`group_tdm_kernels`] drawing its per-call working buffers (activity
-/// masks, alive bitmap, per-candidate aggregates) from a scratch arena
-/// so repeated plans reuse capacity instead of reallocating. Output is
-/// identical to [`group_tdm_kernels`] — the arena only changes where
-/// the buffers live.
+/// masks, alive bitmap, per-candidate and per-qubit aggregates) from a
+/// scratch arena so repeated plans reuse capacity instead of
+/// reallocating. Output is identical to [`group_tdm_kernels`] — the
+/// arena only changes where the buffers live.
+///
+/// # Panics
+///
+/// Panics if the matrix dimension mismatches the kernels' chip.
 pub fn group_tdm_kernels_in(
     kernels: &PairKernels,
+    xtalk: &DistanceMatrix,
     config: &TdmConfig,
     devices: &[DeviceId],
     activity: &ActivityProfile,
     scratch: &mut Scratch,
 ) -> Vec<TdmGroup> {
+    assert_eq!(
+        xtalk.len(),
+        kernels.num_qubits(),
+        "crosstalk matrix size mismatch"
+    );
     let masks = kernels.densify_activity_in(activity, scratch);
 
     // Rank devices by parallelism index and split at θ.
@@ -484,7 +505,7 @@ pub fn group_tdm_kernels_in(
     let mut groups = Vec::new();
     for (level, pool) in [(low_level, low), (DemuxLevel::OneToTwo, high)] {
         groups.extend(group_level_kernels(
-            kernels, level, &pool, &masks, config, scratch,
+            kernels, xtalk, level, &pool, &masks, config, scratch,
         ));
     }
     scratch.retire_u32(masks);
@@ -499,9 +520,20 @@ pub fn group_tdm_kernels_in(
 /// * an **index pool** — an `alive` bitmap over the rank-sorted pool
 ///   instead of `Vec::remove` shifts, preserving the deterministic
 ///   scan (and therefore tie-break) order at O(1) removal;
-/// * **incremental aggregates** — per-candidate running legality /
-///   topo-min / noise-max / balance-max values, updated once per
-///   accepted member instead of recomputed over all members per scan;
+/// * **incremental aggregates** — per-candidate running legality and
+///   balance-max values, updated once per accepted member instead of
+///   recomputed over all members per scan;
+/// * a **per-qubit noise aggregate** — `reach[y]`, the worst crosstalk
+///   from a member qubit `x ≠ y` to qubit `y`, grown by one row pass of
+///   `xtalk` per member qubit. A candidate's worst-case crosstalk to
+///   the group is the larger `reach` of its qubits: the naive maximum
+///   over the same values, which `f64::max` returns in any order;
+/// * a **short topo list** — a gateless device scores 1.0 against
+///   everything, and two gated devices score above 0.0 only when they
+///   share a gate endpoint. So once a gated member joins, only the
+///   gated candidates in the sparse topo row of every gated member
+///   keep a positive topo-min: `near` lists them, and each further
+///   gated member updates just that list;
 /// * an **occupied-slot mask** — adding a device to the group adds one
 ///   extra serialized window per busy slot that is already occupied,
 ///   so the activity cost of a candidate is `popcount(mask ∩ occupied)`
@@ -509,6 +541,7 @@ pub fn group_tdm_kernels_in(
 ///   counters the naive path once overflowed on).
 fn group_level_kernels(
     kernels: &PairKernels,
+    xtalk: &DistanceMatrix,
     level: DemuxLevel,
     pool: &[(DeviceId, f64)],
     masks: &[u32],
@@ -517,17 +550,25 @@ fn group_level_kernels(
 ) -> Vec<TdmGroup> {
     let capacity = level.channel_capacity();
     let n = pool.len();
+    let mut pdense = scratch.take_usize(n, 0);
     let mut pmask = scratch.take_u32(n, 0);
-    for (slot, &(d, _)) in pmask.iter_mut().zip(pool) {
-        *slot = masks[kernels.dense(d)];
+    // Pool position of each device, `usize::MAX` outside the pool.
+    let mut pos_of = scratch.take_usize(kernels.num_devices(), usize::MAX);
+    for (i, &(d, _)) in pool.iter().enumerate() {
+        pdense[i] = kernels.dense(d);
+        pmask[i] = masks[pdense[i]];
+        pos_of[pdense[i]] = i;
     }
     let mut alive = scratch.take_bool(n, true);
     // Per-candidate running aggregates for the group currently being
-    // filled; re-seeded at each new group, updated per accepted member.
+    // filled, re-seeded by each group's seed; `reach` and `near` as
+    // described above.
     let mut agg_legal = scratch.take_bool(n, false);
     let mut agg_topo = scratch.take_f64(n, 0.0);
-    let mut agg_noise = scratch.take_f64(n, 0.0);
     let mut agg_balance = scratch.take_f64(n, 0.0);
+    let mut reach = scratch.take_f64(xtalk.len(), 0.0);
+    let mut near = scratch.take_usize(n, 0);
+    near.clear();
 
     let mut groups = Vec::new();
     let mut first = 0usize;
@@ -538,75 +579,109 @@ fn group_level_kernels(
         }
         // Step 1: seed with the lowest parallelism index (first alive in
         // rank order).
-        let s = first;
-        alive[s] = false;
+        let mut next = Some(first);
         first += 1;
-        let (seed, seed_idx) = pool[s];
-        let mut members = vec![seed];
+        let mut members = Vec::with_capacity(capacity);
         // Slots already occupied by a member; adding a device busy in an
         // occupied slot costs exactly one extra serialized window.
-        let mut occupied = pmask[s];
+        let mut occupied = 0u32;
         let mut cur_extra = 0u32;
-        for i in first..n {
-            if !alive[i] {
-                continue;
+        let mut gated = false;
+        reach.fill(0.0);
+        while let Some(i) = next {
+            alive[i] = false;
+            let (d, di) = pool[i];
+            cur_extra += (pmask[i] & occupied).count_ones();
+            occupied |= pmask[i];
+            members.push(d);
+            if members.len() == capacity {
+                break;
             }
-            let (cand, cand_idx) = pool[i];
-            agg_legal[i] = kernels.legal(seed, cand);
-            agg_topo[i] = kernels.topo(seed, cand);
-            agg_noise[i] = kernels.noise(seed, cand);
-            agg_balance[i] = (seed_idx - cand_idx).abs();
-        }
-        while members.len() < capacity {
+            // Fold the new member into every aggregate; the seed starts
+            // them.
+            let seed = members.len() == 1;
+            let first_gated = !gated && !kernels.gateless(pdense[i]);
+            for j in first..n {
+                if !alive[j] || !(seed || agg_legal[j]) {
+                    continue;
+                }
+                let balance = (di - pool[j].1).abs();
+                agg_legal[j] = kernels.legal_dense(pdense[i], pdense[j]);
+                agg_balance[j] = if seed {
+                    balance
+                } else {
+                    agg_balance[j].max(balance)
+                };
+                if seed || first_gated {
+                    let gated_pair = first_gated && !kernels.gateless(pdense[j]);
+                    agg_topo[j] = if gated_pair { 0.0 } else { 1.0 };
+                }
+            }
+            if first_gated {
+                gated = true;
+                near.clear();
+                for &(j, topo) in kernels.topo_entries(pdense[i]) {
+                    let p = pos_of[j as usize];
+                    if p < n && alive[p] {
+                        agg_topo[p] = topo;
+                        near.push(p);
+                    }
+                }
+            } else if !kernels.gateless(pdense[i]) {
+                near.retain(|&p| {
+                    if !alive[p] {
+                        return false;
+                    }
+                    let topo = kernels.topo_dense(pdense[i], pdense[p]);
+                    agg_topo[p] = agg_topo[p].min(topo);
+                    topo > 0.0
+                });
+            }
+            for &x in kernels.qubits(pdense[i]) {
+                // The row pass leaves `reach[x]` as it was: the naive
+                // score skips a qubit's crosstalk with itself.
+                let own = reach[x.index()];
+                for (r, &v) in reach.iter_mut().zip(xtalk.row(x)) {
+                    *r = r.max(v);
+                }
+                reach[x.index()] = own;
+            }
+
             // Steps 2–3: among legal candidates sharing the fewest busy
             // slots, prefer fully topologically non-parallel ones, then
             // the noisiest, then the closest parallelism index
             // (balancing).
             let mut best: Option<(usize, (f64, f64, f64, f64))> = None;
-            for i in first..n {
-                if !alive[i] || !agg_legal[i] {
+            for j in first..n {
+                if !alive[j] || !agg_legal[j] {
                     continue;
                 }
-                let shared = cur_extra + (pmask[i] & occupied).count_ones();
+                let shared = cur_extra + (pmask[j] & occupied).count_ones();
                 if shared > config.max_shared_slots {
                     continue;
                 }
+                let [y0, y1] = kernels.qubit_pair(pdense[j]);
+                let noise = reach[y0.index()].max(reach[y1.index()]);
                 // Fewer shared slots, higher topo, higher noise, lower
                 // imbalance is better.
-                let key = (-(shared as f64), agg_topo[i], agg_noise[i], -agg_balance[i]);
+                let key = (-(shared as f64), agg_topo[j], noise, -agg_balance[j]);
                 if best.is_none_or(|(_, bk)| key > bk) {
-                    best = Some((i, key));
+                    best = Some((j, key));
                 }
             }
-            match best {
-                Some((i, _)) => {
-                    alive[i] = false;
-                    let (d, di) = pool[i];
-                    cur_extra += (pmask[i] & occupied).count_ones();
-                    occupied |= pmask[i];
-                    members.push(d);
-                    for j in first..n {
-                        if !alive[j] || !agg_legal[j] {
-                            continue;
-                        }
-                        let (cand, cand_idx) = pool[j];
-                        agg_legal[j] = kernels.legal(d, cand);
-                        agg_topo[j] = agg_topo[j].min(kernels.topo(d, cand));
-                        agg_noise[j] = agg_noise[j].max(kernels.noise(d, cand));
-                        agg_balance[j] = agg_balance[j].max((di - cand_idx).abs());
-                    }
-                }
-                None => break,
-            }
+            next = best.map(|(j, _)| j);
         }
         groups.push(TdmGroup::new(level, members));
     }
+    scratch.retire_usize(pdense);
     scratch.retire_u32(pmask);
+    scratch.retire_usize(pos_of);
     scratch.retire_bool(alive);
     scratch.retire_bool(agg_legal);
     scratch.retire_f64(agg_topo);
-    scratch.retire_f64(agg_noise);
     scratch.retire_f64(agg_balance);
+    scratch.retire_f64(reach);
+    scratch.retire_usize(near);
     groups
 }
 
@@ -964,6 +1039,17 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "crosstalk matrix size mismatch")]
+    fn mismatched_matrix_rejected() {
+        let chip = topology::square_grid(3, 3);
+        let kernels = PairKernels::build(&chip);
+        let devices: Vec<DeviceId> = chip.device_ids().collect();
+        let wrong = DistanceMatrix::zeros(4);
+        let empty = ActivityProfile::new();
+        let _ = group_tdm_kernels(&kernels, &wrong, &TdmConfig::default(), &devices, &empty);
+    }
+
+    #[test]
     #[should_panic(expected = "capacity")]
     fn oversized_group_panics() {
         let _ = TdmGroup::new(
@@ -1048,6 +1134,126 @@ mod tests {
                     "case {case}: chip {} config {config:?}",
                     chip.name()
                 );
+            }
+        }
+
+        /// The kernelized grouping and refinement equal the naive
+        /// passes on the large chips: plan-sweep's twelve TDM
+        /// configurations with brickwork activity, scoring the XY
+        /// matrix of each chip and the ZZ matrix of one ZZ-backed
+        /// context.
+        #[test]
+        #[ignore = "naive passes over thousands of devices; run with --release"]
+        fn kernelized_passes_match_naive_on_large_chips() {
+            use crate::refine::RefineConfig;
+            use crate::refine::{naive::refine_tdm_groups_naive, refine_tdm_groups_kernels};
+            use crate::PlanContext;
+            use youtiao_chip::distance::EquivalentWeights;
+            use youtiao_chip::surface::SurfaceCode;
+            use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
+            use youtiao_noise::fit::{fit_crosstalk_model, FitConfig};
+            let zz = fit_crosstalk_model(
+                &synthesize(
+                    &topology::square_grid(4, 4),
+                    CrosstalkKind::Zz,
+                    &SynthConfig::zz(),
+                    5,
+                ),
+                &FitConfig::fast(),
+            )
+            .expect("4x4 fits");
+            let weights = EquivalentWeights::balanced();
+            let mut contexts: Vec<(Chip, PlanContext)> = [
+                SurfaceCode::rotated(9).into_chip(),
+                topology::square_grid(16, 16),
+                topology::square_grid(24, 24),
+            ]
+            .into_iter()
+            .map(|chip| {
+                let ctx = PlanContext::build(&chip, None, weights);
+                (chip, ctx)
+            })
+            .collect();
+            let chip = topology::square_grid(16, 16);
+            let ctx = PlanContext::build(&chip, None, weights).with_zz_model(&chip, &zz);
+            contexts.push((chip, ctx));
+            let refine = RefineConfig::default();
+            for (chip, ctx) in &contexts {
+                let xtalk = ctx.tdm_crosstalk();
+                let activity = brickwork_activity(chip);
+                let devices: Vec<DeviceId> = chip.device_ids().collect();
+                for theta in [2.0, 4.0, 8.0] {
+                    for allow_one_to_eight in [false, true] {
+                        for max_shared_slots in [1, 2] {
+                            let config = TdmConfig {
+                                theta,
+                                max_shared_slots,
+                                allow_one_to_eight,
+                            };
+                            let case = format!("{} {config:?}", chip.name());
+                            let groups = group_tdm_kernels(
+                                ctx.kernels(),
+                                xtalk,
+                                &config,
+                                &devices,
+                                &activity,
+                            );
+                            let naive = naive::group_tdm_with_activity_naive(
+                                chip, xtalk, &config, &devices, &activity,
+                            );
+                            assert_eq!(groups, naive, "{case}");
+                            let fast = refine_tdm_groups_kernels(
+                                ctx.kernels(),
+                                xtalk,
+                                &activity,
+                                &config,
+                                groups.clone(),
+                                &refine,
+                            );
+                            let slow = refine_tdm_groups_naive(
+                                chip, xtalk, &activity, &config, groups, &refine,
+                            );
+                            assert_eq!(fast, slow, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Chips with gateless qubits (so a group may gain its first
+        /// gated member after gateless ones) and crosstalk matrices
+        /// with a non-zero diagonal (which the worst-case score skips)
+        /// group as the naive pass does.
+        #[test]
+        fn kernelized_grouping_matches_naive_with_gateless_qubits() {
+            use youtiao_chip::{ChipBuilder, Position, TopologyKind};
+            let mut rng = ChaCha8Rng::seed_from_u64(0x9a7e_1e55);
+            for case in 0..40 {
+                let n = rng.gen_range(4u32..14);
+                let mut builder = (0..n)
+                    .fold(ChipBuilder::new("sparse", TopologyKind::Custom), |b, i| {
+                        b.qubit(Position::new(f64::from(i), f64::from(i % 3)))
+                    });
+                for a in 0..n {
+                    for b in (a + 1)..n {
+                        if rng.gen_range(0u32..5) == 0 {
+                            builder = builder.coupler(a.into(), b.into());
+                        }
+                    }
+                }
+                let chip = builder.build().expect("valid chip");
+                let mut xtalk = flat_xtalk(&chip);
+                for q in chip.qubit_ids() {
+                    xtalk.set(q, q, 1.0);
+                }
+                let config = random_config(&mut rng);
+                let activity = random_activity(&mut rng, &chip);
+                let devices: Vec<DeviceId> = chip.device_ids().collect();
+                let fast = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
+                let slow = naive::group_tdm_with_activity_naive(
+                    &chip, &xtalk, &config, &devices, &activity,
+                );
+                assert_eq!(fast, slow, "case {case}: config {config:?}");
             }
         }
 

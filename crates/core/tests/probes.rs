@@ -1,15 +1,14 @@
 //! Exact deltas of the process-global probes: scratch-arena takes
-//! ([`fresh_count`], [`reuse_count`]), kernel invalidations and
-//! context builds.
+//! ([`fresh_count`], [`reuse_count`]), kernel invalidations, kernel
+//! builds and context builds.
 //!
 //! Every test that builds a context or takes an arena moves these
 //! counters, and the tests of one binary run concurrently. So these
 //! checks live alone in this binary and run one after another inside a
 //! single `#[test]`.
 
-use youtiao_chip::distance::{equivalent_matrix, DistanceMatrix, EquivalentWeights};
-use youtiao_chip::{topology, Chip, QubitId};
-use youtiao_core::plan::crosstalk_matrix;
+use youtiao_chip::distance::EquivalentWeights;
+use youtiao_chip::{topology, QubitId};
 use youtiao_core::scratch::{fresh_count, reuse_count, Scratch};
 use youtiao_core::{PairKernels, PlanContext};
 
@@ -18,8 +17,8 @@ fn global_probes_advance_by_exactly_the_work_done() {
     takes_are_filled_and_reuse_retired_capacity();
     nested_takes_clear_inners_but_keep_capacity();
     nested_shapes_coexist_instead_of_cannibalizing();
-    apply_delta_matches_a_fresh_build();
     crosstalk_delta_matches_a_fresh_context();
+    zz_model_keeps_the_kernels();
 }
 
 fn takes_are_filled_and_reuse_retired_capacity() {
@@ -77,36 +76,6 @@ fn nested_shapes_coexist_instead_of_cannibalizing() {
     assert_eq!(reuse_count(), before.1 + 6);
 }
 
-fn setup(n: usize) -> (Chip, DistanceMatrix) {
-    let chip = topology::square_grid(n, n);
-    let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
-    let xtalk = crosstalk_matrix(&chip, &eq, None);
-    (chip, xtalk)
-}
-
-fn apply_delta_matches_a_fresh_build() {
-    let (chip, xtalk) = setup(4);
-    let mut patched = PairKernels::build(&chip, &xtalk);
-
-    // Drift a few entries: one coupler edge, one distant pair, one
-    // entry zeroed out.
-    let mut drifted = xtalk.clone();
-    let (a, b) = chip.coupler(0u32.into()).unwrap().endpoints();
-    drifted.set(a, b, xtalk.get(a, b) * 3.0 + 1e-3);
-    let (p, q) = (QubitId::new(2), QubitId::new(13));
-    drifted.set(p, q, 0.0421);
-    drifted.set(QubitId::new(5), QubitId::new(6), 0.0);
-
-    let before = PairKernels::invalidation_count();
-    let dirty = vec![a, b, p, q, QubitId::new(5), QubitId::new(6)];
-    let rows = patched.apply_delta(&chip, &drifted, &dirty);
-    assert!(rows >= dirty.len(), "each dirty qubit dirties >= 1 row");
-    assert_eq!(PairKernels::invalidation_count(), before + 1);
-
-    let fresh = PairKernels::build(&chip, &drifted);
-    assert_eq!(patched, fresh, "delta-patched kernels must be exact");
-}
-
 fn crosstalk_delta_matches_a_fresh_context() {
     let chip = topology::square_grid(4, 4);
     let mut ctx = PlanContext::build(&chip, None, EquivalentWeights::balanced());
@@ -115,14 +84,40 @@ fn crosstalk_delta_matches_a_fresh_context() {
     drifted.set(a, b, drifted.get(a, b) * 2.5 + 1e-3);
 
     let invalidated = PlanContext::kernels_invalidated();
-    let builds = PlanContext::build_count();
+    let builds = (PlanContext::build_count(), PairKernels::build_count());
     let rows = ctx
         .apply_crosstalk_delta(&chip, drifted.clone(), &[a, b])
         .unwrap();
-    assert!(rows >= 2);
+    // q3 (a corner, two couplers) and q7 (an edge, three), sharing one.
+    assert_eq!(rows, 6, "both qubits and the four distinct couplers");
     assert_eq!(PlanContext::kernels_invalidated(), invalidated + 1);
-    assert_eq!(PlanContext::build_count(), builds, "delta must not rebuild");
+    assert_eq!(
+        (PlanContext::build_count(), PairKernels::build_count()),
+        builds,
+        "delta must not rebuild"
+    );
 
     let fresh = PlanContext::from_matrix(&chip, EquivalentWeights::balanced(), drifted);
     assert_eq!(ctx, fresh, "patched context must equal a fresh build");
+}
+
+fn zz_model_keeps_the_kernels() {
+    use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
+    use youtiao_noise::fit::{fit_crosstalk_model, FitConfig};
+    let chip = topology::square_grid(4, 4);
+    let zz = fit_crosstalk_model(
+        &synthesize(&chip, CrosstalkKind::Zz, &SynthConfig::zz(), 5),
+        &FitConfig::fast(),
+    )
+    .unwrap();
+    let ctx = PlanContext::build(&chip, None, EquivalentWeights::balanced());
+    let kernels = PairKernels::build_count();
+    let zz_ctx = ctx.clone().with_zz_model(&chip, &zz);
+    assert_eq!(
+        PairKernels::build_count(),
+        kernels,
+        "kernels are topology-only"
+    );
+    assert_eq!(zz_ctx.kernels(), ctx.kernels());
+    assert_eq!(Some(zz_ctx.tdm_crosstalk()), zz_ctx.zz_crosstalk());
 }

@@ -11,7 +11,7 @@
 //!   activity delta);
 //! * [`patch`] — local frequency re-placement for the dirty qubits,
 //!   against the fixed assignments of everything else;
-//! * [`repair`] — the repair pass itself: kernel-level invalidation via
+//! * [`repair`] — the repair pass itself: a crosstalk delta via
 //!   [`youtiao_core::PlanContext::apply_crosstalk_delta`], dissolving
 //!   and regrouping only the TDM groups touching invalidated devices,
 //!   stitching the result onto the untouched remainder, and validating

@@ -5,8 +5,8 @@
 //! them, [`repair_plan`] either:
 //!
 //! 1. returns the base plan unchanged (empty change set);
-//! 2. repairs locally — patch the context's kernel rows for the dirty
-//!    qubits, dissolve only the TDM groups touching a dirty device,
+//! 2. repairs locally — hand the context the new crosstalk matrix,
+//!    dissolve only the TDM groups touching a dirty device,
 //!    regroup and refine that pool, stitch it onto the untouched
 //!    groups, patch frequencies for the dirty qubits, and validate the
 //!    stitched plan; or
@@ -87,7 +87,8 @@ pub struct RepairReport {
     pub context: PlanContext,
     /// How the change set was resolved.
     pub outcome: RepairOutcome,
-    /// Kernel rows recomputed by the delta (0 on fallback paths).
+    /// Device rows the delta invalidated: each dirty qubit and every
+    /// coupler incident to one (0 on fallback paths).
     pub invalidated_rows: usize,
     /// Qubits touched by value-only crosstalk changes.
     pub dirty_qubits: usize,
@@ -214,7 +215,8 @@ pub fn repair_plan(
         );
     }
 
-    // Kernel-level invalidation: patch only the dirty rows.
+    // The context takes the new matrix; grouping reads crosstalk from
+    // it, so nothing but the freq kernels is rebuilt.
     let mut ctx = context.clone();
     let invalidated_rows = if dirty_qubits.is_empty() {
         0
@@ -249,10 +251,17 @@ pub fn repair_plan(
     pool.sort_unstable();
     let regrouped_devices = pool.len();
 
-    let mut regrouped = group_tdm_kernels(ctx.kernels(), &planner.tdm, &pool, new.activity);
+    let mut regrouped = group_tdm_kernels(
+        ctx.kernels(),
+        ctx.tdm_crosstalk(),
+        &planner.tdm,
+        &pool,
+        new.activity,
+    );
     if let Some(refine) = &planner.refine {
         let (refined, _removed) = youtiao_core::refine::refine_tdm_groups_kernels(
             ctx.kernels(),
+            ctx.tdm_crosstalk(),
             new.activity,
             &planner.tdm,
             regrouped,

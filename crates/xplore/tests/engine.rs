@@ -1,33 +1,14 @@
-//! End-to-end engine tests: determinism across thread counts, the
-//! shared-context build probe, error-record flow, objective
-//! validation, and plan-cache reuse.
+//! End-to-end engine tests: determinism across thread counts,
+//! error-record flow, objective validation, and plan-cache reuse. The
+//! shared-context build probe lives alone in `tests/context_builds.rs`.
 
-use youtiao_core::PlanContext;
+mod common;
+
+use common::{no_model_spec, sweep_jsonl};
 use youtiao_xplore::{
     parse_objectives, run_sweep, run_sweep_with_cache, ChipRequest, PlanCache, SpecError,
     SweepError, SweepMode, SweepOptions, SweepSpec,
 };
-
-fn no_model_spec() -> SweepSpec {
-    let mut spec = SweepSpec::new(vec![
-        ChipRequest::grid("square", 3, 3),
-        ChipRequest::named("linear"),
-    ]);
-    spec.name = Some("engine-test".into());
-    spec.modes = Some(vec![SweepMode::Youtiao, SweepMode::Dedicated]);
-    spec.thetas = Some(vec![2.0, 4.0, 8.0]);
-    spec.use_model = Some(false);
-    spec
-}
-
-fn sweep_jsonl(
-    spec: &SweepSpec,
-    options: &SweepOptions,
-) -> (Vec<u8>, youtiao_xplore::SweepOutcome) {
-    let mut out = Vec::new();
-    let outcome = run_sweep(spec, options, &mut out).expect("sweep runs");
-    (out, outcome)
-}
 
 #[test]
 fn jsonl_is_byte_identical_across_thread_counts() {
@@ -53,33 +34,6 @@ fn jsonl_is_byte_identical_across_thread_counts() {
     assert_eq!(indices, (0..12).collect::<Vec<_>>());
     assert!(outcome_serial.records.iter().all(|r| r.is_ok()));
     assert!(!outcome_serial.summary.pareto.is_empty());
-}
-
-#[test]
-fn contexts_are_built_once_per_chip_axis_value() {
-    // Without a model: one context per chip, regardless of how many
-    // grid points (2 chips × 2 modes × 3 thetas = 12 points) hit it.
-    let spec = no_model_spec();
-    let before = PlanContext::build_count();
-    let (_, outcome) = sweep_jsonl(&spec, &SweepOptions::default());
-    let built = PlanContext::build_count() - before;
-    assert_eq!(outcome.summary.contexts_built, 2);
-    assert_eq!(
-        built, 2,
-        "matrices must be built once per chip, not per point"
-    );
-
-    // With a model: one context per chip × characterization seed.
-    let mut spec = SweepSpec::new(vec![ChipRequest::grid("square", 3, 3)]);
-    spec.thetas = Some(vec![2.0, 8.0]);
-    spec.seeds = Some(vec![1, 2]);
-    let before = PlanContext::build_count();
-    let (_, outcome) = sweep_jsonl(&spec, &SweepOptions::default());
-    let built = PlanContext::build_count() - before;
-    assert_eq!(outcome.summary.contexts_built, 2);
-    assert_eq!(built, 2);
-    assert_eq!(outcome.records.len(), 4);
-    assert!(outcome.records.iter().all(|r| r.is_ok()));
 }
 
 #[test]
