@@ -260,8 +260,16 @@ where
     /// yields a [`JobStatus::Error`](crate::JobStatus::Error) record
     /// with kind [`ErrorKind::Cancelled`].
     pub fn abort(&self) {
-        self.shared.aborted.store(true, Ordering::SeqCst);
-        self.shared.closed.store(true, Ordering::SeqCst);
+        {
+            // Store under the queue lock: a worker reads `closed` and
+            // starts waiting within one critical section, so it either
+            // sees the flag or is already waiting when `notify_all`
+            // runs. A store outside the lock could land between its
+            // read and its wait, and that worker would sleep forever.
+            let _queue = self.shared.queue.lock().expect("pool queue");
+            self.shared.aborted.store(true, Ordering::SeqCst);
+            self.shared.closed.store(true, Ordering::SeqCst);
+        }
         for token in self
             .shared
             .in_flight
@@ -278,7 +286,11 @@ where
     /// the workers, and returns the records not yet consumed through
     /// [`Self::results`].
     pub fn join(self) -> Vec<JobRecord<R>> {
-        self.shared.closed.store(true, Ordering::SeqCst);
+        {
+            // Under the queue lock, as in `abort`.
+            let _queue = self.shared.queue.lock().expect("pool queue");
+            self.shared.closed.store(true, Ordering::SeqCst);
+        }
         self.shared.available.notify_all();
         for handle in self.handles {
             let _ = handle.join();
