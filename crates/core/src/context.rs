@@ -50,9 +50,9 @@ use crate::scratch::ScratchPool;
 static BUILDS: AtomicU64 = AtomicU64::new(0);
 
 /// Global count of [`PlanContext::apply_crosstalk_delta`] calls that
-/// applied — the `kernels_invalidated` probe: tests and the repair bench
+/// applied — the `crosstalk_deltas` probe: tests and the repair bench
 /// assert that a repair takes a delta instead of rebuilding a context.
-static INVALIDATIONS: AtomicU64 = AtomicU64::new(0);
+static DELTAS: AtomicU64 = AtomicU64::new(0);
 
 /// Stable fingerprint of a chip's wiring-relevant structure: qubit
 /// count, coupler count, and every coupler's endpoint pair (FNV-1a).
@@ -239,7 +239,7 @@ impl PlanContext {
 
     /// Applies a crosstalk-value delta in place: replaces the XY
     /// crosstalk matrix and rebuilds the freq kernels from it, advancing
-    /// the [`Self::kernels_invalidated`] probe instead of the build
+    /// the [`Self::crosstalk_deltas`] probe instead of the build
     /// count. The topology-only [`PairKernels`] stay as they are.
     ///
     /// This is the explicit rebuild-vs-delta choice: mutating inputs
@@ -290,7 +290,7 @@ impl PlanContext {
         }
         rows.sort_unstable();
         rows.dedup();
-        INVALIDATIONS.fetch_add(1, Ordering::Relaxed);
+        DELTAS.fetch_add(1, Ordering::Relaxed);
         // Freq kernels are plain sparse rows over the matrix — a
         // rebuild from the new matrix is already row-cheap and is
         // trivially bit-identical to a fresh context's build.
@@ -331,9 +331,9 @@ impl PlanContext {
     }
 
     /// Cumulative number of crosstalk deltas applied in this process —
-    /// the `kernels_invalidated` probe alongside [`Self::build_count`].
-    pub fn kernels_invalidated() -> u64 {
-        INVALIDATIONS.load(Ordering::Relaxed)
+    /// a probe alongside [`Self::build_count`].
+    pub fn crosstalk_deltas() -> u64 {
+        DELTAS.load(Ordering::Relaxed)
     }
 }
 

@@ -2,9 +2,9 @@
 //!
 //! [`ParallelExec`] is the planner's small scoped-thread fan-out
 //! primitive, reusing the sweep engine's index-ordered-merge pattern:
-//! workers pull item indices from an atomic counter, send `(index,
-//! result)` pairs back over a channel, and the caller slots results
-//! into an index-ordered vector. Because the merge order is the *item*
+//! the caller and its helpers pull item indices from one atomic
+//! counter and send `(index, result)` pairs over a channel, and the
+//! caller slots them by index. Because the merge order is the *item*
 //! order — never the completion order — every consumer observes
 //! results exactly as a serial loop would produce them, so plans stay
 //! **byte-identical across any thread count** (the PR 4 / PR 7
@@ -24,18 +24,18 @@
 //!    a plain loop with zero thread overhead, and that loop is the
 //!    semantic definition the parallel path must reproduce.
 //!
-//! Worker panics propagate to the caller when the scope joins, so a
+//! Item panics propagate to the caller when the scope joins, so a
 //! poisoned stage cannot silently return partial results.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 /// A deterministic scoped-thread executor for the planner's
-/// embarrassingly-parallel stages (per-region grouping/refinement,
-/// frequency-band allocation, scaling-row fills, kernel table builds).
+/// embarrassingly-parallel stages (the plan's XY, Z and readout chains,
+/// scaling-row fills, zone scoring, per-die plans).
 ///
 /// Cheap to construct — it owns no threads; each [`Self::run`] spawns
-/// short-lived scoped workers. The thread count is resolved once at
+/// short-lived scoped helpers. The thread count is resolved once at
 /// construction: `0` means one per available core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelExec {
@@ -74,14 +74,16 @@ impl ParallelExec {
     /// Maps `f` over `0..items`, returning the results in index order.
     ///
     /// With one thread (or fewer than two items) this is a plain serial
-    /// loop. Otherwise workers pull indices from an atomic counter and
-    /// the results are merged strictly in index order, so the returned
-    /// vector is identical to the serial loop's no matter how the
-    /// workers raced.
+    /// loop. Otherwise it spawns `min(threads, items) − 1` helpers and
+    /// the calling thread works beside them: every thread pulls indices
+    /// from one atomic counter, and the results are merged strictly in
+    /// index order, so the returned vector is identical to the serial
+    /// loop's no matter how the threads raced.
     ///
     /// # Panics
     ///
-    /// Re-raises any worker panic when the scope joins.
+    /// Re-raises any item's panic, the caller's own included, once every
+    /// helper has finished.
     pub fn run<R, F>(&self, items: usize, f: F) -> Vec<R>
     where
         R: Send,
@@ -90,27 +92,23 @@ impl ParallelExec {
         if !self.is_parallel_for(items) {
             return (0..items).map(f).collect();
         }
-        let workers = self.threads.min(items);
         let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
+        let work = |tx: mpsc::Sender<(usize, R)>| loop {
+            let index = next.fetch_add(1, Ordering::Relaxed);
+            if index >= items || tx.send((index, f(index))).is_err() {
+                break;
+            }
+        };
+        let (tx, rx) = mpsc::channel();
         let mut slots: Vec<Option<R>> = Vec::with_capacity(items);
         slots.resize_with(items, || None);
         std::thread::scope(|s| {
-            let next = &next;
-            let f = &f;
-            for _ in 0..workers {
+            let work = &work;
+            for _ in 1..self.threads.min(items) {
                 let tx = tx.clone();
-                s.spawn(move || loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= items {
-                        break;
-                    }
-                    if tx.send((index, f(index))).is_err() {
-                        break;
-                    }
-                });
+                s.spawn(move || work(tx));
             }
-            drop(tx);
+            work(tx);
             for (index, result) in rx {
                 slots[index] = Some(result);
             }
@@ -120,39 +118,13 @@ impl ParallelExec {
             .map(|r| r.expect("every index produced a result"))
             .collect()
     }
-
-    /// Runs two independent closures, concurrently when this executor
-    /// has more than one thread, and returns `(a(), b())`.
-    ///
-    /// The pair order is fixed regardless of which closure finished
-    /// first, so downstream consumers see the same tuple a serial
-    /// `(a(), b())` evaluation produces.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises any closure panic when the scope joins.
-    pub fn join<RA, RB, FA, FB>(&self, a: FA, b: FB) -> (RA, RB)
-    where
-        RA: Send,
-        RB: Send,
-        FA: FnOnce() -> RA + Send,
-        FB: FnOnce() -> RB + Send,
-    {
-        if self.threads <= 1 {
-            return (a(), b());
-        }
-        std::thread::scope(|s| {
-            let hb = s.spawn(b);
-            let ra = a();
-            let rb = hb.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            (ra, rb)
-        })
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::{Barrier, Mutex};
 
     #[test]
     fn zero_threads_resolves_to_available_cores() {
@@ -180,12 +152,49 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_results_in_closure_order() {
-        for threads in [1, 4] {
-            let exec = ParallelExec::new(threads);
-            let (a, b) = exec.join(|| "first", || 2u32);
-            assert_eq!((a, b), ("first", 2));
+    fn run_puts_its_caller_to_work() {
+        // Each item waits until `threads` items are running at once, so
+        // every thread of the fan-out runs exactly one of them.
+        let caller = std::thread::current().id();
+        for threads in [2, 4] {
+            let barrier = Barrier::new(threads);
+            let ran_on = ParallelExec::new(threads).run(threads, |_| {
+                barrier.wait();
+                std::thread::current().id()
+            });
+            assert!(ran_on.contains(&caller), "{threads} threads");
         }
+    }
+
+    #[test]
+    fn caller_panics_propagate_after_helpers_finish() {
+        // The helper's item finishes only once the caller's item has
+        // panicked and its unwinding dropped `Unwound`.
+        struct Unwound(mpsc::Sender<()>);
+        impl Drop for Unwound {
+            fn drop(&mut self) {
+                let _ = self.0.send(());
+            }
+        }
+        let caller = std::thread::current().id();
+        let barrier = Barrier::new(2);
+        let (tx, rx) = mpsc::channel();
+        let rx = Mutex::new(rx);
+        let helper_done = AtomicBool::new(false);
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ParallelExec::new(2).run(2, |_| {
+                barrier.wait();
+                if std::thread::current().id() == caller {
+                    let _unwound = Unwound(tx.clone());
+                    panic!("caller's item");
+                }
+                rx.lock().unwrap().recv().unwrap();
+                helper_done.store(true, Ordering::SeqCst);
+            })
+        }));
+        let payload = result.expect_err("the caller's item panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller's item"));
+        assert!(helper_done.load(Ordering::SeqCst));
     }
 
     #[test]

@@ -52,13 +52,16 @@ pub struct PlannerConfig {
     /// DEMUX group never spans partition regions, matching the per-die
     /// containment the chiplet roadmap requires.
     pub refine: Option<crate::refine::RefineConfig>,
-    /// Worker threads for the intra-plan parallel stages (per-region
-    /// grouping/refinement, concurrent band allocation, scaling-row
-    /// fills): `1` (the default) plans serially, `0` resolves to one
-    /// thread per available core. Plans are **byte-identical across
-    /// every value** — parallel stages merge in fixed index order
-    /// (DESIGN.md §4j) — so the knob is pure wall-clock policy and is
-    /// deliberately excluded from plan cache keys.
+    /// Threads one plan may run at once: `1` (the default) plans
+    /// serially, `0` resolves to one thread per available core. Above
+    /// one, the XY chain (FDM grouping, then XY allocation), each
+    /// partition region's Z work (TDM grouping, then refinement) and
+    /// the readout chain run as concurrent items, and the two bands
+    /// fan their scaling rows and zone scoring out over the threads
+    /// the items leave idle. Plans are **byte-identical across every
+    /// value** — items merge in fixed index order (DESIGN.md §4j) — so
+    /// the knob is pure wall-clock policy and is deliberately excluded
+    /// from plan cache keys.
     pub plan_threads: usize,
 }
 
@@ -290,8 +293,11 @@ impl<'a> YoutiaoPlanner<'a> {
         self
     }
 
-    /// Runs the full pipeline: (optional) partition → FDM grouping →
-    /// TDM grouping → frequency allocation → readout assignment.
+    /// Runs the full pipeline: the (optional) partition, then three
+    /// independent chains — FDM grouping → XY frequency allocation,
+    /// each region's TDM grouping → (optional) refinement, and readout
+    /// feedlines → readout frequency allocation — which run
+    /// concurrently when [`PlannerConfig::plan_threads`] allows.
     ///
     /// # Errors
     ///
@@ -303,16 +309,23 @@ impl<'a> YoutiaoPlanner<'a> {
     }
 
     /// Runs [`plan`](Self::plan) while reporting each sub-stage's wall
-    /// time to `hook` (stage name, elapsed). Stages that are not
-    /// configured (partition, refine) are not reported. A final
-    /// `"total"` event carries the whole call's wall time, after every
-    /// sub-stage. The flow layer uses this to attach tracer child spans
-    /// without this crate depending on the observability machinery.
+    /// time to `hook` (stage name, elapsed), in this order at every
+    /// thread count: `matrices` and `kernels` (only without a
+    /// context), `partition`, `fdm_grouping`, `tdm_grouping`, `refine`,
+    /// `freq.kernels` (only without a context), `freq.place`,
+    /// `freq.swap`, `freq_alloc`, `readout.place`, `readout.swap`,
+    /// `readout`, and a final `"total"` carrying the whole call's wall
+    /// time. Stages that are not configured (partition, refine) are not
+    /// reported, and the events stop at a failing band's sub-stages.
+    /// The flow layer uses this to attach tracer child spans without
+    /// this crate depending on the observability machinery.
     ///
-    /// With `plan_threads > 1` stages overlap in wall time, so
-    /// sub-stage durations may sum past `"total"`; at the default
-    /// serial setting the disjoint top-level stages always sum to at
-    /// most `"total"`.
+    /// With `plan_threads > 1` the XY chain, the regions' Z work and
+    /// the readout chain overlap in wall time (their events are
+    /// replayed once all have finished), and `tdm_grouping` and
+    /// `refine` sum over regions that may run at once, so sub-stage
+    /// durations may sum past `"total"`; at the default serial setting
+    /// the disjoint top-level stages always sum to at most `"total"`.
     ///
     /// # Errors
     ///
@@ -411,11 +424,25 @@ impl<'a> YoutiaoPlanner<'a> {
                 None => (None, vec![chip.qubit_ids().collect()]),
             };
 
-        // The parallel executor and the scratch-arena pool serving
-        // every stage below. A context's pool persists across plans so
-        // buffer capacity warms up; a context-free plan gets a local
-        // (cold) pool with identical semantics.
-        let exec = ParallelExec::new(self.config.plan_threads);
+        // Freq kernels always follow the XY matrix (both bands score XY
+        // crosstalk), so a context's kernels are reusable even when a
+        // planner-local ZZ model overrides the grouping kernels.
+        let freq_kernels_local;
+        let mut freq_kernels_elapsed = None;
+        let freq_kernels: &FreqKernels = match self.context {
+            Some(ctx) => ctx.freq_kernels(),
+            None => {
+                let started = Instant::now();
+                freq_kernels_local = FreqKernels::build(xtalk);
+                freq_kernels_elapsed = Some(started.elapsed());
+                &freq_kernels_local
+            }
+        };
+
+        // The scratch-arena pool serving every chain below: each item
+        // checks out its own arena. A context's pool persists across
+        // plans so buffer capacity warms up; a context-free plan gets a
+        // local (cold) pool with identical semantics.
         let local_pool;
         let pool: &ScratchPool = match self.context {
             Some(ctx) => ctx.scratch(),
@@ -425,166 +452,124 @@ impl<'a> YoutiaoPlanner<'a> {
             }
         };
 
-        // Regions are planned concurrently — each worker checks out its
-        // own arena — and results merge in region-index order, so the
-        // concatenated lines/groups are exactly the serial loop's.
-        // Refinement runs inside the region task: a group never spans
-        // regions, so refining per region keeps the parallel stage
-        // self-contained (and with no partition the single region makes
-        // it the global refinement).
-        let tdm_config = &self.config.tdm;
-        let fdm_capacity = self.config.fdm_capacity;
-        let refine_config = self.config.refine;
-        let region_results = exec.run(regions.len(), |r| {
-            let region = &regions[r];
-            let mut arena = pool.checkout();
+        // The XY, Z and readout lines are independent problems, so they
+        // run as one dispatch of items: the XY chain (every region's FDM
+        // grouping in region order, then XY allocation), each region's
+        // Z work (TDM grouping, then refinement: a group never spans
+        // regions), then the readout chain. Threads take the next item
+        // as they finish one and results merge in item order, so the
+        // plan is the serial loop's. A band fans out only over threads
+        // the items leave idle, halved between the two bands, so a plan
+        // never runs more than `plan_threads` threads.
+        let exec = ParallelExec::new(self.config.plan_threads);
+        let items = regions.len() + 2;
+        let band_exec = ParallelExec::new(1 + exec.threads().saturating_sub(items) / 2);
+        let band = |lines: &[FdmLine], config: &FreqConfig, names: [&'static str; 2]| {
             let started = Instant::now();
-            let lines = group_fdm_subset(chip, eq, fdm_capacity, region);
-            let fdm_elapsed = started.elapsed();
-            // A coupler belongs to the region of its lower endpoint.
-            let started = Instant::now();
-            let devices: Vec<DeviceId> = region
-                .iter()
-                .map(|&q| DeviceId::Qubit(q))
-                .chain(chip.couplers().filter_map(|c| {
-                    let (a, _) = c.endpoints();
-                    region.contains(&a).then_some(DeviceId::Coupler(c.id()))
-                }))
-                .collect();
-            let mut groups = crate::tdm::group_tdm_kernels_in(
-                kernels, tdm_xtalk, tdm_config, &devices, activity, &mut arena,
+            let mut events = Vec::new();
+            let plan = allocate_frequencies_kernels_in(
+                chip,
+                lines,
+                freq_kernels,
+                xtalk,
+                config,
+                &mut |stage, elapsed| {
+                    events.push((if stage == "place" { names[0] } else { names[1] }, elapsed))
+                },
+                &mut pool.checkout(),
+                &band_exec,
             );
-            let tdm_elapsed = started.elapsed();
-            let mut refine_elapsed = std::time::Duration::ZERO;
-            if let Some(refine) = &refine_config {
-                let started = Instant::now();
-                let (refined, _removed) = crate::refine::refine_tdm_groups_kernels_in(
-                    kernels, tdm_xtalk, activity, tdm_config, groups, refine, &mut arena,
-                );
-                groups = refined;
-                refine_elapsed = started.elapsed();
-            }
-            (lines, groups, fdm_elapsed, tdm_elapsed, refine_elapsed)
-        });
-
-        let mut fdm_elapsed = std::time::Duration::ZERO;
-        let mut tdm_elapsed = std::time::Duration::ZERO;
-        let mut refine_elapsed = std::time::Duration::ZERO;
-        let mut fdm_lines = Vec::new();
-        let mut tdm_groups = Vec::new();
-        for (lines, groups, fdm_e, tdm_e, refine_e) in region_results {
-            fdm_lines.extend(lines);
-            tdm_groups.extend(groups);
-            fdm_elapsed += fdm_e;
-            tdm_elapsed += tdm_e;
-            refine_elapsed += refine_e;
-        }
-        hook("fdm_grouping", fdm_elapsed);
-        hook("tdm_grouping", tdm_elapsed);
-        if refine_config.is_some() {
-            hook("refine", refine_elapsed);
-        }
-
-        // Freq kernels always follow the XY matrix (both bands score XY
-        // crosstalk), so a context's kernels are reusable even when a
-        // planner-local ZZ model overrides the grouping kernels.
-        let freq_kernels_local;
-        let freq_kernels: &FreqKernels = match self.context {
-            Some(ctx) => ctx.freq_kernels(),
-            None => {
-                let started = Instant::now();
-                freq_kernels_local = FreqKernels::build(xtalk);
-                hook("freq.kernels", started.elapsed());
-                &freq_kernels_local
+            Band {
+                plan,
+                events,
+                wall: started.elapsed(),
             }
         };
-
-        // The two bands are independent allocations, so they run
-        // concurrently. Hook events are buffered per band and replayed
-        // in the fixed serial order (freq.* then readout.*) after the
-        // join — the hook stream is indistinguishable from a serial
-        // run, and so are the plans (each band's allocation is already
-        // deterministic for any executor).
-        let freq_config = &self.config.freq;
-        let readout_config = &self.config.readout_freq;
-        let readout_capacity = self.config.readout_capacity;
-        let fdm_lines_ref = &fdm_lines;
-        // The join already runs the bands on two threads, so each band
-        // fans out over half the budget and the plan stays within it.
-        let band_exec = ParallelExec::new((exec.threads() / 2).max(1));
-        let (freq_out, readout_out) = exec.join(
-            || {
-                let mut events: Vec<(&'static str, std::time::Duration)> = Vec::new();
+        let tdm_config = &self.config.tdm;
+        let chains = exec.run(items, |item| match item {
+            0 => {
                 let started = Instant::now();
-                let mut arena = pool.checkout();
-                let result = allocate_frequencies_kernels_in(
-                    chip,
-                    fdm_lines_ref,
-                    freq_kernels,
-                    xtalk,
-                    freq_config,
-                    &mut |stage, elapsed| {
-                        events.push((
-                            match stage {
-                                "place" => "freq.place",
-                                _ => "freq.swap",
-                            },
-                            elapsed,
-                        ))
-                    },
-                    &mut arena,
-                    &band_exec,
-                );
-                (result, events, started.elapsed())
-            },
-            || {
-                let mut events: Vec<(&'static str, std::time::Duration)> = Vec::new();
-                let started = Instant::now();
-                let mut arena = pool.checkout();
+                let lines: Vec<FdmLine> = regions
+                    .iter()
+                    .flat_map(|region| group_fdm_subset(chip, eq, self.config.fdm_capacity, region))
+                    .collect();
+                let fdm_elapsed = started.elapsed();
+                let xy = band(&lines, &self.config.freq, ["freq.place", "freq.swap"]);
+                Chain::Xy(lines, fdm_elapsed, xy)
+            }
+            _ if item == items - 1 => {
                 let qubits: Vec<QubitId> = chip.qubit_ids().collect();
-                let readout_lines: Vec<Vec<QubitId>> = qubits
-                    .chunks(readout_capacity)
+                let lines: Vec<Vec<QubitId>> = qubits
+                    .chunks(self.config.readout_capacity)
                     .map(<[QubitId]>::to_vec)
                     .collect();
                 // Resonator frequencies share the allocator: a feedline
                 // is an FDM line in the readout band.
-                let readout_as_fdm: Vec<FdmLine> =
-                    readout_lines.iter().cloned().map(FdmLine::new).collect();
-                let result = allocate_frequencies_kernels_in(
-                    chip,
-                    &readout_as_fdm,
-                    freq_kernels,
-                    xtalk,
-                    readout_config,
-                    &mut |stage, elapsed| {
-                        events.push((
-                            match stage {
-                                "place" => "readout.place",
-                                _ => "readout.swap",
-                            },
-                            elapsed,
-                        ))
-                    },
-                    &mut arena,
-                    &band_exec,
+                let feedlines: Vec<FdmLine> = lines.iter().cloned().map(FdmLine::new).collect();
+                let readout = band(
+                    &feedlines,
+                    &self.config.readout_freq,
+                    ["readout.place", "readout.swap"],
                 );
-                (result, readout_lines, events, started.elapsed())
-            },
-        );
+                Chain::Readout(lines, readout)
+            }
+            _ => {
+                let region = &regions[item - 1];
+                let mut arena = pool.checkout();
+                let started = Instant::now();
+                // A coupler belongs to the region of its lower endpoint.
+                let devices: Vec<DeviceId> = region
+                    .iter()
+                    .map(|&q| DeviceId::Qubit(q))
+                    .chain(chip.couplers().filter_map(|c| {
+                        let (a, _) = c.endpoints();
+                        region.contains(&a).then_some(DeviceId::Coupler(c.id()))
+                    }))
+                    .collect();
+                let mut groups = crate::tdm::group_tdm_kernels_in(
+                    kernels, tdm_xtalk, tdm_config, &devices, activity, &mut arena,
+                );
+                let tdm_elapsed = started.elapsed();
+                let started = Instant::now();
+                if let Some(refine) = &self.config.refine {
+                    (groups, _) = crate::refine::refine_tdm_groups_kernels_in(
+                        kernels, tdm_xtalk, activity, tdm_config, groups, refine, &mut arena,
+                    );
+                }
+                Chain::Z(groups, tdm_elapsed, started.elapsed())
+            }
+        });
 
-        let (freq_result, freq_events, freq_wall) = freq_out;
-        for (name, elapsed) in freq_events {
-            hook(name, elapsed);
+        let mut tdm_groups = Vec::new();
+        let mut tdm_elapsed = std::time::Duration::ZERO;
+        let mut refine_elapsed = std::time::Duration::ZERO;
+        let (mut xy, mut readout) = (None, None);
+        for chain in chains {
+            match chain {
+                Chain::Xy(lines, fdm_e, xy_band) => xy = Some((lines, fdm_e, xy_band)),
+                Chain::Z(groups, tdm_e, refine_e) => {
+                    tdm_groups.extend(groups);
+                    tdm_elapsed += tdm_e;
+                    refine_elapsed += refine_e;
+                }
+                Chain::Readout(lines, readout_band) => readout = Some((lines, readout_band)),
+            }
         }
-        let frequency_plan = freq_result?;
-        hook("freq_alloc", freq_wall);
+        let (fdm_lines, fdm_elapsed, xy) = xy.expect("item 0 is the XY chain");
+        let (readout_lines, readout) = readout.expect("the last item is the readout chain");
 
-        let (readout_result, readout_lines, readout_events, readout_wall) = readout_out;
-        for (name, elapsed) in readout_events {
-            hook(name, elapsed);
+        // Hook events replay in the serial order, and the XY band's
+        // error takes precedence over the readout band's.
+        hook("fdm_grouping", fdm_elapsed);
+        hook("tdm_grouping", tdm_elapsed);
+        if self.config.refine.is_some() {
+            hook("refine", refine_elapsed);
         }
-        let readout_frequency_plan = readout_result?;
-        hook("readout", readout_wall);
+        if let Some(elapsed) = freq_kernels_elapsed {
+            hook("freq.kernels", elapsed);
+        }
+        let frequency_plan = xy.replay("freq_alloc", hook)?;
+        let readout_frequency_plan = readout.replay("readout", hook)?;
 
         let plan = WiringPlan::from_parts(
             fdm_lines,
@@ -595,6 +580,40 @@ impl<'a> YoutiaoPlanner<'a> {
             partition,
         );
         hook("total", total_started.elapsed());
+        Ok(plan)
+    }
+}
+
+/// One item's output in [`YoutiaoPlanner::plan_with_hook`]'s dispatch.
+enum Chain {
+    /// The FDM lines, their grouping time and the XY band.
+    Xy(Vec<FdmLine>, std::time::Duration, Band),
+    /// One region's TDM groups and its grouping and refinement times.
+    Z(Vec<TdmGroup>, std::time::Duration, std::time::Duration),
+    /// The readout feedlines and their band.
+    Readout(Vec<Vec<QubitId>>, Band),
+}
+
+/// A frequency band's allocation with its hook events held for replay.
+struct Band {
+    plan: Result<FrequencyPlan, PlanError>,
+    events: Vec<(&'static str, std::time::Duration)>,
+    wall: std::time::Duration,
+}
+
+impl Band {
+    /// Reports the buffered sub-stage events, then the band's wall time
+    /// as `name` unless the allocation failed.
+    fn replay(
+        self,
+        name: &'static str,
+        hook: &mut dyn FnMut(&'static str, std::time::Duration),
+    ) -> Result<FrequencyPlan, PlanError> {
+        for (stage, elapsed) in self.events {
+            hook(stage, elapsed);
+        }
+        let plan = self.plan?;
+        hook(name, self.wall);
         Ok(plan)
     }
 }
@@ -846,7 +865,7 @@ mod tests {
         };
         let mut stages = Vec::new();
         let plan = YoutiaoPlanner::new(&chip)
-            .with_config(cfg)
+            .with_config(cfg.clone())
             .plan_with_hook(&mut |name, elapsed| stages.push((name, elapsed)))
             .unwrap();
         let names: Vec<&str> = stages.iter().map(|(n, _)| *n).collect();
@@ -891,6 +910,19 @@ mod tests {
             top_level <= total,
             "stage sum {top_level:?} exceeds total {total:?}"
         );
+
+        // The dispatch replays the same events at any thread count.
+        for threads in [2usize, 3] {
+            let mut threaded = Vec::new();
+            YoutiaoPlanner::new(&chip)
+                .with_config(PlannerConfig {
+                    plan_threads: threads,
+                    ..cfg.clone()
+                })
+                .plan_with_hook(&mut |name, _| threaded.push(name))
+                .unwrap();
+            assert_eq!(threaded, names, "{threads} threads");
+        }
 
         // Unconfigured stages are not reported.
         let mut names = Vec::new();
@@ -950,12 +982,43 @@ mod tests {
         assert_eq!(plan.tdm_groups(), naive_refined.as_slice());
     }
 
+    /// Plans at `plan_threads` ∈ {2, 3, 4, 8} must equal the serial
+    /// reference, the XY and readout frequency bands bit for bit.
+    fn assert_thread_invariant(
+        chip: &Chip,
+        base: &PlannerConfig,
+        label: &str,
+        plan: impl Fn(PlannerConfig) -> WiringPlan,
+    ) {
+        let reference = plan(base.clone());
+        for threads in [2usize, 3, 4, 8] {
+            let plan = plan(PlannerConfig {
+                plan_threads: threads,
+                ..base.clone()
+            });
+            assert_eq!(plan, reference, "{label}, {threads} threads");
+            for q in chip.qubit_ids() {
+                assert_eq!(
+                    plan.frequency_plan().frequency_ghz(q).to_bits(),
+                    reference.frequency_plan().frequency_ghz(q).to_bits(),
+                    "{label}: XY band {q} moved at {threads} threads"
+                );
+                assert_eq!(
+                    plan.readout_frequency_plan().frequency_ghz(q).to_bits(),
+                    reference
+                        .readout_frequency_plan()
+                        .frequency_ghz(q)
+                        .to_bits(),
+                    "{label}: readout band {q} moved at {threads} threads"
+                );
+            }
+        }
+    }
+
     #[test]
     fn plans_are_byte_identical_across_thread_counts() {
-        // The PR 4 / PR 7 byte-identity story extended to parallelism:
-        // for every layout family × partitioning choice, plans at
-        // plan_threads ∈ {2, 4, 8} must equal the serial reference —
-        // including the XY and readout frequency bands bit-for-bit.
+        // Plans must not depend on the thread count, for every layout
+        // family × partitioning choice.
         use youtiao_chip::surface::SurfaceCode;
         let chips = [
             topology::square_grid(5, 5),
@@ -969,40 +1032,91 @@ mod tests {
                     refine: Some(crate::refine::RefineConfig::default()),
                     ..Default::default()
                 };
-                let reference = YoutiaoPlanner::new(chip)
-                    .with_config(base.clone())
-                    .plan()
-                    .unwrap();
-                for threads in [2usize, 4, 8] {
-                    let cfg = PlannerConfig {
-                        plan_threads: threads,
-                        ..base.clone()
-                    };
-                    let plan = YoutiaoPlanner::new(chip).with_config(cfg).plan().unwrap();
-                    assert_eq!(
-                        plan,
-                        reference,
-                        "{} qubits, partitioned={}, {threads} threads",
-                        chip.num_qubits(),
-                        partition.is_some()
-                    );
-                    for q in chip.qubit_ids() {
-                        assert_eq!(
-                            plan.frequency_plan().frequency_ghz(q).to_bits(),
-                            reference.frequency_plan().frequency_ghz(q).to_bits(),
-                            "XY band {q} moved at {threads} threads"
-                        );
-                        assert_eq!(
-                            plan.readout_frequency_plan().frequency_ghz(q).to_bits(),
-                            reference
-                                .readout_frequency_plan()
-                                .frequency_ghz(q)
-                                .to_bits(),
-                            "readout band {q} moved at {threads} threads"
-                        );
-                    }
-                }
+                let label = format!(
+                    "{} qubits, partitioned={}",
+                    chip.num_qubits(),
+                    partition.is_some()
+                );
+                assert_thread_invariant(chip, &base, &label, |cfg| {
+                    YoutiaoPlanner::new(chip).with_config(cfg).plan().unwrap()
+                });
             }
+        }
+
+        // A planner-local ZZ model scores TDM grouping, and a supplied
+        // activity profile replaces the brickwork one.
+        use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
+        use youtiao_noise::fit::{fit_crosstalk_model, FitConfig};
+        let chip = topology::square_grid(5, 5);
+        let fit = |kind, synth: SynthConfig| {
+            fit_crosstalk_model(&synthesize(&chip, kind, &synth, 5), &FitConfig::fast()).unwrap()
+        };
+        let xy = fit(CrosstalkKind::Xy, SynthConfig::xy());
+        let zz = fit(CrosstalkKind::Zz, SynthConfig::zz());
+        let activity: crate::tdm::ActivityProfile = chip
+            .coupler_ids()
+            .map(|c| (DeviceId::Coupler(c), 1u32 << (c.index() % 3)))
+            .collect();
+        let base = PlannerConfig {
+            partition: Some(PartitionConfig::default()),
+            refine: Some(crate::refine::RefineConfig::default()),
+            tdm: TdmConfig {
+                max_shared_slots: 1,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        assert_thread_invariant(&chip, &base, "ZZ model and activity", |cfg| {
+            YoutiaoPlanner::new(&chip)
+                .with_crosstalk_model(&xy)
+                .with_zz_model(&zz)
+                .with_activity(&activity)
+                .with_config(cfg)
+                .plan()
+                .unwrap()
+        });
+    }
+
+    #[test]
+    fn band_errors_keep_their_order_at_every_thread_count() {
+        // Both bands fail: the XY band is degenerate and the readout
+        // band's cell is wider than its zone. The XY band's error wins,
+        // and the hook sees the same events, at every thread count.
+        let chip = topology::square_grid(4, 4);
+        for threads in [1usize, 2, 3, 8] {
+            let cfg = PlannerConfig {
+                freq: FreqConfig {
+                    band_ghz: (5.0, 5.0),
+                    ..Default::default()
+                },
+                readout_freq: FreqConfig {
+                    cell_mhz: 2000.0,
+                    ..PlannerConfig::default().readout_freq
+                },
+                plan_threads: threads,
+                ..Default::default()
+            };
+            let mut names = Vec::new();
+            let err = YoutiaoPlanner::new(&chip)
+                .with_config(cfg)
+                .plan_with_hook(&mut |name, _| names.push(name))
+                .unwrap_err();
+            assert_eq!(
+                err,
+                PlanError::InvalidConfig("frequency band or cell size"),
+                "{threads} threads"
+            );
+            assert_eq!(
+                names,
+                [
+                    "matrices",
+                    "kernels",
+                    "fdm_grouping",
+                    "tdm_grouping",
+                    "freq.kernels"
+                ],
+                "{threads} threads"
+            );
         }
     }
 

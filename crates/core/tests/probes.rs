@@ -83,14 +83,14 @@ fn crosstalk_delta_matches_a_fresh_context() {
     let (a, b) = (QubitId::new(3), QubitId::new(7));
     drifted.set(a, b, drifted.get(a, b) * 2.5 + 1e-3);
 
-    let invalidated = PlanContext::kernels_invalidated();
+    let deltas = PlanContext::crosstalk_deltas();
     let builds = (PlanContext::build_count(), PairKernels::build_count());
     let rows = ctx
         .apply_crosstalk_delta(&chip, drifted.clone(), &[a, b])
         .unwrap();
     // q3 (a corner, two couplers) and q7 (an edge, three), sharing one.
     assert_eq!(rows, 6, "both qubits and the four distinct couplers");
-    assert_eq!(PlanContext::kernels_invalidated(), invalidated + 1);
+    assert_eq!(PlanContext::crosstalk_deltas(), deltas + 1);
     assert_eq!(
         (PlanContext::build_count(), PairKernels::build_count()),
         builds,

@@ -3,7 +3,8 @@
 # tests (youtiao-serve), a batch smoke run with plan validation + stage
 # tracing plus a byte-identity cmp across --plan-threads, --jobs and
 # --shards, a duplicate-request smoke (computed once), a sweep smoke
-# run (JSONL schema, Pareto front, thread-count determinism), repair
+# run (JSONL schema, Pareto front, thread-count determinism), the fig16
+# sweep on one worker byte-identical across --plan-threads, repair
 # smoke runs (pinned drift change set -> pinned repaired-plan hash,
 # structural fallback pin, bench-repair schema), a chaos smoke run (seeded fault injection,
 # record-count and determinism checks), a daemon smoke (stdin + socket
@@ -222,6 +223,25 @@ print(f"  sweep smoke OK: {len(records)} records, "
       f"{len(summary['pareto'])} Pareto points, deterministic across threads")
 PY
 
+echo "==> smoke: youtiao sweep (fig16 at one sweep worker, byte-identical across --plan-threads)"
+# One sweep worker with intra-plan parallelism is plan-sweep's shape:
+# each plan's XY, Z and readout chains run as concurrent items. The
+# thread counts are explicit because auto resolves to the host's
+# cores, which is serial on a one-core runner.
+for pt in 1 2 3; do
+  cargo run -q --release --offline --bin youtiao -- sweep \
+    --spec examples/sweeps/fig16.json --out "$smoke_dir/fig16_pt$pt.jsonl" \
+    --threads 1 --plan-threads "$pt" 2> /dev/null
+done
+for pt in 2 3; do
+  if ! cmp -s "$smoke_dir/fig16_pt1.jsonl" "$smoke_dir/fig16_pt$pt.jsonl"; then
+    echo "verify: FAILED — fig16 sweep differs between --plan-threads 1 and $pt" >&2
+    diff "$smoke_dir/fig16_pt1.jsonl" "$smoke_dir/fig16_pt$pt.jsonl" >&2 || true
+    exit 1
+  fi
+done
+echo "  fig16 sweep OK: byte-identical at 1/2/3 plan threads on one sweep worker"
+
 echo "==> smoke: youtiao plan --chiplets (2x2 heavy-hex array, --validate, plan-threads cmp)"
 # A 2x2 chiplet array must plan end-to-end under full per-die +
 # cross-die validation, and the combined summary must be byte-identical
@@ -367,7 +387,7 @@ import json, sys
 with open(sys.argv[1]) as f:
     drift = json.load(f)
 # A pinned single-entry drift on the 5x5 grid: repaired locally, both
-# endpoints dirty, kernel rows invalidated, validation clean, and the
+# endpoints dirty, crosstalk rows invalidated, validation clean, and the
 # repaired plan's content hash is a pure function of the snapshot.
 assert drift["outcome"] == "repaired", drift["outcome"]
 assert drift["changes"] == 1 and not drift["structural"], drift

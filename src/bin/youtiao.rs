@@ -748,7 +748,7 @@ fn run_repair_command(flags: &HashMap<String, Option<String>>) -> Result<(), Str
         print!("{}", changes.render());
     }
     println!(
-        "\noutcome: {} ({} dirty qubits, {} kernel rows invalidated, {} groups regrouped over {} devices)",
+        "\noutcome: {} ({} dirty qubits, {} crosstalk rows invalidated, {} groups regrouped over {} devices)",
         report.outcome.as_str(),
         report.dirty_qubits,
         report.invalidated_rows,
