@@ -2,10 +2,12 @@
 //!
 //! Times the planner's hot loops — kernels build, TDM grouping and
 //! refinement, frequency allocation on both bands, kernelized vs the
-//! retained naive references — plus the full context-backed plan,
-//! across square-grid chip sizes and any extra [`Layout`]s (rotated
-//! surface codes, heavy-hex patches), and summarizes each stage as
-//! median / p10 / p90 over repeated iterations. The result serializes
+//! retained naive references — plus the full context-backed plan (its
+//! chain memo emptied before each timed plan, so every chain runs) and
+//! a plan whose chains all hit the memo, across square-grid chip sizes
+//! and any extra [`Layout`]s (rotated surface codes, heavy-hex
+//! patches), and summarizes each stage as median / p10 / p90 over
+//! repeated iterations. The result serializes
 //! to `BENCH_plan.json` so the repo carries a perf trajectory: every
 //! PR can re-run the harness and compare against the committed
 //! baseline.
@@ -215,8 +217,9 @@ pub struct SizeReport {
     /// (`kernels_build`, `grouping_kernels`, `grouping_naive`,
     /// `refine_kernels`, `refine_naive`, `freq_kernels_build`,
     /// `freq_alloc_kernels`, `freq_alloc_naive`, `readout_kernels`,
-    /// `readout_naive`, `plan_total`, and the planner's hook sub-stages
-    /// prefixed `plan.`).
+    /// `readout_naive`, `plan_total`, the planner's hook sub-stages
+    /// prefixed `plan.`, and `plan_memo_hit`, a plan whose chains all
+    /// come from the context's chain memo).
     pub stages: BTreeMap<String, StageStats>,
     /// `PairKernels` builds observed while the timed plans ran; must be
     /// 0 — every plan reuses the shared context's kernels.
@@ -316,11 +319,22 @@ impl PerfReport {
 
 /// Times one closure `iterations` times, returning the stats and the
 /// last iteration's output.
-pub(crate) fn timed<T>(iterations: usize, mut f: impl FnMut() -> T) -> (StageStats, T) {
+pub(crate) fn timed<T>(iterations: usize, f: impl FnMut() -> T) -> (StageStats, T) {
+    timed_each(iterations, || {}, f)
+}
+
+/// [`timed`], running `before` ahead of each iteration, outside the
+/// timed span.
+fn timed_each<T>(
+    iterations: usize,
+    mut before: impl FnMut(),
+    mut f: impl FnMut() -> T,
+) -> (StageStats, T) {
     assert!(iterations > 0, "iterations must be positive");
     let mut samples = Vec::with_capacity(iterations);
     let mut last = None;
     for _ in 0..iterations {
+        before();
         let started = Instant::now();
         let out = f();
         samples.push(started.elapsed().as_secs_f64() * 1e6);
@@ -461,6 +475,9 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         // One warmup plan populates the context's scratch arenas; the
         // timed loop after it must then run allocation-free (the
         // build-probe pattern, applied to buffers instead of matrices).
+        // Each timed plan starts from an empty chain memo, so every
+        // chain runs; emptying it keeps the arenas warm, where a fresh
+        // clone of the context would drop them.
         YoutiaoPlanner::new(&chip)
             .with_config(plan_cfg.clone())
             .with_context(&ctx)
@@ -469,17 +486,21 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         let scratch_fresh_before = scratch::fresh_count();
         let scratch_reused_before = scratch::reuse_count();
         let mut sub: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
-        let (stats, _) = timed(iters, || {
-            YoutiaoPlanner::new(&chip)
-                .with_config(plan_cfg.clone())
-                .with_context(&ctx)
-                .plan_with_hook(&mut |name, elapsed| {
-                    sub.entry(name)
-                        .or_default()
-                        .push(elapsed.as_secs_f64() * 1e6);
-                })
-                .expect("benchmark plan must succeed")
-        });
+        let (stats, _) = timed_each(
+            iters,
+            || ctx.clear_chains(),
+            || {
+                YoutiaoPlanner::new(&chip)
+                    .with_config(plan_cfg.clone())
+                    .with_context(&ctx)
+                    .plan_with_hook(&mut |name, elapsed| {
+                        sub.entry(name)
+                            .or_default()
+                            .push(elapsed.as_secs_f64() * 1e6);
+                    })
+                    .expect("benchmark plan must succeed")
+            },
+        );
         stages.insert("plan_total".to_string(), stats);
         for (name, samples) in sub {
             stages.insert(format!("plan.{name}"), StageStats::from_samples(samples));
@@ -497,6 +518,22 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         let kernel_builds_during_plans = PairKernels::build_count() - plan_kernels_before;
         let freq_kernel_builds_during_plans = FreqKernels::build_count() - plan_freq_kernels_before;
 
+        // The same plan again, its chains all in the memo now.
+        let hits_before = ctx.chain_stats().hits;
+        let (stats, _) = timed(iters, || {
+            YoutiaoPlanner::new(&chip)
+                .with_config(plan_cfg.clone())
+                .with_context(&ctx)
+                .plan()
+                .expect("benchmark plan must succeed")
+        });
+        stages.insert("plan_memo_hit".to_string(), stats);
+        assert_eq!(
+            ctx.chain_stats().hits - hits_before,
+            3 * iters as u64,
+            "{label}: the memo-hit plans ran a chain"
+        );
+
         // Partitioned plan, serial vs parallel: same context, same
         // config apart from `plan_threads`, so the differential check
         // doubles as the in-bench byte-identity proof for the region/
@@ -507,25 +544,33 @@ pub fn run(config: &PerfConfig) -> PerfReport {
             plan_threads: 1,
             ..Default::default()
         };
-        let (stats, serial_plan) = timed(iters, || {
-            YoutiaoPlanner::new(&chip)
-                .with_config(par_cfg.clone())
-                .with_context(&ctx)
-                .plan()
-                .expect("benchmark partitioned plan must succeed")
-        });
+        let (stats, serial_plan) = timed_each(
+            iters,
+            || ctx.clear_chains(),
+            || {
+                YoutiaoPlanner::new(&chip)
+                    .with_config(par_cfg.clone())
+                    .with_context(&ctx)
+                    .plan()
+                    .expect("benchmark partitioned plan must succeed")
+            },
+        );
         stages.insert("plan_partitioned_serial".to_string(), stats);
         let threads = config.plan_threads.max(1);
-        let (stats, parallel_plan) = timed(iters, || {
-            YoutiaoPlanner::new(&chip)
-                .with_config(PlannerConfig {
-                    plan_threads: threads,
-                    ..par_cfg.clone()
-                })
-                .with_context(&ctx)
-                .plan()
-                .expect("benchmark parallel plan must succeed")
-        });
+        let (stats, parallel_plan) = timed_each(
+            iters,
+            || ctx.clear_chains(),
+            || {
+                YoutiaoPlanner::new(&chip)
+                    .with_config(PlannerConfig {
+                        plan_threads: threads,
+                        ..par_cfg.clone()
+                    })
+                    .with_context(&ctx)
+                    .plan()
+                    .expect("benchmark parallel plan must succeed")
+            },
+        );
         stages.insert("plan_partitioned_parallel".to_string(), stats);
         assert_eq!(
             parallel_plan, serial_plan,

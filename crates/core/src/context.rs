@@ -9,6 +9,12 @@
 //! times against the shared, immutable context instead of rebuilding
 //! O(n²) state per point.
 //!
+//! A context also memoizes the plan's chains (the XY chain, each
+//! region's Z chain, the readout chain), keyed by exactly the knobs
+//! each reads, so a point that repeats an earlier point's inputs to a
+//! chain clones that chain's output instead of planning it again
+//! ([`PlanContext::chain_stats`], DESIGN.md §4j).
+//!
 //! # Example
 //!
 //! ```
@@ -41,6 +47,7 @@ use youtiao_noise::CrosstalkModel;
 use crate::error::PlanError;
 use crate::freq_kernels::FreqKernels;
 use crate::kernels::PairKernels;
+use crate::memo::{ChainMemo, ChainStats};
 use crate::plan::crosstalk_matrix;
 use crate::scratch::ScratchPool;
 
@@ -83,6 +90,22 @@ pub fn chip_fingerprint(chip: &Chip) -> u64 {
 /// with the weights and the chip fingerprint they were built from so a
 /// mismatched or structurally-changed chip is rejected instead of
 /// silently planning against stale matrices.
+///
+/// Besides that planning state the context carries two kinds of warm
+/// state, which compare equal, clone empty and never change a plan:
+/// the scratch-arena pool ([`Self::scratch`]) and the chain memo. The
+/// memo keeps each successful chain a plan on this context ran, keyed
+/// by exactly the inputs that chain reads besides the context: the
+/// partition's regions, `fdm_capacity` and `freq` for the XY chain;
+/// one region, `tdm` and `refine` for a Z chain; `readout_capacity`
+/// and `readout_freq` for the readout chain (floats by their bits, and
+/// each qubit's base frequency when a band has a tuning range). A plan
+/// that supplies an activity profile or scores TDM grouping with a
+/// planner-local ZZ model runs its Z chains without the memo. The memo
+/// holds at most 128 chains: once full, later chains are planned but
+/// not kept. [`Self::apply_crosstalk_delta`] and
+/// [`Self::with_zz_model`] empty it, and [`Self::chain_stats`] counts
+/// its hits and misses.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanContext {
     num_qubits: usize,
@@ -93,10 +116,11 @@ pub struct PlanContext {
     zz_crosstalk: Option<DistanceMatrix>,
     kernels: PairKernels,
     freq_kernels: FreqKernels,
-    // Warm buffer capacity, not planning state: compares equal to every
-    // other pool and clones to an empty one, so it never perturbs the
-    // staleness/equality semantics above.
+    // Warm buffer capacity and memoized chains, not planning state:
+    // each compares equal to every other and clones to an empty one,
+    // so neither perturbs the staleness/equality semantics above.
     scratch: ScratchPool,
+    chains: ChainMemo,
 }
 
 impl PlanContext {
@@ -149,11 +173,13 @@ impl PlanContext {
             kernels: PairKernels::build(chip),
             freq_kernels,
             scratch: ScratchPool::new(),
+            chains: ChainMemo::default(),
         }
     }
 
     /// Adds the ZZ crosstalk matrix (drives the *noisy non-parallelism*
-    /// score of TDM grouping) fitted from `model`.
+    /// score of TDM grouping) fitted from `model`, emptying the chain
+    /// memo.
     ///
     /// # Panics
     ///
@@ -171,6 +197,7 @@ impl PlanContext {
         // the XY matrix: frequency allocation always scores XY
         // crosstalk regardless of the TDM noise model.
         self.zz_crosstalk = Some(crosstalk_matrix(chip, &eq, Some(model)));
+        self.chains.clear();
         self
     }
 
@@ -228,6 +255,25 @@ impl PlanContext {
         &self.scratch
     }
 
+    /// The chain memo the planner looks chains up in.
+    pub(crate) fn chains(&self) -> &ChainMemo {
+        &self.chains
+    }
+
+    /// This context's chain-memo counters: lookups that hit, lookups
+    /// that missed, and chains held now.
+    pub fn chain_stats(&self) -> ChainStats {
+        self.chains.stats()
+    }
+
+    /// Empties the chain memo, keeping its counters and the scratch
+    /// arenas, so the next plan runs every chain again (the bench
+    /// harness times the planner this way; a clone would also drop
+    /// the warm arenas).
+    pub fn clear_chains(&self) {
+        self.chains.clear();
+    }
+
     /// Whether the context is stale for `chip`: the chip's structure
     /// (qubit count, couplers) no longer matches what the matrices and
     /// kernels were built from. A stale context must be rebuilt (or,
@@ -240,7 +286,8 @@ impl PlanContext {
     /// Applies a crosstalk-value delta in place: replaces the XY
     /// crosstalk matrix and rebuilds the freq kernels from it, advancing
     /// the [`Self::crosstalk_deltas`] probe instead of the build
-    /// count. The topology-only [`PairKernels`] stay as they are.
+    /// count, and empties the chain memo. The topology-only
+    /// [`PairKernels`] stay as they are.
     ///
     /// This is the explicit rebuild-vs-delta choice: mutating inputs
     /// and reusing a context used to silently serve stale kernels; now
@@ -296,6 +343,7 @@ impl PlanContext {
         // trivially bit-identical to a fresh context's build.
         self.freq_kernels = FreqKernels::build(&crosstalk);
         self.crosstalk = crosstalk;
+        self.chains.clear();
         Ok(rows.len())
     }
 

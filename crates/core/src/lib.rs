@@ -42,6 +42,7 @@ pub mod fdm;
 pub mod freq;
 pub mod freq_kernels;
 pub mod kernels;
+mod memo;
 pub mod multi;
 pub mod partition;
 pub mod plan;
@@ -61,6 +62,7 @@ pub use crate::freq::{
 };
 pub use crate::freq_kernels::{BandLattice, FreqKernels, ScalingTable};
 pub use crate::kernels::{DeviceIndex, PairKernels};
+pub use crate::memo::ChainStats;
 pub use crate::multi::{
     die_seed, plan_multi, BudgetPartition, CryostatBudget, DiePlan, MultiPlanConfig,
     MultiPlanOutcome, ReconcileStats,

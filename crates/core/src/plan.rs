@@ -1,6 +1,7 @@
 //! The end-to-end YOUTIAO planner and its output wiring plan.
 
 use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use youtiao_chip::distance::{equivalent_matrix, DistanceMatrix, EquivalentWeights};
 use youtiao_chip::{Chip, DeviceId, QubitId};
@@ -14,6 +15,7 @@ use crate::fdm::{group_fdm_subset, FdmLine};
 use crate::freq::{allocate_frequencies_kernels_in, FreqConfig, FrequencyPlan};
 use crate::freq_kernels::FreqKernels;
 use crate::kernels::PairKernels;
+use crate::memo::{ChainKey, ChainOutput};
 use crate::partition::{partition_chip, Partition, PartitionConfig};
 use crate::scratch::ScratchPool;
 use crate::tdm::{TdmConfig, TdmGroup};
@@ -327,15 +329,24 @@ impl<'a> YoutiaoPlanner<'a> {
     /// durations may sum past `"total"`; at the default serial setting
     /// the disjoint top-level stages always sum to at most `"total"`.
     ///
+    /// With a [`PlanContext`], every chain is first looked up in the
+    /// context's chain memo, and only the chains it does not hold are
+    /// dispatched (a plan whose chains all hit starts no thread). A
+    /// hit reports the chain's usual stage names in the usual order,
+    /// with the time this plan spent on them: the key, the lookup and
+    /// the clone go to `fdm_grouping`, `tdm_grouping` or `readout`, the
+    /// XY band's clone to `freq_alloc`, and `freq.place`, `freq.swap`,
+    /// `readout.place`, `readout.swap` and `refine` report zero, since
+    /// they did not run. A hit never replays the durations recorded
+    /// when the chain ran.
+    ///
     /// # Errors
     ///
     /// Same as [`plan`](Self::plan).
     pub fn plan_with_hook(
         &self,
-        hook: &mut dyn FnMut(&'static str, std::time::Duration),
+        hook: &mut dyn FnMut(&'static str, Duration),
     ) -> Result<WiringPlan, PlanError> {
-        use std::time::Instant;
-
         let total_started = Instant::now();
         let chip = self.chip;
         if chip.num_qubits() == 0 {
@@ -398,18 +409,6 @@ impl<'a> YoutiaoPlanner<'a> {
             }
         };
 
-        // With no workload profile supplied, approximate natural
-        // non-parallelism by the topology's brickwork pattern (shared
-        // by every region and the refinement pass).
-        let derived_activity;
-        let activity = match self.activity {
-            Some(activity) => activity,
-            None => {
-                derived_activity = crate::tdm::brickwork_activity(chip);
-                &derived_activity
-            }
-        };
-
         // Partition (stage 1/2), then group each region independently
         // (stage 3); without a partition the whole chip is one region.
         let (partition, regions): (Option<Partition>, Vec<Vec<QubitId>>) =
@@ -453,17 +452,69 @@ impl<'a> YoutiaoPlanner<'a> {
         };
 
         // The XY, Z and readout lines are independent problems, so they
-        // run as one dispatch of items: the XY chain (every region's FDM
+        // run as items of one dispatch: the XY chain (every region's FDM
         // grouping in region order, then XY allocation), each region's
         // Z work (TDM grouping, then refinement: a group never spans
-        // regions), then the readout chain. Threads take the next item
-        // as they finish one and results merge in item order, so the
-        // plan is the serial loop's. A band fans out only over threads
-        // the items leave idle, halved between the two bands, so a plan
-        // never runs more than `plan_threads` threads.
-        let exec = ParallelExec::new(self.config.plan_threads);
+        // regions), then the readout chain. A context's memo answers
+        // every chain whose inputs an earlier plan on it ran, and only
+        // the rest are dispatched. A Z chain's key covers neither a
+        // supplied activity profile nor a planner-local ZZ matrix, so
+        // a plan with either runs its Z chains without the memo.
         let items = regions.len() + 2;
-        let band_exec = ParallelExec::new(1 + exec.threads().saturating_sub(items) / 2);
+        let is_z = |item: usize| item != 0 && item != items - 1;
+        let memo = self.context.map(PlanContext::chains);
+        let z_memoized = self.activity.is_none() && zz_local.is_none();
+        let tdm_config = &self.config.tdm;
+        let mut keys = Vec::with_capacity(items);
+        let mut chains: Vec<Option<Chain>> = Vec::with_capacity(items);
+        for item in 0..items {
+            let started = Instant::now();
+            let key = memo.and_then(|_| match item {
+                0 => Some(ChainKey::xy(
+                    chip,
+                    &regions,
+                    self.config.fdm_capacity,
+                    &self.config.freq,
+                )),
+                _ if is_z(item) => z_memoized.then(|| {
+                    ChainKey::z(&regions[item - 1], tdm_config, self.config.refine.as_ref())
+                }),
+                _ => Some(ChainKey::readout(
+                    chip,
+                    self.config.readout_capacity,
+                    &self.config.readout_freq,
+                )),
+            });
+            let hit = memo.zip(key.as_ref()).and_then(|(memo, key)| memo.get(key));
+            chains.push(hit.map(|output| Chain::recalled(&output, started)));
+            keys.push(key);
+        }
+        let dispatched: Vec<usize> = (0..items).filter(|&item| chains[item].is_none()).collect();
+
+        // With no workload profile supplied, approximate natural
+        // non-parallelism by the topology's brickwork pattern (shared
+        // by every region and the refinement pass). Only a Z chain that
+        // runs reads it.
+        let derived_activity;
+        let activity = match self.activity {
+            Some(activity) => activity,
+            None => {
+                derived_activity = if dispatched.iter().any(|&item| is_z(item)) {
+                    crate::tdm::brickwork_activity(chip)
+                } else {
+                    crate::tdm::ActivityProfile::new()
+                };
+                &derived_activity
+            }
+        };
+
+        // Threads take the next item as they finish one and results
+        // merge in item order, so the plan is the serial loop's. A band
+        // fans out only over threads the items leave idle, halved
+        // between the two bands, so a plan never runs more than
+        // `plan_threads` threads.
+        let exec = ParallelExec::new(self.config.plan_threads);
+        let band_exec = ParallelExec::new(1 + exec.threads().saturating_sub(dispatched.len()) / 2);
         let band = |lines: &[FdmLine], config: &FreqConfig, names: [&'static str; 2]| {
             let started = Instant::now();
             let mut events = Vec::new();
@@ -485,8 +536,7 @@ impl<'a> YoutiaoPlanner<'a> {
                 wall: started.elapsed(),
             }
         };
-        let tdm_config = &self.config.tdm;
-        let chains = exec.run(items, |item| match item {
+        let ran = exec.run(dispatched.len(), |k| match dispatched[k] {
             0 => {
                 let started = Instant::now();
                 let lines: Vec<FdmLine> = regions
@@ -494,26 +544,10 @@ impl<'a> YoutiaoPlanner<'a> {
                     .flat_map(|region| group_fdm_subset(chip, eq, self.config.fdm_capacity, region))
                     .collect();
                 let fdm_elapsed = started.elapsed();
-                let xy = band(&lines, &self.config.freq, ["freq.place", "freq.swap"]);
+                let xy = band(&lines, &self.config.freq, XY_EVENTS);
                 Chain::Xy(lines, fdm_elapsed, xy)
             }
-            _ if item == items - 1 => {
-                let qubits: Vec<QubitId> = chip.qubit_ids().collect();
-                let lines: Vec<Vec<QubitId>> = qubits
-                    .chunks(self.config.readout_capacity)
-                    .map(<[QubitId]>::to_vec)
-                    .collect();
-                // Resonator frequencies share the allocator: a feedline
-                // is an FDM line in the readout band.
-                let feedlines: Vec<FdmLine> = lines.iter().cloned().map(FdmLine::new).collect();
-                let readout = band(
-                    &feedlines,
-                    &self.config.readout_freq,
-                    ["readout.place", "readout.swap"],
-                );
-                Chain::Readout(lines, readout)
-            }
-            _ => {
+            item if is_z(item) => {
                 let region = &regions[item - 1];
                 let mut arena = pool.checkout();
                 let started = Instant::now();
@@ -538,14 +572,35 @@ impl<'a> YoutiaoPlanner<'a> {
                 }
                 Chain::Z(groups, tdm_elapsed, started.elapsed())
             }
+            _ => {
+                let qubits: Vec<QubitId> = chip.qubit_ids().collect();
+                let lines: Vec<Vec<QubitId>> = qubits
+                    .chunks(self.config.readout_capacity)
+                    .map(<[QubitId]>::to_vec)
+                    .collect();
+                // Resonator frequencies share the allocator: a feedline
+                // is an FDM line in the readout band.
+                let feedlines: Vec<FdmLine> = lines.iter().cloned().map(FdmLine::new).collect();
+                let readout = band(&feedlines, &self.config.readout_freq, READOUT_EVENTS);
+                Chain::Readout(lines, readout)
+            }
         });
+        // Only successful chains are kept.
+        for (item, chain) in dispatched.into_iter().zip(ran) {
+            if let Some((memo, key)) = memo.zip(keys[item].take()) {
+                if let Some(output) = chain.output() {
+                    memo.insert(key, output);
+                }
+            }
+            chains[item] = Some(chain);
+        }
 
         let mut tdm_groups = Vec::new();
-        let mut tdm_elapsed = std::time::Duration::ZERO;
-        let mut refine_elapsed = std::time::Duration::ZERO;
+        let mut tdm_elapsed = Duration::ZERO;
+        let mut refine_elapsed = Duration::ZERO;
         let (mut xy, mut readout) = (None, None);
         for chain in chains {
-            match chain {
+            match chain.expect("every item ran or was recalled") {
                 Chain::Xy(lines, fdm_e, xy_band) => xy = Some((lines, fdm_e, xy_band)),
                 Chain::Z(groups, tdm_e, refine_e) => {
                     tdm_groups.extend(groups);
@@ -584,30 +639,91 @@ impl<'a> YoutiaoPlanner<'a> {
     }
 }
 
+/// The XY band's hook events.
+const XY_EVENTS: [&str; 2] = ["freq.place", "freq.swap"];
+
+/// The readout band's hook events.
+const READOUT_EVENTS: [&str; 2] = ["readout.place", "readout.swap"];
+
 /// One item's output in [`YoutiaoPlanner::plan_with_hook`]'s dispatch.
 enum Chain {
     /// The FDM lines, their grouping time and the XY band.
-    Xy(Vec<FdmLine>, std::time::Duration, Band),
+    Xy(Vec<FdmLine>, Duration, Band),
     /// One region's TDM groups and its grouping and refinement times.
-    Z(Vec<TdmGroup>, std::time::Duration, std::time::Duration),
+    Z(Vec<TdmGroup>, Duration, Duration),
     /// The readout feedlines and their band.
     Readout(Vec<Vec<QubitId>>, Band),
+}
+
+impl Chain {
+    /// A memoized chain as this plan's item. Each stage reports the
+    /// time this plan spent on it: the key, the lookup and the clone
+    /// go to FDM grouping, TDM grouping or the readout band, the XY
+    /// band's clone to XY allocation, and the placement, swap and
+    /// refinement stages, which did not run, report zero.
+    fn recalled(output: &ChainOutput, started: Instant) -> Chain {
+        match output {
+            ChainOutput::Xy(lines, plan) => {
+                let lines = lines.clone();
+                let fdm_elapsed = started.elapsed();
+                let started = Instant::now();
+                Chain::Xy(
+                    lines,
+                    fdm_elapsed,
+                    Band::recalled(plan.clone(), XY_EVENTS, started),
+                )
+            }
+            ChainOutput::Z(groups) => {
+                let groups = groups.clone();
+                Chain::Z(groups, started.elapsed(), Duration::ZERO)
+            }
+            ChainOutput::Readout(lines, plan) => Chain::Readout(
+                lines.clone(),
+                Band::recalled(plan.clone(), READOUT_EVENTS, started),
+            ),
+        }
+    }
+
+    /// What the memo keeps of this chain: nothing if its band failed.
+    fn output(&self) -> Option<ChainOutput> {
+        match self {
+            Chain::Xy(lines, _, band) => Some(ChainOutput::Xy(
+                lines.clone(),
+                band.plan.as_ref().ok()?.clone(),
+            )),
+            Chain::Z(groups, _, _) => Some(ChainOutput::Z(groups.clone())),
+            Chain::Readout(lines, band) => Some(ChainOutput::Readout(
+                lines.clone(),
+                band.plan.as_ref().ok()?.clone(),
+            )),
+        }
+    }
 }
 
 /// A frequency band's allocation with its hook events held for replay.
 struct Band {
     plan: Result<FrequencyPlan, PlanError>,
-    events: Vec<(&'static str, std::time::Duration)>,
-    wall: std::time::Duration,
+    events: Vec<(&'static str, Duration)>,
+    wall: Duration,
 }
 
 impl Band {
+    /// A memoized band, cloned since `started`: its sub-stages did not
+    /// run, so they report zero.
+    fn recalled(plan: FrequencyPlan, names: [&'static str; 2], started: Instant) -> Band {
+        Band {
+            plan: Ok(plan),
+            events: names.map(|name| (name, Duration::ZERO)).to_vec(),
+            wall: started.elapsed(),
+        }
+    }
+
     /// Reports the buffered sub-stage events, then the band's wall time
     /// as `name` unless the allocation failed.
     fn replay(
         self,
         name: &'static str,
-        hook: &mut dyn FnMut(&'static str, std::time::Duration),
+        hook: &mut dyn FnMut(&'static str, Duration),
     ) -> Result<FrequencyPlan, PlanError> {
         for (stage, elapsed) in self.events {
             hook(stage, elapsed);
@@ -896,20 +1012,23 @@ mod tests {
         // durations must sum to at most "total" (freq.place/swap nest
         // inside freq_alloc and readout.place/swap inside readout, so
         // they are excluded from the sum).
-        let total = stages
-            .iter()
-            .find(|(n, _)| *n == "total")
-            .map(|(_, e)| *e)
-            .unwrap();
-        let top_level: std::time::Duration = stages
-            .iter()
-            .filter(|(n, _)| !n.contains('.') && *n != "total")
-            .map(|(_, e)| *e)
-            .sum();
-        assert!(
-            top_level <= total,
-            "stage sum {top_level:?} exceeds total {total:?}"
-        );
+        let assert_within_total = |stages: &[(&str, Duration)], label: &str| {
+            let total = stages
+                .iter()
+                .find(|(n, _)| *n == "total")
+                .map(|(_, e)| *e)
+                .unwrap();
+            let top_level: Duration = stages
+                .iter()
+                .filter(|(n, _)| !n.contains('.') && *n != "total")
+                .map(|(_, e)| *e)
+                .sum();
+            assert!(
+                top_level <= total,
+                "{label}: stage sum {top_level:?} exceeds total {total:?}"
+            );
+        };
+        assert_within_total(&stages, "cold plan");
 
         // The dispatch replays the same events at any thread count.
         for threads in [2usize, 3] {
@@ -922,6 +1041,46 @@ mod tests {
                 .plan_with_hook(&mut |name, _| threaded.push(name))
                 .unwrap();
             assert_eq!(threaded, names, "{threads} threads");
+        }
+
+        // On a context, a plan whose chains all hit reports the same
+        // stages in the same order, each with the time this plan spent
+        // on it: the placement, swap and refinement stages did not run.
+        let ctx = PlanContext::build(&chip, None, cfg.weights);
+        let on_ctx: Vec<&str> = names
+            .iter()
+            .copied()
+            .filter(|n| !["matrices", "kernels", "freq.kernels"].contains(n))
+            .collect();
+        let mut cold = Vec::new();
+        YoutiaoPlanner::new(&chip)
+            .with_config(cfg.clone())
+            .with_context(&ctx)
+            .plan_with_hook(&mut |name, _| cold.push(name))
+            .unwrap();
+        assert_eq!(cold, on_ctx);
+        let chains = plan.partition().unwrap().regions().len() as u64 + 2;
+        for threads in [1usize, 2, 3] {
+            let hits = ctx.chain_stats().hits;
+            let mut warm = Vec::new();
+            let recalled = YoutiaoPlanner::new(&chip)
+                .with_config(PlannerConfig {
+                    plan_threads: threads,
+                    ..cfg.clone()
+                })
+                .with_context(&ctx)
+                .plan_with_hook(&mut |name, elapsed| warm.push((name, elapsed)))
+                .unwrap();
+            assert_eq!(recalled, plan, "{threads} threads");
+            assert_eq!(ctx.chain_stats().hits, hits + chains, "every chain hit");
+            let warm_names: Vec<&str> = warm.iter().map(|(n, _)| *n).collect();
+            assert_eq!(warm_names, on_ctx, "warm plan at {threads} threads");
+            for (name, elapsed) in &warm {
+                if name.ends_with(".place") || name.ends_with(".swap") || *name == "refine" {
+                    assert_eq!(*elapsed, Duration::ZERO, "{name} at {threads} threads");
+                }
+            }
+            assert_within_total(&warm, &format!("warm plan at {threads} threads"));
         }
 
         // Unconfigured stages are not reported.

@@ -177,6 +177,12 @@ pub struct SweepSummary {
     pub cache_hits: u64,
     /// Plan-cache misses during this run.
     pub cache_misses: u64,
+    /// Plan chains recalled from the shared contexts' chain memos,
+    /// summed over contexts (`PlanContext::chain_stats`).
+    pub chain_hits: u64,
+    /// Plan chains that ran because no memo held them, summed over
+    /// contexts.
+    pub chain_misses: u64,
     /// The effective objective list, rendered (`min(cost)`, …).
     pub objectives: Vec<String>,
     /// The Pareto front over the effective objectives.
@@ -198,8 +204,14 @@ impl SweepSummary {
             self.points, self.ok, self.errors, self.threads, self.elapsed_ms
         ));
         s.push_str(&format!(
-            "contexts built: {} ({} kernel builds); cache: {} hits / {} misses\n",
-            self.contexts_built, self.kernels_built, self.cache_hits, self.cache_misses
+            "contexts built: {} ({} kernel builds); cache: {} hits / {} misses; \
+             chains: {} hits / {} misses\n",
+            self.contexts_built,
+            self.kernels_built,
+            self.cache_hits,
+            self.cache_misses,
+            self.chain_hits,
+            self.chain_misses
         ));
         if self.objectives.is_empty() {
             s.push_str("pareto front: no usable objectives\n");
@@ -448,6 +460,10 @@ pub fn run_sweep_with_cache<W: Write>(
     let (effective, pareto) = pareto_front(&records, &options.objectives);
     let marginals = axis_marginals(&grid, &records, &effective);
     let cache_delta = cache.stats().since(&cache_before);
+    let (chain_hits, chain_misses) = contexts.values().fold((0, 0), |(hits, misses), ctx| {
+        let stats = ctx.plan_ctx.chain_stats();
+        (hits + stats.hits, misses + stats.misses)
+    });
     let ok = records.iter().filter(|r| r.is_ok()).count();
     let summary = SweepSummary {
         name: spec.name.clone(),
@@ -460,6 +476,8 @@ pub fn run_sweep_with_cache<W: Write>(
             .unwrap_or(usize::MAX),
         cache_hits: cache_delta.hits,
         cache_misses: cache_delta.misses,
+        chain_hits,
+        chain_misses,
         objectives: effective.iter().map(Objective::to_string).collect(),
         pareto,
         marginals,

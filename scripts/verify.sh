@@ -231,7 +231,7 @@ echo "==> smoke: youtiao sweep (fig16 at one sweep worker, byte-identical across
 for pt in 1 2 3; do
   cargo run -q --release --offline --bin youtiao -- sweep \
     --spec examples/sweeps/fig16.json --out "$smoke_dir/fig16_pt$pt.jsonl" \
-    --threads 1 --plan-threads "$pt" 2> /dev/null
+    --threads 1 --plan-threads "$pt" --summary-json 2> "$smoke_dir/fig16_pt$pt.summary.json"
 done
 for pt in 2 3; do
   if ! cmp -s "$smoke_dir/fig16_pt1.jsonl" "$smoke_dir/fig16_pt$pt.jsonl"; then
@@ -240,6 +240,19 @@ for pt in 2 3; do
     exit 1
   fi
 done
+# Each chip's six theta points share one context: its chain memo runs
+# one XY, six Z and one readout chain and recalls the other ten.
+python3 - "$smoke_dir"/fig16_pt{1,2,3}.summary.json <<'PY'
+import json, sys
+for path in sys.argv[1:]:
+    with open(path) as f:
+        summary = json.load(f)
+    chips = summary["contexts_built"]
+    assert summary["points"] == 6 * chips, (path, summary["points"])
+    assert summary["chain_misses"] == 8 * chips, (path, summary["chain_misses"])
+    assert summary["chain_hits"] == 10 * chips, (path, summary["chain_hits"])
+print(f"  fig16 chain memo OK: {chips} chips, 8 chains run and 10 recalled per chip")
+PY
 echo "  fig16 sweep OK: byte-identical at 1/2/3 plan threads on one sweep worker"
 
 echo "==> smoke: youtiao plan --chiplets (2x2 heavy-hex array, --validate, plan-threads cmp)"
