@@ -376,6 +376,18 @@ impl ChipBuilder {
         self
     }
 
+    /// Adds a qubit with an explicit role and base frequency in GHz
+    /// (how a [`crate::spec::ChipSpec`] rebuilds its qubits).
+    pub fn qubit_with_role_and_frequency(
+        mut self,
+        position: Position,
+        role: QubitRole,
+        freq_ghz: f64,
+    ) -> Self {
+        self.push_qubit(position, role, Some(freq_ghz));
+        self
+    }
+
     /// Declares a coupler between two qubits (order irrelevant).
     pub fn coupler(mut self, a: QubitId, b: QubitId) -> Self {
         self.pending_couplers.push((a, b));

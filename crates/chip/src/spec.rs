@@ -110,7 +110,11 @@ impl ChipSpec {
                 None if lenient => QubitRole::Generic,
                 None => return Err(ChipError::UnknownRole(q.role.clone())),
             };
-            b = b.qubit_with_role(Position::new(q.x, q.y), role);
+            b = b.qubit_with_role_and_frequency(
+                Position::new(q.x, q.y),
+                role,
+                q.base_frequency_ghz,
+            );
         }
         for &(a, z) in &self.couplers {
             b = b.coupler(a.into(), z.into());
@@ -166,6 +170,29 @@ mod tests {
         let back = spec.to_chip().unwrap();
         for (a, b) in code.chip().qubits().zip(back.qubits()) {
             assert_eq!(a.role(), b.role());
+        }
+    }
+
+    #[test]
+    fn roundtrip_preserves_frequencies_and_roles() {
+        // Base frequencies away from the builder's index defaults, on a
+        // layout with every ancilla role.
+        let code = crate::surface::SurfaceCode::rotated(3);
+        let mut spec = ChipSpec::from_chip(code.chip());
+        for (i, q) in spec.qubits.iter_mut().enumerate() {
+            q.base_frequency_ghz = 4.25 + 0.125 * i as f64;
+        }
+        assert_eq!(ChipSpec::from_chip(&spec.to_chip().unwrap()), spec);
+        assert_eq!(ChipSpec::from_chip(&spec.to_chip_lenient().unwrap()), spec);
+        // A generator chip comes back bit for bit.
+        for chip in topology::paper_suite() {
+            let spec = ChipSpec::from_chip(&chip);
+            for (a, b) in chip.qubits().zip(spec.to_chip().unwrap().qubits()) {
+                assert_eq!(
+                    a.base_frequency_ghz().to_bits(),
+                    b.base_frequency_ghz().to_bits()
+                );
+            }
         }
     }
 

@@ -10,10 +10,10 @@
 //! O(n²) state per point.
 //!
 //! A context also memoizes the plan's chains (the XY chain, each
-//! region's Z chain, the readout chain), keyed by exactly the knobs
-//! each reads, so a point that repeats an earlier point's inputs to a
-//! chain clones that chain's output instead of planning it again
-//! ([`PlanContext::chain_stats`], DESIGN.md §4j).
+//! region's Z chain, the readout chain) and its partitions, keyed by
+//! exactly the knobs each reads, so a point that repeats an earlier
+//! point's inputs to a chain clones that chain's output instead of
+//! planning it again ([`PlanContext::chain_stats`], DESIGN.md §4j).
 //!
 //! # Example
 //!
@@ -99,7 +99,8 @@ pub fn chip_fingerprint(chip: &Chip) -> u64 {
 /// partition's regions, `fdm_capacity` and `freq` for the XY chain;
 /// one region, `tdm` and `refine` for a Z chain; `readout_capacity`
 /// and `readout_freq` for the readout chain (floats by their bits, and
-/// each qubit's base frequency when a band has a tuning range). A plan
+/// each qubit's base frequency when a band has a tuning range). It also
+/// keeps each partition under its `PartitionConfig`. A plan
 /// that supplies an activity profile or scores TDM grouping with a
 /// planner-local ZZ model runs its Z chains without the memo. The memo
 /// holds at most 128 chains: once full, later chains are planned but

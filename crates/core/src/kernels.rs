@@ -254,6 +254,14 @@ impl PairKernels {
         self.legal[i * self.words + j / 64] & (1u64 << (j % 64)) != 0
     }
 
+    /// Row `i` of the legality bitset: bit `j % 64` of word `j / 64` is
+    /// set when devices `i` and `j` may share a DEMUX. Bits past the
+    /// last device are clear.
+    #[inline]
+    pub(crate) fn legal_bits(&self, i: usize) -> &[u64] {
+        &self.legal[i * self.words..][..self.words]
+    }
+
     /// Fraction of gate pairs between two devices that topologically
     /// conflict.
     #[inline]

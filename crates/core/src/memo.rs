@@ -9,7 +9,10 @@
 //! chain runs per chip only 15 are distinct. [`ChainMemo`] keeps each
 //! successful chain's output under a [`ChainKey`] that holds exactly
 //! the inputs the chain reads besides the context, floats by their
-//! bits.
+//! bits. It also keeps each partition a partitioned plan ran, under its
+//! [`PartitionConfig`]: `partition_chip` reads the chip's qubits and
+//! neighbours, which the context's fingerprint pins, and the context's
+//! equivalent matrix besides.
 //!
 //! Like the [`crate::ScratchPool`], the memo is warm state, not
 //! planning state: it compares equal to every other memo, a clone
@@ -24,15 +27,16 @@ use youtiao_chip::{Chip, QubitId};
 
 use crate::fdm::FdmLine;
 use crate::freq::{FreqConfig, FrequencyPlan};
+use crate::partition::{Partition, PartitionConfig};
 use crate::refine::RefineConfig;
 use crate::tdm::{TdmConfig, TdmGroup};
 
-/// Most chains one context's memo keeps. Plan-sweep's grid has 15
-/// distinct chains per chip, and 111 on a 24×24 chip split into 9
-/// regions (`partition_target` 64: 9 × 12 Z chains, 2 XY, 1 readout),
-/// so 128 holds every chain of such sweeps. The bound matters because
-/// the daemon's repair store keeps up to 256 contexts for a whole
-/// session: the largest chain of an unpartitioned 24×24 chip (838 TDM
+/// Most chains one context's memo keeps, a partition counted as one.
+/// Plan-sweep's grid has 15 distinct chains per chip, and 112 on a
+/// 24×24 chip split into 9 regions (`partition_target` 64: 9 × 12 Z
+/// chains, 2 XY, 1 readout and the partition), so 128 holds every
+/// chain of such sweeps. The bound matters because the daemon's repair
+/// store keeps up to 256 contexts for a whole session: the largest chain of an unpartitioned 24×24 chip (838 TDM
 /// groups) takes about 56 kB, so a full memo of them stays near 7 MB,
 /// the size of the context's own matrices. Once the memo is full,
 /// later chains are planned but not kept, the repair store's policy.
@@ -79,6 +83,8 @@ impl BandKey {
 /// Everything one chain reads besides its context.
 #[derive(PartialEq, Eq, Hash)]
 pub(crate) enum ChainKey {
+    /// The partition's `num_regions`, `seed` and `max_sweeps`.
+    Partition(usize, u64, usize),
     /// Every region's qubits in order, the FDM capacity and the XY band.
     Xy(Vec<Vec<QubitId>>, usize, BandKey),
     /// One region's qubits, θ's bits, `max_shared_slots`,
@@ -89,6 +95,16 @@ pub(crate) enum ChainKey {
 }
 
 impl ChainKey {
+    /// The partition's key.
+    pub(crate) fn partition(config: &PartitionConfig) -> Self {
+        let PartitionConfig {
+            num_regions,
+            seed,
+            max_sweeps,
+        } = *config;
+        ChainKey::Partition(num_regions, seed, max_sweeps)
+    }
+
     /// The XY chain's key.
     pub(crate) fn xy(
         chip: &Chip,
@@ -122,8 +138,10 @@ impl ChainKey {
     }
 }
 
-/// A successful chain's output.
+/// A successful chain's output, or a partition.
 pub(crate) enum ChainOutput {
+    /// The chip's regions.
+    Partition(Partition),
     /// The FDM lines and the XY band.
     Xy(Vec<FdmLine>, FrequencyPlan),
     /// One region's TDM groups.
@@ -132,7 +150,8 @@ pub(crate) enum ChainOutput {
     Readout(Vec<Vec<QubitId>>, FrequencyPlan),
 }
 
-/// Chain-memo counters of one [`crate::PlanContext`].
+/// Chain-memo counters of one [`crate::PlanContext`]. A partition
+/// counts as a chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ChainStats {
     /// Chain lookups answered from the memo.
@@ -184,6 +203,16 @@ impl ChainMemo {
     /// Drops every chain, keeping the counters.
     pub(crate) fn clear(&self) {
         self.lock().clear();
+    }
+
+    /// Partitions the memo holds now.
+    #[cfg(test)]
+    fn partitions(&self) -> usize {
+        let chains = self.lock();
+        chains
+            .keys()
+            .filter(|key| matches!(key, ChainKey::Partition(..)))
+            .count()
     }
 
     pub(crate) fn stats(&self) -> ChainStats {
@@ -363,16 +392,48 @@ mod tests {
                             assert_same(&chip, &got, &want[i], &label);
                         }
                     }
-                    // Each plan looks up its XY, Z and readout chains, and
-                    // each distinct chain ran once.
+                    // Each plan looks up its partition, if it has one,
+                    // and its XY, Z and readout chains, and each distinct
+                    // chain ran once.
                     let plan = want[0].as_ref().unwrap();
-                    let regions = plan.partition().map_or(1, |p| p.regions().len()) as u64;
+                    let lookups = plan.partition().map_or(3, |p| 3 + p.len()) as u64;
                     let stats = ctx.chain_stats();
-                    assert_eq!(stats.hits + stats.misses, 2 * 24 * (2 + regions));
+                    assert_eq!(stats.hits + stats.misses, 2 * 24 * lookups);
                     assert_eq!(stats.misses, stats.chains as u64);
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_partition_runs_once_per_context_and_config() {
+        let chip = topology::square_grid(6, 6);
+        let ctx = fresh(&chip);
+        let mut lookups = 0;
+        for partition in [
+            PartitionConfig::default(),
+            PartitionConfig {
+                seed: 7,
+                ..Default::default()
+            },
+        ] {
+            let grid = plan_sweep_grid(&PlannerConfig {
+                partition: Some(partition),
+                ..Default::default()
+            });
+            for config in &grid {
+                let plan = assert_fresh(&chip, &ctx, config, &format!("{partition:?}"));
+                lookups += 3 + plan.unwrap().partition().unwrap().len() as u64;
+            }
+        }
+        // Every key missed once, so each partition ran once for its 24
+        // plans.
+        let stats = ctx.chain_stats();
+        assert_eq!(stats.hits + stats.misses, lookups);
+        assert_eq!(stats.misses, stats.chains as u64);
+        assert_eq!(ctx.chains().partitions(), 2);
+        ctx.clear_chains();
+        assert_eq!(ctx.chains().partitions(), 0, "cleared with the chains");
     }
 
     #[test]

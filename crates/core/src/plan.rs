@@ -329,16 +329,16 @@ impl<'a> YoutiaoPlanner<'a> {
     /// durations may sum past `"total"`; at the default serial setting
     /// the disjoint top-level stages always sum to at most `"total"`.
     ///
-    /// With a [`PlanContext`], every chain is first looked up in the
-    /// context's chain memo, and only the chains it does not hold are
-    /// dispatched (a plan whose chains all hit starts no thread). A
-    /// hit reports the chain's usual stage names in the usual order,
-    /// with the time this plan spent on them: the key, the lookup and
-    /// the clone go to `fdm_grouping`, `tdm_grouping` or `readout`, the
-    /// XY band's clone to `freq_alloc`, and `freq.place`, `freq.swap`,
-    /// `readout.place`, `readout.swap` and `refine` report zero, since
-    /// they did not run. A hit never replays the durations recorded
-    /// when the chain ran.
+    /// With a [`PlanContext`], the partition and every chain are first
+    /// looked up in the context's chain memo, and only the chains it
+    /// does not hold are dispatched (a plan whose chains all hit starts
+    /// no thread). A hit reports the usual stage names in the usual
+    /// order, with the time this plan spent on them: the key, the
+    /// lookup and the clone go to `partition`, `fdm_grouping`,
+    /// `tdm_grouping` or `readout`, the XY band's clone to
+    /// `freq_alloc`, and `freq.place`, `freq.swap`, `readout.place`,
+    /// `readout.swap` and `refine` report zero, since they did not run.
+    /// A hit never replays the durations recorded when the chain ran.
     ///
     /// # Errors
     ///
@@ -411,11 +411,24 @@ impl<'a> YoutiaoPlanner<'a> {
 
         // Partition (stage 1/2), then group each region independently
         // (stage 3); without a partition the whole chip is one region.
+        // A context's memo keeps each partition it ran, like a chain.
+        let memo = self.context.map(PlanContext::chains);
         let (partition, regions): (Option<Partition>, Vec<Vec<QubitId>>) =
             match &self.config.partition {
                 Some(pc) => {
                     let started = Instant::now();
-                    let p = partition_chip(chip, eq, pc);
+                    let key = ChainKey::partition(pc);
+                    let p = match memo.and_then(|memo| memo.get(&key)).as_deref() {
+                        Some(ChainOutput::Partition(p)) => p.clone(),
+                        Some(_) => unreachable!("a partition key holds a partition"),
+                        None => {
+                            let p = partition_chip(chip, eq, pc);
+                            if let Some(memo) = memo {
+                                memo.insert(key, ChainOutput::Partition(p.clone()));
+                            }
+                            p
+                        }
+                    };
                     let regions = p.regions().to_vec();
                     hook("partition", started.elapsed());
                     (Some(p), regions)
@@ -462,7 +475,6 @@ impl<'a> YoutiaoPlanner<'a> {
         // a plan with either runs its Z chains without the memo.
         let items = regions.len() + 2;
         let is_z = |item: usize| item != 0 && item != items - 1;
-        let memo = self.context.map(PlanContext::chains);
         let z_memoized = self.activity.is_none() && zz_local.is_none();
         let tdm_config = &self.config.tdm;
         let mut keys = Vec::with_capacity(items);
@@ -552,14 +564,19 @@ impl<'a> YoutiaoPlanner<'a> {
                 let mut arena = pool.checkout();
                 let started = Instant::now();
                 // A coupler belongs to the region of its lower endpoint.
+                let mut in_region = arena.take_bool(chip.num_qubits(), false);
+                for &q in region {
+                    in_region[q.index()] = true;
+                }
                 let devices: Vec<DeviceId> = region
                     .iter()
                     .map(|&q| DeviceId::Qubit(q))
                     .chain(chip.couplers().filter_map(|c| {
                         let (a, _) = c.endpoints();
-                        region.contains(&a).then_some(DeviceId::Coupler(c.id()))
+                        in_region[a.index()].then_some(DeviceId::Coupler(c.id()))
                     }))
                     .collect();
+                arena.retire_bool(in_region);
                 let mut groups = crate::tdm::group_tdm_kernels_in(
                     kernels, tdm_xtalk, tdm_config, &devices, activity, &mut arena,
                 );
@@ -681,6 +698,7 @@ impl Chain {
                 lines.clone(),
                 Band::recalled(plan.clone(), READOUT_EVENTS, started),
             ),
+            ChainOutput::Partition(_) => unreachable!("a chain key holds a chain"),
         }
     }
 
@@ -783,6 +801,37 @@ mod tests {
         assert_eq!(tdm_total, chip.num_z_devices());
         let ro_total: usize = plan.readout_lines().iter().map(Vec::len).sum();
         assert_eq!(ro_total, 36);
+    }
+
+    #[test]
+    fn a_specs_base_frequencies_reach_tuning_range_plans() {
+        use youtiao_chip::spec::ChipSpec;
+        let chip = topology::square_grid(6, 6);
+        let config = PlannerConfig {
+            freq: FreqConfig {
+                tuning_range_ghz: Some(0.3),
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let plan = |chip: &Chip| {
+            YoutiaoPlanner::new(chip)
+                .with_config(config.clone())
+                .plan()
+                .unwrap()
+        };
+        let spec = ChipSpec::from_chip(&chip);
+        assert_eq!(plan(&spec.to_chip().unwrap()), plan(&chip));
+        let mut retuned = spec.clone();
+        let bases = spec.qubits.iter().rev().map(|q| q.base_frequency_ghz);
+        for (q, base) in retuned.qubits.iter_mut().zip(bases) {
+            q.base_frequency_ghz = base;
+        }
+        assert_ne!(
+            plan(&retuned.to_chip().unwrap()),
+            plan(&chip),
+            "the spec's base frequencies must move the plan"
+        );
     }
 
     #[test]
@@ -1059,7 +1108,9 @@ mod tests {
             .plan_with_hook(&mut |name, _| cold.push(name))
             .unwrap();
         assert_eq!(cold, on_ctx);
-        let chains = plan.partition().unwrap().regions().len() as u64 + 2;
+        // The partition, the XY chain, each region's Z chain and the
+        // readout chain.
+        let chains = plan.partition().unwrap().regions().len() as u64 + 3;
         for threads in [1usize, 2, 3] {
             let hits = ctx.chain_stats().hits;
             let mut warm = Vec::new();

@@ -837,5 +837,41 @@ mod tests {
                 assert_eq!(fast, slow, "case {case}: chip {}", chip.name());
             }
         }
+
+        /// Square grids with up to 64 devices busy in any of eight
+        /// slots, budgets 0–5 and up to three passes, refining the
+        /// greedy grouping of the same inputs.
+        #[test]
+        fn kernelized_refine_matches_naive_on_busy_grids() {
+            use youtiao_chip::distance::{equivalent_matrix, EquivalentWeights};
+            let mut rng = ChaCha8Rng::seed_from_u64(0x0b05_72ef);
+            for case in 0..48 {
+                let chip =
+                    topology::square_grid(rng.gen_range(2usize..5), rng.gen_range(2usize..5));
+                let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
+                let xtalk = crate::plan::crosstalk_matrix(&chip, &eq, None);
+                let config = TdmConfig {
+                    max_shared_slots: rng.gen_range(0u32..6),
+                    ..Default::default()
+                };
+                let refine = RefineConfig {
+                    passes: rng.gen_range(0usize..4),
+                };
+                let busy = rng.gen_range(0usize..64);
+                let activity: ActivityProfile = chip
+                    .device_ids()
+                    .take(busy)
+                    .map(|d| (d, rng.gen_range(0u32..256)))
+                    .collect();
+                let devices: Vec<DeviceId> = chip.device_ids().collect();
+                let groups = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
+                let fast =
+                    refine_tdm_groups(&chip, &xtalk, &activity, &config, groups.clone(), &refine);
+                let slow = naive::refine_tdm_groups_naive(
+                    &chip, &xtalk, &activity, &config, groups, &refine,
+                );
+                assert_eq!(fast, slow, "case {case}: config {config:?} {refine:?}");
+            }
+        }
     }
 }

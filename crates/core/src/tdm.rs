@@ -457,8 +457,8 @@ pub fn group_tdm_kernels(
 }
 
 /// [`group_tdm_kernels`] drawing its per-call working buffers (activity
-/// masks, alive bitmap, per-candidate and per-qubit aggregates) from a
-/// scratch arena so repeated plans reuse capacity instead of
+/// masks, pool positions, legality stamps, candidate lists and the
+/// per-qubit noise aggregate) from a scratch arena so repeated plans reuse capacity instead of
 /// reallocating. Output is identical to [`group_tdm_kernels`] — the
 /// arena only changes where the buffers live.
 ///
@@ -512,33 +512,55 @@ pub fn group_tdm_kernels_in(
     groups
 }
 
+/// A pool position's [`group_level_kernels`] stamp once it joined a
+/// group; also the position of a device outside the pool.
+const TAKEN: u32 = u32::MAX;
+
+/// A candidate's score in [`group_level_kernels`]: minus its shared
+/// windows, its topo-min, its noise and minus its imbalance. Higher is
+/// better.
+type Key = (f64, f64, f64, f64);
+
 /// Greedy graph-coloring of one parallelism level (§4.3 steps 1–3),
-/// kernelized.
+/// kernelized: the naive greedy's choices and tie-breaks, bit for bit,
+/// without walking the pool when a member joins.
 ///
-/// Replaces the naive per-candidate recomputation with:
+/// Every aggregate of the group being filled is a lookup:
 ///
-/// * an **index pool** — an `alive` bitmap over the rank-sorted pool
-///   instead of `Vec::remove` shifts, preserving the deterministic
-///   scan (and therefore tie-break) order at O(1) removal;
-/// * **incremental aggregates** — per-candidate running legality and
-///   balance-max values, updated once per accepted member instead of
-///   recomputed over all members per scan;
-/// * a **per-qubit noise aggregate** — `reach[y]`, the worst crosstalk
-///   from a member qubit `x ≠ y` to qubit `y`, grown by one row pass of
-///   `xtalk` per member qubit. A candidate's worst-case crosstalk to
-///   the group is the larger `reach` of its qubits: the naive maximum
-///   over the same values, which `f64::max` returns in any order;
-/// * a **short topo list** — a gateless device scores 1.0 against
-///   everything, and two gated devices score above 0.0 only when they
-///   share a gate endpoint. So once a gated member joins, only the
-///   gated candidates in the sparse topo row of every gated member
-///   keep a positive topo-min: `near` lists them, and each further
-///   gated member updates just that list;
-/// * an **occupied-slot mask** — adding a device to the group adds one
-///   extra serialized window per busy slot that is already occupied,
-///   so the activity cost of a candidate is `popcount(mask ∩ occupied)`
-///   rather than a 32-slot counter walk (this also removes the `u8`
-///   counters the naive path once overflowed on).
+/// * **legality** — `stamp[j]` is the last group a member of which may
+///   not share a DEMUX with candidate `j` (or [`TAKEN`]), set from the
+///   zero bits of each new member's legality row;
+/// * **balance** — max |dᵢ − x| over the members' parallelism indices
+///   dᵢ sits at the smallest or the largest dᵢ (rounding is monotone),
+///   so it is computed from the group's two extremes;
+/// * **noise** — a candidate's worst-case crosstalk to the group, the
+///   naive maximum of [`PairKernels::noise`] over the members. A full
+///   scan reads it from `reach[y]`, the worst crosstalk from a member
+///   qubit `x ≠ y` to qubit `y`, which it first grows by one row pass
+///   of `xtalk` per member qubit not yet folded in; the larger `reach`
+///   of the candidate's qubits is the maximum over the same values,
+///   which `f64::max` returns in any order;
+/// * **topo** — 1.0 before the first gated member joins. A gateless
+///   device scores 1.0 against everything, and two gated devices score
+///   above 0.0 only when they share a gate endpoint, so afterwards only
+///   the gateless candidates and the gated ones in the sparse topo row
+///   of every gated member keep a positive topo-min. `near` lists them
+///   in pool order, with their running minimum in `topo`; every other
+///   candidate scores 0.0;
+/// * **activity** — adding a device busy in an occupied slot adds one
+///   serialized window per such slot, so a candidate shares
+///   `cur_extra + popcount(mask ∩ occupied)` windows.
+///
+/// The next member is chosen from `near` first. If the best of it
+/// shares only `cur_extra` windows, the fewest any candidate can, it
+/// wins: every candidate outside `near` scores topo 0.0 against its
+/// positive topo, so none beats or ties it, and scoring `near` in pool
+/// order keeps the first of equal keys, as the full scan does (once
+/// the first candidate of that best class is scored, no candidate of
+/// a lower class replaces it, so the candidates in between do not
+/// matter). Otherwise the whole pool is scored once, in pool order,
+/// over `live`, a list of positions not yet taken that each full scan
+/// compacts.
 fn group_level_kernels(
     kernels: &PairKernels,
     xtalk: &DistanceMatrix,
@@ -550,35 +572,41 @@ fn group_level_kernels(
 ) -> Vec<TdmGroup> {
     let capacity = level.channel_capacity();
     let n = pool.len();
-    let mut pdense = scratch.take_usize(n, 0);
+    let num_devices = kernels.num_devices();
+    let mut pdense = scratch.take_u32(n, 0);
     let mut pmask = scratch.take_u32(n, 0);
-    // Pool position of each device, `usize::MAX` outside the pool.
-    let mut pos_of = scratch.take_usize(kernels.num_devices(), usize::MAX);
+    let mut pos_of = scratch.take_u32(num_devices, TAKEN);
+    let mut live = scratch.take_u32(n, 0);
+    let mut gateless = scratch.take_u32(n, 0);
+    gateless.clear();
     for (i, &(d, _)) in pool.iter().enumerate() {
-        pdense[i] = kernels.dense(d);
-        pmask[i] = masks[pdense[i]];
-        pos_of[pdense[i]] = i;
+        let k = kernels.dense(d);
+        pdense[i] = k as u32;
+        pmask[i] = masks[k];
+        pos_of[k] = i as u32;
+        live[i] = i as u32;
+        if kernels.gateless(k) {
+            gateless.push(i as u32);
+        }
     }
-    let mut alive = scratch.take_bool(n, true);
-    // Per-candidate running aggregates for the group currently being
-    // filled, re-seeded by each group's seed; `reach` and `near` as
-    // described above.
-    let mut agg_legal = scratch.take_bool(n, false);
-    let mut agg_topo = scratch.take_f64(n, 0.0);
-    let mut agg_balance = scratch.take_f64(n, 0.0);
+    let mut stamp = scratch.take_u32(n, 0);
+    let mut topo = scratch.take_f64(n, 0.0);
     let mut reach = scratch.take_f64(xtalk.len(), 0.0);
-    let mut near = scratch.take_usize(n, 0);
+    let mut near = scratch.take_u32(n, 0);
     near.clear();
 
     let mut groups = Vec::new();
     let mut first = 0usize;
+    let mut group = 0u32;
+    let mut folded = 0usize;
     while first < n {
-        if !alive[first] {
+        if stamp[first] == TAKEN {
             first += 1;
             continue;
         }
-        // Step 1: seed with the lowest parallelism index (first alive in
+        // Step 1: seed with the lowest parallelism index (first live in
         // rank order).
+        group += 1;
         let mut next = Some(first);
         first += 1;
         let mut members = Vec::with_capacity(capacity);
@@ -587,101 +615,145 @@ fn group_level_kernels(
         let mut occupied = 0u32;
         let mut cur_extra = 0u32;
         let mut gated = false;
-        reach.fill(0.0);
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        if folded > 0 {
+            reach.fill(0.0);
+            folded = 0;
+        }
         while let Some(i) = next {
-            alive[i] = false;
+            stamp[i] = TAKEN;
             let (d, di) = pool[i];
+            let k = pdense[i] as usize;
             cur_extra += (pmask[i] & occupied).count_ones();
             occupied |= pmask[i];
             members.push(d);
             if members.len() == capacity {
                 break;
             }
-            // Fold the new member into every aggregate; the seed starts
-            // them.
-            let seed = members.len() == 1;
-            let first_gated = !gated && !kernels.gateless(pdense[i]);
-            for j in first..n {
-                if !alive[j] || !(seed || agg_legal[j]) {
-                    continue;
-                }
-                let balance = (di - pool[j].1).abs();
-                agg_legal[j] = kernels.legal_dense(pdense[i], pdense[j]);
-                agg_balance[j] = if seed {
-                    balance
-                } else {
-                    agg_balance[j].max(balance)
-                };
-                if seed || first_gated {
-                    let gated_pair = first_gated && !kernels.gateless(pdense[j]);
-                    agg_topo[j] = if gated_pair { 0.0 } else { 1.0 };
+            // Fold the new member into every aggregate.
+            for (w, &word) in kernels.legal_bits(k).iter().enumerate() {
+                let mut illegal = !word;
+                while illegal != 0 {
+                    let j = w * 64 + illegal.trailing_zeros() as usize;
+                    if j >= num_devices {
+                        break;
+                    }
+                    illegal &= illegal - 1;
+                    let p = pos_of[j];
+                    // A taken position keeps its stamp.
+                    if p != TAKEN && stamp[p as usize] != TAKEN {
+                        stamp[p as usize] = group;
+                    }
                 }
             }
-            if first_gated {
+            (lo, hi) = (lo.min(di), hi.max(di));
+            if !kernels.gateless(k) && !gated {
                 gated = true;
-                near.clear();
-                for &(j, topo) in kernels.topo_entries(pdense[i]) {
+                for &(j, t) in kernels.topo_entries(k) {
                     let p = pos_of[j as usize];
-                    if p < n && alive[p] {
-                        agg_topo[p] = topo;
+                    if p != TAKEN && stamp[p as usize] != TAKEN {
+                        topo[p as usize] = t;
                         near.push(p);
                     }
                 }
-            } else if !kernels.gateless(pdense[i]) {
+                gateless.retain(|&p| stamp[p as usize] != TAKEN);
+                for &p in gateless.iter() {
+                    topo[p as usize] = 1.0;
+                    near.push(p);
+                }
+                near.sort_unstable();
+            } else if !kernels.gateless(k) {
                 near.retain(|&p| {
-                    if !alive[p] {
+                    let p = p as usize;
+                    if stamp[p] == TAKEN {
                         return false;
                     }
-                    let topo = kernels.topo_dense(pdense[i], pdense[p]);
-                    agg_topo[p] = agg_topo[p].min(topo);
-                    topo > 0.0
+                    let t = kernels.topo_dense(k, pdense[p] as usize);
+                    topo[p] = topo[p].min(t);
+                    t > 0.0
                 });
-            }
-            for &x in kernels.qubits(pdense[i]) {
-                // The row pass leaves `reach[x]` as it was: the naive
-                // score skips a qubit's crosstalk with itself.
-                let own = reach[x.index()];
-                for (r, &v) in reach.iter_mut().zip(xtalk.row(x)) {
-                    *r = r.max(v);
-                }
-                reach[x.index()] = own;
             }
 
             // Steps 2–3: among legal candidates sharing the fewest busy
             // slots, prefer fully topologically non-parallel ones, then
             // the noisiest, then the closest parallelism index
-            // (balancing).
-            let mut best: Option<(usize, (f64, f64, f64, f64))> = None;
-            for j in first..n {
-                if !alive[j] || !agg_legal[j] {
-                    continue;
+            // (balancing). Fewer shared slots, higher topo, higher
+            // noise, lower imbalance is better. A candidate's noise is
+            // read from `reach` once a full scan has folded every
+            // member in, and from the members' rows before.
+            let key = |j: usize, reach: Option<&[f64]>| -> Option<Key> {
+                // Taken, or illegal beside a member of this group.
+                if stamp[j] >= group {
+                    return None;
                 }
                 let shared = cur_extra + (pmask[j] & occupied).count_ones();
                 if shared > config.max_shared_slots {
-                    continue;
+                    return None;
                 }
-                let [y0, y1] = kernels.qubit_pair(pdense[j]);
-                let noise = reach[y0.index()].max(reach[y1.index()]);
-                // Fewer shared slots, higher topo, higher noise, lower
-                // imbalance is better.
-                let key = (-(shared as f64), agg_topo[j], noise, -agg_balance[j]);
-                if best.is_none_or(|(_, bk)| key > bk) {
-                    best = Some((j, key));
+                let noise = match reach {
+                    Some(reach) => {
+                        let [y0, y1] = kernels.qubit_pair(pdense[j] as usize);
+                        reach[y0.index()].max(reach[y1.index()])
+                    }
+                    None => members.iter().fold(0.0, |worst: f64, &m| {
+                        worst.max(kernels.noise(xtalk, m, pool[j].0))
+                    }),
+                };
+                let x = pool[j].1;
+                let balance = (lo - x).abs().max((hi - x).abs());
+                let topo = if gated { topo[j] } else { 1.0 };
+                Some((-(shared as f64), topo, noise, -balance))
+            };
+            // The first of equal keys wins, as positions come in pool
+            // order.
+            let consider = |best: Option<(usize, Key)>, j: usize, reach| match key(j, reach) {
+                Some(cand) if best.is_none_or(|(_, bk)| cand > bk) => Some((j, cand)),
+                _ => best,
+            };
+            let mut best = near
+                .iter()
+                .fold(None, |best, &p| consider(best, p as usize, None));
+            let fewest = -(cur_extra as f64);
+            if !best.is_some_and(|(_, (shared, ..))| shared == fewest) {
+                for &m in &members[folded..] {
+                    for &x in kernels.qubits(kernels.dense(m)) {
+                        // The row pass leaves `reach[x]` as it was: the
+                        // naive score skips a qubit's crosstalk with
+                        // itself.
+                        let own = reach[x.index()];
+                        for (r, &v) in reach.iter_mut().zip(xtalk.row(x)) {
+                            *r = r.max(v);
+                        }
+                        reach[x.index()] = own;
+                    }
                 }
+                folded = members.len();
+                best = None;
+                let mut kept = 0;
+                for r in 0..live.len() {
+                    let j = live[r] as usize;
+                    if stamp[j] != TAKEN {
+                        live[kept] = j as u32;
+                        kept += 1;
+                        best = consider(best, j, Some(&reach));
+                    }
+                }
+                live.truncate(kept);
             }
             next = best.map(|(j, _)| j);
         }
+        // Outside `near`, every `topo` entry is 0.0.
+        for &p in near.iter() {
+            topo[p as usize] = 0.0;
+        }
+        near.clear();
         groups.push(TdmGroup::new(level, members));
     }
-    scratch.retire_usize(pdense);
-    scratch.retire_u32(pmask);
-    scratch.retire_usize(pos_of);
-    scratch.retire_bool(alive);
-    scratch.retire_bool(agg_legal);
-    scratch.retire_f64(agg_topo);
-    scratch.retire_f64(agg_balance);
+    for buf in [pdense, pmask, pos_of, live, gateless, stamp, near] {
+        scratch.retire_u32(buf);
+    }
+    scratch.retire_f64(topo);
     scratch.retire_f64(reach);
-    scratch.retire_usize(near);
     groups
 }
 
@@ -1066,6 +1138,7 @@ mod tests {
         use super::*;
         use rand::{Rng, SeedableRng};
         use rand_chacha::ChaCha8Rng;
+        use youtiao_chip::distance::{equivalent_matrix, EquivalentWeights};
 
         /// A deterministic pseudo-random chip drawn from the topology
         /// generators the planner actually sees.
@@ -1276,6 +1349,101 @@ mod tests {
                     naive::group_tdm_with_activity_naive(&chip, &xtalk, &config, &devices, &empty);
                 assert_eq!(fast, slow);
             }
+        }
+
+        /// Square grids with up to 64 devices busy in any of eight
+        /// slots and budgets 0–5: candidates often share more windows
+        /// than the group, so the choice falls back to the full scan.
+        #[test]
+        fn kernelized_grouping_matches_naive_on_busy_grids() {
+            let mut rng = ChaCha8Rng::seed_from_u64(0xb057);
+            for case in 0..48 {
+                let chip =
+                    topology::square_grid(rng.gen_range(2usize..5), rng.gen_range(2usize..5));
+                let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
+                let xtalk = crate::plan::crosstalk_matrix(&chip, &eq, None);
+                let config = TdmConfig {
+                    theta: rng.gen_range(0.0..10.0),
+                    max_shared_slots: rng.gen_range(0u32..6),
+                    allow_one_to_eight: false,
+                };
+                let busy = rng.gen_range(0usize..64);
+                let activity: ActivityProfile = chip
+                    .device_ids()
+                    .take(busy)
+                    .map(|d| (d, rng.gen_range(0u32..256)))
+                    .collect();
+                let devices: Vec<DeviceId> = chip.device_ids().collect();
+                let fast = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
+                let slow = naive::group_tdm_with_activity_naive(
+                    &chip, &xtalk, &config, &devices, &activity,
+                );
+                assert_eq!(fast, slow, "case {case}: config {config:?}");
+            }
+        }
+
+        /// Under equal crosstalk, the third group (q7, c5, c6, whose
+        /// parallelism indices span 4 to 6) can take c8 (index 4) or
+        /// c3 (index 6). Both are in `near` and score the same
+        /// imbalance, 2, so their keys tie. c3 comes first in device
+        /// order, c8 in pool order, and the pool order must win, as
+        /// in the full scan.
+        #[test]
+        fn near_ties_go_to_the_first_in_pool_order() {
+            use youtiao_chip::{ChipBuilder, Position, TopologyKind};
+            let couplers = [
+                (1, 2),
+                (1, 6),
+                (1, 8),
+                (2, 3),
+                (2, 4),
+                (3, 4),
+                (3, 6),
+                (3, 7),
+                (3, 9),
+                (4, 7),
+            ];
+            let builder = (0..10u32)
+                .fold(ChipBuilder::new("ties", TopologyKind::Custom), |b, i| {
+                    b.qubit(Position::new(f64::from(i), f64::from(i % 3)))
+                });
+            let chip = couplers
+                .iter()
+                .fold(builder, |b, &(x, y): &(u32, u32)| {
+                    b.coupler(x.into(), y.into())
+                })
+                .build()
+                .expect("valid chip");
+            let mut xtalk = DistanceMatrix::zeros(chip.num_qubits());
+            for a in chip.qubit_ids() {
+                for b in chip.qubit_ids() {
+                    if a < b {
+                        xtalk.set(a, b, 0.01);
+                    }
+                }
+            }
+            let qubits = [0u32, 3, 4, 5, 7, 8, 9].map(|q| DeviceId::Qubit(q.into()));
+            let devices: Vec<DeviceId> = qubits
+                .into_iter()
+                .chain([0u32, 1, 2, 3, 5, 6, 7, 8, 9].map(|c| DeviceId::Coupler(c.into())))
+                .collect();
+            let config = TdmConfig {
+                theta: f64::INFINITY,
+                ..Default::default()
+            };
+            let empty = ActivityProfile::new();
+            let fast = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &empty);
+            let slow =
+                naive::group_tdm_with_activity_naive(&chip, &xtalk, &config, &devices, &empty);
+            let coupler = |c: u32| DeviceId::Coupler(c.into());
+            let third = [
+                DeviceId::Qubit(7u32.into()),
+                coupler(5),
+                coupler(6),
+                coupler(8),
+            ];
+            assert_eq!(slow[2].devices(), third);
+            assert_eq!(fast, slow);
         }
     }
 }

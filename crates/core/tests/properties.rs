@@ -1,215 +1,189 @@
-//! Property-based tests over the grouping, allocation and partitioning
-//! invariants of the YOUTIAO core.
+//! Properties of the grouping, allocation and partitioning invariants
+//! of the YOUTIAO core, each checked over seeded ChaCha8 cases. The
+//! kernelized passes' differentials against the naive passes, which
+//! only the crate's own tests compile, sit beside those passes in
+//! `tdm.rs` and `refine.rs`.
 
-use proptest::prelude::*;
-use youtiao_chip::distance::{equivalent_matrix, EquivalentWeights};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
+use youtiao_chip::distance::{equivalent_matrix, DistanceMatrix, EquivalentWeights};
 use youtiao_chip::topology;
-use youtiao_chip::{DeviceId, QubitId};
+use youtiao_chip::{Chip, QubitId};
 use youtiao_core::fdm::group_fdm;
 use youtiao_core::freq::{allocate_frequencies, FreqConfig};
 use youtiao_core::partition::{partition_chip, PartitionConfig};
 use youtiao_core::plan::crosstalk_matrix;
-use youtiao_core::refine::{naive::refine_tdm_groups_naive, refine_tdm_groups, RefineConfig};
-use youtiao_core::tdm::{
-    group_tdm, group_tdm_with_activity, legal_pair, naive::group_tdm_with_activity_naive,
-    ActivityProfile, TdmConfig,
-};
+use youtiao_core::tdm::{group_tdm, legal_pair, TdmConfig};
 use youtiao_core::YoutiaoPlanner;
 use youtiao_core::{BandLattice, FreqKernels, ScalingTable};
 use youtiao_noise::model::frequency_scaling;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Inputs per property.
+const CASES: u64 = 24;
 
-    /// FDM grouping partitions the qubit set for any capacity, with
-    /// exactly ceil(n / capacity) lines.
-    #[test]
-    fn fdm_grouping_partitions(rows in 2usize..6, cols in 2usize..6, cap in 1usize..8) {
-        let chip = topology::square_grid(rows, cols);
-        let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
+/// Runs `property` on case `0..CASES`, each with its own stream.
+fn for_each_case(mut property: impl FnMut(u64, &mut ChaCha8Rng)) {
+    for case in 0..CASES {
+        property(case, &mut ChaCha8Rng::seed_from_u64(case));
+    }
+}
+
+/// A square grid with `2..max` rows and `2..max` columns, its
+/// equivalent-distance matrix and its proxy crosstalk matrix.
+fn grid(rng: &mut ChaCha8Rng, max: usize) -> (Chip, DistanceMatrix, DistanceMatrix) {
+    let chip = topology::square_grid(rng.gen_range(2..max), rng.gen_range(2..max));
+    let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
+    let xtalk = crosstalk_matrix(&chip, &eq, None);
+    (chip, eq, xtalk)
+}
+
+/// FDM grouping partitions the qubit set for any capacity, with
+/// exactly ceil(n / capacity) lines.
+#[test]
+fn fdm_grouping_partitions() {
+    for_each_case(|case, rng| {
+        let (chip, eq, _) = grid(rng, 6);
+        let cap = rng.gen_range(1usize..8);
         let lines = group_fdm(&chip, &eq, cap);
         let n = chip.num_qubits();
-        prop_assert_eq!(lines.len(), n.div_ceil(cap));
+        assert_eq!(lines.len(), n.div_ceil(cap), "case {case}");
         let mut seen: Vec<QubitId> = lines.iter().flat_map(|l| l.qubits().to_vec()).collect();
         seen.sort_unstable();
         seen.dedup();
-        prop_assert_eq!(seen.len(), n);
-        prop_assert!(lines.iter().all(|l| l.len() <= cap));
-    }
+        assert_eq!(seen.len(), n, "case {case}");
+        assert!(lines.iter().all(|l| l.len() <= cap), "case {case}");
+    });
+}
 
-    /// TDM grouping covers every device exactly once with only legal
-    /// pairs, for any threshold.
-    #[test]
-    fn tdm_grouping_is_legal_partition(rows in 2usize..5, cols in 2usize..5, theta in 0.0f64..10.0) {
-        let chip = topology::square_grid(rows, cols);
-        let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
-        let xtalk = crosstalk_matrix(&chip, &eq, None);
-        let groups = group_tdm(&chip, &xtalk, &TdmConfig { theta, ..Default::default() });
+/// TDM grouping covers every device exactly once with only legal
+/// pairs, for any threshold.
+#[test]
+fn tdm_grouping_is_legal_partition() {
+    for_each_case(|case, rng| {
+        let (chip, _, xtalk) = grid(rng, 5);
+        let config = TdmConfig {
+            theta: rng.gen_range(0.0..10.0),
+            ..Default::default()
+        };
+        let groups = group_tdm(&chip, &xtalk, &config);
         let total: usize = groups.iter().map(|g| g.len()).sum();
-        prop_assert_eq!(total, chip.num_z_devices());
+        assert_eq!(total, chip.num_z_devices(), "case {case}");
         for g in &groups {
             let ds = g.devices();
-            prop_assert!(ds.len() <= g.level().channel_capacity());
+            assert!(ds.len() <= g.level().channel_capacity(), "case {case}");
             for i in 0..ds.len() {
                 for j in (i + 1)..ds.len() {
-                    prop_assert!(legal_pair(&chip, ds[i], ds[j]));
+                    assert!(legal_pair(&chip, ds[i], ds[j]), "case {case}");
                 }
             }
         }
-    }
+    });
+}
 
-    /// Frequency allocation keeps every qubit inside the configured band
-    /// and never collides within a line, for any zone geometry that fits.
-    #[test]
-    fn frequency_allocation_in_band(rows in 2usize..5, cols in 2usize..5, cap in 2usize..6) {
-        let chip = topology::square_grid(rows, cols);
-        let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
-        let xtalk = crosstalk_matrix(&chip, &eq, None);
-        let lines = group_fdm(&chip, &eq, cap);
+/// Frequency allocation keeps every qubit inside the configured band
+/// and never collides within a line, for any zone geometry that fits.
+#[test]
+fn frequency_allocation_in_band() {
+    for_each_case(|case, rng| {
+        let (chip, eq, xtalk) = grid(rng, 5);
+        let lines = group_fdm(&chip, &eq, rng.gen_range(2usize..6));
         let cfg = FreqConfig::default();
         let plan = allocate_frequencies(&chip, &lines, &xtalk, &cfg).unwrap();
         for q in chip.qubit_ids() {
             let f = plan.frequency_ghz(q);
-            prop_assert!(f >= cfg.band_ghz.0 && f <= cfg.band_ghz.1);
+            assert!(f >= cfg.band_ghz.0 && f <= cfg.band_ghz.1, "case {case}");
         }
         for line in &lines {
             let qs = line.qubits();
             for i in 0..qs.len() {
                 for j in (i + 1)..qs.len() {
-                    prop_assert!(
-                        (plan.frequency_ghz(qs[i]) - plan.frequency_ghz(qs[j])).abs() > 1e-9
-                    );
+                    let gap = plan.frequency_ghz(qs[i]) - plan.frequency_ghz(qs[j]);
+                    assert!(gap.abs() > 1e-9, "case {case}");
                 }
             }
         }
-    }
+    });
+}
 
-    /// Partitioning covers every qubit exactly once for any region count
-    /// and seed.
-    #[test]
-    fn partition_covers(rows in 2usize..6, cols in 2usize..6, k in 1usize..6, seed in 0u64..1000) {
-        let chip = topology::square_grid(rows, cols);
-        let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
-        let cfg = PartitionConfig { num_regions: k, seed, max_sweeps: 8 };
+/// Partitioning covers every qubit exactly once for any region count
+/// and seed.
+#[test]
+fn partition_covers() {
+    for_each_case(|case, rng| {
+        let (chip, eq, _) = grid(rng, 6);
+        let cfg = PartitionConfig {
+            num_regions: rng.gen_range(1usize..6),
+            seed: rng.gen_range(0u64..1000),
+            max_sweeps: 8,
+        };
         let p = partition_chip(&chip, &eq, &cfg);
         let total: usize = p.regions().iter().map(Vec::len).sum();
-        prop_assert_eq!(total, chip.num_qubits());
+        assert_eq!(total, chip.num_qubits(), "case {case}");
         for q in chip.qubit_ids() {
-            prop_assert!(p.regions()[p.region_of(q)].contains(&q));
+            assert!(p.regions()[p.region_of(q)].contains(&q), "case {case}");
         }
-    }
+    });
+}
 
-    /// The kernelized TDM grouping is byte-identical to the retained
-    /// naive reference for any grid, threshold, activity profile and
-    /// shared-slot budget.
-    #[test]
-    fn kernelized_grouping_equals_naive(
-        rows in 2usize..5,
-        cols in 2usize..5,
-        theta in 0.0f64..10.0,
-        budget in 0u32..6,
-        slots in proptest::collection::vec(0u32..256, 0..64),
-    ) {
-        let chip = topology::square_grid(rows, cols);
-        let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
-        let xtalk = crosstalk_matrix(&chip, &eq, None);
-        let config = TdmConfig { theta, max_shared_slots: budget, ..Default::default() };
-        let mut activity = ActivityProfile::new();
-        for (d, mask) in chip.device_ids().zip(slots.iter().copied()) {
-            activity.insert(d, mask);
-        }
-        let devices: Vec<DeviceId> = chip.device_ids().collect();
-        let fast = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
-        let slow = group_tdm_with_activity_naive(&chip, &xtalk, &config, &devices, &activity);
-        prop_assert_eq!(fast, slow);
-    }
-
-    /// The kernelized refinement is byte-identical to the retained
-    /// naive reference for any grid, budget, activity profile and pass
-    /// count, starting from the (shared) greedy grouping.
-    #[test]
-    fn kernelized_refine_equals_naive(
-        rows in 2usize..5,
-        cols in 2usize..5,
-        budget in 0u32..6,
-        passes in 0usize..4,
-        slots in proptest::collection::vec(0u32..256, 0..64),
-    ) {
-        let chip = topology::square_grid(rows, cols);
-        let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
-        let xtalk = crosstalk_matrix(&chip, &eq, None);
-        let config = TdmConfig { max_shared_slots: budget, ..Default::default() };
-        let mut activity = ActivityProfile::new();
-        for (d, mask) in chip.device_ids().zip(slots.iter().copied()) {
-            activity.insert(d, mask);
-        }
-        let devices: Vec<DeviceId> = chip.device_ids().collect();
-        let groups = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
-        let refine = RefineConfig { passes };
-        let fast = refine_tdm_groups(&chip, &xtalk, &activity, &config, groups.clone(), &refine);
-        let slow = refine_tdm_groups_naive(&chip, &xtalk, &activity, &config, groups, &refine);
-        prop_assert_eq!(fast, slow);
-    }
-
-    /// The full planner succeeds on any grid and always reduces coax
-    /// lines relative to dedicated wiring.
-    #[test]
-    fn planner_always_reduces_lines(rows in 2usize..6, cols in 2usize..6) {
-        let chip = topology::square_grid(rows, cols);
+/// The full planner succeeds on any grid and always reduces coax
+/// lines relative to dedicated wiring.
+#[test]
+fn planner_always_reduces_lines() {
+    for_each_case(|case, rng| {
+        let (chip, _, _) = grid(rng, 6);
         let plan = YoutiaoPlanner::new(&chip).plan().unwrap();
-        prop_assert_eq!(plan.num_xy_lines(), chip.num_qubits().div_ceil(5));
-        prop_assert!(plan.num_z_lines() < chip.num_z_devices());
+        assert_eq!(
+            plan.num_xy_lines(),
+            chip.num_qubits().div_ceil(5),
+            "case {case}"
+        );
+        assert!(plan.num_z_lines() < chip.num_z_devices(), "case {case}");
         let fdm_total: usize = plan.fdm_lines().iter().map(|l| l.len()).sum();
-        prop_assert_eq!(fdm_total, chip.num_qubits());
+        assert_eq!(fdm_total, chip.num_qubits(), "case {case}");
         let tdm_total: usize = plan.tdm_groups().iter().map(|g| g.len()).sum();
-        prop_assert_eq!(tdm_total, chip.num_z_devices());
-    }
+        assert_eq!(tdm_total, chip.num_z_devices(), "case {case}");
+    });
+}
 
-    /// The lazily-tabulated scaling lookup is bit-equal to a direct
-    /// `frequency_scaling` evaluation at every lattice offset, in both
-    /// orientations (evenness carries the transposed reads).
-    #[test]
-    fn scaling_table_matches_model_at_every_offset(
-        lo in 4.0f64..8.0,
-        width in 0.5f64..3.0,
-        zones in 1usize..6,
-        cell_mhz in 20.0f64..90.0,
-    ) {
+/// The lazily-tabulated scaling lookup is bit-equal to a direct
+/// `frequency_scaling` evaluation at every lattice offset, in both
+/// orientations (evenness carries the transposed reads).
+#[test]
+fn scaling_table_matches_model_at_every_offset() {
+    for_each_case(|case, rng| {
+        let lo = rng.gen_range(4.0..8.0);
         let cfg = FreqConfig {
-            band_ghz: (lo, lo + width),
-            cell_mhz,
+            band_ghz: (lo, lo + rng.gen_range(0.5..3.0)),
+            cell_mhz: rng.gen_range(20.0..90.0),
             ..Default::default()
         };
-        let lattice = BandLattice::new(&cfg, zones).unwrap();
+        let lattice = BandLattice::new(&cfg, rng.gen_range(1usize..6)).unwrap();
         let mut table = ScalingTable::new(&lattice);
         for s in 0..lattice.slots() {
             table.ensure_row(s);
         }
         for s in 0..lattice.slots() {
             for t in 0..lattice.slots() {
-                let expected = frequency_scaling(table.freq(s) - table.freq(t));
-                prop_assert_eq!(table.row(s)[t].to_bits(), expected.to_bits());
-                prop_assert_eq!(table.row(t)[s].to_bits(), expected.to_bits());
+                let expected = frequency_scaling(table.freq(s) - table.freq(t)).to_bits();
+                assert_eq!(table.row(s)[t].to_bits(), expected, "case {case}");
+                assert_eq!(table.row(t)[s].to_bits(), expected, "case {case}");
             }
         }
-    }
+    });
+}
 
-    /// The kernelized swap delta is the exact objective change: for any
-    /// placement and any in-line pair, swapping the two assignments
-    /// moves a from-scratch objective recompute by precisely the
-    /// reported delta.
-    #[test]
-    fn swap_delta_matches_full_objective_recompute(
-        rows in 2usize..5,
-        cols in 2usize..5,
-        cap in 2usize..6,
-        pick in any::<prop::sample::Index>(),
-    ) {
-        let chip = topology::square_grid(rows, cols);
-        let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
-        let xtalk = crosstalk_matrix(&chip, &eq, None);
-        let lines = group_fdm(&chip, &eq, cap);
-        let cfg = FreqConfig { swap_passes: 0, ..Default::default() };
+/// The kernelized swap delta is the exact objective change: for any
+/// placement and any in-line pair, swapping the two assignments moves
+/// a from-scratch objective recompute by precisely the reported delta.
+#[test]
+fn swap_delta_matches_full_objective_recompute() {
+    for_each_case(|case, rng| {
+        let (chip, eq, xtalk) = grid(rng, 5);
+        let lines = group_fdm(&chip, &eq, rng.gen_range(2usize..6));
+        let cfg = FreqConfig {
+            swap_passes: 0,
+            ..Default::default()
+        };
         let plan = allocate_frequencies(&chip, &lines, &xtalk, &cfg).unwrap();
 
         let mut pairs = Vec::new();
@@ -221,17 +195,18 @@ proptest! {
                 }
             }
         }
-        prop_assume!(!pairs.is_empty());
-        let (a, b) = pairs[pick.index(pairs.len())];
+        if pairs.is_empty() {
+            return;
+        }
+        let (a, b) = pairs[rng.gen_range(0..pairs.len())];
 
         // Recover every qubit's lattice slot from its assigned
         // frequency, exactly as the repair patcher does.
         let lattice = BandLattice::new(&cfg, plan.zones()).unwrap();
         let mut table = ScalingTable::new(&lattice);
-        let n = chip.num_qubits();
-        let slot_of: Vec<usize> = (0..n)
-            .map(|i| {
-                let q = QubitId::new(i as u32);
+        let slot_of: Vec<usize> = chip
+            .qubit_ids()
+            .map(|q| {
                 let zone = plan.zone_of(q);
                 lattice.slot(zone, lattice.cell_of(zone, plan.frequency_ghz(q)))
             })
@@ -254,17 +229,20 @@ proptest! {
             total
         };
         let before = full(plan.frequencies());
-        prop_assert_eq!(before.to_bits(), plan.objective(&xtalk).to_bits());
+        assert_eq!(
+            before.to_bits(),
+            plan.objective(&xtalk).to_bits(),
+            "case {case}"
+        );
         let mut swapped = plan.frequencies().to_vec();
         swapped.swap(a.index(), b.index());
         let after = full(&swapped);
 
         let scale = before.abs().max(after.abs()).max(1.0);
-        prop_assert!(
+        assert!(
             (delta - (after - before)).abs() <= 1e-9 * scale,
-            "delta {} vs recompute {}",
-            delta,
+            "case {case}: delta {delta} vs recompute {}",
             after - before
         );
-    }
+    });
 }

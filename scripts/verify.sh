@@ -13,9 +13,11 @@
 # cold-design's request classes (a canonical batch and a fidelity
 # sweep), then figure ports, eight experiment binaries against their
 # results/ files, the crosstalk fit's differential and property suites,
-# the pair kernels against the per-pair functions and their build's heap,
-# the kernelized grouping and refinement against the naive passes on
-# large chips, the sweep, bench and repair crates' own tests, the
+# the planner core's whole suite with its release-only tests (the pair
+# kernels against the per-pair functions and their build's heap, the
+# kernelized grouping and refinement against the naive passes on large
+# chips, the chain memo, the property suite), the sweep, bench and
+# repair crates' own tests, the
 # ChaCha8 keystream against its scalar blocks and style gates. The
 # batch determinism smoke and the cold-class pins run again pinned to
 # one core, where plans and dies run serially.
@@ -609,12 +611,8 @@ echo "  experiment outputs OK: byte-identical to results/"
 echo "==> crosstalk fit: within tolerance of the oracle fit, release-only chips included; property suite"
 cargo test -q --release --offline -p youtiao-noise -- --include-ignored
 
-echo "==> pair kernels: bit-equal to the per-pair functions, release-only chips included; build heap"
-cargo test -q --release --offline -p youtiao-core kernels -- --include-ignored
-
-echo "==> grouping: kernelized passes equal the naive passes on surface d9, 16x16 and 24x24"
-cargo test -q --release --offline -p youtiao-core --lib kernelized_passes_match_naive_on_large_chips \
-  -- --include-ignored
+echo "==> planner core: every test, release-only chips included (pair kernels, naive differentials, memo, properties)"
+cargo test -q --release --offline -p youtiao-core -- --include-ignored
 
 echo "==> sweep, bench and repair crates: cargo test -p youtiao-xplore -p youtiao-bench -p youtiao-repair"
 cargo test -q --release --offline -p youtiao-xplore -p youtiao-bench -p youtiao-repair
