@@ -1,6 +1,7 @@
 //! Planner micro-benchmark harness (`youtiao bench-plan`).
 //!
-//! Times the planner's hot loops — kernels build, TDM grouping and
+//! Times the planner's hot loops — kernels build, TDM grouping (also
+//! at θ = 8 with 1:8 DEMUXes, where walks choose most members) and
 //! refinement, frequency allocation on both bands, kernelized vs the
 //! retained naive references — plus the full context-backed plan (its
 //! chain memo emptied before each timed plan, so every chain runs) and
@@ -215,6 +216,7 @@ pub struct SizeReport {
     pub iterations: usize,
     /// Per-stage order statistics, keyed by stage name
     /// (`kernels_build`, `grouping_kernels`, `grouping_naive`,
+    /// `grouping_deep` (θ = 8 with 1:8 DEMUXes),
     /// `refine_kernels`, `refine_naive`, `freq_kernels_build`,
     /// `freq_alloc_kernels`, `freq_alloc_naive`, `readout_kernels`,
     /// `readout_naive`, `plan_total`, the planner's hook sub-stages
@@ -396,6 +398,25 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         });
         stages.insert("grouping_naive".to_string(), stats);
         assert_eq!(groups, naive_groups, "{label}: grouping diverged");
+
+        // The deep level: at θ = 8 every device of a square grid sits
+        // below the threshold, on 1:8 DEMUXes, where walks over sorted
+        // crosstalk rows choose most members. Checked once against the
+        // naive pass, outside the timed loop.
+        let deep = TdmConfig {
+            theta: 8.0,
+            max_shared_slots: 1,
+            allow_one_to_eight: true,
+        };
+        let (stats, deep_groups) = timed(iters, || {
+            group_tdm_kernels(&kernels, &xtalk, &deep, &devices, &activity)
+        });
+        stages.insert("grouping_deep".to_string(), stats);
+        assert_eq!(
+            deep_groups,
+            group_tdm_with_activity_naive(&chip, &xtalk, &deep, &devices, &activity),
+            "{label}: deep grouping diverged"
+        );
 
         let (stats, refined) = timed(iters, || {
             refine_tdm_groups_kernels(&kernels, &xtalk, &activity, &tdm, groups.clone(), &refine)

@@ -28,6 +28,7 @@ fn tiny_run_produces_complete_report() {
             "kernels_build",
             "grouping_kernels",
             "grouping_naive",
+            "grouping_deep",
             "refine_kernels",
             "refine_naive",
             "freq_kernels_build",

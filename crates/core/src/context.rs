@@ -46,7 +46,7 @@ use youtiao_noise::CrosstalkModel;
 
 use crate::error::PlanError;
 use crate::freq_kernels::FreqKernels;
-use crate::kernels::PairKernels;
+use crate::kernels::{PairKernels, SortedRows};
 use crate::memo::{ChainMemo, ChainStats};
 use crate::plan::crosstalk_matrix;
 use crate::scratch::ScratchPool;
@@ -91,9 +91,12 @@ pub fn chip_fingerprint(chip: &Chip) -> u64 {
 /// mismatched or structurally-changed chip is rejected instead of
 /// silently planning against stale matrices.
 ///
-/// Besides that planning state the context carries two kinds of warm
+/// Besides that planning state the context carries three kinds of warm
 /// state, which compare equal, clone empty and never change a plan:
-/// the scratch-arena pool ([`Self::scratch`]) and the chain memo. The
+/// the scratch-arena pool ([`Self::scratch`]), the sorted rows of the
+/// TDM matrix that grouping walks (each sorted the first time a walk
+/// needs it, and emptied with the memo by [`Self::with_zz_model`] and
+/// [`Self::apply_crosstalk_delta`]) and the chain memo. The
 /// memo keeps each successful chain a plan on this context ran, keyed
 /// by exactly the inputs that chain reads besides the context: the
 /// partition's regions, `fdm_capacity` and `freq` for the XY chain;
@@ -117,10 +120,12 @@ pub struct PlanContext {
     zz_crosstalk: Option<DistanceMatrix>,
     kernels: PairKernels,
     freq_kernels: FreqKernels,
-    // Warm buffer capacity and memoized chains, not planning state:
-    // each compares equal to every other and clones to an empty one,
-    // so neither perturbs the staleness/equality semantics above.
+    // Warm buffer capacity, sorted rows and memoized chains, not
+    // planning state: each compares equal to every other and clones to
+    // an empty one, so none perturbs the staleness/equality semantics
+    // above.
     scratch: ScratchPool,
+    tdm_rows: SortedRows,
     chains: ChainMemo,
 }
 
@@ -174,13 +179,14 @@ impl PlanContext {
             kernels: PairKernels::build(chip),
             freq_kernels,
             scratch: ScratchPool::new(),
+            tdm_rows: SortedRows::new(chip.num_qubits()),
             chains: ChainMemo::default(),
         }
     }
 
     /// Adds the ZZ crosstalk matrix (drives the *noisy non-parallelism*
-    /// score of TDM grouping) fitted from `model`, emptying the chain
-    /// memo.
+    /// score of TDM grouping) fitted from `model`, emptying the sorted
+    /// rows and the chain memo.
     ///
     /// # Panics
     ///
@@ -198,6 +204,7 @@ impl PlanContext {
         // the XY matrix: frequency allocation always scores XY
         // crosstalk regardless of the TDM noise model.
         self.zz_crosstalk = Some(crosstalk_matrix(chip, &eq, Some(model)));
+        self.tdm_rows = SortedRows::new(self.num_qubits);
         self.chains.clear();
         self
     }
@@ -238,6 +245,11 @@ impl PlanContext {
     /// read together with [`Self::tdm_crosstalk`].
     pub fn kernels(&self) -> &PairKernels {
         &self.kernels
+    }
+
+    /// The sorted rows of [`Self::tdm_crosstalk`].
+    pub(crate) fn tdm_rows(&self) -> &SortedRows {
+        &self.tdm_rows
     }
 
     /// The frequency-allocation kernels, always built on the XY
@@ -287,8 +299,8 @@ impl PlanContext {
     /// Applies a crosstalk-value delta in place: replaces the XY
     /// crosstalk matrix and rebuilds the freq kernels from it, advancing
     /// the [`Self::crosstalk_deltas`] probe instead of the build
-    /// count, and empties the chain memo. The topology-only
-    /// [`PairKernels`] stay as they are.
+    /// count, and empties the sorted rows and the chain memo. The
+    /// topology-only [`PairKernels`] stay as they are.
     ///
     /// This is the explicit rebuild-vs-delta choice: mutating inputs
     /// and reusing a context used to silently serve stale kernels; now
@@ -344,6 +356,7 @@ impl PlanContext {
         // trivially bit-identical to a fresh context's build.
         self.freq_kernels = FreqKernels::build(&crosstalk);
         self.crosstalk = crosstalk;
+        self.tdm_rows = SortedRows::new(self.num_qubits);
         self.chains.clear();
         Ok(rows.len())
     }
@@ -530,6 +543,84 @@ mod tests {
         let xtalk = zz_ctx.crosstalk().clone();
         let bad = zz_ctx.apply_crosstalk_delta(&chip, xtalk, &[]);
         assert!(matches!(bad, Err(PlanError::InvalidConfig(_))));
+    }
+
+    /// The sorted rows always belong to the matrix TDM grouping scores
+    /// with. Each context below first plans θ = 8 with 1:8 DEMUXes,
+    /// whose walks sort the rows of its XY matrix, and then plans
+    /// against another matrix: its own ZZ matrix, a planner-local ZZ
+    /// model's, or a crosstalk delta. The XY matrix is either the
+    /// planner's or that matrix with the crosstalk of every pair
+    /// tripled per odd qubit in it, which reorders every row, so the
+    /// rows a stale context would walk are out of order for the matrix
+    /// it scores with. Each plan equals a fresh context's.
+    #[test]
+    fn sorted_rows_follow_the_matrix_grouping_scores_with() {
+        use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
+        use youtiao_noise::fit::{fit_crosstalk_model, FitConfig};
+        let chip = topology::square_grid(8, 8);
+        let weights = EquivalentWeights::balanced();
+        let zz = fit_crosstalk_model(
+            &synthesize(
+                &topology::square_grid(4, 4),
+                CrosstalkKind::Zz,
+                &SynthConfig::zz(),
+                5,
+            ),
+            &FitConfig::fast(),
+        )
+        .unwrap();
+        let config = PlannerConfig {
+            tdm: TdmConfig {
+                theta: 8.0,
+                max_shared_slots: 1,
+                allow_one_to_eight: true,
+            },
+            ..Default::default()
+        };
+        let plan = |ctx: &PlanContext, zz_model| {
+            let planner = YoutiaoPlanner::new(&chip)
+                .with_config(config.clone())
+                .with_context(ctx);
+            match zz_model {
+                Some(model) => planner.with_zz_model(model).plan(),
+                None => planner.plan(),
+            }
+            .unwrap()
+        };
+        let planned = PlanContext::build(&chip, None, weights).crosstalk().clone();
+        let mut scaled = planned.clone();
+        let odd: Vec<QubitId> = chip.qubit_ids().filter(|q| q.index() % 2 == 1).collect();
+        let scale = |q: QubitId| if q.index() % 2 == 1 { 3.0 } else { 1.0 };
+        for a in chip.qubit_ids() {
+            for b in chip.qubit_ids() {
+                if a < b {
+                    scaled.set(a, b, scaled.get(a, b) * scale(a) * scale(b));
+                }
+            }
+        }
+        let fresh =
+            |xtalk: &DistanceMatrix| PlanContext::from_matrix(&chip, weights, xtalk.clone());
+        let warm = |xtalk: &DistanceMatrix| {
+            let ctx = fresh(xtalk);
+            plan(&ctx, None);
+            assert!(ctx.tdm_rows().sorted().0 > 0);
+            ctx
+        };
+
+        let zz_fresh = fresh(&scaled).with_zz_model(&chip, &zz);
+        let zz_warm = warm(&scaled).with_zz_model(&chip, &zz);
+        assert_eq!(zz_warm.tdm_rows().sorted(), (0, 0));
+        assert_eq!(plan(&zz_warm, None), plan(&zz_fresh, None));
+
+        assert_eq!(plan(&warm(&scaled), Some(&zz)), plan(&zz_fresh, None));
+
+        let mut delta = warm(&planned);
+        delta
+            .apply_crosstalk_delta(&chip, scaled.clone(), &odd)
+            .unwrap();
+        assert_eq!(delta.tdm_rows().sorted(), (0, 0));
+        assert_eq!(plan(&delta, None), plan(&fresh(&scaled), None));
     }
 
     #[test]

@@ -13,7 +13,9 @@
 //! device's qubits. Worst-case crosstalk is read from the qubit
 //! crosstalk matrix the plan scores with, which the kernels never copy,
 //! so the rewritten inner loops need no devices×devices table (see
-//! `group_tdm_kernels` / `refine_tdm_groups_kernels`).
+//! `group_tdm_kernels` / `refine_tdm_groups_kernels`). `SortedRows`
+//! keeps a matrix's rows in descending order, sorted as the grouping's
+//! walks first need them.
 //!
 //! # Determinism contract
 //!
@@ -27,6 +29,7 @@
 //! profiles and budgets.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 use youtiao_chip::distance::DistanceMatrix;
 use youtiao_chip::{Chip, CouplerId, DeviceId, QubitId};
@@ -134,6 +137,10 @@ pub struct PairKernels {
     gateless: Vec<bool>,
     /// Each device's qubits: a qubit twice, a coupler's two endpoints.
     qubits: Vec<[QubitId; 2]>,
+    /// Where each qubit's couplers start in `incident`, plus the end.
+    incident_starts: Vec<usize>,
+    /// Per qubit, the flat indices of its couplers.
+    incident: Vec<u32>,
     /// Per-coupler adjacent gates (couplers sharing a qubit endpoint),
     /// sorted and deduplicated — what `adjacent_gates` used to allocate
     /// and sort on every call.
@@ -203,6 +210,13 @@ impl PairKernels {
         let gateless = (0..n)
             .map(|i| i < nq && chip.couplers_of(i.into()).is_empty())
             .collect();
+        let mut incident_starts = Vec::with_capacity(nq + 1);
+        let mut incident = Vec::with_capacity(2 * chip.num_couplers());
+        incident_starts.push(0);
+        for q in chip.qubit_ids() {
+            incident.extend(chip.couplers_of(q).iter().map(|c| (nq + c.index()) as u32));
+            incident_starts.push(incident.len());
+        }
         let qubits = (0..nq).map(|q| [q.into(); 2]).chain(ends).collect();
 
         BUILDS.fetch_add(1, Ordering::Relaxed);
@@ -215,6 +229,8 @@ impl PairKernels {
             topo_entries,
             gateless,
             qubits,
+            incident_starts,
+            incident,
             adjacency,
         }
     }
@@ -308,6 +324,13 @@ impl PairKernels {
         self.qubits[i]
     }
 
+    /// The flat indices of qubit `q`'s couplers: with `q` itself, the
+    /// devices whose qubits include `q`.
+    #[inline]
+    pub(crate) fn incident(&self, q: usize) -> &[u32] {
+        &self.incident[self.incident_starts[q]..self.incident_starts[q + 1]]
+    }
+
     /// Worst-case crosstalk under `xtalk` between the qubits of two
     /// devices: the naive `noisy_score` bit for bit, the same maxima
     /// in the same order.
@@ -377,6 +400,132 @@ impl PairKernels {
     /// for the bench harness and the `verify.sh` bench-smoke step).
     pub fn build_count() -> u64 {
         BUILDS.load(Ordering::Relaxed)
+    }
+}
+
+/// Each qubit's positive crosstalk entries under one matrix: the other
+/// qubits `y` with `xtalk[x][y] > 0`, sorted by descending value, ties
+/// by index. A walk reads only the first few entries of a row, so each
+/// row is kept in two parts, each computed the first time a walk asks
+/// for it: its first [`ROW_PREFIX`] entries (selected, then sorted) and,
+/// only for a walk that reads past them, the whole row. Concurrent
+/// readers share both (one `OnceLock` each), and the table of rows is
+/// allocated by the first walk.
+///
+/// The rows hold indices only, so they are valid only beside the matrix
+/// they were first read with: [`crate::PlanContext`] keeps one set for
+/// the matrix TDM grouping scores with and replaces it whenever that
+/// matrix changes. Like the chain memo, the rows are warm state: a
+/// clone starts empty and any two compare equal.
+pub(crate) struct SortedRows {
+    num_qubits: usize,
+    rows: OnceLock<Box<[SortedRow]>>,
+}
+
+/// One row of [`SortedRows`]: its prefix and the whole row.
+#[derive(Default)]
+struct SortedRow {
+    prefix: OnceLock<Box<[u32]>>,
+    whole: OnceLock<Box<[u32]>>,
+}
+
+/// Entries of a row sorted before a walk reads past them. Over
+/// plan-sweep's chips (surface d9, 16×16 and 24×24) and twelve TDM
+/// configurations, walks read at most 8 entries of a row at θ ≤ 4 and
+/// 12 at θ = 8, except with 1:8 DEMUXes on 24×24, where 78 of the 576
+/// rows are read past 16 entries (at most 32).
+pub(crate) const ROW_PREFIX: usize = 16;
+
+impl SortedRows {
+    /// Empty rows for a matrix over `num_qubits` qubits.
+    pub(crate) fn new(num_qubits: usize) -> Self {
+        SortedRows {
+            num_qubits,
+            rows: OnceLock::new(),
+        }
+    }
+
+    /// Row `x`'s parts, allocating the table on first use.
+    fn slot(&self, x: QubitId) -> &SortedRow {
+        let rows = self
+            .rows
+            .get_or_init(|| (0..self.num_qubits).map(|_| SortedRow::default()).collect());
+        &rows[x.index()]
+    }
+
+    /// The first [`ROW_PREFIX`] entries of row `x` of `xtalk` (all of
+    /// them, if the row has no more).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is out of range of the rows or the matrix.
+    pub(crate) fn prefix(&self, xtalk: &DistanceMatrix, x: QubitId) -> &[u32] {
+        self.slot(x)
+            .prefix
+            .get_or_init(|| sorted_entries(xtalk.row(x), x, ROW_PREFIX))
+    }
+
+    /// Every entry of row `x` of `xtalk`; its first [`ROW_PREFIX`] are
+    /// [`Self::prefix`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is out of range of the rows or the matrix.
+    pub(crate) fn row(&self, xtalk: &DistanceMatrix, x: QubitId) -> &[u32] {
+        self.slot(x)
+            .whole
+            .get_or_init(|| sorted_entries(xtalk.row(x), x, usize::MAX))
+    }
+
+    /// Rows whose prefix is sorted, and rows sorted whole.
+    #[cfg(test)]
+    pub(crate) fn sorted(&self) -> (usize, usize) {
+        let rows = self.rows.get().map_or(&[][..], |rows| &rows[..]);
+        let count = |part: fn(&SortedRow) -> &OnceLock<Box<[u32]>>| {
+            rows.iter().filter(|row| part(row).get().is_some()).count()
+        };
+        (count(|row| &row.prefix), count(|row| &row.whole))
+    }
+}
+
+/// The first `len` of the qubits `y ≠ x` with `values[y] > 0`, by
+/// descending value, ties by index: a total order, so a prefix equals
+/// the start of the whole sorted row. Each entry is ranked by one
+/// integer, the value's bits (which order positive floats as their
+/// values) above the complement of the index.
+fn sorted_entries(values: &[f64], x: QubitId, len: usize) -> Box<[u32]> {
+    let mut keys: Vec<u128> = values
+        .iter()
+        .enumerate()
+        .filter(|&(y, &v)| y != x.index() && v > 0.0)
+        .map(|(y, &v)| u128::from(v.to_bits()) << 32 | u128::from(!(y as u32)))
+        .collect();
+    if keys.len() > len {
+        keys.select_nth_unstable_by(len, |a, b| b.cmp(a));
+        keys.truncate(len);
+    }
+    keys.sort_unstable_by(|a, b| b.cmp(a));
+    keys.into_iter().map(|key| !(key as u32)).collect()
+}
+
+impl std::fmt::Debug for SortedRows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SortedRows").finish_non_exhaustive()
+    }
+}
+
+impl Clone for SortedRows {
+    /// Cloned rows start empty.
+    fn clone(&self) -> Self {
+        SortedRows::new(self.num_qubits)
+    }
+}
+
+impl PartialEq for SortedRows {
+    /// Rows never differentiate their contexts: each is a function of
+    /// the matrix beside it.
+    fn eq(&self, _: &Self) -> bool {
+        true
     }
 }
 

@@ -14,7 +14,7 @@ use crate::exec::ParallelExec;
 use crate::fdm::{group_fdm_subset, FdmLine};
 use crate::freq::{allocate_frequencies_kernels_in, FreqConfig, FrequencyPlan};
 use crate::freq_kernels::FreqKernels;
-use crate::kernels::PairKernels;
+use crate::kernels::{PairKernels, SortedRows};
 use crate::memo::{ChainKey, ChainOutput};
 use crate::partition::{partition_chip, Partition, PartitionConfig};
 use crate::scratch::ScratchPool;
@@ -409,6 +409,18 @@ impl<'a> YoutiaoPlanner<'a> {
             }
         };
 
+        // TDM grouping walks the sorted rows of the matrix it scores
+        // with: the context's, unless a planner-local ZZ matrix
+        // replaces the context's, and otherwise rows of this plan's own.
+        let rows_local;
+        let tdm_rows: &SortedRows = match self.context {
+            Some(ctx) if zz_local.is_none() => ctx.tdm_rows(),
+            _ => {
+                rows_local = SortedRows::new(chip.num_qubits());
+                &rows_local
+            }
+        };
+
         // Partition (stage 1/2), then group each region independently
         // (stage 3); without a partition the whole chip is one region.
         // A context's memo keeps each partition it ran, like a chain.
@@ -577,8 +589,8 @@ impl<'a> YoutiaoPlanner<'a> {
                     }))
                     .collect();
                 arena.retire_bool(in_region);
-                let mut groups = crate::tdm::group_tdm_kernels_in(
-                    kernels, tdm_xtalk, tdm_config, &devices, activity, &mut arena,
+                let (mut groups, _) = crate::tdm::group_tdm_rows_in(
+                    kernels, tdm_xtalk, tdm_rows, tdm_config, &devices, activity, &mut arena,
                 );
                 let tdm_elapsed = started.elapsed();
                 let started = Instant::now();

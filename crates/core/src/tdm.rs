@@ -20,15 +20,17 @@
 //! The grouping inner loop runs against precomputed, topology-only
 //! [`PairKernels`](crate::kernels::PairKernels) and the crosstalk
 //! matrix, with incremental per-group aggregates — O(1) lookups per
-//! candidate instead of re-deriving every pairwise term. The original
+//! candidate instead of re-deriving every pairwise term — and, where
+//! those cannot decide, walks the matrix's rows in descending order
+//! instead of scoring the whole pool. The original
 //! per-candidate implementation is retained in [`naive`] (test builds
 //! and the `naive` feature) as the differential-testing reference; both
 //! paths produce byte-identical groupings.
 
 use youtiao_chip::distance::DistanceMatrix;
-use youtiao_chip::{Chip, CouplerId, DeviceId};
+use youtiao_chip::{Chip, CouplerId, DeviceId, QubitId};
 
-use crate::kernels::PairKernels;
+use crate::kernels::{PairKernels, SortedRows, ROW_PREFIX};
 use crate::scratch::Scratch;
 
 /// Cryo-DEMUX fan-out level for one TDM group.
@@ -473,6 +475,22 @@ pub fn group_tdm_kernels_in(
     activity: &ActivityProfile,
     scratch: &mut Scratch,
 ) -> Vec<TdmGroup> {
+    let rows = SortedRows::new(xtalk.len());
+    group_tdm_rows_in(kernels, xtalk, &rows, config, devices, activity, scratch).0
+}
+
+/// [`group_tdm_kernels_in`] walking `rows`, the sorted rows of `xtalk`
+/// (a context's, shared by its plans, or the caller's own), and
+/// counting the full scans it fell back to.
+pub(crate) fn group_tdm_rows_in(
+    kernels: &PairKernels,
+    xtalk: &DistanceMatrix,
+    rows: &SortedRows,
+    config: &TdmConfig,
+    devices: &[DeviceId],
+    activity: &ActivityProfile,
+    scratch: &mut Scratch,
+) -> (Vec<TdmGroup>, usize) {
     assert_eq!(
         xtalk.len(),
         kernels.num_qubits(),
@@ -503,13 +521,15 @@ pub fn group_tdm_kernels_in(
         DemuxLevel::OneToFour
     };
     let mut groups = Vec::new();
+    let mut scans = 0;
     for (level, pool) in [(low_level, low), (DemuxLevel::OneToTwo, high)] {
-        groups.extend(group_level_kernels(
-            kernels, xtalk, level, &pool, &masks, config, scratch,
-        ));
+        let (level_groups, level_scans) =
+            group_level_kernels(kernels, xtalk, rows, level, &pool, &masks, config, scratch);
+        groups.extend(level_groups);
+        scans += level_scans;
     }
     scratch.retire_u32(masks);
-    groups
+    (groups, scans)
 }
 
 /// A pool position's [`group_level_kernels`] stamp once it joined a
@@ -521,9 +541,56 @@ const TAKEN: u32 = u32::MAX;
 /// better.
 type Key = (f64, f64, f64, f64);
 
+/// One member qubit's sorted row in a [`group_level_kernels`] walk,
+/// read from `at`, with the crosstalk there (`-∞` once the row is
+/// read): its prefix first, then the whole row if the walk reads past
+/// the prefix.
+struct Head<'a> {
+    qubit: QubitId,
+    cols: &'a [u32],
+    whole: bool,
+    values: &'a [f64],
+    at: usize,
+    value: f64,
+}
+
+impl<'a> Head<'a> {
+    /// The start of qubit `x`'s row.
+    fn new(rows: &'a SortedRows, xtalk: &'a DistanceMatrix, x: QubitId) -> Self {
+        let cols = rows.prefix(xtalk, x);
+        let values = xtalk.row(x);
+        Head {
+            qubit: x,
+            cols,
+            whole: cols.len() < ROW_PREFIX,
+            values,
+            at: 0,
+            value: cols
+                .first()
+                .map_or(f64::NEG_INFINITY, |&y| values[y as usize]),
+        }
+    }
+
+    /// Moves past the current entry and returns its qubit.
+    fn advance(&mut self, rows: &'a SortedRows, xtalk: &'a DistanceMatrix) -> usize {
+        let y = self.cols[self.at] as usize;
+        self.at += 1;
+        if self.at == self.cols.len() && !self.whole {
+            self.cols = rows.row(xtalk, self.qubit);
+            self.whole = true;
+        }
+        self.value = self
+            .cols
+            .get(self.at)
+            .map_or(f64::NEG_INFINITY, |&next| self.values[next as usize]);
+        y
+    }
+}
+
 /// Greedy graph-coloring of one parallelism level (§4.3 steps 1–3),
 /// kernelized: the naive greedy's choices and tie-breaks, bit for bit,
-/// without walking the pool when a member joins.
+/// without walking the pool when a member joins. Returns the groups
+/// and the number of full scans.
 ///
 /// Every aggregate of the group being filled is a lookup:
 ///
@@ -549,27 +616,46 @@ type Key = (f64, f64, f64, f64);
 ///   candidate scores 0.0;
 /// * **activity** — adding a device busy in an occupied slot adds one
 ///   serialized window per such slot, so a candidate shares
-///   `cur_extra + popcount(mask ∩ occupied)` windows.
+///   `cur_extra + popcount(mask ∩ occupied)` windows. The popcount is
+///   the candidate's slot class; `alive` counts the live positions of
+///   each distinct mask, so `k_min`, the lowest class of a live
+///   position, costs one pass over the distinct masks.
 ///
-/// The next member is chosen from `near` first. If the best of it
-/// shares only `cur_extra` windows, the fewest any candidate can, it
-/// wins: every candidate outside `near` scores topo 0.0 against its
-/// positive topo, so none beats or ties it, and scoring `near` in pool
-/// order keeps the first of equal keys, as the full scan does (once
-/// the first candidate of that best class is scored, no candidate of
-/// a lower class replaces it, so the candidates in between do not
-/// matter). Otherwise the whole pool is scored once, in pool order,
-/// over `live`, a list of positions not yet taken that each full scan
-/// compacts.
+/// No candidate shares fewer than `cur_extra + k_min` windows, so if
+/// that exceeds the budget the group is full. Otherwise the next member
+/// is chosen from `near` first. If the best of it shares
+/// `cur_extra + k_min` windows, it wins: every candidate outside `near`
+/// scores topo 0.0 against its positive topo, so none beats or ties it,
+/// and scoring `near` in pool order keeps the first of equal keys, as
+/// the full scan does (once the first candidate of that best class is
+/// scored, no candidate of a lower class replaces it, so the candidates
+/// in between do not matter).
+///
+/// Otherwise the legal class-`k_min` candidates, all outside `near`
+/// (one inside would have won) and so all of one topo, are ranked by
+/// noise, then balance, then pool position, and a **walk** finds the
+/// best: it merges the member qubits' [`SortedRows`] by descending
+/// crosstalk. The first value at which the merge reaches a qubit `y`
+/// is exactly `reach[y]`, and every qubit not yet reached has a
+/// `reach` no larger, so each candidate touching a newly reached qubit
+/// is scored with its exact noise. The walk stops at the first value
+/// below the best candidate's noise, which no unscored candidate can
+/// reach. It gives up when it reads every row without finding a
+/// candidate (the winner then has noise 0.0, or a higher class) or
+/// takes more steps than a quarter of the live pool's size. Then the
+/// whole pool is scored once, in pool order, over `live`, a list of
+/// positions not yet taken that each full scan compacts.
+#[allow(clippy::too_many_arguments)] // one level's pool and everything it reads
 fn group_level_kernels(
     kernels: &PairKernels,
     xtalk: &DistanceMatrix,
+    rows: &SortedRows,
     level: DemuxLevel,
     pool: &[(DeviceId, f64)],
     masks: &[u32],
     config: &TdmConfig,
     scratch: &mut Scratch,
-) -> Vec<TdmGroup> {
+) -> (Vec<TdmGroup>, usize) {
     let capacity = level.channel_capacity();
     let n = pool.len();
     let num_devices = kernels.num_devices();
@@ -589,15 +675,30 @@ fn group_level_kernels(
             gateless.push(i as u32);
         }
     }
+    // The pool's distinct masks and how many live positions carry each.
+    let mut distinct = scratch.take_u32(n, 0);
+    distinct.copy_from_slice(&pmask);
+    distinct.sort_unstable();
+    distinct.dedup();
+    let kind = |mask| distinct.binary_search(&mask).expect("every mask is listed");
+    let mut alive = scratch.take_u32(distinct.len(), 0);
+    for &m in pmask.iter() {
+        alive[kind(m)] += 1;
+    }
+    let mut remaining = n;
     let mut stamp = scratch.take_u32(n, 0);
     let mut topo = scratch.take_f64(n, 0.0);
     let mut reach = scratch.take_f64(xtalk.len(), 0.0);
+    let mut reached = scratch.take_u32(xtalk.len(), 0);
     let mut near = scratch.take_u32(n, 0);
     near.clear();
+    let mut heads: Vec<Head> = Vec::with_capacity(2 * capacity);
 
     let mut groups = Vec::new();
+    let mut scans = 0;
     let mut first = 0usize;
     let mut group = 0u32;
+    let mut walk = 0u32;
     let mut folded = 0usize;
     while first < n {
         if stamp[first] == TAKEN {
@@ -622,6 +723,8 @@ fn group_level_kernels(
         }
         while let Some(i) = next {
             stamp[i] = TAKEN;
+            alive[kind(pmask[i])] -= 1;
+            remaining -= 1;
             let (d, di) = pool[i];
             let k = pdense[i] as usize;
             cur_extra += (pmask[i] & occupied).count_ones();
@@ -674,6 +777,18 @@ fn group_level_kernels(
                 });
             }
 
+            // The lowest slot class of a live position; with none
+            // live or none within budget, the group is full.
+            let k_min = distinct
+                .iter()
+                .zip(alive.iter())
+                .filter(|&(_, &count)| count > 0)
+                .map(|(&m, _)| (m & occupied).count_ones())
+                .min();
+            let Some(k_min) = k_min.filter(|&k| cur_extra + k <= config.max_shared_slots) else {
+                break;
+            };
+
             // Steps 2–3: among legal candidates sharing the fewest busy
             // slots, prefer fully topologically non-parallel ones, then
             // the noisiest, then the closest parallelism index
@@ -710,36 +825,97 @@ fn group_level_kernels(
                 Some(cand) if best.is_none_or(|(_, bk)| cand > bk) => Some((j, cand)),
                 _ => best,
             };
-            let mut best = near
+            let best = near
                 .iter()
                 .fold(None, |best, &p| consider(best, p as usize, None));
-            let fewest = -(cur_extra as f64);
-            if !best.is_some_and(|(_, (shared, ..))| shared == fewest) {
-                for &m in &members[folded..] {
-                    for &x in kernels.qubits(kernels.dense(m)) {
-                        // The row pass leaves `reach[x]` as it was: the
-                        // naive score skips a qubit's crosstalk with
-                        // itself.
-                        let own = reach[x.index()];
-                        for (r, &v) in reach.iter_mut().zip(xtalk.row(x)) {
-                            *r = r.max(v);
-                        }
-                        reach[x.index()] = own;
-                    }
-                }
-                folded = members.len();
-                best = None;
-                let mut kept = 0;
-                for r in 0..live.len() {
-                    let j = live[r] as usize;
-                    if stamp[j] != TAKEN {
-                        live[kept] = j as u32;
-                        kept += 1;
-                        best = consider(best, j, Some(&reach));
-                    }
-                }
-                live.truncate(kept);
+            let fewest = -((cur_extra + k_min) as f64);
+            if best.is_some_and(|(_, (shared, ..))| shared == fewest) {
+                next = best.map(|(j, _)| j);
+                continue;
             }
+
+            // The walk: (position, noise, balance) of the best
+            // class-`k_min` candidate reached so far.
+            walk += 1;
+            heads.clear();
+            for &m in &members {
+                for &x in kernels.qubits(kernels.dense(m)) {
+                    if heads.iter().all(|h| h.qubit != x) {
+                        heads.push(Head::new(rows, xtalk, x));
+                    }
+                }
+            }
+            let mut found: Option<(usize, f64, f64)> = None;
+            let mut steps = remaining / 4;
+            let walked = loop {
+                // The head with the largest next value.
+                let mut h = 0;
+                for g in 1..heads.len() {
+                    if heads[g].value > heads[h].value {
+                        h = g;
+                    }
+                }
+                let v = heads[h].value;
+                if v == f64::NEG_INFINITY || found.is_some_and(|(_, noise, _)| v < noise) {
+                    break found;
+                }
+                if steps == 0 {
+                    break None;
+                }
+                steps -= 1;
+                let y = heads[h].advance(rows, xtalk);
+                if reached[y] == walk {
+                    continue;
+                }
+                reached[y] = walk;
+                for j in std::iter::once(y).chain(kernels.incident(y).iter().map(|&c| c as usize)) {
+                    let p = pos_of[j];
+                    if p == TAKEN {
+                        continue;
+                    }
+                    let p = p as usize;
+                    if stamp[p] >= group || (pmask[p] & occupied).count_ones() != k_min {
+                        continue;
+                    }
+                    let x = pool[p].1;
+                    let balance = (lo - x).abs().max((hi - x).abs());
+                    // `v` equals the best's noise here: lower
+                    // balance wins, then the lower position.
+                    if found.is_none_or(|(q, _, b)| balance < b || (balance == b && p < q)) {
+                        found = Some((p, v, balance));
+                    }
+                }
+            };
+            if let Some((p, ..)) = walked {
+                next = Some(p);
+                continue;
+            }
+
+            scans += 1;
+            for &m in &members[folded..] {
+                for &x in kernels.qubits(kernels.dense(m)) {
+                    // The row pass leaves `reach[x]` as it was: the
+                    // naive score skips a qubit's crosstalk with
+                    // itself.
+                    let own = reach[x.index()];
+                    for (r, &v) in reach.iter_mut().zip(xtalk.row(x)) {
+                        *r = r.max(v);
+                    }
+                    reach[x.index()] = own;
+                }
+            }
+            folded = members.len();
+            let mut best = None;
+            let mut kept = 0;
+            for r in 0..live.len() {
+                let j = live[r] as usize;
+                if stamp[j] != TAKEN {
+                    live[kept] = j as u32;
+                    kept += 1;
+                    best = consider(best, j, Some(&reach));
+                }
+            }
+            live.truncate(kept);
             next = best.map(|(j, _)| j);
         }
         // Outside `near`, every `topo` entry is 0.0.
@@ -749,12 +925,14 @@ fn group_level_kernels(
         near.clear();
         groups.push(TdmGroup::new(level, members));
     }
-    for buf in [pdense, pmask, pos_of, live, gateless, stamp, near] {
+    for buf in [
+        pdense, pmask, pos_of, live, gateless, distinct, alive, stamp, reached, near,
+    ] {
         scratch.retire_u32(buf);
     }
     scratch.retire_f64(topo);
     scratch.retire_f64(reach);
-    groups
+    (groups, scans)
 }
 
 /// The original per-candidate grouping implementation, retained as the
@@ -1380,6 +1558,143 @@ mod tests {
                 );
                 assert_eq!(fast, slow, "case {case}: config {config:?}");
             }
+        }
+
+        /// The 24×24 grouping at θ = 8 (every device on the deep
+        /// level) with brickwork activity and a one-window budget, as
+        /// plan-sweep runs it: `near` or the walk decides all but a
+        /// few members, so the grouping scores the whole pool only
+        /// that often (the grouping without the walk scored it 1 078
+        /// times with 1:8 DEMUXes and 337 times with 1:4).
+        #[test]
+        fn deep_levels_rarely_fall_back_to_the_full_scan() {
+            use crate::PlanContext;
+            let chip = topology::square_grid(24, 24);
+            let ctx = PlanContext::build(&chip, None, EquivalentWeights::balanced());
+            let activity = brickwork_activity(&chip);
+            let devices: Vec<DeviceId> = chip.device_ids().collect();
+            let scans = |allow_one_to_eight| {
+                let config = TdmConfig {
+                    theta: 8.0,
+                    max_shared_slots: 1,
+                    allow_one_to_eight,
+                };
+                let (groups, scans) = group_tdm_rows_in(
+                    ctx.kernels(),
+                    ctx.tdm_crosstalk(),
+                    ctx.tdm_rows(),
+                    &config,
+                    &devices,
+                    &activity,
+                    &mut Scratch::default(),
+                );
+                assert_eq!(
+                    groups,
+                    group_tdm_kernels(
+                        ctx.kernels(),
+                        ctx.tdm_crosstalk(),
+                        &config,
+                        &devices,
+                        &activity
+                    )
+                );
+                scans
+            };
+            assert_eq!(scans(true), 52);
+            assert_eq!(scans(false), 40);
+            // Every row's prefix is sorted, and some 1:8 walks read
+            // past the prefix.
+            assert_eq!(ctx.tdm_rows().sorted(), (576, 78));
+        }
+
+        /// A walk reads a row's prefix, then the whole row from where
+        /// the prefix ends: every row of a 12×12 grid (more than
+        /// `ROW_PREFIX` positive entries each) comes out whole, in
+        /// descending order, ties by index.
+        #[test]
+        fn a_head_reads_past_the_prefix_into_the_whole_row() {
+            let chip = topology::square_grid(12, 12);
+            let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
+            let xtalk = crate::plan::crosstalk_matrix(&chip, &eq, None);
+            let rows = SortedRows::new(chip.num_qubits());
+            for x in chip.qubit_ids() {
+                let mut head = Head::new(&rows, &xtalk, x);
+                let mut read = Vec::new();
+                while head.value > f64::NEG_INFINITY {
+                    read.push(head.advance(&rows, &xtalk) as u32);
+                }
+                assert_eq!(read, rows.row(&xtalk, x), "{x}");
+                assert_eq!(rows.prefix(&xtalk, x), &read[..ROW_PREFIX], "{x}");
+                let key = |y: &u32| (std::cmp::Reverse(xtalk.row(x)[*y as usize].to_bits()), *y);
+                assert!(read.windows(2).all(|w| key(&w[0]) < key(&w[1])), "{x}");
+                let positive = chip
+                    .qubit_ids()
+                    .filter(|&y| y != x && xtalk.get(x, y) > 0.0)
+                    .count();
+                assert!(positive > ROW_PREFIX, "{x}");
+                assert_eq!(read.len(), positive, "{x}");
+            }
+        }
+
+        /// A gateless seed (q0) leaves every candidate at topo 1.0 and
+        /// `near` empty, so the walk picks the second member. From q0,
+        /// crosstalk 0.02 reaches q1 (outside the pool) and q2, and
+        /// 0.01 everything else. The walk reaches q1 first and scores
+        /// c0 = q1–q2 there, then q2; both have noise 0.02 and
+        /// parallelism index 1, so they tie on every key, and q2, the
+        /// earlier in pool order, must win, as in the full scan.
+        #[test]
+        fn walk_ties_go_to_the_first_in_pool_order() {
+            use youtiao_chip::{ChipBuilder, Position, TopologyKind};
+            // q0 alone, the chain q1–q2–q3, and a 3×3 grid on q4..q12
+            // whose devices (parallelism index 3 or more) only make
+            // the live pool large enough for a walk of two steps.
+            let mut builder = (0..13u32).fold(
+                ChipBuilder::new("walk-ties", TopologyKind::Custom),
+                |b, i| b.qubit(Position::new(f64::from(i), 0.0)),
+            );
+            builder = builder.coupler(1u32.into(), 2u32.into());
+            builder = builder.coupler(2u32.into(), 3u32.into());
+            for r in 0..3u32 {
+                for c in 0..3u32 {
+                    let q = 4 + 3 * r + c;
+                    if c < 2 {
+                        builder = builder.coupler(q.into(), (q + 1).into());
+                    }
+                    if r < 2 {
+                        builder = builder.coupler(q.into(), (q + 3).into());
+                    }
+                }
+            }
+            let chip = builder.build().expect("valid chip");
+            let q = |i: u32| QubitId::from(i);
+            let mut xtalk = DistanceMatrix::zeros(chip.num_qubits());
+            for a in chip.qubit_ids() {
+                for b in chip.qubit_ids() {
+                    if a < b {
+                        xtalk.set(a, b, 0.01);
+                    }
+                }
+            }
+            xtalk.set(q(0), q(1), 0.02);
+            xtalk.set(q(0), q(2), 0.02);
+            let devices: Vec<DeviceId> = chip
+                .device_ids()
+                .filter(|&d| d != DeviceId::Qubit(q(1)))
+                .collect();
+            let config = TdmConfig {
+                theta: f64::INFINITY,
+                ..Default::default()
+            };
+            let empty = ActivityProfile::new();
+            let fast = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &empty);
+            let slow =
+                naive::group_tdm_with_activity_naive(&chip, &xtalk, &config, &devices, &empty);
+            assert_eq!(
+                slow[0].devices()[..2],
+                [DeviceId::Qubit(q(0)), DeviceId::Qubit(q(2))]
+            );
+            assert_eq!(fast, slow);
         }
 
         /// Under equal crosstalk, the third group (q7, c5, c6, whose

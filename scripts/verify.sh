@@ -4,7 +4,8 @@
 # tracing plus a byte-identity cmp across --plan-threads, --jobs and
 # --shards, a duplicate-request smoke (computed once), a sweep smoke
 # run (JSONL schema, Pareto front, thread-count determinism), the fig16
-# sweep on one worker byte-identical across --plan-threads, repair
+# sweep and a square 12x12 sweep of deep TDM levels on one worker
+# byte-identical across --plan-threads, repair
 # smoke runs (pinned drift change set -> pinned repaired-plan hash,
 # structural fallback pin, bench-repair schema), a chaos smoke run (seeded fault injection,
 # record-count and determinism checks), a daemon smoke (stdin + socket
@@ -256,6 +257,31 @@ for path in sys.argv[1:]:
 print(f"  fig16 chain memo OK: {chips} chips, 8 chains run and 10 recalled per chip")
 PY
 echo "  fig16 sweep OK: byte-identical at 1/2/3 plan threads on one sweep worker"
+
+echo "==> smoke: youtiao sweep (square 12x12 deep TDM levels, byte-identical across --plan-threads)"
+# At theta 8 every device of the grid is on the deep level, where
+# walks over the context's sorted rows choose most members (fig16's
+# chips are at most 3x6 and never use 1:8 DEMUXes).
+for pt in 1 2 3; do
+  cargo run -q --release --offline --bin youtiao -- sweep \
+    --spec examples/sweeps/deep12.json --out "$smoke_dir/deep12_pt$pt.jsonl" \
+    --threads 1 --plan-threads "$pt" 2> /dev/null
+done
+for pt in 2 3; do
+  if ! cmp -s "$smoke_dir/deep12_pt1.jsonl" "$smoke_dir/deep12_pt$pt.jsonl"; then
+    echo "verify: FAILED — deep12 sweep differs between --plan-threads 1 and $pt" >&2
+    diff "$smoke_dir/deep12_pt1.jsonl" "$smoke_dir/deep12_pt$pt.jsonl" >&2 || true
+    exit 1
+  fi
+done
+python3 - "$smoke_dir/deep12_pt1.jsonl" <<'PY'
+import json, sys
+with open(sys.argv[1]) as f:
+    records = [json.loads(line) for line in f if line.strip()]
+assert len(records) == 8, len(records)
+assert all(r["status"] == "Ok" for r in records), records
+PY
+echo "  deep12 sweep OK: 8 points, byte-identical at 1/2/3 plan threads"
 
 echo "==> smoke: youtiao plan --chiplets (2x2 heavy-hex array, --validate, plan-threads cmp)"
 # A 2x2 chiplet array must plan end-to-end under full per-die +
