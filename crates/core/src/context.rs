@@ -11,9 +11,9 @@
 //!
 //! A context also memoizes the plan's chains (the XY chain, each
 //! region's Z chain, the readout chain) and its partitions, keyed by
-//! exactly the knobs each reads, so a point that repeats an earlier
-//! point's inputs to a chain clones that chain's output instead of
-//! planning it again ([`PlanContext::chain_stats`], DESIGN.md §4j).
+//! exactly what each reads, so a point that repeats an earlier point's
+//! inputs to a chain shares that chain's output instead of planning it
+//! again ([`PlanContext::chain_stats`], DESIGN.md §4j).
 //!
 //! # Example
 //!
@@ -100,10 +100,14 @@ pub fn chip_fingerprint(chip: &Chip) -> u64 {
 /// memo keeps each successful chain a plan on this context ran, keyed
 /// by exactly the inputs that chain reads besides the context: the
 /// partition's regions, `fdm_capacity` and `freq` for the XY chain;
-/// one region, `tdm` and `refine` for a Z chain; `readout_capacity`
-/// and `readout_freq` for the readout chain (floats by their bits, and
-/// each qubit's base frequency when a band has a tuning range). It also
-/// keeps each partition under its `PartitionConfig`. A plan
+/// one region and what its TDM grouping reads of `tdm` (the sizes of
+/// the pools θ splits, the 1:8 switch if the low pool is not empty,
+/// each pool's binding part of `max_shared_slots`) and `refine` for a
+/// Z chain; `readout_capacity` and `readout_freq` for the readout
+/// chain (floats by their bits, and each qubit's base frequency when a
+/// band has a tuning range). It also keeps each partition under its
+/// `PartitionConfig`. A recall shares the memo's outputs with the plan
+/// it returns (DESIGN.md §4j). A plan
 /// that supplies an activity profile or scores TDM grouping with a
 /// planner-local ZZ model runs its Z chains without the memo. The memo
 /// holds at most 128 chains: once full, later chains are planned but
@@ -120,6 +124,10 @@ pub struct PlanContext {
     zz_crosstalk: Option<DistanceMatrix>,
     kernels: PairKernels,
     freq_kernels: FreqKernels,
+    /// [`crate::tdm::brickwork_activity`] densified: what TDM grouping
+    /// and refinement read without a supplied activity profile, and
+    /// what Z chain keys are computed from.
+    brickwork: Vec<u32>,
     // Warm buffer capacity, sorted rows and memoized chains, not
     // planning state: each compares equal to every other and clones to
     // an empty one, so none perturbs the staleness/equality semantics
@@ -178,6 +186,7 @@ impl PlanContext {
             zz_crosstalk: None,
             kernels: PairKernels::build(chip),
             freq_kernels,
+            brickwork: crate::tdm::brickwork_masks(chip),
             scratch: ScratchPool::new(),
             tdm_rows: SortedRows::new(chip.num_qubits()),
             chains: ChainMemo::default(),
@@ -245,6 +254,11 @@ impl PlanContext {
     /// read together with [`Self::tdm_crosstalk`].
     pub fn kernels(&self) -> &PairKernels {
         &self.kernels
+    }
+
+    /// The chip's brickwork activity masks, indexed like the kernels.
+    pub(crate) fn brickwork(&self) -> &[u32] {
+        &self.brickwork
     }
 
     /// The sorted rows of [`Self::tdm_crosstalk`].

@@ -98,14 +98,58 @@ pub fn group_fdm_subset(
     unassigned.dedup();
     assert_eq!(before_dedup, unassigned.len(), "subset contains duplicates");
 
+    // `nearest[i]` is unassigned qubit i's smallest equivalent distance
+    // to the line's members, folded with `f64::min` in member order as
+    // each member joins.
+    let mut nearest: Vec<f64> = Vec::with_capacity(unassigned.len());
+    let mut lines = Vec::new();
+    while !unassigned.is_empty() {
+        let seed = unassigned.remove(0);
+        let mut members = vec![seed];
+        nearest.clear();
+        nearest.extend(
+            unassigned
+                .iter()
+                .map(|&q| f64::INFINITY.min(matrix.get(seed, q))),
+        );
+        while members.len() < capacity && !unassigned.is_empty() {
+            // Frontier minimum: the unassigned qubit with the smallest
+            // equivalent distance to any current member (§4.2 step 3
+            // compares the per-member nearests and takes the shortest),
+            // the first of equal ones.
+            let (best_idx, _) = nearest
+                .iter()
+                .enumerate()
+                .min_by(|a, b| a.1.total_cmp(b.1))
+                .expect("unassigned is non-empty");
+            nearest.remove(best_idx);
+            let member = unassigned.remove(best_idx);
+            members.push(member);
+            for (d, &q) in nearest.iter_mut().zip(&unassigned) {
+                *d = d.min(matrix.get(member, q));
+            }
+        }
+        lines.push(FdmLine::new(members));
+    }
+    lines
+}
+
+/// [`group_fdm_subset`] as first written: each candidate's distance to
+/// the line is folded over every member again for every pick. The
+/// differential tests' reference.
+#[cfg(test)]
+fn group_fdm_subset_reference(
+    matrix: &DistanceMatrix,
+    capacity: usize,
+    subset: &[QubitId],
+) -> Vec<FdmLine> {
+    let mut unassigned: Vec<QubitId> = subset.to_vec();
+    unassigned.sort_unstable();
     let mut lines = Vec::new();
     while let Some(&seed) = unassigned.first() {
         let mut members = vec![seed];
         unassigned.retain(|&q| q != seed);
         while members.len() < capacity && !unassigned.is_empty() {
-            // Frontier minimum: the unassigned qubit with the smallest
-            // equivalent distance to any current member (§4.2 step 3
-            // compares the per-member nearests and takes the shortest).
             let (best_idx, _) = unassigned
                 .iter()
                 .enumerate()
@@ -226,6 +270,58 @@ mod tests {
     fn deterministic() {
         let (chip, m) = grid_and_matrix(4);
         assert_eq!(group_fdm(&chip, &m, 5), group_fdm(&chip, &m, 5));
+    }
+
+    /// The running minimum picks what the reference's full fold picks,
+    /// on seeded chips of every family, whole or as random subsets, at
+    /// capacities 1–9, over equivalent matrices and over matrices with
+    /// ties, infinite distances and NaNs.
+    #[test]
+    fn running_minimum_matches_the_reference() {
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        use youtiao_chip::surface::SurfaceCode;
+        let mut rng = ChaCha8Rng::seed_from_u64(0xfd_0001);
+        for case in 0..40 {
+            let chip = match case % 5 {
+                0 => topology::square_grid(rng.gen_range(1usize..7), rng.gen_range(1usize..7)),
+                1 => topology::heavy_hexagon(rng.gen_range(1usize..3), rng.gen_range(1usize..3)),
+                2 => topology::heavy_square(rng.gen_range(1usize..4), rng.gen_range(1usize..4)),
+                3 => topology::hexagon_patch(rng.gen_range(1usize..3), rng.gen_range(1usize..4)),
+                _ => SurfaceCode::rotated([3, 5][rng.gen_range(0usize..2)]).into_chip(),
+            };
+            let w = rng.gen_range(0.05f64..0.95);
+            let mut m = equivalent_matrix(&chip, EquivalentWeights::new(w, 1.0 - w).unwrap());
+            if case % 2 == 1 {
+                // Coarse values tie often; some are infinite or NaN.
+                for a in chip.qubit_ids() {
+                    for b in chip.qubit_ids() {
+                        let v = match rng.gen_range(0u32..10) {
+                            0 => f64::INFINITY,
+                            1 => f64::NAN,
+                            k => f64::from(k),
+                        };
+                        m.set(a, b, v);
+                    }
+                }
+            }
+            let all: Vec<QubitId> = chip.qubit_ids().collect();
+            let some: Vec<QubitId> = all
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_range(0u32..3) != 0)
+                .collect();
+            for subset in [&all, &some] {
+                for capacity in 1..10 {
+                    let label = format!("case {case} {} capacity {capacity}", chip.name());
+                    assert_eq!(
+                        group_fdm_subset(&chip, &m, capacity, subset),
+                        group_fdm_subset_reference(&m, capacity, subset),
+                        "{label}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

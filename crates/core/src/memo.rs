@@ -6,13 +6,16 @@
 //! (feedline chunking, then readout allocation). Besides the context's
 //! matrices and kernels, each chain reads only a few planner knobs, so
 //! a sweep over one context repeats most chains: of plan-sweep's 72
-//! chain runs per chip only 15 are distinct. [`ChainMemo`] keeps each
+//! chain runs per chip only 12 are distinct. [`ChainMemo`] keeps each
 //! successful chain's output under a [`ChainKey`] that holds exactly
 //! the inputs the chain reads besides the context, floats by their
-//! bits. It also keeps each partition a partitioned plan ran, under its
+//! bits; a Z chain's key holds what TDM grouping reads of θ, the 1:8
+//! switch and the window budget ([`ZKey`]), not their raw values. It
+//! also keeps each partition a partitioned plan ran, under its
 //! [`PartitionConfig`]: `partition_chip` reads the chip's qubits and
 //! neighbours, which the context's fingerprint pins, and the context's
-//! equivalent matrix besides.
+//! equivalent matrix besides. Outputs are held behind [`Arc`]s, so a
+//! recall shares them with the plan it builds instead of copying them.
 //!
 //! Like the [`crate::ScratchPool`], the memo is warm state, not
 //! planning state: it compares equal to every other memo, a clone
@@ -23,23 +26,25 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use youtiao_chip::{Chip, QubitId};
+use youtiao_chip::{Chip, DeviceId, QubitId};
 
 use crate::fdm::FdmLine;
 use crate::freq::{FreqConfig, FrequencyPlan};
+use crate::kernels::PairKernels;
 use crate::partition::{Partition, PartitionConfig};
 use crate::refine::RefineConfig;
-use crate::tdm::{TdmConfig, TdmGroup};
+use crate::tdm::{DemuxLevel, TdmConfig, TdmGroup};
 
 /// Most chains one context's memo keeps, a partition counted as one.
-/// Plan-sweep's grid has 15 distinct chains per chip, and 112 on a
-/// 24×24 chip split into 9 regions (`partition_target` 64: 9 × 12 Z
+/// Plan-sweep's grid has 12 distinct chains per chip, and 67 on a
+/// 24×24 chip split into 9 regions (`partition_target` 64: 63 Z
 /// chains, 2 XY, 1 readout and the partition), so 128 holds every
 /// chain of such sweeps. The bound matters because the daemon's repair
-/// store keeps up to 256 contexts for a whole session: the largest chain of an unpartitioned 24×24 chip (838 TDM
-/// groups) takes about 56 kB, so a full memo of them stays near 7 MB,
-/// the size of the context's own matrices. Once the memo is full,
-/// later chains are planned but not kept, the repair store's policy.
+/// store keeps up to 256 contexts for a whole session: the largest
+/// chain of an unpartitioned 24×24 chip (838 TDM groups) takes about
+/// 56 kB, so a full memo of them stays near 7 MB, the size of the
+/// context's own matrices. Once the memo is full, later chains are
+/// planned but not kept, the repair store's policy.
 pub(crate) const CHAIN_MEMO_CAP: usize = 128;
 
 /// A frequency band's inputs: the [`FreqConfig`], and each qubit's base
@@ -87,11 +92,30 @@ pub(crate) enum ChainKey {
     Partition(usize, u64, usize),
     /// Every region's qubits in order, the FDM capacity and the XY band.
     Xy(Vec<Vec<QubitId>>, usize, BandKey),
-    /// One region's qubits, θ's bits, `max_shared_slots`,
-    /// `allow_one_to_eight` and the refinement passes.
-    Z(Vec<QubitId>, (u64, u32, bool), Option<usize>),
+    /// One region's qubits and what its Z chain reads of the planner's
+    /// TDM and refinement configs.
+    Z(Vec<QubitId>, ZKey),
     /// The readout capacity and band.
     Readout(usize, BandKey),
+}
+
+/// What one region's TDM grouping and refinement read of a
+/// [`TdmConfig`] and a [`RefineConfig`], given the region's devices
+/// and their activity masks.
+#[derive(PartialEq, Eq, Hash)]
+pub(crate) struct ZKey {
+    /// The sizes of the low pool (parallelism index below θ) and the
+    /// high pool (at or above θ). Grouping ranks the region's devices
+    /// by index and the low pool is a prefix of that ranking, so the
+    /// sizes fix both pools; a NaN θ leaves both empty.
+    pools: [usize; 2],
+    /// `allow_one_to_eight`, which sets the low pool's DEMUX level and
+    /// so matters only when that pool has a device.
+    one_to_eight: bool,
+    /// Each pool's `max_shared_slots`, capped where it stops binding.
+    budgets: [u32; 2],
+    /// Refinement's passes and its `max_shared_slots`, read as is.
+    refine: Option<(usize, u32)>,
 }
 
 impl ChainKey {
@@ -115,20 +139,62 @@ impl ChainKey {
         ChainKey::Xy(regions.to_vec(), fdm_capacity, BandKey::new(chip, freq))
     }
 
-    /// One region's Z chain key. The activity profile and the TDM
-    /// matrix are not in it: the planner keys Z chains only when both
-    /// come from the context (the brickwork profile is a function of
-    /// the chip's couplers, which the context pins).
-    pub(crate) fn z(region: &[QubitId], tdm: &TdmConfig, refine: Option<&RefineConfig>) -> Self {
+    /// One region's Z chain key: the region's qubits and `devices`, its
+    /// Z devices in grouping order, with `masks`, the activity masks
+    /// grouping reads, indexed like `kernels`. The masks and the TDM
+    /// matrix are not in the key: the planner keys Z chains only when
+    /// both come from the context (the brickwork masks are a function
+    /// of the chip's couplers, which the context pins).
+    ///
+    /// A group's first member shares no window, and each later one
+    /// adds at most its mask's popcount, so a group of `m` members
+    /// shares at most `(m − 1) × p` windows, `p` being the pool's
+    /// largest popcount, and a candidate for it at most `m × p`. Since
+    /// candidates are scored only while `m < capacity`, a
+    /// `max_shared_slots` of `(capacity − 1) × p` or more never
+    /// excludes one, and grouping reads the budget as that cap.
+    pub(crate) fn z(
+        region: &[QubitId],
+        devices: &[DeviceId],
+        kernels: &PairKernels,
+        masks: &[u32],
+        tdm: &TdmConfig,
+        refine: Option<&RefineConfig>,
+    ) -> Self {
         let TdmConfig {
             theta,
             max_shared_slots,
             allow_one_to_eight,
         } = *tdm;
+        // Each pool's size and largest popcount.
+        let mut pools = [(0usize, 0u32); 2];
+        for &d in devices {
+            let index = kernels.parallelism(d);
+            let pool = if index < theta {
+                &mut pools[0]
+            } else if index >= theta {
+                &mut pools[1]
+            } else {
+                continue;
+            };
+            pool.0 += 1;
+            pool.1 = pool.1.max(masks[kernels.dense(d)].count_ones());
+        }
+        let budget = |(_, popcount): (usize, u32), level: DemuxLevel| {
+            let windows = (level.channel_capacity() as u32 - 1) * popcount;
+            max_shared_slots.min(windows)
+        };
         ChainKey::Z(
             region.to_vec(),
-            (theta.to_bits(), max_shared_slots, allow_one_to_eight),
-            refine.map(|&RefineConfig { passes }| passes),
+            ZKey {
+                pools: pools.map(|(size, _)| size),
+                one_to_eight: allow_one_to_eight && pools[0].0 > 0,
+                budgets: [
+                    budget(pools[0], tdm.low_level()),
+                    budget(pools[1], DemuxLevel::OneToTwo),
+                ],
+                refine: refine.map(|&RefineConfig { passes }| (passes, max_shared_slots)),
+            },
         )
     }
 
@@ -138,16 +204,19 @@ impl ChainKey {
     }
 }
 
-/// A successful chain's output, or a partition.
+/// A successful chain's output, or a partition, each part behind an
+/// [`Arc`]: a recall shares the parts with the plan it builds, and a
+/// plan copies a part only to change it.
+#[derive(Clone)]
 pub(crate) enum ChainOutput {
     /// The chip's regions.
-    Partition(Partition),
+    Partition(Arc<Partition>),
     /// The FDM lines and the XY band.
-    Xy(Vec<FdmLine>, FrequencyPlan),
+    Xy(Arc<Vec<FdmLine>>, Arc<FrequencyPlan>),
     /// One region's TDM groups.
-    Z(Vec<TdmGroup>),
+    Z(Arc<Vec<TdmGroup>>),
     /// The readout feedlines and their band.
-    Readout(Vec<Vec<QubitId>>, FrequencyPlan),
+    Readout(Arc<Vec<Vec<QubitId>>>, Arc<FrequencyPlan>),
 }
 
 /// Chain-memo counters of one [`crate::PlanContext`]. A partition
@@ -166,20 +235,20 @@ pub struct ChainStats {
 /// hit and miss counters.
 #[derive(Default)]
 pub(crate) struct ChainMemo {
-    chains: Mutex<HashMap<ChainKey, Arc<ChainOutput>>>,
+    chains: Mutex<HashMap<ChainKey, ChainOutput>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl ChainMemo {
-    fn lock(&self) -> MutexGuard<'_, HashMap<ChainKey, Arc<ChainOutput>>> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<ChainKey, ChainOutput>> {
         // Every update is one insert or a clear, so a map whose lock a
         // panicking thread held is still whole.
         self.chains.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The chain stored under `key`, counted as a hit or a miss.
-    pub(crate) fn get(&self, key: &ChainKey) -> Option<Arc<ChainOutput>> {
+    pub(crate) fn get(&self, key: &ChainKey) -> Option<ChainOutput> {
         let found = self.lock().get(key).cloned();
         let counter = if found.is_some() {
             &self.hits
@@ -196,7 +265,7 @@ impl ChainMemo {
     pub(crate) fn insert(&self, key: ChainKey, output: ChainOutput) {
         let mut chains = self.lock();
         if chains.len() < CHAIN_MEMO_CAP {
-            chains.entry(key).or_insert_with(|| Arc::new(output));
+            chains.entry(key).or_insert(output);
         }
     }
 
@@ -343,7 +412,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_sweep_grid_runs_15_chains_and_recalls_57_per_chip() {
+    fn plan_sweep_grid_runs_12_chains_and_recalls_60_per_chip() {
         for chip in [
             SurfaceCode::rotated(3).into_chip(),
             topology::square_grid(4, 4),
@@ -352,15 +421,122 @@ mod tests {
             for config in plan_sweep_grid(&PlannerConfig::default()) {
                 plan_on(&chip, &ctx, &config).unwrap();
             }
-            // 2 XY, 12 Z and 1 readout chain ran; the other 57 of the
-            // 24 points' 72 chains were recalled.
+            // 2 XY, 9 Z and 1 readout chain ran; the other 60 of the 24
+            // points' 72 chains were recalled. At θ = 2 no device is in
+            // the low pool, so the 1:8 switch is not read, and a 1:2
+            // group shares at most one brickwork window, so budgets 1
+            // and 2 group alike: θ = 2's four configurations are one Z
+            // chain.
             let want = ChainStats {
-                hits: 57,
-                misses: 15,
-                chains: 15,
+                hits: 60,
+                misses: 12,
+                chains: 12,
             };
             assert_eq!(ctx.chain_stats(), want, "{}", chip.name());
         }
+    }
+
+    /// Configurations whose Z keys are equal group and refine alike,
+    /// on seeded square, heavy-hex and surface chips, over the whole
+    /// chip and a region of it: θ at, between and beyond the devices'
+    /// distinct parallelism indices (and NaN), `max_shared_slots` 0–3
+    /// and both 1:8 settings, with and without refinement, under the
+    /// brickwork masks and under random masks of up to four slots.
+    #[test]
+    fn equal_z_keys_group_alike() {
+        use crate::refine::refine_masked;
+        use crate::scratch::Scratch;
+        use crate::tdm::group_tdm_rows_in;
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+
+        let mut rng = ChaCha8Rng::seed_from_u64(0x2e7_4e75);
+        let (mut configs, mut keys) = (0, 0);
+        for case in 0..6 {
+            let chip = match case % 3 {
+                0 => topology::square_grid(rng.gen_range(2usize..6), rng.gen_range(2usize..6)),
+                1 => topology::heavy_hexagon(rng.gen_range(1usize..3), rng.gen_range(1usize..3)),
+                _ => SurfaceCode::rotated([3, 5][rng.gen_range(0usize..2)]).into_chip(),
+            };
+            let ctx = fresh(&chip);
+            let kernels = ctx.kernels();
+            let random: Vec<u32> = (0..kernels.num_devices())
+                .map(|_| (0..rng.gen_range(0usize..4)).fold(0, |m, _| m | 1 << rng.gen_range(0..4)))
+                .collect();
+            let all: Vec<QubitId> = chip.qubit_ids().collect();
+            let half = all[..all.len() / 2].to_vec();
+            for region in [all, half] {
+                let devices = crate::plan::z_devices(&chip, &region, &mut Scratch::default());
+                let mut indices: Vec<f64> =
+                    devices.iter().map(|&d| kernels.parallelism(d)).collect();
+                indices.sort_by(f64::total_cmp);
+                indices.dedup();
+                let mut thetas = vec![f64::NEG_INFINITY, f64::INFINITY, f64::NAN];
+                thetas.extend(indices.iter().map(|&i| i - 1.0));
+                thetas.extend(indices.windows(2).map(|w| (w[0] + w[1]) / 2.0));
+                thetas.extend(&indices);
+                for masks in [ctx.brickwork(), &random] {
+                    for refine in [None, Some(RefineConfig::default())] {
+                        let mut grouped = HashMap::new();
+                        for &theta in &thetas {
+                            for max_shared_slots in 0..=3 {
+                                for allow_one_to_eight in [false, true] {
+                                    let tdm = TdmConfig {
+                                        theta,
+                                        max_shared_slots,
+                                        allow_one_to_eight,
+                                    };
+                                    let (mut groups, _) = group_tdm_rows_in(
+                                        kernels,
+                                        ctx.tdm_crosstalk(),
+                                        ctx.tdm_rows(),
+                                        &tdm,
+                                        &devices,
+                                        masks,
+                                        &mut Scratch::default(),
+                                    );
+                                    if let Some(refine) = &refine {
+                                        (groups, _) = refine_masked(
+                                            kernels,
+                                            ctx.tdm_crosstalk(),
+                                            masks,
+                                            &tdm,
+                                            groups,
+                                            refine,
+                                        );
+                                    }
+                                    let key = ChainKey::z(
+                                        &region,
+                                        &devices,
+                                        kernels,
+                                        masks,
+                                        &tdm,
+                                        refine.as_ref(),
+                                    );
+                                    let label = format!("{} {tdm:?} {refine:?}", chip.name());
+                                    configs += 1;
+                                    match grouped.entry(key) {
+                                        std::collections::hash_map::Entry::Vacant(entry) => {
+                                            entry.insert((groups, label));
+                                        }
+                                        std::collections::hash_map::Entry::Occupied(entry) => {
+                                            let (first, first_label) = entry.get();
+                                            assert_eq!(&groups, first, "{label} vs {first_label}");
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                        keys += grouped.len();
+                    }
+                }
+            }
+        }
+        // Most configurations share a key with another.
+        assert!(
+            2 * keys < configs,
+            "{keys} keys for {configs} configurations"
+        );
     }
 
     #[test]
@@ -756,35 +932,67 @@ mod tests {
 
     #[test]
     fn a_full_memo_stops_growing_and_plans_stay_exact() {
+        // Refinement reads `max_shared_slots` as it is, so each budget
+        // below keys a Z chain of its own.
         let chip = topology::square_grid(3, 3);
         let ctx = fresh(&chip);
-        let at = |theta: f64| PlannerConfig {
+        let at = |max_shared_slots: u32| PlannerConfig {
+            refine: Some(RefineConfig::default()),
             tdm: TdmConfig {
-                theta,
+                max_shared_slots,
                 ..Default::default()
             },
             ..Default::default()
         };
-        let thetas: Vec<f64> = (0..CHAIN_MEMO_CAP + 16).map(|i| 0.25 * i as f64).collect();
-        for &theta in &thetas {
-            assert_fresh(&chip, &ctx, &at(theta), &format!("theta {theta}")).unwrap();
+        let budgets: Vec<u32> = (0..CHAIN_MEMO_CAP as u32 + 16).collect();
+        for &budget in &budgets {
+            assert_fresh(&chip, &ctx, &at(budget), &format!("budget {budget}")).unwrap();
             assert!(ctx.chain_stats().chains <= CHAIN_MEMO_CAP);
         }
-        // The XY and readout chains ran once; each θ's Z chain ran once.
-        let planned = thetas.len() as u64;
+        // The XY and readout chains ran once; each budget's Z chain ran
+        // once.
+        let planned = budgets.len() as u64;
         let stats = ctx.chain_stats();
         assert_eq!(stats.chains, CHAIN_MEMO_CAP, "the memo filled up");
         assert_eq!((stats.hits, stats.misses), (2 * (planned - 1), 2 + planned));
 
-        // A θ the full memo did not keep runs again; one it kept does not.
-        let last = thetas[thetas.len() - 1];
-        assert_fresh(&chip, &ctx, &at(last), "last theta again").unwrap();
+        // A budget the full memo did not keep runs again; one it kept
+        // does not.
+        let last = budgets[budgets.len() - 1];
+        assert_fresh(&chip, &ctx, &at(last), "last budget again").unwrap();
         assert_eq!(ctx.chain_stats().misses, stats.misses + 1);
-        assert_fresh(&chip, &ctx, &at(thetas[0]), "first theta again").unwrap();
+        assert_fresh(&chip, &ctx, &at(budgets[0]), "first budget again").unwrap();
         let again = ctx.chain_stats();
         assert_eq!(again.misses, stats.misses + 1);
         assert_eq!(again.hits, stats.hits + 2 + 3);
         assert_eq!(again.chains, CHAIN_MEMO_CAP);
+    }
+
+    /// A recalled plan shares its bands with the memo: changing them
+    /// through the `_mut` accessors copies them first, so the next
+    /// recall still equals a fresh plan.
+    #[test]
+    fn a_changed_recall_leaves_the_memo_intact() {
+        let chip = topology::square_grid(4, 4);
+        let config = PlannerConfig::default();
+        let want = plan_on(&chip, &fresh(&chip), &config);
+        let ctx = fresh(&chip);
+        plan_on(&chip, &ctx, &config).unwrap();
+        let mut recalled = plan_on(&chip, &ctx, &config).unwrap();
+        assert_eq!(ctx.chain_stats().hits, 3, "every chain was recalled");
+        let xy = recalled.fdm_lines()[0].qubits().to_vec();
+        recalled.frequency_plan_mut().swap_assignments(xy[0], xy[1]);
+        let feedline = recalled.readout_lines()[0].clone();
+        recalled
+            .readout_frequency_plan_mut()
+            .swap_assignments(feedline[0], feedline[1]);
+        let want_plan = want.as_ref().unwrap();
+        assert_ne!(recalled.frequency_plan(), want_plan.frequency_plan());
+        assert_ne!(
+            recalled.readout_frequency_plan(),
+            want_plan.readout_frequency_plan()
+        );
+        assert_same(&chip, &plan_on(&chip, &ctx, &config), &want, "next recall");
     }
 
     /// `PlanContext`'s `PartialEq` ignores warm state, so comparing a

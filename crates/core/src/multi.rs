@@ -482,6 +482,46 @@ mod tests {
         }
     }
 
+    /// Dies planned on one shared context recall its memo's bands;
+    /// reconciling them swaps assignments in some dies, which copies
+    /// those bands first, so the memo still answers with the plan a
+    /// fresh context makes, and the dies reconcile as `plan_multi`'s.
+    #[test]
+    fn reconciling_recalled_plans_leaves_the_memo_intact() {
+        let template = topology::heavy_hexagon(1, 2);
+        let array = MultiDieChip::tile(&template, 2, 2, LinkTopology::Grid).unwrap();
+        let config = MultiPlanConfig::default();
+        let planner = |ctx: &PlanContext| {
+            YoutiaoPlanner::new(&template)
+                .with_config(config.planner.clone())
+                .with_context(ctx)
+                .plan()
+                .unwrap()
+        };
+        let want = planner(&PlanContext::build(&template, None, config.planner.weights));
+        let ctx = PlanContext::build(&template, None, config.planner.weights);
+        let mut dies: Vec<DiePlan> = (0..array.num_dies())
+            .map(|_| DiePlan {
+                plan: planner(&ctx),
+                model: None,
+            })
+            .collect();
+        let stats = reconcile_links(&array, &mut dies, &config.planner);
+        assert!(stats.swapped > 0, "{stats:?}");
+        assert!(dies.iter().any(|die| die.plan != want));
+        let recalled = planner(&ctx);
+        assert_eq!(ctx.chain_stats().hits, 3 * array.num_dies() as u64);
+        assert_eq!(recalled, want);
+        for q in template.qubit_ids() {
+            assert_eq!(
+                recalled.frequency_plan().frequency_ghz(q).to_bits(),
+                want.frequency_plan().frequency_ghz(q).to_bits()
+            );
+        }
+        let multi = plan_multi(&array, &config, &ParallelExec::serial()).unwrap();
+        assert_eq!(dies, multi.dies);
+    }
+
     #[test]
     fn budget_partition_sums_and_orders() {
         let array = grid_array(2, 2);

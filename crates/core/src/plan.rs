@@ -1,6 +1,7 @@
 //! The end-to-end YOUTIAO planner and its output wiring plan.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use youtiao_chip::distance::{equivalent_matrix, DistanceMatrix, EquivalentWeights};
@@ -17,7 +18,7 @@ use crate::freq_kernels::FreqKernels;
 use crate::kernels::{PairKernels, SortedRows};
 use crate::memo::{ChainKey, ChainOutput};
 use crate::partition::{partition_chip, Partition, PartitionConfig};
-use crate::scratch::ScratchPool;
+use crate::scratch::{Scratch, ScratchPool};
 use crate::tdm::{TdmConfig, TdmGroup};
 
 /// Default FDM XY-line capacity (§5.3 evaluates with 5 qubits per line).
@@ -94,20 +95,67 @@ impl Default for PlannerConfig {
 ///
 /// Implements [`SharedLineConstraint`] so the TDM-aware scheduler can
 /// consume it directly.
+///
+/// Each part sits behind an [`Arc`], so a plan recalled from a
+/// [`PlanContext`]'s chain memo shares the memo's parts, and a clone
+/// shares them too. The `_mut` accessors copy a shared frequency plan
+/// before the first change (copy on write).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WiringPlan {
-    fdm_lines: Vec<FdmLine>,
-    frequency_plan: FrequencyPlan,
-    tdm_groups: Vec<TdmGroup>,
-    readout_lines: Vec<Vec<QubitId>>,
-    readout_frequency_plan: FrequencyPlan,
-    partition: Option<Partition>,
-    shared_group_of: HashMap<DeviceId, usize>,
+    fdm_lines: Arc<Vec<FdmLine>>,
+    frequency_plan: Arc<FrequencyPlan>,
+    tdm_groups: Arc<Vec<TdmGroup>>,
+    readout_lines: Arc<Vec<Vec<QubitId>>>,
+    readout_frequency_plan: Arc<FrequencyPlan>,
+    partition: Option<Arc<Partition>>,
+    shared_group_of: GroupIndex,
+}
+
+/// The multi-device TDM groups of a [`WiringPlan`] by device, built on
+/// the first [`SharedLineConstraint::group_of`] call. Like a context's
+/// warm state it is not part of the plan: it compares equal to every
+/// other index and a clone starts unbuilt.
+#[derive(Default)]
+struct GroupIndex(OnceLock<HashMap<DeviceId, usize>>);
+
+impl GroupIndex {
+    /// The group of `device` among `groups`, if it shares a line.
+    fn get(&self, groups: &[TdmGroup], device: DeviceId) -> Option<usize> {
+        let index = self.0.get_or_init(|| {
+            let mut index = HashMap::new();
+            for (g, group) in groups.iter().enumerate() {
+                if group.len() > 1 {
+                    for &d in group.devices() {
+                        index.insert(d, g);
+                    }
+                }
+            }
+            index
+        });
+        index.get(&device).copied()
+    }
+}
+
+impl Clone for GroupIndex {
+    fn clone(&self) -> Self {
+        GroupIndex::default()
+    }
+}
+
+impl PartialEq for GroupIndex {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl std::fmt::Debug for GroupIndex {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("GroupIndex").finish_non_exhaustive()
+    }
 }
 
 impl WiringPlan {
-    /// Assembles a plan from its parts, indexing multi-device TDM groups
-    /// for the scheduler. Prefer [`YoutiaoPlanner::plan`].
+    /// Assembles a plan from its parts. Prefer [`YoutiaoPlanner::plan`].
     pub fn from_parts(
         fdm_lines: Vec<FdmLine>,
         frequency_plan: FrequencyPlan,
@@ -116,14 +164,25 @@ impl WiringPlan {
         readout_frequency_plan: FrequencyPlan,
         partition: Option<Partition>,
     ) -> Self {
-        let mut shared_group_of = HashMap::new();
-        for (g, group) in tdm_groups.iter().enumerate() {
-            if group.len() > 1 {
-                for &d in group.devices() {
-                    shared_group_of.insert(d, g);
-                }
-            }
-        }
+        WiringPlan::shared(
+            Arc::new(fdm_lines),
+            Arc::new(frequency_plan),
+            Arc::new(tdm_groups),
+            Arc::new(readout_lines),
+            Arc::new(readout_frequency_plan),
+            partition.map(Arc::new),
+        )
+    }
+
+    /// [`Self::from_parts`] over parts that may be shared.
+    fn shared(
+        fdm_lines: Arc<Vec<FdmLine>>,
+        frequency_plan: Arc<FrequencyPlan>,
+        tdm_groups: Arc<Vec<TdmGroup>>,
+        readout_lines: Arc<Vec<Vec<QubitId>>>,
+        readout_frequency_plan: Arc<FrequencyPlan>,
+        partition: Option<Arc<Partition>>,
+    ) -> Self {
         WiringPlan {
             fdm_lines,
             frequency_plan,
@@ -131,7 +190,7 @@ impl WiringPlan {
             readout_lines,
             readout_frequency_plan,
             partition,
-            shared_group_of,
+            shared_group_of: GroupIndex::default(),
         }
     }
 
@@ -162,20 +221,22 @@ impl WiringPlan {
 
     /// Mutable access to the XY frequency assignment, for post-plan
     /// adjustments that preserve the per-line invariants (the multi-die
-    /// link reconciliation swaps assignments within one FDM line).
+    /// link reconciliation swaps assignments within one FDM line). A
+    /// band this plan shares, with a context's chain memo or another
+    /// plan, is copied first, so the change stays in this plan.
     pub fn frequency_plan_mut(&mut self) -> &mut FrequencyPlan {
-        &mut self.frequency_plan
+        Arc::make_mut(&mut self.frequency_plan)
     }
 
     /// Mutable access to the readout frequency assignment; see
     /// [`frequency_plan_mut`](Self::frequency_plan_mut).
     pub fn readout_frequency_plan_mut(&mut self) -> &mut FrequencyPlan {
-        &mut self.readout_frequency_plan
+        Arc::make_mut(&mut self.readout_frequency_plan)
     }
 
     /// The chip partition used, if any.
     pub fn partition(&self) -> Option<&Partition> {
-        self.partition.as_ref()
+        self.partition.as_deref()
     }
 
     /// Number of coaxial XY lines into the cryostat.
@@ -209,7 +270,7 @@ impl WiringPlan {
 
 impl SharedLineConstraint for WiringPlan {
     fn group_of(&self, device: DeviceId) -> Option<usize> {
-        self.shared_group_of.get(&device).copied()
+        self.shared_group_of.get(&self.tdm_groups, device)
     }
 }
 
@@ -332,11 +393,11 @@ impl<'a> YoutiaoPlanner<'a> {
     /// With a [`PlanContext`], the partition and every chain are first
     /// looked up in the context's chain memo, and only the chains it
     /// does not hold are dispatched (a plan whose chains all hit starts
-    /// no thread). A hit reports the usual stage names in the usual
-    /// order, with the time this plan spent on them: the key, the
-    /// lookup and the clone go to `partition`, `fdm_grouping`,
-    /// `tdm_grouping` or `readout`, the XY band's clone to
-    /// `freq_alloc`, and `freq.place`, `freq.swap`, `readout.place`,
+    /// no thread). A hit shares the memo's output with the plan and
+    /// reports the usual stage names in the usual order, with the time
+    /// this plan spent on them: the key and the lookup go to
+    /// `partition`, `fdm_grouping`, `tdm_grouping` or `readout`, and
+    /// `freq_alloc`, `freq.place`, `freq.swap`, `readout.place`,
     /// `readout.swap` and `refine` report zero, since they did not run.
     /// A hit never replays the durations recorded when the chain ran.
     ///
@@ -425,28 +486,31 @@ impl<'a> YoutiaoPlanner<'a> {
         // (stage 3); without a partition the whole chip is one region.
         // A context's memo keeps each partition it ran, like a chain.
         let memo = self.context.map(PlanContext::chains);
-        let (partition, regions): (Option<Partition>, Vec<Vec<QubitId>>) =
-            match &self.config.partition {
-                Some(pc) => {
-                    let started = Instant::now();
-                    let key = ChainKey::partition(pc);
-                    let p = match memo.and_then(|memo| memo.get(&key)).as_deref() {
-                        Some(ChainOutput::Partition(p)) => p.clone(),
-                        Some(_) => unreachable!("a partition key holds a partition"),
-                        None => {
-                            let p = partition_chip(chip, eq, pc);
-                            if let Some(memo) = memo {
-                                memo.insert(key, ChainOutput::Partition(p.clone()));
-                            }
-                            p
-                        }
-                    };
-                    let regions = p.regions().to_vec();
-                    hook("partition", started.elapsed());
-                    (Some(p), regions)
+        let partition: Option<Arc<Partition>> = self.config.partition.as_ref().map(|pc| {
+            let started = Instant::now();
+            let key = ChainKey::partition(pc);
+            let p = match memo.and_then(|memo| memo.get(&key)) {
+                Some(ChainOutput::Partition(p)) => p,
+                Some(_) => unreachable!("a partition key holds a partition"),
+                None => {
+                    let p = Arc::new(partition_chip(chip, eq, pc));
+                    if let Some(memo) = memo {
+                        memo.insert(key, ChainOutput::Partition(Arc::clone(&p)));
+                    }
+                    p
                 }
-                None => (None, vec![chip.qubit_ids().collect()]),
             };
+            hook("partition", started.elapsed());
+            p
+        });
+        let whole_chip: [Vec<QubitId>; 1];
+        let regions: &[Vec<QubitId>] = match &partition {
+            Some(p) => p.regions(),
+            None => {
+                whole_chip = [chip.qubit_ids().collect()];
+                &whole_chip
+            }
+        };
 
         // Freq kernels always follow the XY matrix (both bands score XY
         // crosstalk), so a context's kernels are reusable even when a
@@ -476,6 +540,30 @@ impl<'a> YoutiaoPlanner<'a> {
             }
         };
 
+        // TDM grouping and refinement read each device's activity mask:
+        // the supplied profile's or, with none supplied, the topology's
+        // brickwork pattern approximating natural non-parallelism (a
+        // context's, densified once).
+        let masks_local;
+        let masks: &[u32] = match (self.activity, self.context) {
+            (Some(activity), _) => {
+                masks_local = kernels.densify_activity(activity);
+                &masks_local
+            }
+            (None, Some(ctx)) => ctx.brickwork(),
+            (None, None) => {
+                masks_local = crate::tdm::brickwork_masks(chip);
+                &masks_local
+            }
+        };
+        let devices: Vec<Vec<DeviceId>> = {
+            let mut arena = pool.checkout();
+            regions
+                .iter()
+                .map(|region| z_devices(chip, region, &mut arena))
+                .collect()
+        };
+
         // The XY, Z and readout lines are independent problems, so they
         // run as items of one dispatch: the XY chain (every region's FDM
         // grouping in region order, then XY allocation), each region's
@@ -489,6 +577,7 @@ impl<'a> YoutiaoPlanner<'a> {
         let is_z = |item: usize| item != 0 && item != items - 1;
         let z_memoized = self.activity.is_none() && zz_local.is_none();
         let tdm_config = &self.config.tdm;
+        let refine_config = self.config.refine.as_ref();
         let mut keys = Vec::with_capacity(items);
         let mut chains: Vec<Option<Chain>> = Vec::with_capacity(items);
         for item in 0..items {
@@ -496,12 +585,19 @@ impl<'a> YoutiaoPlanner<'a> {
             let key = memo.and_then(|_| match item {
                 0 => Some(ChainKey::xy(
                     chip,
-                    &regions,
+                    regions,
                     self.config.fdm_capacity,
                     &self.config.freq,
                 )),
                 _ if is_z(item) => z_memoized.then(|| {
-                    ChainKey::z(&regions[item - 1], tdm_config, self.config.refine.as_ref())
+                    ChainKey::z(
+                        &regions[item - 1],
+                        &devices[item - 1],
+                        kernels,
+                        masks,
+                        tdm_config,
+                        refine_config,
+                    )
                 }),
                 _ => Some(ChainKey::readout(
                     chip,
@@ -510,27 +606,10 @@ impl<'a> YoutiaoPlanner<'a> {
                 )),
             });
             let hit = memo.zip(key.as_ref()).and_then(|(memo, key)| memo.get(key));
-            chains.push(hit.map(|output| Chain::recalled(&output, started)));
+            chains.push(hit.map(|output| Chain::recalled(output, started)));
             keys.push(key);
         }
         let dispatched: Vec<usize> = (0..items).filter(|&item| chains[item].is_none()).collect();
-
-        // With no workload profile supplied, approximate natural
-        // non-parallelism by the topology's brickwork pattern (shared
-        // by every region and the refinement pass). Only a Z chain that
-        // runs reads it.
-        let derived_activity;
-        let activity = match self.activity {
-            Some(activity) => activity,
-            None => {
-                derived_activity = if dispatched.iter().any(|&item| is_z(item)) {
-                    crate::tdm::brickwork_activity(chip)
-                } else {
-                    crate::tdm::ActivityProfile::new()
-                };
-                &derived_activity
-            }
-        };
 
         // Threads take the next item as they finish one and results
         // merge in item order, so the plan is the serial loop's. A band
@@ -555,7 +634,7 @@ impl<'a> YoutiaoPlanner<'a> {
                 &band_exec,
             );
             Band {
-                plan,
+                plan: plan.map(Arc::new),
                 events,
                 wall: started.elapsed(),
             }
@@ -569,37 +648,28 @@ impl<'a> YoutiaoPlanner<'a> {
                     .collect();
                 let fdm_elapsed = started.elapsed();
                 let xy = band(&lines, &self.config.freq, XY_EVENTS);
-                Chain::Xy(lines, fdm_elapsed, xy)
+                Chain::Xy(Arc::new(lines), fdm_elapsed, xy)
             }
             item if is_z(item) => {
-                let region = &regions[item - 1];
                 let mut arena = pool.checkout();
                 let started = Instant::now();
-                // A coupler belongs to the region of its lower endpoint.
-                let mut in_region = arena.take_bool(chip.num_qubits(), false);
-                for &q in region {
-                    in_region[q.index()] = true;
-                }
-                let devices: Vec<DeviceId> = region
-                    .iter()
-                    .map(|&q| DeviceId::Qubit(q))
-                    .chain(chip.couplers().filter_map(|c| {
-                        let (a, _) = c.endpoints();
-                        in_region[a.index()].then_some(DeviceId::Coupler(c.id()))
-                    }))
-                    .collect();
-                arena.retire_bool(in_region);
                 let (mut groups, _) = crate::tdm::group_tdm_rows_in(
-                    kernels, tdm_xtalk, tdm_rows, tdm_config, &devices, activity, &mut arena,
+                    kernels,
+                    tdm_xtalk,
+                    tdm_rows,
+                    tdm_config,
+                    &devices[item - 1],
+                    masks,
+                    &mut arena,
                 );
                 let tdm_elapsed = started.elapsed();
                 let started = Instant::now();
-                if let Some(refine) = &self.config.refine {
-                    (groups, _) = crate::refine::refine_tdm_groups_kernels_in(
-                        kernels, tdm_xtalk, activity, tdm_config, groups, refine, &mut arena,
+                if let Some(refine) = refine_config {
+                    (groups, _) = crate::refine::refine_masked(
+                        kernels, tdm_xtalk, masks, tdm_config, groups, refine,
                     );
                 }
-                Chain::Z(groups, tdm_elapsed, started.elapsed())
+                Chain::Z(Arc::new(groups), tdm_elapsed, started.elapsed())
             }
             _ => {
                 let qubits: Vec<QubitId> = chip.qubit_ids().collect();
@@ -611,7 +681,7 @@ impl<'a> YoutiaoPlanner<'a> {
                 // is an FDM line in the readout band.
                 let feedlines: Vec<FdmLine> = lines.iter().cloned().map(FdmLine::new).collect();
                 let readout = band(&feedlines, &self.config.readout_freq, READOUT_EVENTS);
-                Chain::Readout(lines, readout)
+                Chain::Readout(Arc::new(lines), readout)
             }
         });
         // Only successful chains are kept.
@@ -624,7 +694,7 @@ impl<'a> YoutiaoPlanner<'a> {
             chains[item] = Some(chain);
         }
 
-        let mut tdm_groups = Vec::new();
+        let mut z_groups = Vec::with_capacity(regions.len());
         let mut tdm_elapsed = Duration::ZERO;
         let mut refine_elapsed = Duration::ZERO;
         let (mut xy, mut readout) = (None, None);
@@ -632,7 +702,7 @@ impl<'a> YoutiaoPlanner<'a> {
             match chain.expect("every item ran or was recalled") {
                 Chain::Xy(lines, fdm_e, xy_band) => xy = Some((lines, fdm_e, xy_band)),
                 Chain::Z(groups, tdm_e, refine_e) => {
-                    tdm_groups.extend(groups);
+                    z_groups.push(groups);
                     tdm_elapsed += tdm_e;
                     refine_elapsed += refine_e;
                 }
@@ -641,6 +711,12 @@ impl<'a> YoutiaoPlanner<'a> {
         }
         let (fdm_lines, fdm_elapsed, xy) = xy.expect("item 0 is the XY chain");
         let (readout_lines, readout) = readout.expect("the last item is the readout chain");
+        // One region's groups are the plan's as they are; several
+        // regions' join in region order.
+        let tdm_groups = match <[_; 1]>::try_from(z_groups) {
+            Ok([groups]) => groups,
+            Err(z_groups) => Arc::new(z_groups.iter().flat_map(|g| g.iter().cloned()).collect()),
+        };
 
         // Hook events replay in the serial order, and the XY band's
         // error takes precedence over the readout band's.
@@ -655,7 +731,7 @@ impl<'a> YoutiaoPlanner<'a> {
         let frequency_plan = xy.replay("freq_alloc", hook)?;
         let readout_frequency_plan = readout.replay("readout", hook)?;
 
-        let plan = WiringPlan::from_parts(
+        let plan = WiringPlan::shared(
             fdm_lines,
             frequency_plan,
             tdm_groups,
@@ -668,47 +744,59 @@ impl<'a> YoutiaoPlanner<'a> {
     }
 }
 
+/// One region's Z-controlled devices in grouping order: its qubits,
+/// then each coupler whose lower endpoint it holds (a coupler belongs
+/// to the region of its lower endpoint).
+pub(crate) fn z_devices(chip: &Chip, region: &[QubitId], arena: &mut Scratch) -> Vec<DeviceId> {
+    let mut in_region = arena.take_bool(chip.num_qubits(), false);
+    for &q in region {
+        in_region[q.index()] = true;
+    }
+    let devices = region
+        .iter()
+        .map(|&q| DeviceId::Qubit(q))
+        .chain(chip.couplers().filter_map(|c| {
+            let (a, _) = c.endpoints();
+            in_region[a.index()].then_some(DeviceId::Coupler(c.id()))
+        }))
+        .collect();
+    arena.retire_bool(in_region);
+    devices
+}
+
 /// The XY band's hook events.
 const XY_EVENTS: [&str; 2] = ["freq.place", "freq.swap"];
 
 /// The readout band's hook events.
 const READOUT_EVENTS: [&str; 2] = ["readout.place", "readout.swap"];
 
-/// One item's output in [`YoutiaoPlanner::plan_with_hook`]'s dispatch.
+/// One item's output in [`YoutiaoPlanner::plan_with_hook`]'s dispatch,
+/// each part shared with the memo that keeps it.
 enum Chain {
     /// The FDM lines, their grouping time and the XY band.
-    Xy(Vec<FdmLine>, Duration, Band),
+    Xy(Arc<Vec<FdmLine>>, Duration, Band),
     /// One region's TDM groups and its grouping and refinement times.
-    Z(Vec<TdmGroup>, Duration, Duration),
+    Z(Arc<Vec<TdmGroup>>, Duration, Duration),
     /// The readout feedlines and their band.
-    Readout(Vec<Vec<QubitId>>, Band),
+    Readout(Arc<Vec<Vec<QubitId>>>, Band),
 }
 
 impl Chain {
-    /// A memoized chain as this plan's item. Each stage reports the
-    /// time this plan spent on it: the key, the lookup and the clone
-    /// go to FDM grouping, TDM grouping or the readout band, the XY
-    /// band's clone to XY allocation, and the placement, swap and
+    /// A memoized chain as this plan's item, its parts shared. The key
+    /// and the lookup since `started` go to FDM grouping, TDM grouping
+    /// or the readout band; XY allocation and the placement, swap and
     /// refinement stages, which did not run, report zero.
-    fn recalled(output: &ChainOutput, started: Instant) -> Chain {
+    fn recalled(output: ChainOutput, started: Instant) -> Chain {
         match output {
-            ChainOutput::Xy(lines, plan) => {
-                let lines = lines.clone();
-                let fdm_elapsed = started.elapsed();
-                let started = Instant::now();
-                Chain::Xy(
-                    lines,
-                    fdm_elapsed,
-                    Band::recalled(plan.clone(), XY_EVENTS, started),
-                )
-            }
-            ChainOutput::Z(groups) => {
-                let groups = groups.clone();
-                Chain::Z(groups, started.elapsed(), Duration::ZERO)
-            }
+            ChainOutput::Xy(lines, plan) => Chain::Xy(
+                lines,
+                started.elapsed(),
+                Band::recalled(plan, XY_EVENTS, Duration::ZERO),
+            ),
+            ChainOutput::Z(groups) => Chain::Z(groups, started.elapsed(), Duration::ZERO),
             ChainOutput::Readout(lines, plan) => Chain::Readout(
-                lines.clone(),
-                Band::recalled(plan.clone(), READOUT_EVENTS, started),
+                lines,
+                Band::recalled(plan, READOUT_EVENTS, started.elapsed()),
             ),
             ChainOutput::Partition(_) => unreachable!("a chain key holds a chain"),
         }
@@ -718,13 +806,13 @@ impl Chain {
     fn output(&self) -> Option<ChainOutput> {
         match self {
             Chain::Xy(lines, _, band) => Some(ChainOutput::Xy(
-                lines.clone(),
-                band.plan.as_ref().ok()?.clone(),
+                Arc::clone(lines),
+                Arc::clone(band.plan.as_ref().ok()?),
             )),
-            Chain::Z(groups, _, _) => Some(ChainOutput::Z(groups.clone())),
+            Chain::Z(groups, _, _) => Some(ChainOutput::Z(Arc::clone(groups))),
             Chain::Readout(lines, band) => Some(ChainOutput::Readout(
-                lines.clone(),
-                band.plan.as_ref().ok()?.clone(),
+                Arc::clone(lines),
+                Arc::clone(band.plan.as_ref().ok()?),
             )),
         }
     }
@@ -732,19 +820,19 @@ impl Chain {
 
 /// A frequency band's allocation with its hook events held for replay.
 struct Band {
-    plan: Result<FrequencyPlan, PlanError>,
+    plan: Result<Arc<FrequencyPlan>, PlanError>,
     events: Vec<(&'static str, Duration)>,
     wall: Duration,
 }
 
 impl Band {
-    /// A memoized band, cloned since `started`: its sub-stages did not
-    /// run, so they report zero.
-    fn recalled(plan: FrequencyPlan, names: [&'static str; 2], started: Instant) -> Band {
+    /// A memoized band taking `wall`: its sub-stages did not run, so
+    /// they report zero.
+    fn recalled(plan: Arc<FrequencyPlan>, names: [&'static str; 2], wall: Duration) -> Band {
         Band {
             plan: Ok(plan),
             events: names.map(|name| (name, Duration::ZERO)).to_vec(),
-            wall: started.elapsed(),
+            wall,
         }
     }
 
@@ -754,7 +842,7 @@ impl Band {
         self,
         name: &'static str,
         hook: &mut dyn FnMut(&'static str, Duration),
-    ) -> Result<FrequencyPlan, PlanError> {
+    ) -> Result<Arc<FrequencyPlan>, PlanError> {
         for (stage, elapsed) in self.events {
             hook(stage, elapsed);
         }
@@ -917,6 +1005,64 @@ mod tests {
                     assert_eq!(plan.group_of(d), Some(g));
                 } else {
                     assert_eq!(plan.group_of(d), None);
+                }
+            }
+        }
+    }
+
+    /// `group_of` answers as the index plans used to build when they
+    /// were assembled: each device of a multi-device group maps to
+    /// that group and every other device, out-of-range ids included,
+    /// to none. It holds on fresh, first and recalled context plans,
+    /// partitioned or not, and on clones taken before and after the
+    /// index was built, which compare equal.
+    #[test]
+    fn group_of_matches_an_index_built_with_the_plan() {
+        let chip = topology::square_grid(5, 5);
+        let ctx = PlanContext::build(&chip, None, EquivalentWeights::balanced());
+        let outside = [
+            DeviceId::Qubit(QubitId::from(999u32)),
+            DeviceId::Coupler(youtiao_chip::CouplerId::from(999u32)),
+        ];
+        for partition in [None, Some(PartitionConfig::default())] {
+            for theta in [2.0, 8.0] {
+                let config = PlannerConfig {
+                    partition,
+                    tdm: TdmConfig {
+                        theta,
+                        max_shared_slots: 1,
+                        allow_one_to_eight: true,
+                    },
+                    ..Default::default()
+                };
+                let planner = || YoutiaoPlanner::new(&chip).with_config(config.clone());
+                let plans = [
+                    planner().plan().unwrap(),
+                    planner().with_context(&ctx).plan().unwrap(),
+                    planner().with_context(&ctx).plan().unwrap(),
+                ];
+                for plan in &plans {
+                    let mut index = HashMap::new();
+                    for (g, group) in plan.tdm_groups().iter().enumerate() {
+                        if group.len() > 1 {
+                            for &d in group.devices() {
+                                index.insert(d, g);
+                            }
+                        }
+                    }
+                    assert!(!index.is_empty());
+                    let unbuilt = plan.clone();
+                    let devices = || chip.device_ids().chain(outside);
+                    for d in devices() {
+                        assert_eq!(plan.group_of(d), index.get(&d).copied(), "{d:?}");
+                    }
+                    let built = plan.clone();
+                    for copy in [&unbuilt, &built] {
+                        assert_eq!(copy, plan);
+                        for d in devices() {
+                            assert_eq!(copy.group_of(d), index.get(&d).copied(), "{d:?}");
+                        }
+                    }
                 }
             }
         }

@@ -104,16 +104,31 @@ pub fn refine_tdm_groups_kernels_in(
     xtalk: &DistanceMatrix,
     activity: &ActivityProfile,
     config: &TdmConfig,
-    mut groups: Vec<TdmGroup>,
+    groups: Vec<TdmGroup>,
     refine: &RefineConfig,
     scratch: &mut Scratch,
+) -> (Vec<TdmGroup>, usize) {
+    let masks = kernels.densify_activity_in(activity, scratch);
+    let refined = refine_masked(kernels, xtalk, &masks, config, groups, refine);
+    scratch.retire_u32(masks);
+    refined
+}
+
+/// [`refine_tdm_groups_kernels_in`] over densified activity `masks`
+/// ([`PairKernels::densify_activity`]).
+pub(crate) fn refine_masked(
+    kernels: &PairKernels,
+    xtalk: &DistanceMatrix,
+    masks: &[u32],
+    config: &TdmConfig,
+    mut groups: Vec<TdmGroup>,
+    refine: &RefineConfig,
 ) -> (Vec<TdmGroup>, usize) {
     assert_eq!(
         xtalk.len(),
         kernels.num_qubits(),
         "crosstalk matrix size mismatch"
     );
-    let masks = kernels.densify_activity_in(activity, scratch);
     let mask_of = |d: DeviceId| masks[kernels.dense(d)];
     let mut states: Vec<GroupState> = groups
         .iter()
@@ -195,7 +210,6 @@ pub fn refine_tdm_groups_kernels_in(
             break;
         }
     }
-    scratch.retire_u32(masks);
     (groups, removed)
 }
 

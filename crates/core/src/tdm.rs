@@ -138,6 +138,17 @@ pub struct TdmConfig {
     pub allow_one_to_eight: bool,
 }
 
+impl TdmConfig {
+    /// The DEMUX level of the devices below θ.
+    pub(crate) fn low_level(&self) -> DemuxLevel {
+        if self.allow_one_to_eight {
+            DemuxLevel::OneToEight
+        } else {
+            DemuxLevel::OneToFour
+        }
+    }
+}
+
 impl Default for TdmConfig {
     fn default() -> Self {
         TdmConfig {
@@ -201,6 +212,28 @@ where
 /// with the same colour *can* fire simultaneously, so they should not
 /// share a DEMUX; couplers of different colours never do.
 pub fn brickwork_activity(chip: &Chip) -> ActivityProfile {
+    let mut profile = ActivityProfile::new();
+    for (c, mask) in chip.coupler_ids().zip(brickwork_colors(chip)) {
+        profile.insert(DeviceId::Coupler(c), mask);
+    }
+    // Qubit Z lines carry bias and sparse retunes (§3.1), not per-gate
+    // pulses, so they are unconstrained in time (mask 0).
+    for q in chip.qubit_ids() {
+        profile.insert(DeviceId::Qubit(q), 0);
+    }
+    profile
+}
+
+/// [`brickwork_activity`] densified as [`PairKernels::densify_activity`]
+/// densifies it: every qubit's mask (0), then every coupler's.
+pub(crate) fn brickwork_masks(chip: &Chip) -> Vec<u32> {
+    let mut masks = vec![0; chip.num_qubits()];
+    masks.extend(brickwork_colors(chip));
+    masks
+}
+
+/// Each coupler's brickwork slot as a one-bit mask, in coupler order.
+fn brickwork_colors(chip: &Chip) -> Vec<u32> {
     let mut colors: Vec<Option<u32>> = vec![None; chip.num_couplers()];
     for c in chip.coupler_ids() {
         let (a, b) = chip.coupler(c).expect("coupler id in range").endpoints();
@@ -213,17 +246,10 @@ pub fn brickwork_activity(chip: &Chip) -> ActivityProfile {
         let color = (0..32).find(|&k| used & (1 << k) == 0).unwrap_or(31);
         colors[c.index()] = Some(color);
     }
-    let mut profile = ActivityProfile::new();
-    for c in chip.coupler_ids() {
-        let mask = 1u32 << colors[c.index()].expect("all couplers colored");
-        profile.insert(DeviceId::Coupler(c), mask);
-    }
-    // Qubit Z lines carry bias and sparse retunes (§3.1), not per-gate
-    // pulses, so they are unconstrained in time (mask 0).
-    for q in chip.qubit_ids() {
-        profile.insert(DeviceId::Qubit(q), 0);
-    }
-    profile
+    colors
+        .into_iter()
+        .map(|color| 1u32 << color.expect("all couplers colored"))
+        .collect()
 }
 
 /// The paper's parallelism index of a qubit or coupler: the average,
@@ -476,19 +502,23 @@ pub fn group_tdm_kernels_in(
     scratch: &mut Scratch,
 ) -> Vec<TdmGroup> {
     let rows = SortedRows::new(xtalk.len());
-    group_tdm_rows_in(kernels, xtalk, &rows, config, devices, activity, scratch).0
+    let masks = kernels.densify_activity_in(activity, scratch);
+    let (groups, _) = group_tdm_rows_in(kernels, xtalk, &rows, config, devices, &masks, scratch);
+    scratch.retire_u32(masks);
+    groups
 }
 
-/// [`group_tdm_kernels_in`] walking `rows`, the sorted rows of `xtalk`
-/// (a context's, shared by its plans, or the caller's own), and
-/// counting the full scans it fell back to.
+/// [`group_tdm_kernels_in`] over densified activity `masks`
+/// ([`PairKernels::densify_activity`]) walking `rows`, the sorted rows
+/// of `xtalk` (a context's, shared by its plans, or the caller's own),
+/// and counting the full scans it fell back to.
 pub(crate) fn group_tdm_rows_in(
     kernels: &PairKernels,
     xtalk: &DistanceMatrix,
     rows: &SortedRows,
     config: &TdmConfig,
     devices: &[DeviceId],
-    activity: &ActivityProfile,
+    masks: &[u32],
     scratch: &mut Scratch,
 ) -> (Vec<TdmGroup>, usize) {
     assert_eq!(
@@ -496,7 +526,6 @@ pub(crate) fn group_tdm_rows_in(
         kernels.num_qubits(),
         "crosstalk matrix size mismatch"
     );
-    let masks = kernels.densify_activity_in(activity, scratch);
 
     // Rank devices by parallelism index and split at θ.
     let mut indexed: Vec<(DeviceId, f64)> = devices
@@ -515,20 +544,14 @@ pub(crate) fn group_tdm_rows_in(
         .filter(|&(_, i)| i >= config.theta)
         .collect();
 
-    let low_level = if config.allow_one_to_eight {
-        DemuxLevel::OneToEight
-    } else {
-        DemuxLevel::OneToFour
-    };
     let mut groups = Vec::new();
     let mut scans = 0;
-    for (level, pool) in [(low_level, low), (DemuxLevel::OneToTwo, high)] {
+    for (level, pool) in [(config.low_level(), low), (DemuxLevel::OneToTwo, high)] {
         let (level_groups, level_scans) =
-            group_level_kernels(kernels, xtalk, rows, level, &pool, &masks, config, scratch);
+            group_level_kernels(kernels, xtalk, rows, level, &pool, masks, config, scratch);
         groups.extend(level_groups);
         scans += level_scans;
     }
-    scratch.retire_u32(masks);
     (groups, scans)
 }
 
@@ -1585,7 +1608,7 @@ mod tests {
                     ctx.tdm_rows(),
                     &config,
                     &devices,
-                    &activity,
+                    &ctx.kernels().densify_activity(&activity),
                     &mut Scratch::default(),
                 );
                 assert_eq!(

@@ -4,8 +4,9 @@
 # tracing plus a byte-identity cmp across --plan-threads, --jobs and
 # --shards, a duplicate-request smoke (computed once), a sweep smoke
 # run (JSONL schema, Pareto front, thread-count determinism), the fig16
-# sweep and a square 12x12 sweep of deep TDM levels on one worker
-# byte-identical across --plan-threads, repair
+# sweep, plan-sweep's grid and a square 12x12 sweep of deep TDM levels
+# on one worker byte-identical across --plan-threads (with the chain
+# memo's exact run and recall counts), repair
 # smoke runs (pinned drift change set -> pinned repaired-plan hash,
 # structural fallback pin, bench-repair schema), a chaos smoke run (seeded fault injection,
 # record-count and determinism checks), a daemon smoke (stdin + socket
@@ -17,8 +18,8 @@
 # the planner core's whole suite with its release-only tests (the pair
 # kernels against the per-pair functions and their build's heap, the
 # kernelized grouping and refinement against the naive passes on large
-# chips, the chain memo, the property suite), the sweep, bench and
-# repair crates' own tests, the
+# chips, the chain memo, the property suite), the sweep, bench, repair
+# and cost crates' own tests (cost's property suite included), the
 # ChaCha8 keystream against its scalar blocks and style gates. The
 # batch determinism smoke and the cold-class pins run again pinned to
 # one core, where plans and dies run serially.
@@ -244,19 +245,52 @@ for pt in 2 3; do
   fi
 done
 # Each chip's six theta points share one context: its chain memo runs
-# one XY, six Z and one readout chain and recalls the other ten.
+# one XY and one readout chain, and one Z chain per distinct split of
+# the chip's devices at theta (three on the square and heavy-hexagon
+# chips, four on the other three), and recalls the rest: 28 chains run
+# and 62 recalled over the five chips.
 python3 - "$smoke_dir"/fig16_pt{1,2,3}.summary.json <<'PY'
 import json, sys
 for path in sys.argv[1:]:
     with open(path) as f:
         summary = json.load(f)
-    chips = summary["contexts_built"]
-    assert summary["points"] == 6 * chips, (path, summary["points"])
-    assert summary["chain_misses"] == 8 * chips, (path, summary["chain_misses"])
-    assert summary["chain_hits"] == 10 * chips, (path, summary["chain_hits"])
-print(f"  fig16 chain memo OK: {chips} chips, 8 chains run and 10 recalled per chip")
+    assert summary["contexts_built"] == 5, (path, summary["contexts_built"])
+    assert summary["points"] == 30, (path, summary["points"])
+    assert summary["chain_misses"] == 28, (path, summary["chain_misses"])
+    assert summary["chain_hits"] == 62, (path, summary["chain_hits"])
+print("  fig16 chain memo OK: 5 chips, 28 chains run and 62 recalled")
 PY
 echo "  fig16 sweep OK: byte-identical at 1/2/3 plan threads on one sweep worker"
+
+echo "==> smoke: youtiao sweep (plan-sweep's grid, byte-identical across --plan-threads)"
+# The end-to-end benchmark's plan-sweep grid as a sweep spec. Per chip
+# its chain memo runs two XY chains, one readout chain and nine Z
+# chains (at theta 2 no device is below theta and a 1:2 group shares
+# at most one brickwork window, so theta 2's four TDM configurations
+# are one Z chain) and recalls the other 60 of the 72 points' chains.
+for pt in 1 2; do
+  cargo run -q --release --offline --bin youtiao -- sweep \
+    --spec examples/sweeps/plan_sweep.json --out "$smoke_dir/plan_sweep_pt$pt.jsonl" \
+    --threads 1 --plan-threads "$pt" --summary-json 2> "$smoke_dir/plan_sweep_pt$pt.summary.json"
+done
+if ! cmp -s "$smoke_dir/plan_sweep_pt1.jsonl" "$smoke_dir/plan_sweep_pt2.jsonl"; then
+  echo "verify: FAILED — plan-sweep grid differs between --plan-threads 1 and 2" >&2
+  diff "$smoke_dir/plan_sweep_pt1.jsonl" "$smoke_dir/plan_sweep_pt2.jsonl" >&2 || true
+  exit 1
+fi
+python3 - "$smoke_dir"/plan_sweep_pt{1,2}.summary.json <<'PY'
+import json, sys
+for path in sys.argv[1:]:
+    with open(path) as f:
+        summary = json.load(f)
+    chips = summary["contexts_built"]
+    assert chips == 3, (path, chips)
+    assert summary["points"] == 24 * chips, (path, summary["points"])
+    assert summary["chain_misses"] == 12 * chips, (path, summary["chain_misses"])
+    assert summary["chain_hits"] == 60 * chips, (path, summary["chain_hits"])
+print(f"  plan-sweep chain memo OK: {chips} chips, 12 chains run and 60 recalled per chip")
+PY
+echo "  plan-sweep grid OK: byte-identical at 1/2 plan threads on one sweep worker"
 
 echo "==> smoke: youtiao sweep (square 12x12 deep TDM levels, byte-identical across --plan-threads)"
 # At theta 8 every device of the grid is on the deep level, where
@@ -640,8 +674,8 @@ cargo test -q --release --offline -p youtiao-noise -- --include-ignored
 echo "==> planner core: every test, release-only chips included (pair kernels, naive differentials, memo, properties)"
 cargo test -q --release --offline -p youtiao-core -- --include-ignored
 
-echo "==> sweep, bench and repair crates: cargo test -p youtiao-xplore -p youtiao-bench -p youtiao-repair"
-cargo test -q --release --offline -p youtiao-xplore -p youtiao-bench -p youtiao-repair
+echo "==> sweep, bench, repair and cost crates: cargo test -p youtiao-xplore -p youtiao-bench -p youtiao-repair -p youtiao-cost"
+cargo test -q --release --offline -p youtiao-xplore -p youtiao-bench -p youtiao-repair -p youtiao-cost
 
 echo "==> keystream: the four-block ChaCha8 refill word for word against the scalar blocks"
 cargo test -q --release --offline -p rand_chacha
