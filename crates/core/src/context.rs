@@ -87,7 +87,7 @@ pub fn chip_fingerprint(chip: &Chip) -> u64 {
 /// equivalent-distance matrix, the XY crosstalk matrix, (optionally)
 /// the ZZ crosstalk matrix, and the topology-only grouping
 /// [`PairKernels`], together
-/// with the weights and the chip fingerprint they were built from so a
+/// with the weights and the couplers they were built from so a
 /// mismatched or structurally-changed chip is rejected instead of
 /// silently planning against stale matrices.
 ///
@@ -117,7 +117,9 @@ pub fn chip_fingerprint(chip: &Chip) -> u64 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanContext {
     num_qubits: usize,
-    fingerprint: u64,
+    /// Every coupler's endpoints, in coupler order, as built: each plan
+    /// compares them with its chip's.
+    couplers: Vec<(QubitId, QubitId)>,
     weights: EquivalentWeights,
     equivalent: DistanceMatrix,
     crosstalk: DistanceMatrix,
@@ -179,7 +181,7 @@ impl PlanContext {
         BUILDS.fetch_add(1, Ordering::Relaxed);
         PlanContext {
             num_qubits: chip.num_qubits(),
-            fingerprint: chip_fingerprint(chip),
+            couplers: chip.couplers().map(|c| c.endpoints()).collect(),
             weights,
             equivalent,
             crosstalk,
@@ -307,7 +309,15 @@ impl PlanContext {
     /// for crosstalk-value-only changes on the *same* structure, updated
     /// via [`Self::apply_crosstalk_delta`]).
     pub fn is_stale(&self, chip: &Chip) -> bool {
-        chip.num_qubits() != self.num_qubits || chip_fingerprint(chip) != self.fingerprint
+        chip.num_qubits() != self.num_qubits || !self.same_couplers(chip)
+    }
+
+    /// Whether `chip` has the couplers, endpoint for endpoint and in
+    /// order, that the context was built from.
+    fn same_couplers(&self, chip: &Chip) -> bool {
+        chip.couplers()
+            .map(|c| c.endpoints())
+            .eq(self.couplers.iter().copied())
     }
 
     /// Applies a crosstalk-value delta in place: replaces the XY
@@ -381,14 +391,14 @@ impl PlanContext {
     /// # Errors
     ///
     /// [`PlanError::InvalidConfig`] on a qubit-count, structure
-    /// (fingerprint), or weight mismatch.
+    /// (couplers), or weight mismatch.
     pub(crate) fn check(&self, chip: &Chip, weights: EquivalentWeights) -> Result<(), PlanError> {
         if chip.num_qubits() != self.num_qubits {
             return Err(PlanError::InvalidConfig(
                 "plan context was built for a different chip",
             ));
         }
-        if chip_fingerprint(chip) != self.fingerprint {
+        if !self.same_couplers(chip) {
             return Err(PlanError::InvalidConfig(
                 "plan context is stale: the chip's couplers changed since it was built",
             ));
@@ -512,29 +522,34 @@ mod tests {
         assert!(PlanContext::build_count() > before);
     }
 
-    /// Same qubit count, one coupler removed: the chip the context was
-    /// built for no longer exists. Before the fingerprint check this
-    /// silently planned against stale kernels (the old `check` only
-    /// compared qubit counts and weights).
+    /// Same qubit count, one coupler removed, or one coupler moved with
+    /// the count kept: the chip the context was built for no longer
+    /// exists. Before the structure check this silently planned against
+    /// stale kernels (the old `check` only compared qubit counts and
+    /// weights).
     #[test]
     fn structurally_mutated_chip_is_rejected_not_served_stale() {
         let chip = topology::square_grid(4, 4);
-        let mut spec = youtiao_chip::spec::ChipSpec::from_chip(&chip);
-        spec.couplers.pop();
-        let mutated = spec.to_chip().unwrap();
-        assert_eq!(mutated.num_qubits(), chip.num_qubits());
-
+        let mut removed = youtiao_chip::spec::ChipSpec::from_chip(&chip);
+        removed.couplers.pop();
+        // q0–q5 is a diagonal, not a coupler of the 4×4 grid.
+        let mut moved = youtiao_chip::spec::ChipSpec::from_chip(&chip);
+        *moved.couplers.last_mut().unwrap() = (0, 5);
         let ctx = PlanContext::build(&chip, None, EquivalentWeights::balanced());
         assert!(!ctx.is_stale(&chip));
-        assert!(ctx.is_stale(&mutated));
-        let err = YoutiaoPlanner::new(&mutated)
-            .with_context(&ctx)
-            .plan()
-            .unwrap_err();
-        assert!(
-            matches!(err, PlanError::InvalidConfig(msg) if msg.contains("stale")),
-            "{err:?}"
-        );
+        for spec in [removed, moved] {
+            let mutated = spec.to_chip().unwrap();
+            assert_eq!(mutated.num_qubits(), chip.num_qubits());
+            assert!(ctx.is_stale(&mutated));
+            let err = YoutiaoPlanner::new(&mutated)
+                .with_context(&ctx)
+                .plan()
+                .unwrap_err();
+            assert!(
+                matches!(err, PlanError::InvalidConfig(msg) if msg.contains("stale")),
+                "{err:?}"
+            );
+        }
     }
 
     #[test]

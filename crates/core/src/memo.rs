@@ -13,7 +13,7 @@
 //! switch and the window budget ([`ZKey`]), not their raw values. It
 //! also keeps each partition a partitioned plan ran, under its
 //! [`PartitionConfig`]: `partition_chip` reads the chip's qubits and
-//! neighbours, which the context's fingerprint pins, and the context's
+//! neighbours, which the context's coupler check pins, and the context's
 //! equivalent matrix besides. Outputs are held behind [`Arc`]s, so a
 //! recall shares them with the plan it builds instead of copying them.
 //!
@@ -66,8 +66,8 @@ impl BandKey {
             swap_passes,
             tuning_range_ghz,
         } = *config;
-        // The chip's base frequencies are not part of the context's
-        // fingerprint, and only a tuning range reads them.
+        // The context's coupler check does not cover the chip's base
+        // frequencies, and only a tuning range reads them.
         let base = match tuning_range_ghz {
             Some(_) => chip
                 .qubits()
@@ -806,7 +806,7 @@ mod tests {
         );
 
         // Under a tuning range a band also reads each qubit's base
-        // frequency, which the context's fingerprint does not cover.
+        // frequency, which the context's coupler check does not cover.
         let tuned = freq(FreqConfig {
             tuning_range_ghz: Some(0.3),
             ..xy_band

@@ -325,6 +325,7 @@ struct Fold {
 mod tests {
     use super::*;
     use crate::data::{synthesize, CrosstalkKind, SynthConfig};
+    use youtiao_chip::surface::SurfaceCode;
     use youtiao_chip::topology;
 
     fn samples_6x6(seed: u64) -> Vec<CrosstalkSample> {
@@ -423,6 +424,102 @@ mod tests {
         });
         let model = fit_crosstalk_model(&samples, &FitConfig::fast()).unwrap();
         assert!(model.predict(1.0, 1.0).is_finite());
+    }
+
+    /// One fit's bits, recorded from the recursive grower that the
+    /// level-by-level one replaced: the chosen `w_phy`, the model's CV
+    /// MSE, an FNV-1a digest of the final model's predictions
+    /// ([`prediction_digest`]) and every weight point's CV MSE.
+    struct Pin {
+        chip: fn() -> Chip,
+        seed: u64,
+        w_phy: u64,
+        cv_mse: u64,
+        predictions: u64,
+        points: [u64; 11],
+    }
+
+    /// The final model's predictions at every 1/64 from 0 to 25, then
+    /// at −0.0, ±∞, NaN and −1, digested bit for bit.
+    fn prediction_digest(model: &CrosstalkModel) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let grid = (0..=1600).map(|i| f64::from(i) / 64.0);
+        let edges = [-0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -1.0];
+        for x in grid.chain(edges) {
+            for byte in model.forest().predict(x).to_bits().to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    fn assert_pinned(pin: &Pin) {
+        let chip = (pin.chip)();
+        let samples = synthesize(&chip, CrosstalkKind::Xy, &SynthConfig::xy(), pin.seed);
+        let config = FitConfig::paper();
+        let what = format!("{} qubits, seed {}", chip.num_qubits(), pin.seed);
+        let points: Vec<u64> = WeightGrid::new(&samples, &config)
+            .unwrap()
+            .cv_mse()
+            .iter()
+            .map(|mse| mse.to_bits())
+            .collect();
+        for (point, (got, want)) in points.iter().zip(&pin.points).enumerate() {
+            assert_eq!(got, want, "{what}: CV MSE of weight point {point}");
+        }
+        assert_eq!(points.len(), pin.points.len(), "{what}: weight points");
+        let model = fit_crosstalk_model(&samples, &config).unwrap();
+        assert_eq!(
+            model.weights().w_phy().to_bits(),
+            pin.w_phy,
+            "{what}: w_phy"
+        );
+        assert_eq!(model.cv_mse().to_bits(), pin.cv_mse, "{what}: CV MSE");
+        assert_eq!(
+            prediction_digest(&model),
+            pin.predictions,
+            "{what}: predictions"
+        );
+    }
+
+    #[rustfmt::skip]
+    const PINS: [Pin; 8] = [
+        Pin { chip: || SurfaceCode::rotated(5).into_chip(), seed: 3, w_phy: 0x3fb999999999999a, cv_mse: 0x3dd1be206674cf58, predictions: 0x266cb1054bc08ce1,
+            points: [0x3de4f6763a23e5ae, 0x3dd1be206674cf58, 0x3dd1be6ead88e6bb, 0x3dd1be6eafaf36ce, 0x3dd1bea6e60981d3, 0x3dd1beb537bf09c4, 0x3dd1bfd9b4d82f9f, 0x3dd1c24c0dd74e8d, 0x3dd1bf82cc1b2fe2, 0x3dd1ce0e92d527a1, 0x3ded007fb3e1f468] },
+        Pin { chip: || SurfaceCode::rotated(5).into_chip(), seed: 41, w_phy: 0x3fe0000000000000, cv_mse: 0x3dcc652e9971e53e, predictions: 0x9b0ec3bd339bafa6,
+            points: [0x3ddd5f98ecfa342e, 0x3dcc6ba7dcde174d, 0x3dcc6bd207ade84d, 0x3dcc6bd207ade84d, 0x3dcc6bea212523a3, 0x3dcc652e9971e53e, 0x3dcc688da9dad7fb, 0x3dcc693920b525f3, 0x3dcc66c99a34bd12, 0x3dcc7a552ddf61bd, 0x3de91ef8090b71b3] },
+        Pin { chip: || topology::heavy_square(4, 4), seed: 3, w_phy: 0x3feccccccccccccd, cv_mse: 0x3ddcbd1396f2eeb6, predictions: 0x433b69791ad02b70,
+            points: [0x3de3be4c6b6913f8, 0x3ddcbd993dc7f1d2, 0x3ddcbd993dc7f1d2, 0x3ddcbd993dc7f1d2, 0x3ddcbd993dc7f1d2, 0x3ddd06c962bc9518, 0x3ddcbd9940079630, 0x3ddcbd8e21f0572a, 0x3ddcbd46eeda1186, 0x3ddcbd1396f2eeb6, 0x3e047881277f019a] },
+        Pin { chip: || topology::heavy_square(4, 4), seed: 41, w_phy: 0x3feccccccccccccd, cv_mse: 0x3dd9a1d40c00acd8, predictions: 0xfe554c12f825689d,
+            points: [0x3ddedfcb67415173, 0x3dd9a367c70aa4a5, 0x3dd9a367c70aa4a5, 0x3dd9a367c70aa4a5, 0x3dd9a35e62bc6833, 0x3dd9ab7273865616, 0x3dd9a367d7e6f808, 0x3dd9a367c70aa4a5, 0x3dd9a270b9d5af3a, 0x3dd9a1d40c00acd8, 0x3e039b87cf7fbfe4] },
+        Pin { chip: || topology::square_grid(8, 8), seed: 3, w_phy: 0x3feccccccccccccd, cv_mse: 0x3dc3fcfd46170092, predictions: 0xb7039a97d22417a1,
+            points: [0x3ddee30d5107fcad, 0x3dc3fe5d29cbb8c7, 0x3dc3fe5d29cbb8c7, 0x3dc3fe453478ca8f, 0x3dc3fe7feaa3d4bc, 0x3dc3fe7faa00e44c, 0x3dc3fe7faa00e44c, 0x3dc3fe7faa00e44c, 0x3dc3fe7faa00e44c, 0x3dc3fcfd46170092, 0x3dc60d8885ca87ff] },
+        Pin { chip: || topology::square_grid(8, 8), seed: 41, w_phy: 0x3feccccccccccccd, cv_mse: 0x3dc3ca9f64020d59, predictions: 0x52388eebeab6bfcc,
+            points: [0x3dd933d0eee36662, 0x3dc3cb4f1d53265b, 0x3dc3cb4f1d53265b, 0x3dc3cb7819e56c03, 0x3dc3cb9b45fcae1d, 0x3dc3cb9f428206c6, 0x3dc3cb9f428206c6, 0x3dc3cb9f428206c6, 0x3dc3cbae680ec3fa, 0x3dc3ca9f64020d59, 0x3dc63637e4da3798] },
+        Pin { chip: || topology::ibm_heavy_hex(65), seed: 3, w_phy: 0x3fb999999999999a, cv_mse: 0x3dd44640ff61175a, predictions: 0xa09bf8affcb94999,
+            points: [0x3dd523a71be50f46, 0x3dd44640ff61175a, 0x3dd46288979caba6, 0x3dd48e46a13a27da, 0x3dd4c35353073ada, 0x3dd4e8f22f711608, 0x3dd58a2d82b72cf2, 0x3dd4e4648cad8342, 0x3dd4ed7b3ea4d3ba, 0x3dd599c4bbea0722, 0x3deb62d0bc115cf5] },
+        Pin { chip: || topology::ibm_heavy_hex(65), seed: 41, w_phy: 0x3fb999999999999a, cv_mse: 0x3dd0ad4f07e6e562, predictions: 0xf02f098822e2383c,
+            points: [0x3dd13f0f1a1e0c80, 0x3dd0ad4f07e6e562, 0x3dd0c80a9c935dea, 0x3dd1522a8c38e0fc, 0x3dd1835ae20f912d, 0x3dd1ba7880637029, 0x3dd12c76a0e09d94, 0x3dd1a2b3814c05be, 0x3dd1fa3227455f31, 0x3dd2858e1990e2f9, 0x3de7d344cc9ac4de] },
+    ];
+
+    #[rustfmt::skip]
+    const HEAVY_HEX_127_PINS: [Pin; 2] = [
+        Pin { chip: || topology::ibm_heavy_hex(127), seed: 3, w_phy: 0x3fb999999999999a, cv_mse: 0x3dc82831456c6d2a, predictions: 0xc30803f89ae88d85,
+            points: [0x3dc998dc117ec206, 0x3dc82831456c6d2a, 0x3dc875bda91e15de, 0x3dce84de4dd3ebdd, 0x3dc8bb56840d3107, 0x3dcbbb255e4cffeb, 0x3dc94fd933c28ba1, 0x3dcb7c31b1f46063, 0x3dc9b579bc7c81bb, 0x3dcb7ec1131207c8, 0x3de09597a52daf0b] },
+        Pin { chip: || topology::ibm_heavy_hex(127), seed: 41, w_phy: 0x3fb999999999999a, cv_mse: 0x3dc34cc21c4be76f, predictions: 0x9920069ca94b34b6,
+            points: [0x3dc42a3ec9db3391, 0x3dc34cc21c4be76f, 0x3dc39ceae4a4f136, 0x3dc52f2ab83721fa, 0x3dc37d64a04cda5e, 0x3dc6f805e400046b, 0x3dc40eae81fe3ffc, 0x3dc4712578c5a4da, 0x3dc4bd4cd77ef9d2, 0x3dc4722f2fccc642, 0x3ddb36075852b465] },
+    ];
+
+    #[test]
+    fn fits_keep_their_recorded_bits() {
+        PINS.iter().for_each(assert_pinned);
+    }
+
+    #[test]
+    #[ignore = "two 127-qubit paper fits are slow in debug builds; run with --release"]
+    fn heavy_hex_127_fits_keep_their_recorded_bits() {
+        HEAVY_HEX_127_PINS.iter().for_each(assert_pinned);
     }
 
     #[test]

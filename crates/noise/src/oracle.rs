@@ -375,6 +375,18 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "the oracle's 40-qubit paper fit is too slow in debug builds; run with --release"]
+    fn heavy_square_4x4_fits_like_the_oracle() {
+        assert_large_chip_matches(&topology::heavy_square(4, 4));
+    }
+
+    #[test]
+    #[ignore = "the oracle's 49-qubit paper fit is too slow in debug builds; run with --release"]
+    fn surface_d5_fits_like_the_oracle() {
+        assert_large_chip_matches(&SurfaceCode::rotated(5).into_chip());
+    }
+
+    #[test]
     #[ignore = "the oracle's 64-qubit paper fit is too slow in debug builds; run with --release"]
     fn square_8x8_fits_like_the_oracle() {
         assert_large_chip_matches(&topology::square_grid(8, 8));

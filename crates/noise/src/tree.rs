@@ -11,9 +11,10 @@
 //! each tree's sample per key ([`KeySums`]: count, Σy and Σy²) and grows
 //! the tree from those sums ([`Grower`]): the keys of each distinct value
 //! merge into one bucket, and running sums over the buckets score every
-//! candidate split. A tree needs nothing else, so no sample is sorted or
-//! scanned again. DESIGN.md §4l states how close this stays to an
-//! element-by-element scan of the sorted sample.
+//! candidate split. The tree grows one level at a time and is written
+//! out in pre-order at the end. A tree needs nothing else, so no sample
+//! is sorted or scanned again. DESIGN.md §4l states how close this stays
+//! to an element-by-element scan of the sorted sample.
 
 /// Hyper-parameters of a regression tree.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -149,8 +150,7 @@ impl RegressionTree {
 }
 
 /// A feature ranked once: its distinct values in ascending
-/// [`f64::total_cmp`] order, each key's dense rank among them, and the
-/// keys in rank order (keys of one rank in key order).
+/// [`f64::total_cmp`] order and each key's dense rank among them.
 ///
 /// Equal ranks mean bit-equal values, except that every NaN key has a
 /// rank of its own: NaN != NaN, so a split may fall between any two.
@@ -158,7 +158,6 @@ impl RegressionTree {
 pub(crate) struct RankedFeature {
     values: Vec<f64>,
     ranks: Vec<u32>,
-    order: Vec<u32>,
 }
 
 impl RankedFeature {
@@ -181,11 +180,7 @@ impl RankedFeature {
             }
             ranks[i as usize] = values.len() as u32 - 1;
         }
-        RankedFeature {
-            values,
-            ranks,
-            order,
-        }
+        RankedFeature { values, ranks }
     }
 
     /// Number of keys.
@@ -254,22 +249,68 @@ impl KeySums {
     }
 }
 
+/// A node of the level being grown: its buckets `lo..hi`, and whether
+/// its running sums must be computed (the root and right children) or
+/// are its parent's (left children).
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    lo: u32,
+    hi: u32,
+    scan: bool,
+}
+
+/// A node as grown, in level order: its first bucket, and either a
+/// split's threshold and the bucket its right child starts at, or a
+/// leaf's prediction and 0.
+#[derive(Debug, Clone, Copy)]
+struct Grown {
+    value: f64,
+    lo: u32,
+    split: u32,
+}
+
+/// The per-bucket vectors of a [`Grower`]. They only grow: entries
+/// past the tree's last bucket are stale.
+#[derive(Debug, Default)]
+struct Columns {
+    /// Feature value of each bucket, then its count, Σy and Σy²: its
+    /// keys' sums, added in key order. One entry more than there are
+    /// ranks, so a leaf can read the threshold it does not use.
+    values: Vec<f64>,
+    counts: Vec<f64>,
+    sums: Vec<f64>,
+    squares: Vec<f64>,
+    /// Running count, Σy and Σy² at each bucket's end, started from the
+    /// first bucket of the node that last scanned the bucket, and the
+    /// squared error of those running sums: a left child's error, were
+    /// the node split right after the bucket.
+    run_counts: Vec<f64>,
+    run_sums: Vec<f64>,
+    run_squares: Vec<f64>,
+    left_sse: Vec<f64>,
+    /// Per bucket, the number of nodes starting at it, then the
+    /// pre-order position of the next one emitted.
+    places: Vec<u32>,
+}
+
 /// Reusable buffers for growing trees over a [`RankedFeature`].
 ///
 /// The keys of each drawn value merge into one bucket. Nodes only ever
-/// split between buckets, so every node is a run of whole buckets, and
-/// the running sums a node needs are read at bucket ends.
+/// split between buckets, so every node is a run of whole buckets. The
+/// tree grows one level at a time.
 #[derive(Debug, Default)]
 pub(crate) struct Grower {
-    /// Feature value of each bucket.
-    values: Vec<f64>,
-    /// Each bucket's count and sums: its keys' sums, added in key order.
-    buckets: Vec<Sums>,
-    /// Running count and sums at each bucket's end, started from the
-    /// first bucket of the node that last scanned the bucket.
-    running: Vec<Sums>,
-    /// The split score of each candidate bucket of the node being split.
-    sse: Vec<f64>,
+    /// The number of buckets of the tree being grown.
+    buckets: usize,
+    columns: Columns,
+    /// Each rank's count, Σy and Σy², while the buckets fill; empty
+    /// between trees.
+    per_rank: Vec<[f64; 3]>,
+    /// The nodes to grow, level after level: each level's children
+    /// follow it.
+    spans: Vec<Span>,
+    /// Every node grown so far, in level order.
+    grown: Vec<Grown>,
     /// The tree grown last.
     tree: RegressionTree,
 }
@@ -283,103 +324,246 @@ impl Grower {
         sums: &KeySums,
         config: TreeConfig,
     ) -> &RegressionTree {
-        self.values.clear();
-        self.buckets.clear();
-        let mut last = usize::MAX;
-        for &key in &feature.order {
-            let key_sums = sums.0[key as usize];
-            if key_sums.n == 0 {
-                continue;
-            }
-            let rank = feature.rank(key);
-            if rank == last {
-                self.buckets
-                    .last_mut()
-                    .expect("a bucket is open")
-                    .add(key_sums);
-            } else {
-                self.values.push(feature.values[rank]);
-                self.buckets.push(key_sums);
-                last = rank;
-            }
+        self.fill_buckets(feature, sums);
+        self.grown.clear();
+        self.spans.clear();
+        self.spans.push(Span {
+            lo: 0,
+            hi: self.buckets as u32,
+            scan: true,
+        });
+        let (mut level, mut depth) = (0, 0);
+        while level < self.spans.len() {
+            let next = self.spans.len();
+            self.grow_level(level..next, depth, config);
+            (level, depth) = (next, depth + 1);
         }
-        let buckets = self.buckets.len();
-        self.running.resize(buckets, Sums::EMPTY);
-        self.tree.nodes.clear();
-        self.scan(0, buckets);
-        self.node(0, buckets, 0, config);
+        self.emit_pre_order();
         &self.tree
     }
 
-    /// Recomputes the running sums of buckets `lo..hi` from bucket `lo`.
-    fn scan(&mut self, lo: usize, hi: usize) {
-        let mut run = Sums::EMPTY;
-        for b in lo..hi {
-            run.add(self.buckets[b]);
-            self.running[b] = run;
+    /// Sums each rank's keys in key order, then keeps the ranks the
+    /// sample drew. A key the sample lacks adds `(0, −0.0, −0.0)`, which
+    /// changes no bit.
+    fn fill_buckets(&mut self, feature: &RankedFeature, sums: &KeySums) {
+        let ranks = feature.values.len();
+        let c = &mut self.columns;
+        if c.values.len() <= ranks {
+            self.per_rank.resize(ranks, [0.0, -0.0, -0.0]);
+            for column in [
+                &mut c.values,
+                &mut c.counts,
+                &mut c.sums,
+                &mut c.squares,
+                &mut c.run_counts,
+                &mut c.run_sums,
+                &mut c.run_squares,
+                &mut c.left_sse,
+            ] {
+                column.resize(ranks + 1, 0.0);
+            }
+            c.places.resize(ranks + 1, 0);
+        }
+        let per_rank = &mut self.per_rank[..ranks];
+        for (key, &rank) in sums.0.iter().zip(&feature.ranks) {
+            let [n, sum, sq] = &mut per_rank[rank as usize];
+            *n += f64::from(key.n);
+            *sum += key.sum;
+            *sq += key.sq;
+        }
+        // Keep each drawn rank, and leave every rank empty for the next
+        // tree.
+        let (values, counts) = (&mut c.values[..ranks], &mut c.counts[..ranks]);
+        let (bucket_sums, squares) = (&mut c.sums[..ranks], &mut c.squares[..ranks]);
+        let places = &mut c.places[..ranks];
+        let mut kept = 0;
+        for (&value, per_rank) in feature.values.iter().zip(per_rank) {
+            let [n, sum, sq] = std::mem::replace(per_rank, [0.0, -0.0, -0.0]);
+            values[kept] = value;
+            counts[kept] = n;
+            bucket_sums[kept] = sum;
+            squares[kept] = sq;
+            places[kept] = 0;
+            kept += usize::from(n > 0.0);
+        }
+        self.buckets = kept;
+    }
+
+    /// Grows the nodes of one level, `spans[level]`: each becomes a leaf
+    /// or a split, and a split's children join the next level.
+    fn grow_level(&mut self, level: std::ops::Range<usize>, depth: usize, config: TreeConfig) {
+        let Grower {
+            columns: c,
+            spans,
+            grown,
+            ..
+        } = self;
+        // Counts are whole numbers below 2³², exact in f64, so comparing
+        // them with the rounded minimum decides as the integers would.
+        let min_split = config.min_samples_split as f64;
+        for i in level {
+            let Span { lo, hi, scan } = spans[i];
+            let (lo, hi) = (lo as usize, hi as usize);
+            if scan {
+                c.scan(lo, hi);
+            }
+            let (n, sum, sq) = (
+                c.run_counts[hi - 1],
+                c.run_sums[hi - 1],
+                c.run_squares[hi - 1],
+            );
+            let b = if depth >= config.max_depth || n < min_split {
+                0
+            } else {
+                c.best_split(lo, hi, n, sum, sq)
+            };
+            // Both outcomes are computed, and a split's children are
+            // written either way, then dropped from a leaf.
+            let split = b != 0;
+            let edge = b.max(1);
+            let threshold = (c.values[edge - 1] + c.values[edge]) / 2.0;
+            grown.push(Grown {
+                value: if split { threshold } else { sum / n },
+                lo: lo as u32,
+                split: b as u32,
+            });
+            c.places[lo] += 1;
+            let (lo, b, hi) = (lo as u32, b as u32, hi as u32);
+            spans.push(Span {
+                lo,
+                hi: b,
+                scan: false,
+            });
+            spans.push(Span {
+                lo: b,
+                hi,
+                scan: true,
+            });
+            spans.truncate(spans.len() - 2 * usize::from(!split));
         }
     }
 
-    /// Grows the node over buckets `lo..hi`, whose running sums start at
-    /// its own first bucket.
-    fn node(&mut self, lo: usize, hi: usize, depth: usize, config: TreeConfig) {
-        let node = self.running[hi - 1];
-        let len = node.n as usize;
-        let mean = node.sum / len as f64;
-        let split = if depth >= config.max_depth || len < config.min_samples_split {
-            None
-        } else {
-            self.best_split(lo, hi)
-        };
-        let Some(b) = split else {
-            self.tree.nodes.push(Node::Leaf { prediction: mean });
-            return;
-        };
-        let at = self.tree.nodes.len();
-        self.tree.nodes.push(Node::Split {
-            threshold: (self.values[b - 1] + self.values[b]) / 2.0,
-            right: 0,
-        });
-        // The left child starts where this node starts, so its running
-        // sums are already in place; the right child needs a fresh pass.
-        self.node(lo, b, depth + 1, config);
-        let right = self.tree.nodes.len() as u32;
-        if let Node::Split { right: slot, .. } = &mut self.tree.nodes[at] {
-            *slot = right;
-        }
-        self.scan(b, hi);
-        self.node(b, hi, depth + 1, config);
-    }
-
-    /// The bucket a split of node `lo..hi` should start its right child
-    /// at, minimizing the children's summed squared error.
+    /// Writes the grown nodes into the tree in pre-order: a split's left
+    /// child right after it, its right child after the left subtree.
     ///
-    /// Returns `None` when no split separates distinct feature values or
-    /// no split improves on the parent.
-    fn best_split(&mut self, lo: usize, hi: usize) -> Option<usize> {
-        let Sums { n, sum, sq } = self.running[hi - 1];
-        let parent_sse = sq - sum * sum / n as f64;
+    /// Pre-order sorts nodes by first bucket, then depth: a node's
+    /// ancestors start at or before it, and a node before another in
+    /// neither's subtree covers lower buckets. So a node's position is
+    /// the number of nodes starting at lower buckets plus its shallower
+    /// ancestors starting at its bucket, and a split's right child, the
+    /// shallowest node at its bucket, sits where that bucket's nodes
+    /// begin.
+    fn emit_pre_order(&mut self) {
+        // `places` holds the number of nodes starting at each bucket.
+        let places = &mut self.columns.places[..self.buckets];
+        let mut before = 0;
+        for place in places.iter_mut() {
+            (*place, before) = (before, before + *place);
+        }
+        // In level order, a node's shallower ancestors at its bucket come
+        // first, and no node at a split's bucket precedes the split.
+        // Every position is written.
+        self.tree
+            .nodes
+            .resize(self.grown.len(), Node::Leaf { prediction: 0.0 });
+        for node in &self.grown {
+            let at = places[node.lo as usize];
+            places[node.lo as usize] += 1;
+            self.tree.nodes[at as usize] = if node.split == 0 {
+                Node::Leaf {
+                    prediction: node.value,
+                }
+            } else {
+                Node::Split {
+                    threshold: node.value,
+                    right: places[node.split as usize],
+                }
+            };
+        }
+    }
+}
 
-        // Every candidate's score first, in a loop without branches.
+impl Columns {
+    /// Computes the running sums of buckets `lo..hi` from bucket `lo`,
+    /// with the left child's error of a split after each bucket.
+    ///
+    /// Kept out of line: inlined into the level loop, the two divisions
+    /// of a step are not paired.
+    #[inline(never)]
+    fn scan(&mut self, lo: usize, hi: usize) {
+        let len = hi - lo;
+        let counts = &self.counts[lo..hi];
+        let sums = &self.sums[lo..hi];
+        let squares = &self.squares[lo..hi];
+        let run_counts = &mut self.run_counts[lo..hi];
+        let run_sums = &mut self.run_sums[lo..hi];
+        let run_squares = &mut self.run_squares[lo..hi];
+        let left_sse = &mut self.left_sse[lo..hi];
+        let (mut n, mut sum, mut sq) = (0.0, -0.0, -0.0);
+        // Two buckets a step: the sums run one after the other, and the
+        // two errors divide side by side.
+        let mut i = 0;
+        while i + 2 <= len {
+            let n0 = n + counts[i];
+            let s0 = sum + sums[i];
+            let q0 = sq + squares[i];
+            n = n0 + counts[i + 1];
+            sum = s0 + sums[i + 1];
+            sq = q0 + squares[i + 1];
+            let (ns, ss, qs) = ([n0, n], [s0, sum], [q0, sq]);
+            let mut errors = [0.0; 2];
+            for k in 0..2 {
+                errors[k] = qs[k] - ss[k] * ss[k] / ns[k];
+            }
+            run_counts[i..i + 2].copy_from_slice(&ns);
+            run_sums[i..i + 2].copy_from_slice(&ss);
+            run_squares[i..i + 2].copy_from_slice(&qs);
+            left_sse[i..i + 2].copy_from_slice(&errors);
+            i += 2;
+        }
+        if i < len {
+            n += counts[i];
+            sum += sums[i];
+            sq += squares[i];
+            run_counts[i] = n;
+            run_sums[i] = sum;
+            run_squares[i] = sq;
+            left_sse[i] = sq - sum * sum / n;
+        }
+    }
+
+    /// The bucket a split of node `lo..hi`, whose count and sums are
+    /// `n`, `sum` and `sq`, should start its right child at, minimizing
+    /// the children's summed squared error; 0 when no split separates
+    /// distinct feature values or no split improves on the parent.
+    fn best_split(&self, lo: usize, hi: usize, n: f64, sum: f64, sq: f64) -> usize {
+        let parent_sse = sq - sum * sum / n;
         // The left sums start at −0.0, which changes at most the sign of
         // a zero; the squares below remove it (DESIGN.md §4l).
-        self.sse.clear();
-        self.sse.extend(self.running[lo..hi - 1].iter().map(|left| {
-            let (right_sum, right_sq) = (sum - left.sum, sq - left.sq);
-            (left.sq - left.sum * left.sum / left.n as f64)
-                + (right_sq - right_sum * right_sum / (n - left.n) as f64)
-        }));
-        let mut best: Option<(usize, f64)> = None;
-        for (b, &sse) in (lo + 1..hi).zip(&self.sse) {
-            // A split between equal feature values is not realizable.
-            if self.values[b - 1] == self.values[b] {
-                continue;
-            }
-            if best.map_or(sse < parent_sse - 1e-15, |(_, b)| sse < b) {
-                best = Some((b, sse));
-            }
+        let mut best = parent_sse - 1e-15;
+        let mut at = 0;
+        for (b, ((((&left_n, &left_sum), &left_sq), &left_sse), values)) in (lo + 1..hi).zip(
+            self.run_counts[lo..hi - 1]
+                .iter()
+                .zip(&self.run_sums[lo..hi - 1])
+                .zip(&self.run_squares[lo..hi - 1])
+                .zip(&self.left_sse[lo..hi - 1])
+                .zip(self.values[lo..hi].windows(2)),
+        ) {
+            let (right_sum, right_sq) = (sum - left_sum, sq - left_sq);
+            let sse = left_sse + (right_sq - right_sum * right_sum / (n - left_n));
+            // A split between equal feature values is not realizable:
+            // NaN never wins.
+            let sse = if values[0] == values[1] {
+                f64::NAN
+            } else {
+                sse
+            };
+            let take = sse < best;
+            at = if take { b } else { at };
+            best = if take { sse } else { best };
         }
-        best.map(|(b, _)| b)
+        at
     }
 }
 
@@ -469,6 +653,22 @@ mod tests {
         for &x in &[0.5, 2.0, 5.0, 8.0] {
             assert!((tree.predict(x) - (-x).exp()).abs() < 0.05);
         }
+    }
+
+    #[test]
+    fn leaves_of_negative_zeros_predict_negative_zero() {
+        // Both children sit at the depth limit; their sums start at
+        // −0.0, as `Iterator::sum` starts, whether the leaf reads its
+        // parent's running sums (left) or scans its own buckets (right).
+        let cfg = TreeConfig {
+            max_depth: 1,
+            min_samples_split: 2,
+        };
+        let xs = [0.0, 1.0, 2.0, 3.0];
+        let left = RegressionTree::fit(&xs, &[-0.0, -0.0, 1.0, 2.0], cfg);
+        assert_eq!(left.predict(0.0).to_bits(), (-0.0f64).to_bits());
+        let right = RegressionTree::fit(&xs, &[1.0, 2.0, -0.0, -0.0], cfg);
+        assert_eq!(right.predict(3.0).to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]

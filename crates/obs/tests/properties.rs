@@ -1,48 +1,50 @@
 //! Property tests: `refine_tdm_groups` must preserve every grouping
-//! invariant `validate::check_tdm_groups` asserts, for arbitrary
-//! square-grid chips and workload activity profiles.
-//!
-//! Gated behind the `proptest-tests` feature because the vendored
-//! proptest is a resolution-only stub; run with a real proptest via
-//! `cargo test -p youtiao-obs --features proptest-tests`.
+//! invariant `validate::check_tdm_groups` asserts, for square-grid
+//! chips and workload activity profiles drawn from seeded ChaCha8
+//! streams, so every run checks the same cases and a failure names its
+//! case.
 
-use proptest::prelude::*;
-
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 use youtiao_chip::{topology, DistanceMatrix};
 use youtiao_core::tdm::{group_tdm_with_activity, ActivityProfile};
 use youtiao_core::{refine_tdm_groups, RefineConfig, TdmConfig};
 use youtiao_obs::validate::check_tdm_groups;
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+/// Seeded cases.
+const CASES: u64 = 48;
 
-    #[test]
-    fn refined_groups_keep_invariants(
-        rows in 2usize..6,
-        cols in 2usize..6,
-        budget in 0u32..4,
-        passes in 1usize..4,
-        masks in proptest::collection::vec(0u32..16, 0..128),
-    ) {
-        let chip = topology::square_grid(rows, cols);
+#[test]
+fn refined_groups_keep_invariants() {
+    for case in 0..CASES {
+        let mut rng = ChaCha8Rng::seed_from_u64(case);
+        let chip = topology::square_grid(rng.gen_range(2..6), rng.gen_range(2..6));
+        let budget = rng.gen_range(0..4);
+        let passes = rng.gen_range(1..4);
+        // Up to 128 activity masks over four windows; devices past the
+        // last mask stay idle.
+        let masks = rng.gen_range(0..128);
         let mut activity = ActivityProfile::new();
-        for (d, m) in chip.device_ids().zip(masks) {
-            activity.insert(d, m);
+        for d in chip.device_ids().take(masks) {
+            activity.insert(d, rng.gen_range(0..16));
         }
-        let config = TdmConfig { max_shared_slots: budget, ..Default::default() };
+        let config = TdmConfig {
+            max_shared_slots: budget,
+            ..Default::default()
+        };
         let xtalk = DistanceMatrix::zeros(chip.num_qubits());
         let devices: Vec<_> = chip.device_ids().collect();
         let groups = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
 
         // The initial grouping must already be sound...
         let before = check_tdm_groups(&chip, &groups, &config, &activity);
-        prop_assert!(before.is_clean(), "{}", before.render());
+        assert!(before.is_clean(), "case {case}: {}", before.render());
 
         // ...and refinement must not break anything while it optimizes.
         let refine = RefineConfig { passes };
         let (refined, _removed) =
             refine_tdm_groups(&chip, &xtalk, &activity, &config, groups, &refine);
         let after = check_tdm_groups(&chip, &refined, &config, &activity);
-        prop_assert!(after.is_clean(), "{}", after.render());
+        assert!(after.is_clean(), "case {case}: {}", after.render());
     }
 }

@@ -668,14 +668,15 @@ for bin in fig12 fig13 fig14 fig15 table1 table2 motivation ablation; do
 done
 echo "  experiment outputs OK: byte-identical to results/"
 
-echo "==> crosstalk fit: within tolerance of the oracle fit, release-only chips included; property suite"
+echo "==> crosstalk fit: within tolerance of the oracle fit, recorded bits pinned, release-only chips included; property suite"
 cargo test -q --release --offline -p youtiao-noise -- --include-ignored
 
 echo "==> planner core: every test, release-only chips included (pair kernels, naive differentials, memo, properties)"
 cargo test -q --release --offline -p youtiao-core -- --include-ignored
 
-echo "==> sweep, bench, repair and cost crates: cargo test -p youtiao-xplore -p youtiao-bench -p youtiao-repair -p youtiao-cost"
-cargo test -q --release --offline -p youtiao-xplore -p youtiao-bench -p youtiao-repair -p youtiao-cost
+echo "==> sweep, bench, repair, cost, route and obs crates: cargo test -p youtiao-xplore -p youtiao-bench -p youtiao-repair -p youtiao-cost -p youtiao-route -p youtiao-obs"
+cargo test -q --release --offline -p youtiao-xplore -p youtiao-bench -p youtiao-repair -p youtiao-cost \
+  -p youtiao-route -p youtiao-obs
 
 echo "==> keystream: the four-block ChaCha8 refill word for word against the scalar blocks"
 cargo test -q --release --offline -p rand_chacha
