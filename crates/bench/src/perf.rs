@@ -2,25 +2,23 @@
 //!
 //! Times the planner's hot loops — kernels build, TDM grouping (also
 //! at θ = 8 with 1:8 DEMUXes, where walks choose most members) and
-//! refinement, frequency allocation on both bands, kernelized vs the
-//! retained naive references — plus the full context-backed plan (its
-//! chain memo emptied before each timed plan, so every chain runs) and
-//! a plan whose chains all hit the memo, across square-grid chip sizes
-//! and any extra [`Layout`]s (rotated surface codes, heavy-hex
-//! patches), and summarizes each stage as median / p10 / p90 over
-//! repeated iterations. The result serializes
+//! refinement, frequency allocation on both bands — plus the full
+//! context-backed plan (its chain memo emptied before each timed plan,
+//! so every chain runs) and a plan whose chains all hit the memo,
+//! across square-grid chip sizes and any extra [`Layout`]s (rotated
+//! surface codes, heavy-hex patches), and summarizes each stage as
+//! median / p10 / p90 over repeated iterations. The result serializes
 //! to `BENCH_plan.json` so the repo carries a perf trajectory: every
 //! PR can re-run the harness and compare against the committed
 //! baseline.
 //!
-//! The harness doubles as a coarse differential check: for every size
-//! it asserts the kernelized grouping/refinement/allocation output
-//! equals the naive reference before trusting the timings, that the
-//! parallel partitioned plan is byte-identical to its serial twin, and
-//! that a warmed-up plan loop performs zero fresh scratch allocations.
-//! At 12×12 it asserts the ≥5× freq/readout speedup floor, and at
-//! 16×16 (with ≥8 plan threads on a host that has the cores) the ≥3×
-//! parallel-planning floor.
+//! For every size the harness also asserts that the parallel
+//! partitioned plan is byte-identical to its serial twin and that a
+//! warmed-up plan loop performs zero fresh scratch allocations; at
+//! 16×16 (with ≥8 plan threads on a host that has the cores) it
+//! asserts the ≥3× parallel-planning floor. The kernelized passes'
+//! differentials against the naive passes are `youtiao-core`'s own
+//! tests.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -30,13 +28,10 @@ use serde::Serialize;
 use youtiao_chip::distance::equivalent_matrix;
 use youtiao_chip::surface::SurfaceCode;
 use youtiao_chip::{topology, Chip, DeviceId, QubitId};
-use youtiao_core::freq::naive::allocate_frequencies_naive;
 use youtiao_core::kernels::PairKernels;
 use youtiao_core::plan::crosstalk_matrix;
-use youtiao_core::refine::naive::refine_tdm_groups_naive;
 use youtiao_core::refine::{refine_tdm_groups_kernels, RefineConfig};
 use youtiao_core::scratch;
-use youtiao_core::tdm::naive::group_tdm_with_activity_naive;
 use youtiao_core::tdm::{brickwork_activity, group_tdm_kernels, TdmConfig};
 use youtiao_core::{
     allocate_frequencies_kernels, group_fdm, FdmLine, FreqKernels, PartitionConfig, PlanContext,
@@ -52,15 +47,13 @@ use youtiao_core::{
 /// rows (`plan_partitioned_serial`, `plan_partitioned_parallel`), the
 /// per-size `threads` / `speedup_parallel` fields, the scratch-arena
 /// reuse probes (`scratch_fresh`, `scratch_reused`), and a 24×24 grid
-/// in the default size list.
-pub const SCHEMA: &str = "youtiao-bench-plan/v3";
+/// in the default size list. v4 drops the naive reference rows
+/// (`grouping_naive`, `refine_naive`, `freq_alloc_naive`,
+/// `readout_naive`), the `speedup_*` ratios against them and the hook's
+/// `plan.total`, which repeated `plan_total`.
+pub const SCHEMA: &str = "youtiao-bench-plan/v4";
 
-/// Minimum acceptable naive/kernelized median ratio for frequency
-/// allocation (both bands) at 12×12 — asserted whenever a `grid:12`
-/// layout is benchmarked.
-pub const FREQ_SPEEDUP_FLOOR: f64 = 5.0;
-
-/// Minimum acceptable serial/parallel `plan.total` median ratio for the
+/// Minimum acceptable serial/parallel median ratio for the
 /// partitioned plan at 16×16 — asserted whenever a `grid:16` layout is
 /// benchmarked with ≥8 plan threads *and* the host actually has that
 /// many cores (a 1-core container can execute the parallel levers but
@@ -215,13 +208,11 @@ pub struct SizeReport {
     /// Timed iterations behind each stat.
     pub iterations: usize,
     /// Per-stage order statistics, keyed by stage name
-    /// (`kernels_build`, `grouping_kernels`, `grouping_naive`,
-    /// `grouping_deep` (θ = 8 with 1:8 DEMUXes),
-    /// `refine_kernels`, `refine_naive`, `freq_kernels_build`,
-    /// `freq_alloc_kernels`, `freq_alloc_naive`, `readout_kernels`,
-    /// `readout_naive`, `plan_total`, the planner's hook sub-stages
-    /// prefixed `plan.`, and `plan_memo_hit`, a plan whose chains all
-    /// come from the context's chain memo).
+    /// (`kernels_build`, `grouping_kernels`, `grouping_deep` (θ = 8
+    /// with 1:8 DEMUXes), `refine_kernels`, `freq_kernels_build`,
+    /// `freq_alloc_kernels`, `readout_kernels`, `plan_total`, the
+    /// planner's hook sub-stages prefixed `plan.`, and `plan_memo_hit`,
+    /// a plan whose chains all come from the context's chain memo).
     pub stages: BTreeMap<String, StageStats>,
     /// `PairKernels` builds observed while the timed plans ran; must be
     /// 0 — every plan reuses the shared context's kernels.
@@ -245,19 +236,6 @@ pub struct SizeReport {
     /// (≥ [`PARALLEL_SPEEDUP_FLOOR`] at 16×16 when the host has the
     /// cores; ≈1.0 on a 1-core host).
     pub speedup_parallel: f64,
-    /// Naive / kernelized median ratio for TDM grouping.
-    pub speedup_grouping: f64,
-    /// Naive / kernelized median ratio for refinement.
-    pub speedup_refine: f64,
-    /// Naive / kernelized median ratio for grouping + refinement
-    /// combined (a PR 4 acceptance metric).
-    pub speedup_grouping_refine: f64,
-    /// Naive / kernelized median ratio for qubit-band frequency
-    /// allocation (≥ [`FREQ_SPEEDUP_FLOOR`] at 12×12).
-    pub speedup_freq: f64,
-    /// Naive / kernelized median ratio for readout-band frequency
-    /// allocation (≥ [`FREQ_SPEEDUP_FLOOR`] at 12×12).
-    pub speedup_readout: f64,
 }
 
 /// The full harness report (`BENCH_plan.json`).
@@ -285,32 +263,19 @@ impl PerfReport {
             self.iterations, self.contexts_built, self.kernels_built
         ));
         s.push_str(&format!(
-            "{:<8} {:>8} {:>12} {:>12} {:>9} {:>11} {:>11} {:>9} {:>9} {:>9} {:>9}\n",
-            "chip",
-            "devices",
-            "group-k µs",
-            "refine-k µs",
-            "speedup",
-            "freq-k µs",
-            "freq-n µs",
-            "spd-f",
-            "spd-ro",
-            "plan µs",
-            "spd-par"
+            "{:<8} {:>8} {:>10} {:>10} {:>10} {:>10} {:>10} {:>9}\n",
+            "chip", "devices", "group µs", "refine µs", "freq µs", "ro µs", "plan µs", "spd-par"
         ));
         for size in &self.sizes {
             let med = |k: &str| size.stages.get(k).map_or(f64::NAN, |s| s.median_us);
             s.push_str(&format!(
-                "{:<8} {:>8} {:>12.1} {:>12.1} {:>8.2}x {:>11.1} {:>11.1} {:>8.2}x {:>8.2}x {:>9.1} {:>8.2}x\n",
+                "{:<8} {:>8} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>8.2}x\n",
                 size.label,
                 size.devices,
                 med("grouping_kernels"),
                 med("refine_kernels"),
-                size.speedup_grouping_refine,
                 med("freq_alloc_kernels"),
-                med("freq_alloc_naive"),
-                size.speedup_freq,
-                size.speedup_readout,
+                med("readout_kernels"),
                 med("plan_total"),
                 size.speedup_parallel,
             ));
@@ -353,12 +318,9 @@ fn timed_each<T>(
 /// # Panics
 ///
 /// Panics if `config.sizes` and `config.layouts` are both empty,
-/// `config.iterations` is 0, the kernelized grouping/refinement/
-/// frequency-allocation output diverges from the naive reference
-/// (which would make the timings meaningless), a parallel partitioned
-/// plan differs from its serial twin, a context-backed plan allocates
-/// a fresh scratch buffer after warmup, a `grid:12` layout misses the
-/// [`FREQ_SPEEDUP_FLOOR`], or a `grid:16` layout misses the
+/// `config.iterations` is 0, a parallel partitioned plan differs from
+/// its serial twin, a context-backed plan allocates a fresh scratch
+/// buffer after warmup, or a `grid:16` layout misses the
 /// [`PARALLEL_SPEEDUP_FLOOR`] on a host with the cores for it.
 pub fn run(config: &PerfConfig) -> PerfReport {
     let _probes = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
@@ -393,44 +355,28 @@ pub fn run(config: &PerfConfig) -> PerfReport {
             group_tdm_kernels(&kernels, &xtalk, &tdm, &devices, &activity)
         });
         stages.insert("grouping_kernels".to_string(), stats);
-        let (stats, naive_groups) = timed(iters, || {
-            group_tdm_with_activity_naive(&chip, &xtalk, &tdm, &devices, &activity)
-        });
-        stages.insert("grouping_naive".to_string(), stats);
-        assert_eq!(groups, naive_groups, "{label}: grouping diverged");
 
         // The deep level: at θ = 8 every device of a square grid sits
         // below the threshold, on 1:8 DEMUXes, where walks over sorted
-        // crosstalk rows choose most members. Checked once against the
-        // naive pass, outside the timed loop.
+        // crosstalk rows choose most members.
         let deep = TdmConfig {
             theta: 8.0,
             max_shared_slots: 1,
             allow_one_to_eight: true,
         };
-        let (stats, deep_groups) = timed(iters, || {
+        let (stats, _) = timed(iters, || {
             group_tdm_kernels(&kernels, &xtalk, &deep, &devices, &activity)
         });
         stages.insert("grouping_deep".to_string(), stats);
-        assert_eq!(
-            deep_groups,
-            group_tdm_with_activity_naive(&chip, &xtalk, &deep, &devices, &activity),
-            "{label}: deep grouping diverged"
-        );
 
-        let (stats, refined) = timed(iters, || {
+        let (stats, _) = timed(iters, || {
             refine_tdm_groups_kernels(&kernels, &xtalk, &activity, &tdm, groups.clone(), &refine)
         });
         stages.insert("refine_kernels".to_string(), stats);
-        let (stats, naive_refined) = timed(iters, || {
-            refine_tdm_groups_naive(&chip, &xtalk, &activity, &tdm, groups.clone(), &refine)
-        });
-        stages.insert("refine_naive".to_string(), stats);
-        assert_eq!(refined, naive_refined, "{label}: refinement diverged");
 
-        // Frequency allocation, kernelized vs naive, on the same lines
-        // and bands the planner allocates: FDM lines in the qubit band,
-        // capacity-chunked feedlines in the readout band.
+        // Frequency allocation on the same lines and bands the planner
+        // allocates: FDM lines in the qubit band, capacity-chunked
+        // feedlines in the readout band.
         let plan_defaults = PlannerConfig::default();
         let fdm_lines = group_fdm(&chip, &eq, plan_defaults.fdm_capacity);
         let qubits: Vec<QubitId> = chip.qubit_ids().collect();
@@ -442,7 +388,7 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         let (stats, freq_kernels) = timed(iters, || FreqKernels::build(&xtalk));
         stages.insert("freq_kernels_build".to_string(), stats);
 
-        let (stats, freq_fast) = timed(iters, || {
+        let (stats, _) = timed(iters, || {
             allocate_frequencies_kernels(
                 &chip,
                 &fdm_lines,
@@ -454,17 +400,8 @@ pub fn run(config: &PerfConfig) -> PerfReport {
             .expect("benchmark freq alloc must succeed")
         });
         stages.insert("freq_alloc_kernels".to_string(), stats);
-        let (stats, freq_slow) = timed(iters, || {
-            allocate_frequencies_naive(&chip, &fdm_lines, &xtalk, &plan_defaults.freq)
-                .expect("benchmark freq alloc must succeed")
-        });
-        stages.insert("freq_alloc_naive".to_string(), stats);
-        assert_eq!(
-            freq_fast, freq_slow,
-            "{label}: frequency allocation diverged"
-        );
 
-        let (stats, ro_fast) = timed(iters, || {
+        let (stats, _) = timed(iters, || {
             allocate_frequencies_kernels(
                 &chip,
                 &ro_lines,
@@ -476,15 +413,10 @@ pub fn run(config: &PerfConfig) -> PerfReport {
             .expect("benchmark readout alloc must succeed")
         });
         stages.insert("readout_kernels".to_string(), stats);
-        let (stats, ro_slow) = timed(iters, || {
-            allocate_frequencies_naive(&chip, &ro_lines, &xtalk, &plan_defaults.readout_freq)
-                .expect("benchmark readout alloc must succeed")
-        });
-        stages.insert("readout_naive".to_string(), stats);
-        assert_eq!(ro_fast, ro_slow, "{label}: readout allocation diverged");
 
         // Full plan against a shared context, collecting the planner's
-        // own sub-stage timings. The kernels probe must not move: every
+        // own sub-stage timings (all but its `total`, which `plan_total`
+        // times from outside). The kernels probe must not move: every
         // plan reuses the context's tables.
         let ctx = PlanContext::build(&chip, None, weights);
         let plan_cfg = PlannerConfig {
@@ -515,9 +447,11 @@ pub fn run(config: &PerfConfig) -> PerfReport {
                     .with_config(plan_cfg.clone())
                     .with_context(&ctx)
                     .plan_with_hook(&mut |name, elapsed| {
-                        sub.entry(name)
-                            .or_default()
-                            .push(elapsed.as_secs_f64() * 1e6);
+                        if name != "total" {
+                            sub.entry(name)
+                                .or_default()
+                                .push(elapsed.as_secs_f64() * 1e6);
+                        }
                     })
                     .expect("benchmark plan must succeed")
             },
@@ -599,22 +533,7 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         );
 
         let med = |k: &str| stages.get(k).map_or(f64::NAN, |s| s.median_us);
-        let speedup = |naive: &str, fast: &str| med(naive) / med(fast);
-        let speedup_freq = speedup("freq_alloc_naive", "freq_alloc_kernels");
-        let speedup_readout = speedup("readout_naive", "readout_kernels");
-        let speedup_parallel = speedup("plan_partitioned_serial", "plan_partitioned_parallel");
-        // The roadmap's acceptance floor: at 12×12 the kernelized
-        // allocator must hold a ≥5× median speedup on both bands.
-        if *layout == Layout::Grid(12) {
-            assert!(
-                speedup_freq >= FREQ_SPEEDUP_FLOOR,
-                "{label}: freq_alloc speedup {speedup_freq:.2}x below the {FREQ_SPEEDUP_FLOOR}x floor"
-            );
-            assert!(
-                speedup_readout >= FREQ_SPEEDUP_FLOOR,
-                "{label}: readout speedup {speedup_readout:.2}x below the {FREQ_SPEEDUP_FLOOR}x floor"
-            );
-        }
+        let speedup_parallel = med("plan_partitioned_serial") / med("plan_partitioned_parallel");
         // The parallel-planning floor: at 16×16 with ≥8 plan threads,
         // the partitioned plan must hold a ≥3× median speedup — but
         // only on a host that can actually run those threads at once.
@@ -639,12 +558,6 @@ pub fn run(config: &PerfConfig) -> PerfReport {
             scratch_reused,
             threads,
             speedup_parallel,
-            speedup_grouping: speedup("grouping_naive", "grouping_kernels"),
-            speedup_refine: speedup("refine_naive", "refine_kernels"),
-            speedup_grouping_refine: (med("grouping_naive") + med("refine_naive"))
-                / (med("grouping_kernels") + med("refine_kernels")),
-            speedup_freq,
-            speedup_readout,
             stages,
         });
     }

@@ -27,19 +27,14 @@ fn tiny_run_produces_complete_report() {
         for stage in [
             "kernels_build",
             "grouping_kernels",
-            "grouping_naive",
             "grouping_deep",
             "refine_kernels",
-            "refine_naive",
             "freq_kernels_build",
             "freq_alloc_kernels",
-            "freq_alloc_naive",
             "readout_kernels",
-            "readout_naive",
             "plan_total",
             "plan_partitioned_serial",
             "plan_partitioned_parallel",
-            "plan.total",
             "plan.tdm_grouping",
             "plan.refine",
             "plan.freq.place",
@@ -60,11 +55,11 @@ fn tiny_run_produces_complete_report() {
         assert!(size.scratch_reused > 0);
         assert_eq!(size.threads, 2);
         assert!(size.speedup_parallel.is_finite());
-        assert!(size.speedup_grouping.is_finite());
-        assert!(size.speedup_freq.is_finite());
-        assert!(size.speedup_readout.is_finite());
-        // Context-backed plans reuse the context's freq kernels.
-        assert!(!size.stages.contains_key("plan.freq.kernels"));
+        // Context-backed plans reuse the context's freq kernels, and
+        // `plan_total` is the one timing of the whole plan.
+        for gone in ["plan.freq.kernels", "plan.total"] {
+            assert!(!size.stages.contains_key(gone), "{gone}");
+        }
     }
     // One context per size; no kernels built inside the plan loops
     // (the probe deltas include the timed standalone builds).

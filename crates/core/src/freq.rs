@@ -14,9 +14,9 @@
 //! being placed, spectral-proximity factors come from the lazily-filled
 //! [`ScalingTable`] over the cell lattice, and each candidate swap is
 //! judged by an exact O(deg(a)+deg(b)) objective delta instead of two
-//! full O(n²) [`FrequencyPlan::objective`] sweeps. The [`naive`] module
-//! retains the direct implementation (same semantics, no tables) and
-//! the differential suite below pins the two byte-identical across
+//! full O(n²) [`FrequencyPlan::objective`] sweeps. The test-only `naive`
+//! module retains the direct implementation (same semantics, no tables)
+//! and the differential suite below pins the two byte-identical across
 //! layouts, configs, and bands.
 
 use std::time::Instant;
@@ -193,8 +193,8 @@ fn zone_for(config: &FreqConfig, lattice: &BandLattice, base: f64, k: usize) -> 
 /// The allocator's cell-selection policy: prefer empty cells over
 /// reuse, letting a reused cell win only when it is *strictly cheaper*
 /// than the best empty cell. Shared by the kernelized allocator, the
-/// [`naive`] reference, and `repair::patch_frequencies` so the three
-/// cannot drift.
+/// test-only `naive` reference, and `repair::patch_frequencies` so the
+/// three cannot drift.
 #[inline]
 pub fn cell_better(best: &Option<(usize, f64, bool)>, cost: f64, reuse: bool) -> bool {
     match *best {
@@ -523,9 +523,8 @@ pub fn allocate_in_line_only(chip: &Chip, lines: &[FdmLine], config: &FreqConfig
 /// Semantically identical to [`allocate_frequencies_kernels`] — same
 /// lattice, same cell-selection policy, same exact swap criterion — but
 /// every crosstalk and `frequency_scaling` term is computed on the
-/// spot. The differential suite pins the two byte-identical; the bench
-/// harness times the gap.
-#[cfg(any(test, feature = "naive"))]
+/// spot. The differential suite pins the two byte-identical.
+#[cfg(test)]
 pub mod naive {
     use super::*;
 
@@ -999,14 +998,15 @@ mod tests {
             let kernels = FreqKernels::build(x);
             let fast = allocate_frequencies_kernels(chip, lines, &kernels, x, cfg, &mut |_, _| {});
             let slow = naive::allocate_frequencies_naive(chip, lines, x, cfg);
+            let case = format!("{} {cfg:?}", chip.name());
             match (&fast, &slow) {
                 (Ok(f), Ok(s)) => {
-                    assert_eq!(f, s, "plans diverged");
+                    assert_eq!(f, s, "{case}: plans diverged");
                     for (a, b) in f.frequencies().iter().zip(s.frequencies()) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "frequency bits diverged");
+                        assert_eq!(a.to_bits(), b.to_bits(), "{case}: frequency bits diverged");
                     }
                 }
-                _ => assert_eq!(fast, slow, "error outcomes diverged"),
+                _ => assert_eq!(fast, slow, "{case}: error outcomes diverged"),
             }
         }
 
@@ -1043,6 +1043,31 @@ mod tests {
         fn heavy_hex_matches() {
             suite(topology::heavy_hexagon(2, 2), 5);
             suite(topology::heavy_hexagon(3, 2), 4);
+        }
+
+        /// Both bands as the planner allocates them on the square grids
+        /// `youtiao bench-plan` times by default: FDM lines in the
+        /// qubit band and capacity-chunked feedlines in the readout
+        /// band, under the default configs and scored with a context's
+        /// XY matrix.
+        #[test]
+        #[ignore = "naive allocation at 24x24 takes seconds; run with --release"]
+        fn planner_bands_match_on_bench_grids() {
+            use crate::plan::{PlannerConfig, DEFAULT_FDM_CAPACITY, DEFAULT_READOUT_CAPACITY};
+            use crate::PlanContext;
+            let defaults = PlannerConfig::default();
+            for n in [6, 8, 10, 12, 16, 24] {
+                let chip = topology::square_grid(n, n);
+                let ctx = PlanContext::build(&chip, None, defaults.weights);
+                let lines = group_fdm(&chip, ctx.equivalent(), DEFAULT_FDM_CAPACITY);
+                check(&chip, &lines, ctx.crosstalk(), &defaults.freq);
+                let qubits: Vec<QubitId> = chip.qubit_ids().collect();
+                let feedlines: Vec<FdmLine> = qubits
+                    .chunks(DEFAULT_READOUT_CAPACITY)
+                    .map(|c| FdmLine::new(c.to_vec()))
+                    .collect();
+                check(&chip, &feedlines, ctx.crosstalk(), &defaults.readout_freq);
+            }
         }
 
         #[test]

@@ -14,7 +14,7 @@
 //! * [`BandLattice`] — the zone/cell grid of a band: every candidate
 //!   frequency is `cell_freq(zone, cell)`, so the lattice is the single
 //!   source of truth for the cell geometry shared by the allocator, the
-//!   `freq::naive` reference, and `repair::patch_frequencies`.
+//!   test-only `freq::naive` reference, and `repair::patch_frequencies`.
 //! * [`ScalingTable`] — `frequency_scaling` evaluated between lattice
 //!   slots, filled lazily one row per *occupied* slot (at most
 //!   `min(n, slots)` rows) so small problems never pay for the full
@@ -30,8 +30,9 @@
 //! function whose IEEE evaluation is sign-symmetric
 //! (`frequency_scaling(-d)` is bit-equal to `frequency_scaling(d)`:
 //! the quotient `d / γ` only flips sign and `x * x` discards it). The
-//! `scaling_table_matches_frequency_scaling` test and the gated
-//! proptests in `tests/properties.rs` pin both facts.
+//! `scaling_table_matches_frequency_scaling` test and the
+//! `scaling_table_matches_model_at_every_offset` property in
+//! `tests/properties.rs` pin both facts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -23,10 +23,10 @@
 //! every lookup returns the naive path's per-pair value bit for bit
 //! (unit tests compare every pair with [`crate::tdm::legal_pair`] and
 //! the topo-fraction and noisy-score helpers), so a kernelized pass is
-//! **byte-identical** to the retained naive implementations (`naive`
-//! feature / test builds). Differential tests in `crate::tdm` and
-//! `crate::refine` enforce this across random chips, θ values, activity
-//! profiles and budgets.
+//! **byte-identical** to the retained naive implementations, which
+//! only the crate's own tests compile. Differential tests in
+//! `crate::tdm` and `crate::refine` enforce this across random chips, θ
+//! values, activity profiles and budgets.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;

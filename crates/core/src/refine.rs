@@ -19,8 +19,8 @@
 //! crosstalk matrix, and per-group slot-count states turn the
 //! extra-windows evaluation of a candidate swap into an O(affected
 //! slots) delta instead of two full recounts. The original
-//! implementation is retained in [`naive`] for differential testing;
-//! both paths produce byte-identical refinements.
+//! implementation is retained in the test-only `naive` module for
+//! differential testing; both paths produce byte-identical refinements.
 
 use youtiao_chip::distance::DistanceMatrix;
 use youtiao_chip::{Chip, DeviceId};
@@ -350,11 +350,10 @@ fn best_swap_kernels<F: Fn(DeviceId) -> u32>(
 }
 
 /// The original per-candidate refinement implementation, retained as the
-/// differential-testing reference and the bench harness's "before"
-/// measurement. Semantically identical to
+/// differential-testing reference. Semantically identical to
 /// [`refine_tdm_groups_kernels`]; the kernelized path must produce
 /// byte-identical output.
-#[cfg(any(test, feature = "naive"))]
+#[cfg(test)]
 pub mod naive {
     use super::*;
     use crate::tdm::legal_pair;

@@ -23,9 +23,9 @@
 //! candidate instead of re-deriving every pairwise term — and, where
 //! those cannot decide, walks the matrix's rows in descending order
 //! instead of scoring the whole pool. The original
-//! per-candidate implementation is retained in [`naive`] (test builds
-//! and the `naive` feature) as the differential-testing reference; both
-//! paths produce byte-identical groupings.
+//! per-candidate implementation is retained in the test-only `naive`
+//! module as the differential-testing reference; both paths produce
+//! byte-identical groupings.
 
 use youtiao_chip::distance::DistanceMatrix;
 use youtiao_chip::{Chip, CouplerId, DeviceId, QubitId};
@@ -378,7 +378,7 @@ pub(crate) fn topo_nonparallel_fraction(chip: &Chip, a: DeviceId, b: DeviceId) -
 
 /// Representative qubits of a device (itself, or a coupler's
 /// endpoints), inline — returns the qubit array and its filled length.
-#[cfg(any(test, feature = "naive"))]
+#[cfg(test)]
 fn device_qubits(chip: &Chip, d: DeviceId) -> ([youtiao_chip::QubitId; 2], usize) {
     match d {
         DeviceId::Qubit(q) => ([q, q], 1),
@@ -391,7 +391,7 @@ fn device_qubits(chip: &Chip, d: DeviceId) -> ([youtiao_chip::QubitId; 2], usize
 
 /// Worst-case crosstalk between the qubits of two devices: the naive
 /// form of [`PairKernels::noise`].
-#[cfg(any(test, feature = "naive"))]
+#[cfg(test)]
 pub(crate) fn noisy_score(chip: &Chip, xtalk: &DistanceMatrix, a: DeviceId, b: DeviceId) -> f64 {
     let (qa, na) = device_qubits(chip, a);
     let (qb, nb) = device_qubits(chip, b);
@@ -959,10 +959,10 @@ fn group_level_kernels(
 }
 
 /// The original per-candidate grouping implementation, retained as the
-/// differential-testing reference and the bench harness's "before"
-/// measurement. Semantically identical to [`group_tdm_kernels`]; the
-/// kernelized path must produce byte-identical output.
-#[cfg(any(test, feature = "naive"))]
+/// differential-testing reference. Semantically identical to
+/// [`group_tdm_kernels`]; the kernelized path must produce
+/// byte-identical output.
+#[cfg(test)]
 pub mod naive {
     use super::*;
 
@@ -1412,10 +1412,12 @@ mod tests {
         }
 
         /// The kernelized grouping and refinement equal the naive
-        /// passes on the large chips: plan-sweep's twelve TDM
-        /// configurations with brickwork activity, scoring the XY
-        /// matrix of each chip and the ZZ matrix of one ZZ-backed
-        /// context.
+        /// passes on the large chips (surface d9 and the square grids
+        /// `youtiao bench-plan` times by default): plan-sweep's twelve
+        /// TDM configurations and the same six at budget 0, the
+        /// planner default's among them, with brickwork activity,
+        /// scoring the XY matrix of each chip and the ZZ matrix of one
+        /// ZZ-backed context.
         #[test]
         #[ignore = "naive passes over thousands of devices; run with --release"]
         fn kernelized_passes_match_naive_on_large_chips() {
@@ -1437,17 +1439,15 @@ mod tests {
             )
             .expect("4x4 fits");
             let weights = EquivalentWeights::balanced();
-            let mut contexts: Vec<(Chip, PlanContext)> = [
-                SurfaceCode::rotated(9).into_chip(),
-                topology::square_grid(16, 16),
-                topology::square_grid(24, 24),
-            ]
-            .into_iter()
-            .map(|chip| {
-                let ctx = PlanContext::build(&chip, None, weights);
-                (chip, ctx)
-            })
-            .collect();
+            let mut contexts: Vec<(Chip, PlanContext)> = [6, 8, 10, 12, 16, 24]
+                .map(|n| topology::square_grid(n, n))
+                .into_iter()
+                .chain([SurfaceCode::rotated(9).into_chip()])
+                .map(|chip| {
+                    let ctx = PlanContext::build(&chip, None, weights);
+                    (chip, ctx)
+                })
+                .collect();
             let chip = topology::square_grid(16, 16);
             let ctx = PlanContext::build(&chip, None, weights).with_zz_model(&chip, &zz);
             contexts.push((chip, ctx));
@@ -1458,7 +1458,7 @@ mod tests {
                 let devices: Vec<DeviceId> = chip.device_ids().collect();
                 for theta in [2.0, 4.0, 8.0] {
                     for allow_one_to_eight in [false, true] {
-                        for max_shared_slots in [1, 2] {
+                        for max_shared_slots in [0, 1, 2] {
                             let config = TdmConfig {
                                 theta,
                                 max_shared_slots,

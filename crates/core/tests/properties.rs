@@ -2,7 +2,7 @@
 //! of the YOUTIAO core, each checked over seeded ChaCha8 cases. The
 //! kernelized passes' differentials against the naive passes, which
 //! only the crate's own tests compile, sit beside those passes in
-//! `tdm.rs` and `refine.rs`.
+//! `tdm.rs`, `refine.rs` and `freq.rs`.
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -17,12 +17,12 @@
 # results/ files, the crosstalk fit's differential and property suites,
 # the planner core's whole suite with its release-only tests (the pair
 # kernels against the per-pair functions and their build's heap, the
-# kernelized grouping and refinement against the naive passes on large
-# chips, the chain memo, the property suite), the sweep, bench, repair
-# and cost crates' own tests (cost's property suite included), the
-# ChaCha8 keystream against its scalar blocks and style gates. The
-# batch determinism smoke and the cold-class pins run again pinned to
-# one core, where plans and dies run serially.
+# kernelized grouping, refinement and frequency allocation against the
+# naive passes on large chips, the chain memo, the property suite),
+# every other workspace crate's own tests (each crate's property suite
+# and the ChaCha8 keystream against its scalar blocks included) and
+# style gates. The batch determinism smoke and the cold-class pins run
+# again pinned to one core, where plans and dies run serially.
 #
 # Usage: scripts/verify.sh [--tier1-only|--smoke-only]
 #
@@ -377,22 +377,20 @@ print("  chiplet sweep OK: 4 points, multi-die totals scale the monolithic plan,
       "deterministic across threads")
 PY
 
-echo "==> smoke: youtiao bench-plan (v3 schema, kernels-built-once, freq speedup floor)"
+echo "==> smoke: youtiao bench-plan (v4 schema, kernels-built-once, scratch reuse)"
 cargo run -q --release --offline --bin youtiao -- bench-plan \
   --sizes 4,12 --iters 2 --plan-threads 2 --out "$smoke_dir/bench.json" 2> /dev/null
 python3 - "$smoke_dir/bench.json" <<'PY'
 import json, sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
-assert report["schema"] == "youtiao-bench-plan/v3", report["schema"]
+assert report["schema"] == "youtiao-bench-plan/v4", report["schema"]
 assert report["sizes"], "bench report has no sizes"
 assert report["kernels_built"] > 0
 for size in report["sizes"]:
     for key in ("label", "qubits", "devices", "iterations", "stages",
                 "kernel_builds_during_plans", "freq_kernel_builds_during_plans",
-                "scratch_fresh", "scratch_reused", "threads", "speedup_parallel",
-                "speedup_grouping", "speedup_refine", "speedup_grouping_refine",
-                "speedup_freq", "speedup_readout"):
+                "scratch_fresh", "scratch_reused", "threads", "speedup_parallel"):
         assert key in size, f"{size.get('label')}: missing `{key}`"
     # Context-backed plans must hit the prebuilt kernels, not rebuild.
     assert size["kernel_builds_during_plans"] == 0, size["label"]
@@ -403,21 +401,15 @@ for size in report["sizes"]:
     assert size["scratch_fresh"] == 0, (size["label"], size["scratch_fresh"])
     assert size["scratch_reused"] > 0, size["label"]
     assert size["threads"] == 2, size["threads"]
-    for stage in ("plan_total", "plan.total",
-                  "plan_partitioned_serial", "plan_partitioned_parallel"):
+    for stage in ("plan_total", "plan_partitioned_serial", "plan_partitioned_parallel"):
         assert stage in size["stages"], f"{size['label']}: missing `{stage}`"
     for stage, stats in size["stages"].items():
         for q in ("median_us", "p10_us", "p90_us"):
             assert stats[q] >= 0, f"{size['label']}/{stage}: bad {q}"
         assert stats["p10_us"] <= stats["p90_us"], f"{size['label']}/{stage}"
-# The kernelized freq_alloc + readout must clear the acceptance floor
-# at 12x12 (the harness also asserts this internally).
-at12 = next(s for s in report["sizes"] if s["label"] == "12x12")
-assert at12["speedup_freq"] >= 5.0, at12["speedup_freq"]
-assert at12["speedup_readout"] >= 5.0, at12["speedup_readout"]
 labels = [s["label"] for s in report["sizes"]]
 print(f"  bench smoke OK: {labels}, kernels built once per context, "
-      f"freq {at12['speedup_freq']:.1f}x / readout {at12['speedup_readout']:.1f}x at 12x12")
+      "warmed plan loops allocation-free")
 PY
 
 # The ≥3x parallel-planning floor needs 8 real cores to be measurable;
@@ -674,12 +666,11 @@ cargo test -q --release --offline -p youtiao-noise -- --include-ignored
 echo "==> planner core: every test, release-only chips included (pair kernels, naive differentials, memo, properties)"
 cargo test -q --release --offline -p youtiao-core -- --include-ignored
 
-echo "==> sweep, bench, repair, cost, route and obs crates: cargo test -p youtiao-xplore -p youtiao-bench -p youtiao-repair -p youtiao-cost -p youtiao-route -p youtiao-obs"
-cargo test -q --release --offline -p youtiao-xplore -p youtiao-bench -p youtiao-repair -p youtiao-cost \
-  -p youtiao-route -p youtiao-obs
-
-echo "==> keystream: the four-block ChaCha8 refill word for word against the scalar blocks"
-cargo test -q --release --offline -p rand_chacha
+# Cargo names each test binary as it runs it; the tests print one dot
+# each. The vendored rand_chacha's tests check the four-block ChaCha8
+# refill word for word against the scalar blocks.
+echo "==> every other crate: cargo test --workspace --exclude youtiao-core --exclude youtiao-noise"
+cargo test --release --offline --workspace --exclude youtiao-core --exclude youtiao-noise -- --quiet
 
 echo "==> style: cargo fmt --check"
 if cargo fmt --version >/dev/null 2>&1; then

@@ -137,8 +137,8 @@ usage:
   youtiao bench-plan [--sizes N,N,...] [--layouts grid:N,surface:D,heavy-hex:RxC]
                  [--iters N] [--plan-threads N] [--out FILE.json] [--json]
                  [--repair]
-                 (times the planner's kernelized vs naive grouping/refine and
-                  freq_alloc/readout hot loops across square-grid chip sizes,
+                 (times the planner's grouping/refine and freq_alloc/readout
+                  hot loops and the full plan across square-grid chip sizes,
                   default 6,8,10,12,16,24 at 9 iterations, plus a partitioned
                   serial-vs-parallel plan row at --plan-threads (default 8)
                   with scratch-arena reuse probes; writes the
