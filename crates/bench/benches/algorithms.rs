@@ -3,9 +3,9 @@
 //! Run with `cargo bench -p youtiao-bench`.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use youtiao_chip::distance::{equivalent_matrix, EquivalentWeights};
+use youtiao_chip::distance::EquivalentWeights;
 use youtiao_chip::surface::SurfaceCode;
-use youtiao_chip::topology;
+use youtiao_chip::{topology, DeviceId};
 use youtiao_circuit::benchmarks::Benchmark;
 use youtiao_circuit::schedule::{schedule_asap, schedule_with_tdm};
 use youtiao_circuit::surface_cycle::cycles_circuit;
@@ -13,9 +13,8 @@ use youtiao_circuit::transpile::transpile_snake;
 use youtiao_core::fdm::group_fdm;
 use youtiao_core::freq::{allocate_frequencies, FreqConfig};
 use youtiao_core::partition::{partition_chip, PartitionConfig};
-use youtiao_core::plan::crosstalk_matrix;
-use youtiao_core::tdm::{group_tdm, TdmConfig};
-use youtiao_core::YoutiaoPlanner;
+use youtiao_core::tdm::{group_tdm, ActivityProfile, TdmConfig};
+use youtiao_core::{PlanContext, YoutiaoPlanner};
 use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
 use youtiao_noise::fit::{fit_crosstalk_model, FitConfig};
 use youtiao_route::channel::{channel_route, ChannelConfig};
@@ -34,20 +33,20 @@ fn bench_crosstalk_fit(c: &mut Criterion) {
 
 fn bench_grouping(c: &mut Criterion) {
     let chip = topology::square_grid(8, 8);
-    let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
-    let xtalk = crosstalk_matrix(&chip, &eq, None);
-    c.bench_function("group_fdm/8x8/cap5", |b| {
-        b.iter(|| group_fdm(&chip, &eq, 5))
-    });
+    let ctx = PlanContext::build(&chip, None, EquivalentWeights::balanced());
+    let (eq, xtalk) = (ctx.equivalent(), ctx.crosstalk());
+    c.bench_function("group_fdm/8x8/cap5", |b| b.iter(|| group_fdm(&chip, eq, 5)));
     c.bench_function("group_tdm/8x8", |b| {
-        b.iter(|| group_tdm(&chip, &xtalk, &TdmConfig::default()))
+        let devices: Vec<DeviceId> = chip.device_ids().collect();
+        let none = ActivityProfile::new();
+        b.iter(|| group_tdm(&ctx, &TdmConfig::default(), &devices, &none))
     });
     c.bench_function("allocate_frequencies/8x8", |b| {
-        let lines = group_fdm(&chip, &eq, 5);
-        b.iter(|| allocate_frequencies(&chip, &lines, &xtalk, &FreqConfig::default()).unwrap())
+        let lines = group_fdm(&chip, eq, 5);
+        b.iter(|| allocate_frequencies(&chip, &lines, xtalk, &FreqConfig::default()).unwrap())
     });
     c.bench_function("partition_chip/8x8/4regions", |b| {
-        b.iter(|| partition_chip(&chip, &eq, &PartitionConfig::default()))
+        b.iter(|| partition_chip(&chip, eq, &PartitionConfig::default()))
     });
 }
 

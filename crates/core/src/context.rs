@@ -83,13 +83,16 @@ pub fn chip_fingerprint(chip: &Chip) -> u64 {
     h
 }
 
-/// Immutable chip-level planning state shared across sweep points: the
-/// equivalent-distance matrix, the XY crosstalk matrix, (optionally)
-/// the ZZ crosstalk matrix, and the topology-only grouping
-/// [`PairKernels`], together
-/// with the weights and the couplers they were built from so a
-/// mismatched or structurally-changed chip is rejected instead of
-/// silently planning against stale matrices.
+/// Chip-level planning state, the one input every planning pass reads
+/// besides its knobs: the equivalent-distance matrix, the XY crosstalk
+/// matrix, (optionally) the ZZ crosstalk matrix, the topology-only
+/// grouping [`PairKernels`], the frequency kernels and the brickwork
+/// activity masks, together with the weights and the couplers they
+/// were built from so a mismatched or structurally-changed chip is
+/// rejected instead of silently planning against stale matrices. A
+/// plan without a context builds a private one, so there is one
+/// planning path; sweeps and services build one per chip and share it
+/// across every point that plans that chip.
 ///
 /// Besides that planning state the context carries three kinds of warm
 /// state, which compare equal, clone empty and never change a plan:
@@ -107,13 +110,11 @@ pub fn chip_fingerprint(chip: &Chip) -> u64 {
 /// chain (floats by their bits, and each qubit's base frequency when a
 /// band has a tuning range). It also keeps each partition under its
 /// `PartitionConfig`. A recall shares the memo's outputs with the plan
-/// it returns (DESIGN.md §4j). A plan
-/// that supplies an activity profile or scores TDM grouping with a
-/// planner-local ZZ model runs its Z chains without the memo. The memo
-/// holds at most 128 chains: once full, later chains are planned but
-/// not kept. [`Self::apply_crosstalk_delta`] and
-/// [`Self::with_zz_model`] empty it, and [`Self::chain_stats`] counts
-/// its hits and misses.
+/// it returns (DESIGN.md §4j). A plan that supplies an activity
+/// profile runs its Z chains without the memo. The memo holds at most
+/// 128 chains: once full, later chains are planned but not kept.
+/// [`Self::apply_crosstalk_delta`] and [`Self::with_zz_model`] empty
+/// it, and [`Self::chain_stats`] counts its hits and misses.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanContext {
     num_qubits: usize,
@@ -142,8 +143,8 @@ pub struct PlanContext {
 impl PlanContext {
     /// Precomputes the matrices for `chip`: equivalent distances from
     /// the model's fitted weights (or `fallback` without a model) and
-    /// the pairwise XY crosstalk matrix. The result is exactly what
-    /// [`crate::YoutiaoPlanner`] would build internally, so planning
+    /// the pairwise XY crosstalk matrix. [`crate::YoutiaoPlanner`]
+    /// builds exactly this context when it is given none, so planning
     /// with or without the context yields identical plans.
     pub fn build(chip: &Chip, model: Option<&CrosstalkModel>, fallback: EquivalentWeights) -> Self {
         let weights = model.map(|m| m.weights()).unwrap_or(fallback);
@@ -197,7 +198,9 @@ impl PlanContext {
 
     /// Adds the ZZ crosstalk matrix (drives the *noisy non-parallelism*
     /// score of TDM grouping) fitted from `model`, emptying the sorted
-    /// rows and the chain memo.
+    /// rows and the chain memo. This is how a ZZ model reaches
+    /// planning: every plan, grouping and refinement on the context
+    /// scores TDM crosstalk with it.
     ///
     /// # Panics
     ///
@@ -278,8 +281,8 @@ impl PlanContext {
     /// The context's scratch-arena pool. Each planning stage checks an
     /// arena out for the duration of its work (concurrent plans — or
     /// concurrent stages within one plan — each get their own), so the
-    /// per-call hot-loop buffers PR 4/PR 7 still allocated are served
-    /// from warm capacity on every plan after the first.
+    /// per-call hot-loop buffers are served from warm capacity on every
+    /// plan after the first.
     pub fn scratch(&self) -> &ScratchPool {
         &self.scratch
     }
@@ -411,7 +414,8 @@ impl PlanContext {
         Ok(())
     }
 
-    /// Cumulative number of contexts built in this process (test probe).
+    /// Cumulative number of contexts built in this process (test
+    /// probe), the private context of each plan given none included.
     pub fn build_count() -> u64 {
         BUILDS.load(Ordering::Relaxed)
     }
@@ -429,28 +433,53 @@ mod tests {
     use crate::{PlannerConfig, TdmConfig, YoutiaoPlanner};
     use youtiao_chip::topology;
 
+    /// A plan without a context plans on a private one, so it equals
+    /// a plan on an explicit context, whether that context runs the
+    /// chains or recalls them: for each θ and window budget 0 or 1,
+    /// without and with a partition, under the brickwork activity and
+    /// a supplied profile.
     #[test]
     fn context_plans_identically_to_internal_matrices() {
+        use crate::PartitionConfig;
         let chip = topology::square_grid(5, 5);
         let ctx = PlanContext::build(&chip, None, EquivalentWeights::balanced());
-        for theta in [2.0, 4.0, 8.0] {
-            let config = PlannerConfig {
-                tdm: TdmConfig {
-                    theta,
-                    ..Default::default()
-                },
-                ..Default::default()
-            };
-            let direct = YoutiaoPlanner::new(&chip)
-                .with_config(config.clone())
-                .plan()
-                .unwrap();
-            let shared = YoutiaoPlanner::new(&chip)
-                .with_config(config)
-                .with_context(&ctx)
-                .plan()
-                .unwrap();
-            assert_eq!(direct, shared, "theta={theta}");
+        let profile: crate::tdm::ActivityProfile = chip
+            .coupler_ids()
+            .map(|c| (DeviceId::Coupler(c), 1u32 << (c.index() % 3)))
+            .collect();
+        let cases = [2.0, 4.0, 8.0]
+            .into_iter()
+            .flat_map(|theta| [0, 1].map(|max_shared_slots| (theta, max_shared_slots)));
+        for (theta, max_shared_slots) in cases {
+            for partition in [None, Some(PartitionConfig::default())] {
+                for activity in [None, Some(&profile)] {
+                    let config = PlannerConfig {
+                        tdm: TdmConfig {
+                            theta,
+                            max_shared_slots,
+                            ..Default::default()
+                        },
+                        partition,
+                        ..Default::default()
+                    };
+                    let planner = || {
+                        let planner = YoutiaoPlanner::new(&chip).with_config(config.clone());
+                        match activity {
+                            Some(activity) => planner.with_activity(activity),
+                            None => planner,
+                        }
+                    };
+                    let private = planner().plan().unwrap();
+                    let label = format!(
+                        "theta={theta} budget={max_shared_slots} {partition:?} activity={}",
+                        activity.is_some()
+                    );
+                    for _run_then_recall in 0..2 {
+                        let shared = planner().with_context(&ctx).plan().unwrap();
+                        assert_eq!(private, shared, "{label}");
+                    }
+                }
+            }
         }
     }
 
@@ -474,6 +503,9 @@ mod tests {
         assert_eq!(direct, shared);
     }
 
+    /// A plan on a context reports no `matrices` stage; a plan without
+    /// one reports its private context's build as `matrices`, then the
+    /// same events.
     #[test]
     fn context_skips_the_matrices_stage() {
         let chip = topology::square_grid(4, 4);
@@ -484,10 +516,13 @@ mod tests {
             .plan_with_hook(&mut |name, _| names.push(name))
             .unwrap();
         assert!(!names.contains(&"matrices"), "{names:?}");
-        // The context's kernels are reused too — no local rebuild.
-        assert!(!names.contains(&"kernels"), "{names:?}");
-        assert!(!names.contains(&"freq.kernels"), "{names:?}");
         assert!(names.contains(&"fdm_grouping"));
+        let mut private = Vec::new();
+        YoutiaoPlanner::new(&chip)
+            .plan_with_hook(&mut |name, _| private.push(name))
+            .unwrap();
+        assert_eq!(private[0], "matrices");
+        assert_eq!(private[1..], names);
     }
 
     #[test]
@@ -577,12 +612,12 @@ mod tests {
     /// The sorted rows always belong to the matrix TDM grouping scores
     /// with. Each context below first plans θ = 8 with 1:8 DEMUXes,
     /// whose walks sort the rows of its XY matrix, and then plans
-    /// against another matrix: its own ZZ matrix, a planner-local ZZ
-    /// model's, or a crosstalk delta. The XY matrix is either the
-    /// planner's or that matrix with the crosstalk of every pair
-    /// tripled per odd qubit in it, which reorders every row, so the
-    /// rows a stale context would walk are out of order for the matrix
-    /// it scores with. Each plan equals a fresh context's.
+    /// against another matrix: its own ZZ matrix or a crosstalk delta.
+    /// The XY matrix is either the planner's or that matrix with the
+    /// crosstalk of every pair tripled per odd qubit in it, which
+    /// reorders every row, so the rows a stale context would walk are
+    /// out of order for the matrix it scores with. Each plan equals a
+    /// fresh context's.
     #[test]
     fn sorted_rows_follow_the_matrix_grouping_scores_with() {
         use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
@@ -607,15 +642,12 @@ mod tests {
             },
             ..Default::default()
         };
-        let plan = |ctx: &PlanContext, zz_model| {
-            let planner = YoutiaoPlanner::new(&chip)
+        let plan = |ctx: &PlanContext| {
+            YoutiaoPlanner::new(&chip)
                 .with_config(config.clone())
-                .with_context(ctx);
-            match zz_model {
-                Some(model) => planner.with_zz_model(model).plan(),
-                None => planner.plan(),
-            }
-            .unwrap()
+                .with_context(ctx)
+                .plan()
+                .unwrap()
         };
         let planned = PlanContext::build(&chip, None, weights).crosstalk().clone();
         let mut scaled = planned.clone();
@@ -632,7 +664,7 @@ mod tests {
             |xtalk: &DistanceMatrix| PlanContext::from_matrix(&chip, weights, xtalk.clone());
         let warm = |xtalk: &DistanceMatrix| {
             let ctx = fresh(xtalk);
-            plan(&ctx, None);
+            plan(&ctx);
             assert!(ctx.tdm_rows().sorted().0 > 0);
             ctx
         };
@@ -640,20 +672,22 @@ mod tests {
         let zz_fresh = fresh(&scaled).with_zz_model(&chip, &zz);
         let zz_warm = warm(&scaled).with_zz_model(&chip, &zz);
         assert_eq!(zz_warm.tdm_rows().sorted(), (0, 0));
-        assert_eq!(plan(&zz_warm, None), plan(&zz_fresh, None));
-
-        assert_eq!(plan(&warm(&scaled), Some(&zz)), plan(&zz_fresh, None));
+        assert_eq!(plan(&zz_warm), plan(&zz_fresh));
 
         let mut delta = warm(&planned);
         delta
             .apply_crosstalk_delta(&chip, scaled.clone(), &odd)
             .unwrap();
         assert_eq!(delta.tdm_rows().sorted(), (0, 0));
-        assert_eq!(plan(&delta, None), plan(&fresh(&scaled), None));
+        assert_eq!(plan(&delta), plan(&fresh(&scaled)));
     }
 
+    /// A ZZ-backed context scores TDM grouping with its ZZ matrix and
+    /// nothing else: its plan has the XY-only context's XY and readout
+    /// bands, and the Z lines of grouping on it directly.
     #[test]
-    fn zz_context_matches_zz_planning() {
+    fn zz_context_scores_only_tdm_grouping_with_the_zz_matrix() {
+        use crate::tdm::{brickwork_activity, group_tdm};
         use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
         use youtiao_noise::fit::{fit_crosstalk_model, FitConfig};
         let chip = topology::square_grid(4, 4);
@@ -667,33 +701,30 @@ mod tests {
             &FitConfig::fast(),
         )
         .unwrap();
-        let ctx = PlanContext::build(&chip, Some(&xy), EquivalentWeights::balanced())
-            .with_zz_model(&chip, &zz);
-        assert!(ctx.zz_crosstalk().is_some());
-        let direct = YoutiaoPlanner::new(&chip)
-            .with_crosstalk_model(&xy)
-            .with_zz_model(&zz)
-            .plan()
-            .unwrap();
-        let shared = YoutiaoPlanner::new(&chip)
-            .with_crosstalk_model(&xy)
-            .with_zz_model(&zz)
-            .with_context(&ctx)
-            .plan()
-            .unwrap();
-        assert_eq!(direct, shared);
-
-        // A planner-local ZZ model over an XY-only context scores the
-        // ZZ matrix with the context's topology-only kernels.
         let xy_ctx = PlanContext::build(&chip, Some(&xy), EquivalentWeights::balanced());
-        let mut names = Vec::new();
-        let local = YoutiaoPlanner::new(&chip)
-            .with_crosstalk_model(&xy)
-            .with_zz_model(&zz)
-            .with_context(&xy_ctx)
-            .plan_with_hook(&mut |name, _| names.push(name))
-            .unwrap();
-        assert!(!names.contains(&"kernels"), "{names:?}");
-        assert_eq!(local, direct);
+        let zz_ctx = xy_ctx.clone().with_zz_model(&chip, &zz);
+        assert!(zz_ctx.zz_crosstalk().is_some());
+        let plan = |ctx: &PlanContext| {
+            YoutiaoPlanner::new(&chip)
+                .with_crosstalk_model(&xy)
+                .with_context(ctx)
+                .plan()
+                .unwrap()
+        };
+        let (on_xy, on_zz) = (plan(&xy_ctx), plan(&zz_ctx));
+        assert_eq!(on_zz.fdm_lines(), on_xy.fdm_lines());
+        assert_eq!(on_zz.frequency_plan(), on_xy.frequency_plan());
+        assert_eq!(
+            on_zz.readout_frequency_plan(),
+            on_xy.readout_frequency_plan()
+        );
+        let devices: Vec<DeviceId> = chip.device_ids().collect();
+        let groups = group_tdm(
+            &zz_ctx,
+            &TdmConfig::default(),
+            &devices,
+            &brickwork_activity(&chip),
+        );
+        assert_eq!(on_zz.tdm_groups(), groups.as_slice());
     }
 }

@@ -215,13 +215,15 @@ pub fn cell_better(best: &Option<(usize, f64, bool)>, cost: f64, reuse: bool) ->
 /// minimizing crosstalk predicted by the symmetric `xtalk` matrix
 /// (`xtalk[a][b]` = model-predicted crosstalk between qubits `a`, `b`).
 ///
-/// Convenience wrapper that builds [`FreqKernels`] locally; sweep and
-/// repair paths should pass a context's prebuilt kernels to
-/// [`allocate_frequencies_kernels`] instead.
+/// Builds [`FreqKernels`] from `xtalk` and allocates serially; the
+/// planner allocates with its context's kernels through
+/// [`allocate_frequencies_kernels_in`].
 ///
 /// # Errors
 ///
 /// * [`PlanError::InvalidConfig`] — degenerate band or cell size.
+/// * [`PlanError::FrequencyCrowded`] — a qubit has no feasible cell in
+///   its zone (only possible with a tuning-range constraint).
 ///
 /// # Panics
 ///
@@ -234,62 +236,39 @@ pub fn allocate_frequencies(
     config: &FreqConfig,
 ) -> Result<FrequencyPlan, PlanError> {
     let kernels = FreqKernels::build(xtalk);
-    allocate_frequencies_kernels(chip, lines, &kernels, xtalk, config, &mut |_, _| {})
-}
-
-/// Kernelized frequency allocation (the production path).
-///
-/// `kernels` must be built from `xtalk` (the raw matrix is still needed
-/// for the reuse penalty, which scores direct crosstalk with cell
-/// occupants regardless of sign). `hook` receives the `"place"` and
-/// `"swap"` sub-stage durations.
-///
-/// # Errors
-///
-/// * [`PlanError::InvalidConfig`] — degenerate band or cell size.
-/// * [`PlanError::FrequencyCrowded`] — a qubit has no feasible cell in
-///   its zone (only possible with a tuning-range constraint).
-///
-/// # Panics
-///
-/// Panics if `lines` does not cover every chip qubit exactly once or if
-/// `xtalk`/`kernels` have the wrong dimension.
-pub fn allocate_frequencies_kernels(
-    chip: &Chip,
-    lines: &[FdmLine],
-    kernels: &FreqKernels,
-    xtalk: &DistanceMatrix,
-    config: &FreqConfig,
-    hook: &mut dyn FnMut(&'static str, std::time::Duration),
-) -> Result<FrequencyPlan, PlanError> {
     allocate_frequencies_kernels_in(
         chip,
         lines,
-        kernels,
+        &kernels,
         xtalk,
         config,
-        hook,
+        &mut |_, _| {},
         &mut Scratch::default(),
         &ParallelExec::serial(),
     )
 }
 
-/// [`allocate_frequencies_kernels`] with explicit scratch and executor:
-/// working buffers (scaling table, slot map, cell scores, placed-
-/// neighbor lists) come from the arena and go back when the allocation
-/// finishes, and `exec` drives the deterministic parallel levers —
-/// up-front scaling-row materialization and fixed-order zone-chunked
-/// cell scoring. Output is byte-identical to the serial path for any
-/// thread count (per-cell sums keep their placement-order term
-/// sequence; chunks partition the zone and merge in ascending order).
+/// Kernelized frequency allocation (the production path). `kernels`
+/// must be built from `xtalk` (the raw matrix is still needed for the
+/// reuse penalty, which scores direct crosstalk with cell occupants
+/// regardless of sign), and `hook` receives the `"place"` and `"swap"`
+/// sub-stage durations. Working buffers (scaling table, slot map, cell
+/// scores, placed-neighbor lists) come from the arena and go back when
+/// the allocation finishes, and `exec` drives the deterministic
+/// parallel levers — up-front scaling-row materialization and
+/// fixed-order zone-chunked cell scoring. Output is byte-identical to
+/// the serial path for any thread count (per-cell sums keep their
+/// placement-order term sequence; chunks partition the zone and merge
+/// in ascending order).
 ///
 /// # Errors
 ///
-/// As [`allocate_frequencies_kernels`].
+/// As [`allocate_frequencies`].
 ///
 /// # Panics
 ///
-/// As [`allocate_frequencies_kernels`].
+/// As [`allocate_frequencies`], or if `kernels` has the wrong
+/// dimension.
 #[allow(clippy::too_many_arguments)] // the planner's internal entry point
 pub fn allocate_frequencies_kernels_in(
     chip: &Chip,
@@ -520,7 +499,7 @@ pub fn allocate_in_line_only(chip: &Chip, lines: &[FdmLine], config: &FreqConfig
 
 /// The direct (table-free) reference implementation of the allocator.
 ///
-/// Semantically identical to [`allocate_frequencies_kernels`] — same
+/// Semantically identical to [`allocate_frequencies_kernels_in`] — same
 /// lattice, same cell-selection policy, same exact swap criterion — but
 /// every crosstalk and `frequency_scaling` term is computed on the
 /// spot. The differential suite pins the two byte-identical.
@@ -570,11 +549,11 @@ pub mod naive {
     ///
     /// # Errors
     ///
-    /// Same as [`allocate_frequencies_kernels`].
+    /// Same as [`allocate_frequencies`].
     ///
     /// # Panics
     ///
-    /// Same as [`allocate_frequencies_kernels`].
+    /// Same as [`allocate_frequencies`].
     pub fn allocate_frequencies_naive(
         chip: &Chip,
         lines: &[FdmLine],
@@ -995,8 +974,7 @@ mod tests {
         }
 
         fn check(chip: &Chip, lines: &[FdmLine], x: &DistanceMatrix, cfg: &FreqConfig) {
-            let kernels = FreqKernels::build(x);
-            let fast = allocate_frequencies_kernels(chip, lines, &kernels, x, cfg, &mut |_, _| {});
+            let fast = allocate_frequencies(chip, lines, x, cfg);
             let slow = naive::allocate_frequencies_naive(chip, lines, x, cfg);
             let case = format!("{} {cfg:?}", chip.name());
             match (&fast, &slow) {

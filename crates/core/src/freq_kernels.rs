@@ -299,8 +299,8 @@ impl ScalingTable {
         }
     }
 
-    /// The scaling row of `slot`: `row(s)[t] = frequency_scaling(freq(s)
-    /// - freq(t))`.
+    /// The scaling row of `slot`:
+    /// `row(s)[t] = frequency_scaling(freq(s) - freq(t))`.
     ///
     /// # Panics
     ///

@@ -13,9 +13,9 @@
 //! device's qubits. Worst-case crosstalk is read from the qubit
 //! crosstalk matrix the plan scores with, which the kernels never copy,
 //! so the rewritten inner loops need no devices×devices table (see
-//! `group_tdm_kernels` / `refine_tdm_groups_kernels`). `SortedRows`
-//! keeps a matrix's rows in descending order, sorted as the grouping's
-//! walks first need them.
+//! `group_tdm` / `refine_tdm_groups`). `SortedRows` keeps a matrix's
+//! rows in descending order, sorted as the grouping's walks first need
+//! them; a `PlanContext` keeps those of its TDM matrix.
 //!
 //! # Determinism contract
 //!

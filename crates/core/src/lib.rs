@@ -11,9 +11,13 @@
 //!   that exploits topological and noisy non-parallelism (§4.3);
 //! * [`partition`] — the 4-stage generative chip partition that bounds
 //!   the grouping search space on large chips (§4.4);
-//! * [`plan`] — [`YoutiaoPlanner`], which runs the full pipeline and
-//!   emits a [`WiringPlan`] consumable by the scheduler, router and cost
-//!   model;
+//! * [`context`] — [`PlanContext`], the chip-level state every planning
+//!   pass reads: the equivalent-distance and crosstalk matrices, the
+//!   grouping and frequency kernels, sorted crosstalk rows, a scratch
+//!   pool and a memo of planned chains;
+//! * [`plan`] — [`YoutiaoPlanner`], which runs the full pipeline on a
+//!   context (the caller's, or a private one it builds) and emits a
+//!   [`WiringPlan`] consumable by the scheduler, router and cost model;
 //! * [`baselines`] — the three comparison systems of §5: Google-style
 //!   dedicated wiring (readout-only multiplexing), George et al.'s
 //!   in-line-only FDM, and Acharya et al.'s locally-clustered TDM.
@@ -57,9 +61,7 @@ pub use crate::context::{chip_fingerprint, PlanContext};
 pub use crate::error::PlanError;
 pub use crate::exec::ParallelExec;
 pub use crate::fdm::{group_fdm, FdmLine};
-pub use crate::freq::{
-    allocate_frequencies, allocate_frequencies_kernels, FreqConfig, FrequencyPlan,
-};
+pub use crate::freq::{allocate_frequencies, FreqConfig, FrequencyPlan};
 pub use crate::freq_kernels::{BandLattice, FreqKernels, ScalingTable};
 pub use crate::kernels::{DeviceIndex, PairKernels};
 pub use crate::memo::ChainStats;
@@ -72,6 +74,4 @@ pub use crate::plan::{PlannerConfig, WiringPlan, YoutiaoPlanner};
 pub use crate::refine::{refine_tdm_groups, RefineConfig};
 pub use crate::scratch::{Scratch, ScratchPool};
 pub use crate::summary::PlanSummary;
-pub use crate::tdm::{
-    group_tdm, group_tdm_kernels, parallelism_index, DemuxLevel, TdmConfig, TdmGroup,
-};
+pub use crate::tdm::{group_tdm, parallelism_index, DemuxLevel, TdmConfig, TdmGroup};

@@ -446,7 +446,7 @@ mod tests {
     fn equal_z_keys_group_alike() {
         use crate::refine::refine_masked;
         use crate::scratch::Scratch;
-        use crate::tdm::group_tdm_rows_in;
+        use crate::tdm::group_masked;
         use rand::{Rng, SeedableRng};
         use rand_chacha::ChaCha8Rng;
 
@@ -486,24 +486,16 @@ mod tests {
                                         max_shared_slots,
                                         allow_one_to_eight,
                                     };
-                                    let (mut groups, _) = group_tdm_rows_in(
-                                        kernels,
-                                        ctx.tdm_crosstalk(),
-                                        ctx.tdm_rows(),
+                                    let (mut groups, _) = group_masked(
+                                        &ctx,
                                         &tdm,
                                         &devices,
                                         masks,
                                         &mut Scratch::default(),
                                     );
                                     if let Some(refine) = &refine {
-                                        (groups, _) = refine_masked(
-                                            kernels,
-                                            ctx.tdm_crosstalk(),
-                                            masks,
-                                            &tdm,
-                                            groups,
-                                            refine,
-                                        );
+                                        (groups, _) =
+                                            refine_masked(&ctx, masks, &tdm, groups, refine);
                                     }
                                     let key = ChainKey::z(
                                         &region,
@@ -828,7 +820,7 @@ mod tests {
     }
 
     #[test]
-    fn activity_profiles_and_local_zz_models_bypass_the_z_memo() {
+    fn activity_profiles_bypass_the_z_memo() {
         let chip = topology::heavy_hexagon(2, 3);
         let config = PlannerConfig {
             refine: Some(RefineConfig::default()),
@@ -877,19 +869,6 @@ mod tests {
         // stored no Z chain: the brickwork plan still recalls its own.
         let stats = ctx.chain_stats();
         assert_eq!((stats.hits, stats.misses, stats.chains), (4, 3, 3));
-        assert_eq!(plan_on(&chip, &ctx, &config).unwrap(), brickwork);
-
-        let zz = zz_model(&chip);
-        let with_zz = |ctx: &PlanContext| {
-            YoutiaoPlanner::new(&chip)
-                .with_config(config.clone())
-                .with_zz_model(&zz)
-                .with_context(ctx)
-                .plan()
-        };
-        let warm = with_zz(&ctx);
-        assert_same(&chip, &warm, &with_zz(&fresh(&chip)), "local ZZ model");
-        assert_ne!(warm.unwrap().tdm_groups(), brickwork.tdm_groups());
         assert_eq!(plan_on(&chip, &ctx, &config).unwrap(), brickwork);
     }
 

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use youtiao_chip::distance::{equivalent_matrix, DistanceMatrix, EquivalentWeights};
+use youtiao_chip::distance::{DistanceMatrix, EquivalentWeights};
 use youtiao_chip::{Chip, DeviceId, QubitId};
 use youtiao_circuit::schedule::SharedLineConstraint;
 use youtiao_noise::CrosstalkModel;
@@ -14,12 +14,11 @@ use crate::error::PlanError;
 use crate::exec::ParallelExec;
 use crate::fdm::{group_fdm_subset, FdmLine};
 use crate::freq::{allocate_frequencies_kernels_in, FreqConfig, FrequencyPlan};
-use crate::freq_kernels::FreqKernels;
-use crate::kernels::{PairKernels, SortedRows};
 use crate::memo::{ChainKey, ChainOutput};
 use crate::partition::{partition_chip, Partition, PartitionConfig};
-use crate::scratch::{Scratch, ScratchPool};
-use crate::tdm::{TdmConfig, TdmGroup};
+use crate::refine::refine_masked;
+use crate::scratch::Scratch;
+use crate::tdm::{group_masked, TdmConfig, TdmGroup};
 
 /// Default FDM XY-line capacity (§5.3 evaluates with 5 qubits per line).
 pub const DEFAULT_FDM_CAPACITY: usize = 5;
@@ -293,7 +292,6 @@ pub struct YoutiaoPlanner<'a> {
     chip: &'a Chip,
     config: PlannerConfig,
     model: Option<&'a CrosstalkModel>,
-    zz_model: Option<&'a CrosstalkModel>,
     activity: Option<&'a crate::tdm::ActivityProfile>,
     context: Option<&'a PlanContext>,
 }
@@ -305,7 +303,6 @@ impl<'a> YoutiaoPlanner<'a> {
             chip,
             config: PlannerConfig::default(),
             model: None,
-            zz_model: None,
             activity: None,
             context: None,
         }
@@ -332,27 +329,22 @@ impl<'a> YoutiaoPlanner<'a> {
         self
     }
 
-    /// Supplies a precomputed [`PlanContext`] so the matrices stage is
-    /// skipped (and not reported to the plan hook): the context's
-    /// equivalent-distance and crosstalk matrices are used directly.
-    /// Sweeps build the context once per chip and share it — immutable,
-    /// `Sync` — across every point that plans the same chip.
+    /// Supplies a precomputed [`PlanContext`], which every pass of the
+    /// plan reads: its matrices, kernels, sorted rows, scratch pool and
+    /// chain memo. Sweeps build the context once per chip and share it
+    /// — `Sync`, its warm state behind locks — across every point that
+    /// plans the same chip. Without one, [`plan`](Self::plan) builds a
+    /// private context first and reports its build as the `matrices`
+    /// stage.
     ///
     /// The context must have been built for this planner's chip and
     /// resolved weights (the model's fitted weights, or the config's
     /// fallback); [`plan`](Self::plan) rejects a mismatch with
-    /// [`PlanError::InvalidConfig`].
+    /// [`PlanError::InvalidConfig`]. TDM grouping scores the context's
+    /// [`PlanContext::tdm_crosstalk`]: a fitted ZZ model reaches it
+    /// through [`PlanContext::with_zz_model`].
     pub fn with_context(mut self, context: &'a PlanContext) -> Self {
         self.context = Some(context);
-        self
-    }
-
-    /// Supplies a fitted ZZ crosstalk model. When present it drives the
-    /// *noisy non-parallelism* score of TDM grouping (simultaneous CZ
-    /// gates interact through ZZ coupling, §4.1/§4.3), while the XY model
-    /// keeps driving FDM grouping and frequency allocation.
-    pub fn with_zz_model(mut self, model: &'a CrosstalkModel) -> Self {
-        self.zz_model = model.into();
         self
     }
 
@@ -373,33 +365,33 @@ impl<'a> YoutiaoPlanner<'a> {
 
     /// Runs [`plan`](Self::plan) while reporting each sub-stage's wall
     /// time to `hook` (stage name, elapsed), in this order at every
-    /// thread count: `matrices` and `kernels` (only without a
-    /// context), `partition`, `fdm_grouping`, `tdm_grouping`, `refine`,
-    /// `freq.kernels` (only without a context), `freq.place`,
-    /// `freq.swap`, `freq_alloc`, `readout.place`, `readout.swap`,
-    /// `readout`, and a final `"total"` carrying the whole call's wall
-    /// time. Stages that are not configured (partition, refine) are not
-    /// reported, and the events stop at a failing band's sub-stages.
-    /// The flow layer uses this to attach tracer child spans without
-    /// this crate depending on the observability machinery.
+    /// thread count: `matrices` (only without a context: the private
+    /// context's build), `partition`, `fdm_grouping`, `tdm_grouping`,
+    /// `refine`, `freq.place`, `freq.swap`, `freq_alloc`,
+    /// `readout.place`, `readout.swap` and `readout`. Stages that are
+    /// not configured (partition, refine) are not reported, and the
+    /// events stop at a failing band's sub-stages. The flow layer uses
+    /// this to attach tracer child spans without this crate depending
+    /// on the observability machinery.
     ///
     /// With `plan_threads > 1` the XY chain, the regions' Z work and
     /// the readout chain overlap in wall time (their events are
     /// replayed once all have finished), and `tdm_grouping` and
     /// `refine` sum over regions that may run at once, so sub-stage
-    /// durations may sum past `"total"`; at the default serial setting
-    /// the disjoint top-level stages always sum to at most `"total"`.
+    /// durations may sum past the call's wall time; at the default
+    /// serial setting the disjoint top-level stages always sum to at
+    /// most the call's wall time.
     ///
-    /// With a [`PlanContext`], the partition and every chain are first
-    /// looked up in the context's chain memo, and only the chains it
-    /// does not hold are dispatched (a plan whose chains all hit starts
-    /// no thread). A hit shares the memo's output with the plan and
-    /// reports the usual stage names in the usual order, with the time
-    /// this plan spent on them: the key and the lookup go to
-    /// `partition`, `fdm_grouping`, `tdm_grouping` or `readout`, and
-    /// `freq_alloc`, `freq.place`, `freq.swap`, `readout.place`,
-    /// `readout.swap` and `refine` report zero, since they did not run.
-    /// A hit never replays the durations recorded when the chain ran.
+    /// The partition and every chain are first looked up in the
+    /// context's chain memo, and only the chains it does not hold are
+    /// dispatched (a plan whose chains all hit starts no thread). A hit
+    /// shares the memo's output with the plan and reports the usual
+    /// stage names in the usual order, with the time this plan spent
+    /// on them: the key and the lookup go to `partition`,
+    /// `fdm_grouping`, `tdm_grouping` or `readout`, and `freq_alloc`,
+    /// `freq.place`, `freq.swap`, `readout.place`, `readout.swap` and
+    /// `refine` report zero, since they did not run. A hit never
+    /// replays the durations recorded when the chain ran.
     ///
     /// # Errors
     ///
@@ -408,7 +400,6 @@ impl<'a> YoutiaoPlanner<'a> {
         &self,
         hook: &mut dyn FnMut(&'static str, Duration),
     ) -> Result<WiringPlan, PlanError> {
-        let total_started = Instant::now();
         let chip = self.chip;
         if chip.num_qubits() == 0 {
             return Err(PlanError::EmptyChip);
@@ -422,81 +413,37 @@ impl<'a> YoutiaoPlanner<'a> {
             ));
         }
 
-        let weights = self
-            .model
-            .map(|m| m.weights())
-            .unwrap_or(self.config.weights);
-        // ZZ crosstalk (if fitted) scores TDM noisy non-parallelism; it
-        // falls back to the XY matrix otherwise.
-        let owned: (DistanceMatrix, DistanceMatrix);
-        let mut zz_local: Option<DistanceMatrix> = None;
-        let (eq, xtalk): (&DistanceMatrix, &DistanceMatrix) = match self.context {
+        // Every pass reads one context: the caller's, checked against
+        // this chip and the resolved weights, or a private one whose
+        // build is the `matrices` stage.
+        let private;
+        let ctx = match self.context {
             Some(ctx) => {
+                let weights = self.model.map_or(self.config.weights, |m| m.weights());
                 ctx.check(chip, weights)?;
-                if ctx.zz_crosstalk().is_none() {
-                    zz_local = self.zz_model.map(|m| {
-                        crosstalk_matrix(chip, &equivalent_matrix(chip, m.weights()), Some(m))
-                    });
-                }
-                (ctx.equivalent(), ctx.crosstalk())
+                ctx
             }
             None => {
                 let started = Instant::now();
-                let eq = equivalent_matrix(chip, weights);
-                let xtalk = crosstalk_matrix(chip, &eq, self.model);
-                zz_local = self.zz_model.map(|m| {
-                    crosstalk_matrix(chip, &equivalent_matrix(chip, m.weights()), Some(m))
-                });
+                private = PlanContext::build(chip, self.model, self.config.weights);
                 hook("matrices", started.elapsed());
-                owned = (eq, xtalk);
-                (&owned.0, &owned.1)
+                &private
             }
         };
-        let tdm_xtalk = zz_local
-            .as_ref()
-            .unwrap_or_else(|| self.context.map_or(xtalk, PlanContext::tdm_crosstalk));
-
-        // The grouping kernels are functions of the chip's topology
-        // alone, so a context's kernels serve whichever matrix TDM
-        // grouping scores with, a planner-local ZZ model's included.
-        let kernels_local;
-        let kernels: &PairKernels = match self.context {
-            Some(ctx) => ctx.kernels(),
-            None => {
-                let started = Instant::now();
-                kernels_local = PairKernels::build(chip);
-                hook("kernels", started.elapsed());
-                &kernels_local
-            }
-        };
-
-        // TDM grouping walks the sorted rows of the matrix it scores
-        // with: the context's, unless a planner-local ZZ matrix
-        // replaces the context's, and otherwise rows of this plan's own.
-        let rows_local;
-        let tdm_rows: &SortedRows = match self.context {
-            Some(ctx) if zz_local.is_none() => ctx.tdm_rows(),
-            _ => {
-                rows_local = SortedRows::new(chip.num_qubits());
-                &rows_local
-            }
-        };
+        let (kernels, memo, pool) = (ctx.kernels(), ctx.chains(), ctx.scratch());
 
         // Partition (stage 1/2), then group each region independently
         // (stage 3); without a partition the whole chip is one region.
-        // A context's memo keeps each partition it ran, like a chain.
-        let memo = self.context.map(PlanContext::chains);
+        // The memo keeps each partition it ran, like a chain.
         let partition: Option<Arc<Partition>> = self.config.partition.as_ref().map(|pc| {
             let started = Instant::now();
             let key = ChainKey::partition(pc);
-            let p = match memo.and_then(|memo| memo.get(&key)) {
+            let p = match memo.get(&key) {
                 Some(ChainOutput::Partition(p)) => p,
                 Some(_) => unreachable!("a partition key holds a partition"),
                 None => {
-                    let p = Arc::new(partition_chip(chip, eq, pc));
-                    if let Some(memo) = memo {
-                        memo.insert(key, ChainOutput::Partition(Arc::clone(&p)));
-                    }
+                    let p = Arc::new(partition_chip(chip, ctx.equivalent(), pc));
+                    memo.insert(key, ChainOutput::Partition(Arc::clone(&p)));
                     p
                 }
             };
@@ -512,49 +459,16 @@ impl<'a> YoutiaoPlanner<'a> {
             }
         };
 
-        // Freq kernels always follow the XY matrix (both bands score XY
-        // crosstalk), so a context's kernels are reusable even when a
-        // planner-local ZZ model overrides the grouping kernels.
-        let freq_kernels_local;
-        let mut freq_kernels_elapsed = None;
-        let freq_kernels: &FreqKernels = match self.context {
-            Some(ctx) => ctx.freq_kernels(),
-            None => {
-                let started = Instant::now();
-                freq_kernels_local = FreqKernels::build(xtalk);
-                freq_kernels_elapsed = Some(started.elapsed());
-                &freq_kernels_local
-            }
-        };
-
-        // The scratch-arena pool serving every chain below: each item
-        // checks out its own arena. A context's pool persists across
-        // plans so buffer capacity warms up; a context-free plan gets a
-        // local (cold) pool with identical semantics.
-        let local_pool;
-        let pool: &ScratchPool = match self.context {
-            Some(ctx) => ctx.scratch(),
-            None => {
-                local_pool = ScratchPool::new();
-                &local_pool
-            }
-        };
-
         // TDM grouping and refinement read each device's activity mask:
-        // the supplied profile's or, with none supplied, the topology's
-        // brickwork pattern approximating natural non-parallelism (a
-        // context's, densified once).
+        // the supplied profile's or, with none supplied, the context's
+        // brickwork pattern approximating natural non-parallelism.
         let masks_local;
-        let masks: &[u32] = match (self.activity, self.context) {
-            (Some(activity), _) => {
+        let masks: &[u32] = match self.activity {
+            Some(activity) => {
                 masks_local = kernels.densify_activity(activity);
                 &masks_local
             }
-            (None, Some(ctx)) => ctx.brickwork(),
-            (None, None) => {
-                masks_local = crate::tdm::brickwork_masks(chip);
-                &masks_local
-            }
+            None => ctx.brickwork(),
         };
         let devices: Vec<Vec<DeviceId>> = {
             let mut arena = pool.checkout();
@@ -568,21 +482,21 @@ impl<'a> YoutiaoPlanner<'a> {
         // run as items of one dispatch: the XY chain (every region's FDM
         // grouping in region order, then XY allocation), each region's
         // Z work (TDM grouping, then refinement: a group never spans
-        // regions), then the readout chain. A context's memo answers
-        // every chain whose inputs an earlier plan on it ran, and only
-        // the rest are dispatched. A Z chain's key covers neither a
-        // supplied activity profile nor a planner-local ZZ matrix, so
-        // a plan with either runs its Z chains without the memo.
+        // regions), then the readout chain. The memo answers every
+        // chain whose inputs an earlier plan on the context ran, and
+        // only the rest are dispatched. A Z chain's key does not cover a
+        // supplied activity profile, so a plan with one runs its Z
+        // chains without the memo.
         let items = regions.len() + 2;
         let is_z = |item: usize| item != 0 && item != items - 1;
-        let z_memoized = self.activity.is_none() && zz_local.is_none();
+        let z_memoized = self.activity.is_none();
         let tdm_config = &self.config.tdm;
         let refine_config = self.config.refine.as_ref();
         let mut keys = Vec::with_capacity(items);
         let mut chains: Vec<Option<Chain>> = Vec::with_capacity(items);
         for item in 0..items {
             let started = Instant::now();
-            let key = memo.and_then(|_| match item {
+            let key = match item {
                 0 => Some(ChainKey::xy(
                     chip,
                     regions,
@@ -604,8 +518,8 @@ impl<'a> YoutiaoPlanner<'a> {
                     self.config.readout_capacity,
                     &self.config.readout_freq,
                 )),
-            });
-            let hit = memo.zip(key.as_ref()).and_then(|(memo, key)| memo.get(key));
+            };
+            let hit = key.as_ref().and_then(|key| memo.get(key));
             chains.push(hit.map(|output| Chain::recalled(output, started)));
             keys.push(key);
         }
@@ -624,8 +538,8 @@ impl<'a> YoutiaoPlanner<'a> {
             let plan = allocate_frequencies_kernels_in(
                 chip,
                 lines,
-                freq_kernels,
-                xtalk,
+                ctx.freq_kernels(),
+                ctx.crosstalk(),
                 config,
                 &mut |stage, elapsed| {
                     events.push((if stage == "place" { names[0] } else { names[1] }, elapsed))
@@ -644,7 +558,9 @@ impl<'a> YoutiaoPlanner<'a> {
                 let started = Instant::now();
                 let lines: Vec<FdmLine> = regions
                     .iter()
-                    .flat_map(|region| group_fdm_subset(chip, eq, self.config.fdm_capacity, region))
+                    .flat_map(|region| {
+                        group_fdm_subset(chip, ctx.equivalent(), self.config.fdm_capacity, region)
+                    })
                     .collect();
                 let fdm_elapsed = started.elapsed();
                 let xy = band(&lines, &self.config.freq, XY_EVENTS);
@@ -653,21 +569,12 @@ impl<'a> YoutiaoPlanner<'a> {
             item if is_z(item) => {
                 let mut arena = pool.checkout();
                 let started = Instant::now();
-                let (mut groups, _) = crate::tdm::group_tdm_rows_in(
-                    kernels,
-                    tdm_xtalk,
-                    tdm_rows,
-                    tdm_config,
-                    &devices[item - 1],
-                    masks,
-                    &mut arena,
-                );
+                let (mut groups, _) =
+                    group_masked(ctx, tdm_config, &devices[item - 1], masks, &mut arena);
                 let tdm_elapsed = started.elapsed();
                 let started = Instant::now();
                 if let Some(refine) = refine_config {
-                    (groups, _) = crate::refine::refine_masked(
-                        kernels, tdm_xtalk, masks, tdm_config, groups, refine,
-                    );
+                    (groups, _) = refine_masked(ctx, masks, tdm_config, groups, refine);
                 }
                 Chain::Z(Arc::new(groups), tdm_elapsed, started.elapsed())
             }
@@ -686,7 +593,7 @@ impl<'a> YoutiaoPlanner<'a> {
         });
         // Only successful chains are kept.
         for (item, chain) in dispatched.into_iter().zip(ran) {
-            if let Some((memo, key)) = memo.zip(keys[item].take()) {
+            if let Some(key) = keys[item].take() {
                 if let Some(output) = chain.output() {
                     memo.insert(key, output);
                 }
@@ -725,22 +632,17 @@ impl<'a> YoutiaoPlanner<'a> {
         if self.config.refine.is_some() {
             hook("refine", refine_elapsed);
         }
-        if let Some(elapsed) = freq_kernels_elapsed {
-            hook("freq.kernels", elapsed);
-        }
         let frequency_plan = xy.replay("freq_alloc", hook)?;
         let readout_frequency_plan = readout.replay("readout", hook)?;
 
-        let plan = WiringPlan::shared(
+        Ok(WiringPlan::shared(
             fdm_lines,
             frequency_plan,
             tdm_groups,
             readout_lines,
             readout_frequency_plan,
             partition,
-        );
-        hook("total", total_started.elapsed());
-        Ok(plan)
+        ))
     }
 }
 
@@ -886,6 +788,7 @@ pub fn crosstalk_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use youtiao_chip::distance::equivalent_matrix;
     use youtiao_chip::topology;
     use youtiao_circuit::benchmarks;
     use youtiao_circuit::schedule::{schedule_asap, schedule_with_tdm};
@@ -1113,30 +1016,6 @@ mod tests {
     }
 
     #[test]
-    fn zz_model_is_accepted_and_plans_cleanly() {
-        use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
-        use youtiao_noise::fit::{fit_crosstalk_model, FitConfig};
-        let chip = topology::square_grid(4, 4);
-        let xy = fit_crosstalk_model(
-            &synthesize(&chip, CrosstalkKind::Xy, &SynthConfig::xy(), 5),
-            &FitConfig::fast(),
-        )
-        .unwrap();
-        let zz = fit_crosstalk_model(
-            &synthesize(&chip, CrosstalkKind::Zz, &SynthConfig::zz(), 5),
-            &FitConfig::fast(),
-        )
-        .unwrap();
-        let plan = YoutiaoPlanner::new(&chip)
-            .with_crosstalk_model(&xy)
-            .with_zz_model(&zz)
-            .plan()
-            .unwrap();
-        let tdm_total: usize = plan.tdm_groups().iter().map(TdmGroup::len).sum();
-        assert_eq!(tdm_total, chip.num_z_devices());
-    }
-
-    #[test]
     fn readout_frequencies_in_band_and_separated() {
         let chip = topology::square_grid(4, 4);
         let plan = YoutiaoPlanner::new(&chip).plan().unwrap();
@@ -1186,56 +1065,57 @@ mod tests {
             refine: Some(crate::refine::RefineConfig::default()),
             ..Default::default()
         };
-        let mut stages = Vec::new();
-        let plan = YoutiaoPlanner::new(&chip)
-            .with_config(cfg.clone())
-            .plan_with_hook(&mut |name, elapsed| stages.push((name, elapsed)))
-            .unwrap();
-        let names: Vec<&str> = stages.iter().map(|(n, _)| *n).collect();
+        // Runs one plan, returning it, its events and the call's wall
+        // time.
+        let timed = |planner: YoutiaoPlanner| {
+            let mut stages = Vec::new();
+            let started = Instant::now();
+            let plan = planner
+                .plan_with_hook(&mut |name, elapsed| stages.push((name, elapsed)))
+                .unwrap();
+            (plan, stages, started.elapsed())
+        };
+        let names_of = |stages: &[(&'static str, Duration)]| -> Vec<&str> {
+            stages.iter().map(|(n, _)| *n).collect()
+        };
+        // At the default serial thread count the disjoint top-level
+        // stages partition a subset of the call, so their durations
+        // must sum to at most its wall time (freq.place/swap nest
+        // inside freq_alloc and readout.place/swap inside readout, so
+        // they are excluded from the sum).
+        let assert_within_call = |stages: &[(&str, Duration)], wall: Duration, label: &str| {
+            let top_level: Duration = stages
+                .iter()
+                .filter(|(n, _)| !n.contains('.'))
+                .map(|(_, e)| *e)
+                .sum();
+            assert!(
+                top_level <= wall,
+                "{label}: stage sum {top_level:?} exceeds the call's {wall:?}"
+            );
+        };
+
+        let (plan, stages, wall) = timed(YoutiaoPlanner::new(&chip).with_config(cfg.clone()));
+        let names = names_of(&stages);
         assert_eq!(
             names,
             [
                 "matrices",
-                "kernels",
                 "partition",
                 "fdm_grouping",
                 "tdm_grouping",
                 "refine",
-                "freq.kernels",
                 "freq.place",
                 "freq.swap",
                 "freq_alloc",
                 "readout.place",
                 "readout.swap",
                 "readout",
-                "total"
             ]
         );
         // The hook must observe the same plan the caller gets.
         assert!(plan.num_z_lines() > 0);
-
-        // At the default serial thread count the disjoint top-level
-        // stages partition a subset of the total wall time, so their
-        // durations must sum to at most "total" (freq.place/swap nest
-        // inside freq_alloc and readout.place/swap inside readout, so
-        // they are excluded from the sum).
-        let assert_within_total = |stages: &[(&str, Duration)], label: &str| {
-            let total = stages
-                .iter()
-                .find(|(n, _)| *n == "total")
-                .map(|(_, e)| *e)
-                .unwrap();
-            let top_level: Duration = stages
-                .iter()
-                .filter(|(n, _)| !n.contains('.') && *n != "total")
-                .map(|(_, e)| *e)
-                .sum();
-            assert!(
-                top_level <= total,
-                "{label}: stage sum {top_level:?} exceeds total {total:?}"
-            );
-        };
-        assert_within_total(&stages, "cold plan");
+        assert_within_call(&stages, wall, "cold plan");
 
         // The dispatch replays the same events at any thread count.
         for threads in [2usize, 3] {
@@ -1250,46 +1130,40 @@ mod tests {
             assert_eq!(threaded, names, "{threads} threads");
         }
 
-        // On a context, a plan whose chains all hit reports the same
-        // stages in the same order, each with the time this plan spent
-        // on it: the placement, swap and refinement stages did not run.
+        // A plan on a context reports the same events without the
+        // private context's `matrices`. A plan whose chains all hit
+        // reports them with the time this plan spent on each: the
+        // placement, swap and refinement stages did not run.
         let ctx = PlanContext::build(&chip, None, cfg.weights);
-        let on_ctx: Vec<&str> = names
-            .iter()
-            .copied()
-            .filter(|n| !["matrices", "kernels", "freq.kernels"].contains(n))
-            .collect();
-        let mut cold = Vec::new();
-        YoutiaoPlanner::new(&chip)
-            .with_config(cfg.clone())
-            .with_context(&ctx)
-            .plan_with_hook(&mut |name, _| cold.push(name))
-            .unwrap();
-        assert_eq!(cold, on_ctx);
+        let on_ctx = &names[1..];
+        let (_, cold, _) = timed(
+            YoutiaoPlanner::new(&chip)
+                .with_config(cfg.clone())
+                .with_context(&ctx),
+        );
+        assert_eq!(names_of(&cold), on_ctx);
         // The partition, the XY chain, each region's Z chain and the
         // readout chain.
         let chains = plan.partition().unwrap().regions().len() as u64 + 3;
         for threads in [1usize, 2, 3] {
             let hits = ctx.chain_stats().hits;
-            let mut warm = Vec::new();
-            let recalled = YoutiaoPlanner::new(&chip)
-                .with_config(PlannerConfig {
-                    plan_threads: threads,
-                    ..cfg.clone()
-                })
-                .with_context(&ctx)
-                .plan_with_hook(&mut |name, elapsed| warm.push((name, elapsed)))
-                .unwrap();
+            let (recalled, warm, wall) = timed(
+                YoutiaoPlanner::new(&chip)
+                    .with_config(PlannerConfig {
+                        plan_threads: threads,
+                        ..cfg.clone()
+                    })
+                    .with_context(&ctx),
+            );
             assert_eq!(recalled, plan, "{threads} threads");
             assert_eq!(ctx.chain_stats().hits, hits + chains, "every chain hit");
-            let warm_names: Vec<&str> = warm.iter().map(|(n, _)| *n).collect();
-            assert_eq!(warm_names, on_ctx, "warm plan at {threads} threads");
+            assert_eq!(names_of(&warm), on_ctx, "warm plan at {threads} threads");
             for (name, elapsed) in &warm {
                 if name.ends_with(".place") || name.ends_with(".swap") || *name == "refine" {
                     assert_eq!(*elapsed, Duration::ZERO, "{name} at {threads} threads");
                 }
             }
-            assert_within_total(&warm, &format!("warm plan at {threads} threads"));
+            assert_within_call(&warm, wall, &format!("warm plan at {threads} threads"));
         }
 
         // Unconfigured stages are not reported.
@@ -1299,7 +1173,7 @@ mod tests {
             .unwrap();
         assert!(!names.contains(&"partition"));
         assert!(!names.contains(&"refine"));
-        assert_eq!(names.last(), Some(&"total"));
+        assert_eq!(names.last(), Some(&"readout"));
     }
 
     #[test]
@@ -1334,9 +1208,8 @@ mod tests {
                     region.contains(&a).then_some(DeviceId::Coupler(c.id()))
                 }))
                 .collect();
-            let grouped = crate::tdm::naive::group_tdm_with_activity_naive(
-                &chip, &xtalk, &cfg.tdm, &devices, &activity,
-            );
+            let grouped =
+                crate::tdm::naive::group_tdm_naive(&chip, &xtalk, &cfg.tdm, &devices, &activity);
             let (refined, _) = crate::refine::naive::refine_tdm_groups_naive(
                 &chip,
                 &xtalk,
@@ -1411,8 +1284,8 @@ mod tests {
             }
         }
 
-        // A planner-local ZZ model scores TDM grouping, and a supplied
-        // activity profile replaces the brickwork one.
+        // A ZZ-backed context scores TDM grouping with its ZZ matrix,
+        // and a supplied activity profile replaces the brickwork one.
         use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
         use youtiao_noise::fit::{fit_crosstalk_model, FitConfig};
         let chip = topology::square_grid(5, 5);
@@ -1434,12 +1307,13 @@ mod tests {
             },
             ..Default::default()
         };
-        assert_thread_invariant(&chip, &base, "ZZ model and activity", |cfg| {
+        assert_thread_invariant(&chip, &base, "ZZ context and activity", |cfg| {
+            let ctx = PlanContext::build(&chip, Some(&xy), cfg.weights).with_zz_model(&chip, &zz);
             YoutiaoPlanner::new(&chip)
                 .with_crosstalk_model(&xy)
-                .with_zz_model(&zz)
                 .with_activity(&activity)
                 .with_config(cfg)
+                .with_context(&ctx)
                 .plan()
                 .unwrap()
         });
@@ -1476,13 +1350,7 @@ mod tests {
             );
             assert_eq!(
                 names,
-                [
-                    "matrices",
-                    "kernels",
-                    "fdm_grouping",
-                    "tdm_grouping",
-                    "freq.kernels"
-                ],
+                ["matrices", "fdm_grouping", "tdm_grouping"],
                 "{threads} threads"
             );
         }

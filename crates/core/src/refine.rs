@@ -13,20 +13,20 @@
 //! Every accepted move keeps the grouping a legal partition, so the
 //! refined plan remains schedulable.
 //!
-//! Like the grouping pass, the swap inner loop runs against
-//! [`PairKernels`](crate::kernels::PairKernels): legality is an O(1)
-//! bitset lookup, worst-case crosstalk at most four reads of the
-//! crosstalk matrix, and per-group slot-count states turn the
-//! extra-windows evaluation of a candidate swap into an O(affected
+//! Like the grouping pass, refinement reads a [`PlanContext`], and its
+//! swap inner loop runs against the context's [`PairKernels`]:
+//! legality is an O(1) bitset lookup, worst-case crosstalk at most four
+//! reads of the crosstalk matrix, and per-group slot-count states turn
+//! the extra-windows evaluation of a candidate swap into an O(affected
 //! slots) delta instead of two full recounts. The original
 //! implementation is retained in the test-only `naive` module for
 //! differential testing; both paths produce byte-identical refinements.
 
 use youtiao_chip::distance::DistanceMatrix;
-use youtiao_chip::{Chip, DeviceId};
+use youtiao_chip::DeviceId;
 
+use crate::context::PlanContext;
 use crate::kernels::PairKernels;
-use crate::scratch::Scratch;
 use crate::tdm::{ActivityProfile, TdmConfig, TdmGroup};
 
 /// Configuration of [`refine_tdm_groups`].
@@ -42,93 +42,37 @@ impl Default for RefineConfig {
     }
 }
 
-/// Refines a TDM grouping in place, returning the improved grouping and
-/// the number of Z lines removed.
-///
-/// Builds a throwaway [`PairKernels`] and delegates to
-/// [`refine_tdm_groups_kernels`]; callers refining the same chip
-/// repeatedly should build the kernels once and call the kernel variant
-/// directly.
-///
-/// # Panics
-///
-/// Panics if `xtalk` does not match the chip dimension.
+/// Refines a TDM grouping of devices of the context's chip, returning
+/// the improved grouping and the number of Z lines removed. Legality
+/// and worst-case crosstalk come from the context's kernels and its
+/// [`PlanContext::tdm_crosstalk`], and each device's busy slots from
+/// `activity` (absent devices are never busy). Produces byte-identical
+/// refinements to the naive recomputation (differential tests enforce
+/// it).
 pub fn refine_tdm_groups(
-    chip: &Chip,
-    xtalk: &DistanceMatrix,
+    ctx: &PlanContext,
     activity: &ActivityProfile,
     config: &TdmConfig,
     groups: Vec<TdmGroup>,
     refine: &RefineConfig,
 ) -> (Vec<TdmGroup>, usize) {
-    let kernels = PairKernels::build(chip);
-    refine_tdm_groups_kernels(&kernels, xtalk, activity, config, groups, refine)
-}
-
-/// [`refine_tdm_groups`] against precomputed [`PairKernels`] of the
-/// chip: the refinement hot path. Produces byte-identical refinements
-/// to the naive recomputation (differential tests enforce it).
-///
-/// # Panics
-///
-/// Panics if `xtalk` does not match the kernels' chip dimension.
-pub fn refine_tdm_groups_kernels(
-    kernels: &PairKernels,
-    xtalk: &DistanceMatrix,
-    activity: &ActivityProfile,
-    config: &TdmConfig,
-    groups: Vec<TdmGroup>,
-    refine: &RefineConfig,
-) -> (Vec<TdmGroup>, usize) {
-    refine_tdm_groups_kernels_in(
-        kernels,
-        xtalk,
-        activity,
-        config,
-        groups,
-        refine,
-        &mut Scratch::default(),
-    )
-}
-
-/// [`refine_tdm_groups_kernels`] drawing its densified activity masks
-/// from a scratch arena so repeated plans reuse capacity instead of
-/// reallocating. Output is identical — the arena only changes where the
-/// buffer lives.
-///
-/// # Panics
-///
-/// Panics if `xtalk` does not match the kernels' chip dimension.
-pub fn refine_tdm_groups_kernels_in(
-    kernels: &PairKernels,
-    xtalk: &DistanceMatrix,
-    activity: &ActivityProfile,
-    config: &TdmConfig,
-    groups: Vec<TdmGroup>,
-    refine: &RefineConfig,
-    scratch: &mut Scratch,
-) -> (Vec<TdmGroup>, usize) {
-    let masks = kernels.densify_activity_in(activity, scratch);
-    let refined = refine_masked(kernels, xtalk, &masks, config, groups, refine);
+    let mut scratch = ctx.scratch().checkout();
+    let masks = ctx.kernels().densify_activity_in(activity, &mut scratch);
+    let refined = refine_masked(ctx, &masks, config, groups, refine);
     scratch.retire_u32(masks);
     refined
 }
 
-/// [`refine_tdm_groups_kernels_in`] over densified activity `masks`
+/// [`refine_tdm_groups`] over densified activity `masks`
 /// ([`PairKernels::densify_activity`]).
 pub(crate) fn refine_masked(
-    kernels: &PairKernels,
-    xtalk: &DistanceMatrix,
+    ctx: &PlanContext,
     masks: &[u32],
     config: &TdmConfig,
     mut groups: Vec<TdmGroup>,
     refine: &RefineConfig,
 ) -> (Vec<TdmGroup>, usize) {
-    assert_eq!(
-        xtalk.len(),
-        kernels.num_qubits(),
-        "crosstalk matrix size mismatch"
-    );
+    let (kernels, xtalk) = (ctx.kernels(), ctx.tdm_crosstalk());
     let mask_of = |d: DeviceId| masks[kernels.dense(d)];
     let mut states: Vec<GroupState> = groups
         .iter()
@@ -351,15 +295,17 @@ fn best_swap_kernels<F: Fn(DeviceId) -> u32>(
 
 /// The original per-candidate refinement implementation, retained as the
 /// differential-testing reference. Semantically identical to
-/// [`refine_tdm_groups_kernels`]; the kernelized path must produce
+/// [`refine_tdm_groups`]; the kernelized path must produce
 /// byte-identical output.
 #[cfg(test)]
 pub mod naive {
     use super::*;
     use crate::tdm::legal_pair;
+    use youtiao_chip::Chip;
 
-    /// [`refine_tdm_groups`](super::refine_tdm_groups) without kernels:
-    /// every pairwise term is re-derived per candidate per iteration.
+    /// [`refine_tdm_groups`](super::refine_tdm_groups) over `xtalk`
+    /// without kernels: every pairwise term is re-derived per candidate
+    /// per iteration.
     ///
     /// # Panics
     ///
@@ -527,47 +473,43 @@ pub mod naive {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::crosstalk_matrix;
-    use crate::tdm::{brickwork_activity, group_extra_windows, group_tdm_with_activity};
-    use youtiao_chip::distance::{equivalent_matrix, EquivalentWeights};
-    use youtiao_chip::topology;
+    use crate::tdm::{brickwork_activity, group_extra_windows, group_tdm};
+    use youtiao_chip::distance::EquivalentWeights;
+    use youtiao_chip::{topology, Chip};
 
-    fn setup(n: usize) -> (youtiao_chip::Chip, DistanceMatrix, ActivityProfile) {
+    /// A context of `chip` whose TDM passes score `xtalk`.
+    fn context(chip: &Chip, xtalk: &DistanceMatrix) -> PlanContext {
+        PlanContext::from_matrix(chip, EquivalentWeights::balanced(), xtalk.clone())
+    }
+
+    fn setup(n: usize) -> (Chip, PlanContext, ActivityProfile) {
         let chip = topology::square_grid(n, n);
-        let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
-        let xtalk = crosstalk_matrix(&chip, &eq, None);
+        let ctx = PlanContext::build(&chip, None, EquivalentWeights::balanced());
         let activity = brickwork_activity(&chip);
-        (chip, xtalk, activity)
+        (chip, ctx, activity)
     }
 
     #[test]
     fn refinement_never_increases_lines() {
-        let (chip, xtalk, activity) = setup(5);
+        let (chip, ctx, activity) = setup(5);
         let config = TdmConfig::default();
         let devices: Vec<DeviceId> = chip.device_ids().collect();
-        let groups = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
+        let groups = group_tdm(&ctx, &config, &devices, &activity);
         let before = groups.len();
-        let (refined, removed) = refine_tdm_groups(
-            &chip,
-            &xtalk,
-            &activity,
-            &config,
-            groups,
-            &RefineConfig::default(),
-        );
+        let (refined, removed) =
+            refine_tdm_groups(&ctx, &activity, &config, groups, &RefineConfig::default());
         assert_eq!(refined.len() + removed, before);
         assert!(refined.len() <= before);
     }
 
     #[test]
     fn refinement_preserves_partition_and_legality() {
-        let (chip, xtalk, activity) = setup(4);
+        let (chip, ctx, activity) = setup(4);
         let config = TdmConfig::default();
         let devices: Vec<DeviceId> = chip.device_ids().collect();
-        let groups = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
+        let groups = group_tdm(&ctx, &config, &devices, &activity);
         let (refined, _) = refine_tdm_groups(
-            &chip,
-            &xtalk,
+            &ctx,
             &activity,
             &config,
             groups,
@@ -590,21 +532,15 @@ mod tests {
 
     #[test]
     fn refinement_respects_activity_budget() {
-        let (chip, xtalk, activity) = setup(4);
+        let (chip, ctx, activity) = setup(4);
         let config = TdmConfig {
             max_shared_slots: 0,
             ..Default::default()
         };
         let devices: Vec<DeviceId> = chip.device_ids().collect();
-        let groups = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
-        let (refined, _) = refine_tdm_groups(
-            &chip,
-            &xtalk,
-            &activity,
-            &config,
-            groups,
-            &RefineConfig::default(),
-        );
+        let groups = group_tdm(&ctx, &config, &devices, &activity);
+        let (refined, _) =
+            refine_tdm_groups(&ctx, &activity, &config, groups, &RefineConfig::default());
         for g in &refined {
             assert_eq!(group_extra_windows(g.devices(), &activity), 0);
         }
@@ -661,10 +597,9 @@ mod tests {
         for g in &groups {
             assert!(group_extra_windows(g.devices(), &activity) <= 2);
         }
-        let xtalk = DistanceMatrix::zeros(chip.num_qubits());
+        let ctx = context(&chip, &DistanceMatrix::zeros(chip.num_qubits()));
         let (refined, removed) = refine_tdm_groups(
-            &chip,
-            &xtalk,
+            &ctx,
             &activity,
             &config,
             groups.clone(),
@@ -716,8 +651,7 @@ mod tests {
             ..Default::default()
         };
         let (refined, _) = refine_tdm_groups(
-            &chip,
-            &xtalk,
+            &context(&chip, &xtalk),
             &activity,
             &config,
             groups,
@@ -729,14 +663,13 @@ mod tests {
 
     #[test]
     fn zero_passes_is_identity() {
-        let (chip, xtalk, activity) = setup(3);
+        let (chip, ctx, activity) = setup(3);
         let config = TdmConfig::default();
         let devices: Vec<DeviceId> = chip.device_ids().collect();
-        let groups = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
+        let groups = group_tdm(&ctx, &config, &devices, &activity);
         let before = groups.clone();
         let (refined, removed) = refine_tdm_groups(
-            &chip,
-            &xtalk,
+            &ctx,
             &activity,
             &config,
             groups,
@@ -828,6 +761,7 @@ mod tests {
             for case in 0..40 {
                 let chip = random_chip(&mut rng);
                 let xtalk = random_xtalk(&mut rng, &chip);
+                let ctx = context(&chip, &xtalk);
                 let activity = random_activity(&mut rng, &chip);
                 let config = TdmConfig {
                     max_shared_slots: [0u32, 1, 2, 5][rng.gen_range(0usize..4)],
@@ -838,12 +772,11 @@ mod tests {
                 };
                 let groups = if rng.gen_range(0u32..2) == 0 {
                     let devices: Vec<DeviceId> = chip.device_ids().collect();
-                    group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity)
+                    group_tdm(&ctx, &config, &devices, &activity)
                 } else {
                     random_groups(&mut rng, &chip)
                 };
-                let fast =
-                    refine_tdm_groups(&chip, &xtalk, &activity, &config, groups.clone(), &refine);
+                let fast = refine_tdm_groups(&ctx, &activity, &config, groups.clone(), &refine);
                 let slow = naive::refine_tdm_groups_naive(
                     &chip, &xtalk, &activity, &config, groups, &refine,
                 );
@@ -856,13 +789,12 @@ mod tests {
         /// greedy grouping of the same inputs.
         #[test]
         fn kernelized_refine_matches_naive_on_busy_grids() {
-            use youtiao_chip::distance::{equivalent_matrix, EquivalentWeights};
             let mut rng = ChaCha8Rng::seed_from_u64(0x0b05_72ef);
             for case in 0..48 {
                 let chip =
                     topology::square_grid(rng.gen_range(2usize..5), rng.gen_range(2usize..5));
-                let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
-                let xtalk = crate::plan::crosstalk_matrix(&chip, &eq, None);
+                let ctx = PlanContext::build(&chip, None, EquivalentWeights::balanced());
+                let xtalk = ctx.crosstalk();
                 let config = TdmConfig {
                     max_shared_slots: rng.gen_range(0u32..6),
                     ..Default::default()
@@ -877,11 +809,10 @@ mod tests {
                     .map(|d| (d, rng.gen_range(0u32..256)))
                     .collect();
                 let devices: Vec<DeviceId> = chip.device_ids().collect();
-                let groups = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
-                let fast =
-                    refine_tdm_groups(&chip, &xtalk, &activity, &config, groups.clone(), &refine);
+                let groups = group_tdm(&ctx, &config, &devices, &activity);
+                let fast = refine_tdm_groups(&ctx, &activity, &config, groups.clone(), &refine);
                 let slow = naive::refine_tdm_groups_naive(
-                    &chip, &xtalk, &activity, &config, groups, &refine,
+                    &chip, xtalk, &activity, &config, groups, &refine,
                 );
                 assert_eq!(fast, slow, "case {case}: config {config:?} {refine:?}");
             }

@@ -17,19 +17,20 @@
 //! threshold `θ` splits devices between dense 1:4 DEMUXes (low
 //! parallelism) and shallow 1:2 DEMUXes (high parallelism).
 //!
-//! The grouping inner loop runs against precomputed, topology-only
-//! [`PairKernels`](crate::kernels::PairKernels) and the crosstalk
-//! matrix, with incremental per-group aggregates — O(1) lookups per
-//! candidate instead of re-deriving every pairwise term — and, where
-//! those cannot decide, walks the matrix's rows in descending order
-//! instead of scoring the whole pool. The original
-//! per-candidate implementation is retained in the test-only `naive`
-//! module as the differential-testing reference; both paths produce
-//! byte-identical groupings.
+//! Grouping reads everything from a [`PlanContext`]: its inner loop
+//! runs against the context's precomputed, topology-only
+//! [`PairKernels`] and TDM crosstalk matrix, with incremental per-group
+//! aggregates — O(1) lookups per candidate instead of re-deriving every
+//! pairwise term — and, where those cannot decide, walks the context's
+//! sorted rows of the matrix in descending order instead of scoring the
+//! whole pool. The original per-candidate implementation is retained
+//! in the test-only `naive` module as the differential-testing
+//! reference; both paths produce byte-identical groupings.
 
 use youtiao_chip::distance::DistanceMatrix;
 use youtiao_chip::{Chip, CouplerId, DeviceId, QubitId};
 
+use crate::context::PlanContext;
 use crate::kernels::{PairKernels, SortedRows, ROW_PREFIX};
 use crate::scratch::Scratch;
 
@@ -406,127 +407,45 @@ pub(crate) fn noisy_score(chip: &Chip, xtalk: &DistanceMatrix, a: DeviceId, b: D
     worst
 }
 
-/// Groups every Z-controlled device of `chip` onto shared TDM lines.
+/// Groups `devices`, Z-controlled devices of the context's chip, onto
+/// shared TDM lines (§4.3). Grouped devices share at most
+/// `config.max_shared_slots` busy time slots of the workload
+/// `activity`, so the grouping exploits the workload's natural
+/// non-parallelism (e.g. the 4-step CZ schedule of a surface-code
+/// cycle); devices absent from the profile are never busy, so an empty
+/// profile constrains nothing.
 ///
-/// `xtalk` is the qubit-pair crosstalk matrix driving the noisy
-/// non-parallelism heuristic.
-///
-/// # Panics
-///
-/// Panics if the matrix dimension mismatches the chip.
-pub fn group_tdm(chip: &Chip, xtalk: &DistanceMatrix, config: &TdmConfig) -> Vec<TdmGroup> {
-    let devices: Vec<DeviceId> = chip.device_ids().collect();
-    group_tdm_subset(chip, xtalk, config, &devices)
-}
-
-/// Like [`group_tdm`], but restricted to a device subset (used per
-/// partition region).
-///
-/// # Panics
-///
-/// Panics if the matrix dimension mismatches the chip.
-pub fn group_tdm_subset(
-    chip: &Chip,
-    xtalk: &DistanceMatrix,
-    config: &TdmConfig,
-    devices: &[DeviceId],
-) -> Vec<TdmGroup> {
-    group_tdm_with_activity(chip, xtalk, config, devices, &ActivityProfile::new())
-}
-
-/// Like [`group_tdm_subset`], but additionally constrained by a workload
-/// [`ActivityProfile`]: grouped devices may share at most
-/// `config.max_shared_slots` busy time slots, so the grouping exploits
-/// the workload's natural non-parallelism (e.g. the 4-step CZ schedule
-/// of a surface-code cycle).
-///
-/// Builds a throwaway [`PairKernels`] and delegates to
-/// [`group_tdm_kernels`]; callers planning the same chip repeatedly
-/// (sweeps, the planner's per-region loop) should build the kernels once
-/// and call [`group_tdm_kernels`] directly.
-///
-/// # Panics
-///
-/// Panics if the matrix dimension mismatches the chip.
-pub fn group_tdm_with_activity(
-    chip: &Chip,
-    xtalk: &DistanceMatrix,
+/// Noisy non-parallelism is scored with the context's
+/// [`PlanContext::tdm_crosstalk`], and the grouping walks that matrix's
+/// rows in the context's sorted form, each sorted the first time a walk
+/// needs it and kept for every later grouping on the context. Working
+/// buffers come from the context's scratch pool. Produces
+/// byte-identical groupings to the naive per-candidate recomputation
+/// (differential tests enforce it).
+pub fn group_tdm(
+    ctx: &PlanContext,
     config: &TdmConfig,
     devices: &[DeviceId],
     activity: &ActivityProfile,
 ) -> Vec<TdmGroup> {
-    let kernels = PairKernels::build(chip);
-    group_tdm_kernels(&kernels, xtalk, config, devices, activity)
-}
-
-/// [`group_tdm_with_activity`] against precomputed [`PairKernels`] of
-/// the chip: the grouping hot path. Produces byte-identical groupings
-/// to the naive per-candidate recomputation (differential tests enforce
-/// it).
-///
-/// # Panics
-///
-/// Panics if the matrix dimension mismatches the kernels' chip.
-pub fn group_tdm_kernels(
-    kernels: &PairKernels,
-    xtalk: &DistanceMatrix,
-    config: &TdmConfig,
-    devices: &[DeviceId],
-    activity: &ActivityProfile,
-) -> Vec<TdmGroup> {
-    group_tdm_kernels_in(
-        kernels,
-        xtalk,
-        config,
-        devices,
-        activity,
-        &mut Scratch::default(),
-    )
-}
-
-/// [`group_tdm_kernels`] drawing its per-call working buffers (activity
-/// masks, pool positions, legality stamps, candidate lists and the
-/// per-qubit noise aggregate) from a scratch arena so repeated plans reuse capacity instead of
-/// reallocating. Output is identical to [`group_tdm_kernels`] — the
-/// arena only changes where the buffers live.
-///
-/// # Panics
-///
-/// Panics if the matrix dimension mismatches the kernels' chip.
-pub fn group_tdm_kernels_in(
-    kernels: &PairKernels,
-    xtalk: &DistanceMatrix,
-    config: &TdmConfig,
-    devices: &[DeviceId],
-    activity: &ActivityProfile,
-    scratch: &mut Scratch,
-) -> Vec<TdmGroup> {
-    let rows = SortedRows::new(xtalk.len());
-    let masks = kernels.densify_activity_in(activity, scratch);
-    let (groups, _) = group_tdm_rows_in(kernels, xtalk, &rows, config, devices, &masks, scratch);
+    let mut scratch = ctx.scratch().checkout();
+    let masks = ctx.kernels().densify_activity_in(activity, &mut scratch);
+    let (groups, _) = group_masked(ctx, config, devices, &masks, &mut scratch);
     scratch.retire_u32(masks);
     groups
 }
 
-/// [`group_tdm_kernels_in`] over densified activity `masks`
-/// ([`PairKernels::densify_activity`]) walking `rows`, the sorted rows
-/// of `xtalk` (a context's, shared by its plans, or the caller's own),
-/// and counting the full scans it fell back to.
-pub(crate) fn group_tdm_rows_in(
-    kernels: &PairKernels,
-    xtalk: &DistanceMatrix,
-    rows: &SortedRows,
+/// [`group_tdm`] over densified activity `masks`
+/// ([`PairKernels::densify_activity`]) with the caller's arena,
+/// counting the full scans it fell back to.
+pub(crate) fn group_masked(
+    ctx: &PlanContext,
     config: &TdmConfig,
     devices: &[DeviceId],
     masks: &[u32],
     scratch: &mut Scratch,
 ) -> (Vec<TdmGroup>, usize) {
-    assert_eq!(
-        xtalk.len(),
-        kernels.num_qubits(),
-        "crosstalk matrix size mismatch"
-    );
-
+    let kernels = ctx.kernels();
     // Rank devices by parallelism index and split at θ.
     let mut indexed: Vec<(DeviceId, f64)> = devices
         .iter()
@@ -544,6 +463,7 @@ pub(crate) fn group_tdm_rows_in(
         .filter(|&(_, i)| i >= config.theta)
         .collect();
 
+    let (xtalk, rows) = (ctx.tdm_crosstalk(), ctx.tdm_rows());
     let mut groups = Vec::new();
     let mut scans = 0;
     for (level, pool) in [(config.low_level(), low), (DemuxLevel::OneToTwo, high)] {
@@ -960,20 +880,19 @@ fn group_level_kernels(
 
 /// The original per-candidate grouping implementation, retained as the
 /// differential-testing reference. Semantically identical to
-/// [`group_tdm_kernels`]; the kernelized path must produce
-/// byte-identical output.
+/// [`group_tdm`]; the kernelized path must produce byte-identical
+/// output.
 #[cfg(test)]
 pub mod naive {
     use super::*;
 
-    /// [`group_tdm_with_activity`](super::group_tdm_with_activity)
-    /// without kernels: every pairwise term is re-derived per candidate
-    /// per iteration.
+    /// [`group_tdm`](super::group_tdm) over `xtalk` without kernels:
+    /// every pairwise term is re-derived per candidate per iteration.
     ///
     /// # Panics
     ///
     /// Panics if the matrix dimension mismatches the chip.
-    pub fn group_tdm_with_activity_naive(
+    pub fn group_tdm_naive(
         chip: &Chip,
         xtalk: &DistanceMatrix,
         config: &TdmConfig,
@@ -1089,7 +1008,25 @@ pub mod naive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use youtiao_chip::distance::EquivalentWeights;
     use youtiao_chip::topology;
+
+    /// A context of `chip` whose TDM grouping scores `xtalk`.
+    fn context(chip: &Chip, xtalk: &DistanceMatrix) -> PlanContext {
+        PlanContext::from_matrix(chip, EquivalentWeights::balanced(), xtalk.clone())
+    }
+
+    /// [`group_tdm`] of every device of `chip` scoring `xtalk`, under
+    /// an empty activity profile.
+    fn group_all(chip: &Chip, xtalk: &DistanceMatrix, config: &TdmConfig) -> Vec<TdmGroup> {
+        let devices: Vec<DeviceId> = chip.device_ids().collect();
+        group_tdm(
+            &context(chip, xtalk),
+            config,
+            &devices,
+            &ActivityProfile::new(),
+        )
+    }
 
     fn flat_xtalk(chip: &Chip) -> DistanceMatrix {
         let mut m = DistanceMatrix::zeros(chip.num_qubits());
@@ -1158,7 +1095,7 @@ mod tests {
     fn groups_cover_all_devices_exactly_once() {
         let chip = topology::square_grid(3, 3);
         let x = flat_xtalk(&chip);
-        let groups = group_tdm(&chip, &x, &TdmConfig::default());
+        let groups = group_all(&chip, &x, &TdmConfig::default());
         let mut all: Vec<DeviceId> = groups.iter().flat_map(|g| g.devices().to_vec()).collect();
         all.sort_unstable();
         let mut expect: Vec<DeviceId> = chip.device_ids().collect();
@@ -1170,7 +1107,7 @@ mod tests {
     fn groups_are_legal() {
         let chip = topology::square_grid(3, 3);
         let x = flat_xtalk(&chip);
-        for g in group_tdm(&chip, &x, &TdmConfig::default()) {
+        for g in group_all(&chip, &x, &TdmConfig::default()) {
             let ds = g.devices();
             for i in 0..ds.len() {
                 for j in (i + 1)..ds.len() {
@@ -1184,7 +1121,7 @@ mod tests {
     fn grouping_reduces_line_count() {
         let chip = topology::heavy_square(3, 3);
         let x = flat_xtalk(&chip);
-        let groups = group_tdm(&chip, &x, &TdmConfig::default());
+        let groups = group_all(&chip, &x, &TdmConfig::default());
         assert!(
             groups.len() * 2 <= chip.num_z_devices(),
             "expected ≥2× reduction"
@@ -1196,7 +1133,7 @@ mod tests {
         let chip = topology::square_grid(3, 3);
         let x = flat_xtalk(&chip);
         // θ = ∞: everything is "low parallelism" -> all 1:4 (or direct).
-        let all_low = group_tdm(
+        let all_low = group_all(
             &chip,
             &x,
             &TdmConfig {
@@ -1208,7 +1145,7 @@ mod tests {
             .iter()
             .all(|g| matches!(g.level(), DemuxLevel::OneToFour | DemuxLevel::Direct)));
         // θ = 0: everything "high" -> 1:2 / direct.
-        let all_high = group_tdm(
+        let all_high = group_all(
             &chip,
             &x,
             &TdmConfig {
@@ -1243,8 +1180,8 @@ mod tests {
         let chip = topology::hexagon_patch(2, 2);
         let x = flat_xtalk(&chip);
         assert_eq!(
-            group_tdm(&chip, &x, &TdmConfig::default()),
-            group_tdm(&chip, &x, &TdmConfig::default())
+            group_all(&chip, &x, &TdmConfig::default()),
+            group_all(&chip, &x, &TdmConfig::default())
         );
     }
 
@@ -1301,8 +1238,8 @@ mod tests {
             max_shared_slots: 1000,
             ..Default::default()
         };
-        let fast = group_tdm_with_activity(&chip, &x, &config, &devices, &activity);
-        let slow = naive::group_tdm_with_activity_naive(&chip, &x, &config, &devices, &activity);
+        let fast = group_tdm(&context(&chip, &x), &config, &devices, &activity);
+        let slow = naive::group_tdm_naive(&chip, &x, &config, &devices, &activity);
         assert_eq!(fast, slow);
         let total: usize = fast.iter().map(TdmGroup::len).sum();
         assert_eq!(total, 300);
@@ -1311,15 +1248,13 @@ mod tests {
         }
     }
 
+    /// Grouping scores the context's matrix, and a context refuses a
+    /// matrix of another size.
     #[test]
     #[should_panic(expected = "crosstalk matrix size mismatch")]
     fn mismatched_matrix_rejected() {
         let chip = topology::square_grid(3, 3);
-        let kernels = PairKernels::build(&chip);
-        let devices: Vec<DeviceId> = chip.device_ids().collect();
-        let wrong = DistanceMatrix::zeros(4);
-        let empty = ActivityProfile::new();
-        let _ = group_tdm_kernels(&kernels, &wrong, &TdmConfig::default(), &devices, &empty);
+        let _ = context(&chip, &DistanceMatrix::zeros(4));
     }
 
     #[test]
@@ -1398,10 +1333,8 @@ mod tests {
                 let config = random_config(&mut rng);
                 let activity = random_activity(&mut rng, &chip);
                 let devices: Vec<DeviceId> = chip.device_ids().collect();
-                let fast = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
-                let slow = naive::group_tdm_with_activity_naive(
-                    &chip, &xtalk, &config, &devices, &activity,
-                );
+                let fast = group_tdm(&context(&chip, &xtalk), &config, &devices, &activity);
+                let slow = naive::group_tdm_naive(&chip, &xtalk, &config, &devices, &activity);
                 assert_eq!(
                     fast,
                     slow,
@@ -1421,10 +1354,7 @@ mod tests {
         #[test]
         #[ignore = "naive passes over thousands of devices; run with --release"]
         fn kernelized_passes_match_naive_on_large_chips() {
-            use crate::refine::RefineConfig;
-            use crate::refine::{naive::refine_tdm_groups_naive, refine_tdm_groups_kernels};
-            use crate::PlanContext;
-            use youtiao_chip::distance::EquivalentWeights;
+            use crate::refine::{naive::refine_tdm_groups_naive, refine_tdm_groups, RefineConfig};
             use youtiao_chip::surface::SurfaceCode;
             use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
             use youtiao_noise::fit::{fit_crosstalk_model, FitConfig};
@@ -1465,25 +1395,12 @@ mod tests {
                                 allow_one_to_eight,
                             };
                             let case = format!("{} {config:?}", chip.name());
-                            let groups = group_tdm_kernels(
-                                ctx.kernels(),
-                                xtalk,
-                                &config,
-                                &devices,
-                                &activity,
-                            );
-                            let naive = naive::group_tdm_with_activity_naive(
-                                chip, xtalk, &config, &devices, &activity,
-                            );
+                            let groups = group_tdm(ctx, &config, &devices, &activity);
+                            let naive =
+                                naive::group_tdm_naive(chip, xtalk, &config, &devices, &activity);
                             assert_eq!(groups, naive, "{case}");
-                            let fast = refine_tdm_groups_kernels(
-                                ctx.kernels(),
-                                xtalk,
-                                &activity,
-                                &config,
-                                groups.clone(),
-                                &refine,
-                            );
+                            let fast =
+                                refine_tdm_groups(ctx, &activity, &config, groups.clone(), &refine);
                             let slow = refine_tdm_groups_naive(
                                 chip, xtalk, &activity, &config, groups, &refine,
                             );
@@ -1523,10 +1440,8 @@ mod tests {
                 let config = random_config(&mut rng);
                 let activity = random_activity(&mut rng, &chip);
                 let devices: Vec<DeviceId> = chip.device_ids().collect();
-                let fast = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
-                let slow = naive::group_tdm_with_activity_naive(
-                    &chip, &xtalk, &config, &devices, &activity,
-                );
+                let fast = group_tdm(&context(&chip, &xtalk), &config, &devices, &activity);
+                let slow = naive::group_tdm_naive(&chip, &xtalk, &config, &devices, &activity);
                 assert_eq!(fast, slow, "case {case}: config {config:?}");
             }
         }
@@ -1545,9 +1460,8 @@ mod tests {
                     .filter(|_| rng.gen_range(0u32..3) != 0)
                     .collect();
                 let empty = ActivityProfile::new();
-                let fast = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &empty);
-                let slow =
-                    naive::group_tdm_with_activity_naive(&chip, &xtalk, &config, &devices, &empty);
+                let fast = group_tdm(&context(&chip, &xtalk), &config, &devices, &empty);
+                let slow = naive::group_tdm_naive(&chip, &xtalk, &config, &devices, &empty);
                 assert_eq!(fast, slow);
             }
         }
@@ -1575,10 +1489,8 @@ mod tests {
                     .map(|d| (d, rng.gen_range(0u32..256)))
                     .collect();
                 let devices: Vec<DeviceId> = chip.device_ids().collect();
-                let fast = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
-                let slow = naive::group_tdm_with_activity_naive(
-                    &chip, &xtalk, &config, &devices, &activity,
-                );
+                let fast = group_tdm(&context(&chip, &xtalk), &config, &devices, &activity);
+                let slow = naive::group_tdm_naive(&chip, &xtalk, &config, &devices, &activity);
                 assert_eq!(fast, slow, "case {case}: config {config:?}");
             }
         }
@@ -1591,7 +1503,6 @@ mod tests {
         /// times with 1:8 DEMUXes and 337 times with 1:4).
         #[test]
         fn deep_levels_rarely_fall_back_to_the_full_scan() {
-            use crate::PlanContext;
             let chip = topology::square_grid(24, 24);
             let ctx = PlanContext::build(&chip, None, EquivalentWeights::balanced());
             let activity = brickwork_activity(&chip);
@@ -1602,25 +1513,14 @@ mod tests {
                     max_shared_slots: 1,
                     allow_one_to_eight,
                 };
-                let (groups, scans) = group_tdm_rows_in(
-                    ctx.kernels(),
-                    ctx.tdm_crosstalk(),
-                    ctx.tdm_rows(),
+                let (groups, scans) = group_masked(
+                    &ctx,
                     &config,
                     &devices,
                     &ctx.kernels().densify_activity(&activity),
                     &mut Scratch::default(),
                 );
-                assert_eq!(
-                    groups,
-                    group_tdm_kernels(
-                        ctx.kernels(),
-                        ctx.tdm_crosstalk(),
-                        &config,
-                        &devices,
-                        &activity
-                    )
-                );
+                assert_eq!(groups, group_tdm(&ctx, &config, &devices, &activity));
                 scans
             };
             assert_eq!(scans(true), 52);
@@ -1628,6 +1528,52 @@ mod tests {
             // Every row's prefix is sorted, and some 1:8 walks read
             // past the prefix.
             assert_eq!(ctx.tdm_rows().sorted(), (576, 78));
+        }
+
+        /// Grouping on a context sorts the rows its walks need into the
+        /// context and later groupings walk them as they are: square
+        /// 12×12 at θ = 8 with 1:8 DEMUXes and a one-window budget,
+        /// where walks choose most members, groups alike twice on one
+        /// context and once on a fresh one, on the XY matrix and on a
+        /// ZZ-backed context's.
+        #[test]
+        fn groupings_on_warm_rows_equal_groupings_on_a_fresh_context() {
+            use youtiao_noise::data::{synthesize, CrosstalkKind, SynthConfig};
+            use youtiao_noise::fit::{fit_crosstalk_model, FitConfig};
+            let chip = topology::square_grid(12, 12);
+            let zz = fit_crosstalk_model(
+                &synthesize(
+                    &topology::square_grid(4, 4),
+                    CrosstalkKind::Zz,
+                    &SynthConfig::zz(),
+                    5,
+                ),
+                &FitConfig::fast(),
+            )
+            .expect("4x4 fits");
+            let config = TdmConfig {
+                theta: 8.0,
+                max_shared_slots: 1,
+                allow_one_to_eight: true,
+            };
+            let activity = brickwork_activity(&chip);
+            let devices: Vec<DeviceId> = chip.device_ids().collect();
+            let plain = || PlanContext::build(&chip, None, EquivalentWeights::balanced());
+            let zz_backed = || plain().with_zz_model(&chip, &zz);
+            for (label, fresh) in [
+                ("plain", &plain as &dyn Fn() -> PlanContext),
+                ("ZZ-backed", &zz_backed),
+            ] {
+                let ctx = fresh();
+                let first = group_tdm(&ctx, &config, &devices, &activity);
+                let sorted = ctx.tdm_rows().sorted();
+                assert!(sorted.0 > 0, "{label}: no walk sorted a row");
+                let second = group_tdm(&ctx, &config, &devices, &activity);
+                assert_eq!(ctx.tdm_rows().sorted(), sorted, "{label}");
+                assert_eq!(second, first, "{label}: warm rows");
+                let once = group_tdm(&fresh(), &config, &devices, &activity);
+                assert_eq!(once, first, "{label}: fresh context");
+            }
         }
 
         /// A walk reads a row's prefix, then the whole row from where
@@ -1710,9 +1656,8 @@ mod tests {
                 ..Default::default()
             };
             let empty = ActivityProfile::new();
-            let fast = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &empty);
-            let slow =
-                naive::group_tdm_with_activity_naive(&chip, &xtalk, &config, &devices, &empty);
+            let fast = group_tdm(&context(&chip, &xtalk), &config, &devices, &empty);
+            let slow = naive::group_tdm_naive(&chip, &xtalk, &config, &devices, &empty);
             assert_eq!(
                 slow[0].devices()[..2],
                 [DeviceId::Qubit(q(0)), DeviceId::Qubit(q(2))]
@@ -1770,9 +1715,8 @@ mod tests {
                 ..Default::default()
             };
             let empty = ActivityProfile::new();
-            let fast = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &empty);
-            let slow =
-                naive::group_tdm_with_activity_naive(&chip, &xtalk, &config, &devices, &empty);
+            let fast = group_tdm(&context(&chip, &xtalk), &config, &devices, &empty);
+            let slow = naive::group_tdm_naive(&chip, &xtalk, &config, &devices, &empty);
             let coupler = |c: u32| DeviceId::Coupler(c.into());
             let third = [
                 DeviceId::Qubit(7u32.into()),

@@ -8,14 +8,14 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use youtiao_chip::distance::{equivalent_matrix, DistanceMatrix, EquivalentWeights};
 use youtiao_chip::topology;
-use youtiao_chip::{Chip, QubitId};
+use youtiao_chip::{Chip, DeviceId, QubitId};
 use youtiao_core::fdm::group_fdm;
 use youtiao_core::freq::{allocate_frequencies, FreqConfig};
 use youtiao_core::partition::{partition_chip, PartitionConfig};
 use youtiao_core::plan::crosstalk_matrix;
-use youtiao_core::tdm::{group_tdm, legal_pair, TdmConfig};
-use youtiao_core::YoutiaoPlanner;
+use youtiao_core::tdm::{group_tdm, legal_pair, ActivityProfile, TdmConfig};
 use youtiao_core::{BandLattice, FreqKernels, ScalingTable};
+use youtiao_core::{PlanContext, YoutiaoPlanner};
 use youtiao_noise::model::frequency_scaling;
 
 /// Inputs per property.
@@ -65,7 +65,9 @@ fn tdm_grouping_is_legal_partition() {
             theta: rng.gen_range(0.0..10.0),
             ..Default::default()
         };
-        let groups = group_tdm(&chip, &xtalk, &config);
+        let ctx = PlanContext::from_matrix(&chip, EquivalentWeights::balanced(), xtalk);
+        let devices: Vec<DeviceId> = chip.device_ids().collect();
+        let groups = group_tdm(&ctx, &config, &devices, &ActivityProfile::new());
         let total: usize = groups.iter().map(|g| g.len()).sum();
         assert_eq!(total, chip.num_z_devices(), "case {case}");
         for g in &groups {

@@ -6,10 +6,10 @@
 //! targets. Splits greedily minimize the summed squared error of the two
 //! children (equivalently, maximize variance reduction).
 //!
-//! A fit ranks the feature once per key ([`RankedFeature`]; a key is a
+//! A fit ranks the feature once per key (`RankedFeature`; a key is a
 //! sample, or a class of samples that share their feature value), sums
-//! each tree's sample per key ([`KeySums`]: count, Σy and Σy²) and grows
-//! the tree from those sums ([`Grower`]): the keys of each distinct value
+//! each tree's sample per key (`KeySums`: count, Σy and Σy²) and grows
+//! the tree from those sums (`Grower`): the keys of each distinct value
 //! merge into one bucket, and running sums over the buckets score every
 //! candidate split. The tree grows one level at a time and is written
 //! out in pre-order at the end. A tree needs nothing else, so no sample

@@ -6,9 +6,10 @@
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
+use youtiao_chip::distance::EquivalentWeights;
 use youtiao_chip::{topology, DistanceMatrix};
-use youtiao_core::tdm::{group_tdm_with_activity, ActivityProfile};
-use youtiao_core::{refine_tdm_groups, RefineConfig, TdmConfig};
+use youtiao_core::tdm::{group_tdm, ActivityProfile};
+use youtiao_core::{refine_tdm_groups, PlanContext, RefineConfig, TdmConfig};
 use youtiao_obs::validate::check_tdm_groups;
 
 /// Seeded cases.
@@ -33,8 +34,9 @@ fn refined_groups_keep_invariants() {
             ..Default::default()
         };
         let xtalk = DistanceMatrix::zeros(chip.num_qubits());
+        let ctx = PlanContext::from_matrix(&chip, EquivalentWeights::balanced(), xtalk);
         let devices: Vec<_> = chip.device_ids().collect();
-        let groups = group_tdm_with_activity(&chip, &xtalk, &config, &devices, &activity);
+        let groups = group_tdm(&ctx, &config, &devices, &activity);
 
         // The initial grouping must already be sound...
         let before = check_tdm_groups(&chip, &groups, &config, &activity);
@@ -42,8 +44,7 @@ fn refined_groups_keep_invariants() {
 
         // ...and refinement must not break anything while it optimizes.
         let refine = RefineConfig { passes };
-        let (refined, _removed) =
-            refine_tdm_groups(&chip, &xtalk, &activity, &config, groups, &refine);
+        let (refined, _removed) = refine_tdm_groups(&ctx, &activity, &config, groups, &refine);
         let after = check_tdm_groups(&chip, &refined, &config, &activity);
         assert!(after.is_clean(), "case {case}: {}", after.render());
     }

@@ -19,7 +19,8 @@ use std::collections::HashSet;
 
 use youtiao_chip::distance::DistanceMatrix;
 use youtiao_chip::{DeviceId, QubitId};
-use youtiao_core::tdm::{group_extra_windows, group_tdm_kernels, ActivityProfile};
+use youtiao_core::refine::refine_tdm_groups;
+use youtiao_core::tdm::{group_extra_windows, group_tdm, ActivityProfile};
 use youtiao_core::{
     FdmLine, PlanContext, PlanError, PlannerConfig, TdmGroup, WiringPlan, YoutiaoPlanner,
 };
@@ -251,23 +252,9 @@ pub fn repair_plan(
     pool.sort_unstable();
     let regrouped_devices = pool.len();
 
-    let mut regrouped = group_tdm_kernels(
-        ctx.kernels(),
-        ctx.tdm_crosstalk(),
-        &planner.tdm,
-        &pool,
-        new.activity,
-    );
+    let mut regrouped = group_tdm(&ctx, &planner.tdm, &pool, new.activity);
     if let Some(refine) = &planner.refine {
-        let (refined, _removed) = youtiao_core::refine::refine_tdm_groups_kernels(
-            ctx.kernels(),
-            ctx.tdm_crosstalk(),
-            new.activity,
-            &planner.tdm,
-            regrouped,
-            refine,
-        );
-        regrouped = refined;
+        (regrouped, _) = refine_tdm_groups(&ctx, new.activity, &planner.tdm, regrouped, refine);
     }
     let mut tdm_groups = kept;
     tdm_groups.extend(regrouped);

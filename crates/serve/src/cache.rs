@@ -9,9 +9,10 @@
 //! (sorted keys), so equal inputs always hash equal across runs,
 //! platforms and processes.
 //!
-//! The cache is a mutex-guarded LRU with hit/miss/eviction counters and
-//! optional JSON persistence, which is what lets a *second* `youtiao
-//! batch` process over the same JSONL file answer every job from cache.
+//! Each shard of a [`crate::ShardedCache`] is a mutex-guarded LRU with
+//! hit/miss/eviction counters and JSON persistence, which is what lets
+//! a *second* `youtiao batch` process over the same JSONL file answer
+//! every job from cache.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -27,9 +28,13 @@ pub const CACHE_SCHEMA: &str = "youtiao-plan-cache/v1";
 /// that never was JSON from one that tore mid-write.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CacheLoadError {
-    /// The file is not valid JSON — the usual signature of a write that
-    /// died midway or of byte-level corruption.
+    /// The file is not valid UTF-8 JSON — the usual signature of a
+    /// write that died midway or of byte-level corruption.
     Parse(String),
+    /// The file exists but could not be read. Unlike the other
+    /// variants this is no sign of a torn file, so salvage does not
+    /// restart the shard over it.
+    Read(String),
     /// The file parses but is not a JSON object.
     NotAnObject,
     /// The envelope's `schema` tag is missing pieces or names a version
@@ -65,6 +70,7 @@ impl std::fmt::Display for CacheLoadError {
             CacheLoadError::Parse(detail) => {
                 write!(f, "cache file does not parse as JSON: {detail}")
             }
+            CacheLoadError::Read(detail) => write!(f, "cache file could not be read: {detail}"),
             CacheLoadError::NotAnObject => f.write_str("cache file is not a JSON object"),
             CacheLoadError::BadSchema(detail) => {
                 write!(f, "cache file schema mismatch: {detail}")
@@ -167,23 +173,9 @@ struct Inner<R> {
     evictions: u64,
 }
 
-/// A thread-safe, content-addressed LRU memo of finished results.
-///
-/// # Example
-///
-/// ```
-/// use youtiao_serve::PlanCache;
-///
-/// let cache: PlanCache<String> = PlanCache::new(2);
-/// cache.insert(1, "a".into());
-/// cache.insert(2, "b".into());
-/// assert_eq!(cache.get(1), Some("a".into()));
-/// cache.insert(3, "c".into()); // evicts key 2, the least recently used
-/// assert_eq!(cache.get(2), None);
-/// let stats = cache.stats();
-/// assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 1));
-/// ```
-pub struct PlanCache<R> {
+/// A thread-safe, content-addressed LRU memo of finished results: one
+/// shard of a [`crate::ShardedCache`].
+pub(crate) struct PlanCache<R> {
     inner: Mutex<Inner<R>>,
     capacity: usize,
 }

@@ -12,16 +12,16 @@
 //!   per-job deadlines (cooperative cancellation between pipeline
 //!   stages), bounded retry with seed perturbation on transient errors,
 //!   and graceful shutdown that drains in-flight jobs;
-//! * [`PlanCache`] — a content-addressed LRU memo of finished reports,
-//!   keyed by a stable hash of (chip spec, planner knobs, seed), with
-//!   hit/miss/eviction counters and optional JSON persistence;
+//! * [`ShardedCache`] — a content-addressed LRU memo of finished
+//!   reports, keyed by a stable hash of (chip spec, planner knobs,
+//!   seed), with hit/miss/eviction counters, split into N shards, each
+//!   with its own lock, LRU budget and JSON persistence file, so shard
+//!   loss or corruption is isolated and salvageable per shard (one
+//!   shard persists to the caller's path itself);
 //! * [`FaultPlan`]/[`FaultInjector`] — deterministic, seeded fault
 //!   injection (behind `youtiao chaos`): scheduled errors, panics,
 //!   delays, cancellations and cache corruption wrapped around any
 //!   executor, reproducible from a seed;
-//! * [`ShardedCache`] — N content-addressed [`PlanCache`] shards, each
-//!   with its own lock, LRU budget and persistence file, so shard loss
-//!   or corruption is isolated and salvageable per shard;
 //! * one request engine ([`daemon`]) behind every front end: it answers
 //!   requests in request order from the cache, by coalescing duplicate
 //!   keys, by shedding, or through the pool, under
@@ -59,7 +59,7 @@ pub mod shard;
 
 pub use admission::{AdmissionConfig, AdmissionController, AdmissionStats};
 pub use batch::{run_batch, BatchError};
-pub use cache::{content_key, CacheLoadError, CacheStats, PlanCache};
+pub use cache::{content_key, CacheLoadError, CacheStats};
 pub use cancel::{CancelToken, Cancelled};
 pub use daemon::{run_daemon, DaemonOptions, DaemonReport};
 pub use fault::{

@@ -1,19 +1,20 @@
 //! Sharded content-addressed plan cache.
 //!
-//! The flat [`PlanCache`] serializes every lookup behind one mutex and
-//! persists to a single snapshot file — one torn write loses the whole
-//! cache. A [`ShardedCache`] splits the key space across N independent
-//! [`PlanCache`] shards selected by the existing 64-bit content key
-//! (the `{key:016x}` plan hash), each with its own lock, its own LRU
-//! budget, and its own `save_atomic` persistence file. Shard loss or
-//! corruption is therefore isolated: deleting (or tearing) one shard's
-//! file loses only that shard's entries, and salvage restarts that one
-//! shard cold while the others load warm.
+//! One LRU map serializes every lookup behind one mutex and persists to
+//! a single snapshot file — one torn write loses the whole cache. A
+//! [`ShardedCache`] splits the key space across N independent LRU
+//! shards selected by the existing 64-bit content key (the `{key:016x}`
+//! plan hash), each with its own lock, its own LRU budget, and its own
+//! `save_atomic` persistence file. Shard loss or corruption is
+//! therefore isolated: deleting (or tearing) one shard's file loses
+//! only that shard's entries, and salvage restarts that one shard cold
+//! while the others load warm.
 //!
 //! Shard selection is `key % shards` — a pure function of the content
 //! key, so a request maps to the same shard in every process and every
 //! session. With `shards == 1` the persistence file is the caller's
-//! path itself, byte-compatible with the flat cache's snapshots.
+//! path itself: the cache of a sweep (`youtiao sweep --cache`) is a
+//! one-shard cache.
 
 use std::path::{Path, PathBuf};
 
@@ -39,7 +40,7 @@ pub fn shard_file(path: &Path, index: usize, shards: usize) -> PathBuf {
 }
 
 /// A content-addressed LRU cache split across independently locked,
-/// independently persisted [`PlanCache`] shards.
+/// independently persisted shards.
 ///
 /// # Example
 ///
@@ -51,6 +52,16 @@ pub fn shard_file(path: &Path, index: usize, shards: usize) -> PathBuf {
 /// assert_eq!(cache.get(7), Some("seven".into()));
 /// assert_eq!(cache.len(), 1);
 /// assert_eq!(shard_of_key(7, 4), 3);
+///
+/// // One shard is one LRU map.
+/// let cache: ShardedCache<String> = ShardedCache::new(1, 2);
+/// cache.insert(1, "a".into());
+/// cache.insert(2, "b".into());
+/// assert_eq!(cache.get(1), Some("a".into()));
+/// cache.insert(3, "c".into()); // evicts key 2, the least recently used
+/// assert_eq!(cache.get(2), None);
+/// let stats = cache.stats();
+/// assert_eq!((stats.hits, stats.misses, stats.evictions), (1, 1, 1));
 /// ```
 pub struct ShardedCache<R> {
     shards: Vec<PlanCache<R>>,
@@ -130,10 +141,12 @@ impl<R> ShardedCache<R> {
 
     /// Loads a sharded cache persisted under `path`: shard `i` reads
     /// [`shard_file`]`(path, i, shards)`. A missing shard file starts
-    /// that shard cold. A torn or corrupted shard file fails the load
-    /// with its [`CacheLoadError`] — unless `salvage` is set, which
-    /// restarts *only that shard* cold and keeps loading the rest; the
-    /// second return is how many shards were salvaged.
+    /// that shard cold. A torn or corrupted shard file (invalid UTF-8
+    /// included) fails the load with its [`CacheLoadError`] — unless
+    /// `salvage` is set, which restarts *only that shard* cold and
+    /// keeps loading the rest; the second return is how many shards
+    /// were salvaged. A shard file that exists but cannot be read fails
+    /// the load with [`CacheLoadError::Read`] even with `salvage`.
     pub fn load(
         path: &Path,
         shards: usize,
@@ -149,9 +162,13 @@ impl<R> ShardedCache<R> {
         let mut salvaged = 0usize;
         for index in 0..shards {
             let file = shard_file(path, index, shards);
-            let shard = match std::fs::read_to_string(&file) {
-                Err(_) => PlanCache::new(per_shard),
-                Ok(text) => match PlanCache::from_json(&text, per_shard) {
+            let shard = match std::fs::read(&file) {
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => PlanCache::new(per_shard),
+                Err(e) => return Err(CacheLoadError::Read(e.to_string())),
+                Ok(bytes) => match String::from_utf8(bytes)
+                    .map_err(|e| CacheLoadError::Parse(e.to_string()))
+                    .and_then(|text| PlanCache::from_json(&text, per_shard))
+                {
                     Ok(shard) => shard,
                     Err(_) if salvage => {
                         salvaged += 1;
@@ -166,7 +183,7 @@ impl<R> ShardedCache<R> {
     }
 
     /// Persists every shard crash-safely to its own [`shard_file`]
-    /// (same-directory temp + rename, like [`PlanCache::save_atomic`]).
+    /// (a same-directory temp file renamed into place).
     /// A crash between shard writes leaves each file either old or new
     /// — never torn — and loses at most the shards not yet written.
     pub fn save_atomic(&self, path: &Path) -> std::io::Result<()>
@@ -250,7 +267,8 @@ mod tests {
         let cache: ShardedCache<String> = ShardedCache::new(1, 8);
         cache.insert(7, "seven".into());
         cache.save_atomic(&path).unwrap();
-        // The file is a plain PlanCache snapshot the flat loader reads.
+        // The file is one shard's snapshot, which that shard's loader
+        // reads.
         let text = std::fs::read_to_string(&path).unwrap();
         let flat: PlanCache<String> = PlanCache::from_json(&text, 8).unwrap();
         assert_eq!(flat.get(7), Some("seven".into()));
@@ -303,6 +321,38 @@ mod tests {
             assert_eq!(back.get(key), expected, "key {key}");
         }
         cleanup(&path, 4);
+    }
+
+    /// A byte that is not UTF-8 is corruption like a torn write: it
+    /// fails the load, and salvage restarts that shard. A file that
+    /// cannot be read at all (here a directory) fails the load even
+    /// with salvage.
+    #[test]
+    fn invalid_utf8_is_salvageable_and_unreadable_files_fail() {
+        let path = temp_base("utf8");
+        cleanup(&path, 1);
+        let cache: ShardedCache<u64> = ShardedCache::new(1, 8);
+        cache.insert(3, 30);
+        cache.save_atomic(&path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[0] = 0xFF;
+        std::fs::write(&path, bytes).unwrap();
+
+        let err = ShardedCache::<u64>::load(&path, 1, 8, false).err().unwrap();
+        assert!(matches!(err, CacheLoadError::Parse(_)), "{err}");
+        let (back, salvaged) = ShardedCache::<u64>::load(&path, 1, 8, true).unwrap();
+        assert_eq!(salvaged, 1);
+        assert!(back.is_empty());
+        cleanup(&path, 1);
+
+        std::fs::create_dir(&path).unwrap();
+        for salvage in [false, true] {
+            let err = ShardedCache::<u64>::load(&path, 1, 8, salvage)
+                .err()
+                .unwrap();
+            assert!(matches!(err, CacheLoadError::Read(_)), "{err}");
+        }
+        std::fs::remove_dir(&path).unwrap();
     }
 
     #[test]

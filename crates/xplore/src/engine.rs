@@ -15,9 +15,9 @@
 //!   streams JSONL strictly in grid order, so the byte stream is
 //!   identical no matter how many threads raced to produce it (with
 //!   timings off, the default).
-//! * **Plan cache reuse** — results are memoized in a serving-layer
-//!   [`PlanCache`] under a content key of the full point parameters, so
-//!   overlapping sweeps (and re-runs via `--cache`) skip replanning.
+//! * **Plan cache reuse** — results are memoized in a one-shard
+//!   [`ShardedCache`] under a content key of the full point parameters,
+//!   so overlapping sweeps (and re-runs via `--cache`) skip replanning.
 //! * **Pareto + marginals** — after the grid drains, the engine
 //!   extracts the dominance-based Pareto front over the configured
 //!   objectives and per-axis marginal means for every swept axis.
@@ -41,7 +41,7 @@ use youtiao_core::{
 use youtiao_cost::WiringTally;
 use youtiao_noise::{characterize_xy, CrosstalkModel};
 use youtiao_serve::cache::content_key;
-use youtiao_serve::{ChipRequest, PlanCache};
+use youtiao_serve::{ChipRequest, ShardedCache};
 
 use crate::eval::{default_simulator, per_qubit_gate_error, FdmScenario};
 use crate::grid::{GridPoint, SweepGrid};
@@ -288,12 +288,12 @@ pub fn run_sweep<W: Write>(
     out: &mut W,
 ) -> Result<SweepOutcome, SweepError> {
     let cache = match &options.cache_path {
-        Some(path) if path.exists() => {
-            let text = std::fs::read_to_string(path)?;
-            PlanCache::from_json(&text, options.cache_capacity)
+        Some(path) => {
+            ShardedCache::load(path, 1, options.cache_capacity, false)
                 .map_err(|e| SweepError::Cache(e.to_string()))?
+                .0
         }
-        _ => PlanCache::new(options.cache_capacity),
+        None => ShardedCache::new(1, options.cache_capacity),
     };
     let outcome = run_sweep_with_cache(spec, options, &cache, out)?;
     if let Some(path) = &options.cache_path {
@@ -303,12 +303,12 @@ pub fn run_sweep<W: Write>(
     Ok(outcome)
 }
 
-/// [`run_sweep`] against a caller-owned [`PlanCache`] (e.g. one shared
-/// with a `youtiao-serve` batch service).
+/// [`run_sweep`] against a caller-owned [`ShardedCache`] (e.g. one
+/// shared with a `youtiao-serve` batch service).
 pub fn run_sweep_with_cache<W: Write>(
     spec: &SweepSpec,
     options: &SweepOptions,
-    cache: &PlanCache<PointResult>,
+    cache: &ShardedCache<PointResult>,
     out: &mut W,
 ) -> Result<SweepOutcome, SweepError> {
     let started = Instant::now();
@@ -493,7 +493,7 @@ fn run_point(
     spec: &SweepSpec,
     options: &SweepOptions,
     plan_threads: usize,
-    cache: &PlanCache<PointResult>,
+    cache: &ShardedCache<PointResult>,
 ) -> SweepRecord {
     let started = Instant::now();
     let skeleton = SweepRecord::skeleton(point, &ctx.label, ctx.chip.num_qubits() * point.chiplets);

@@ -11,7 +11,7 @@
 //! After the grid drains, the engine extracts a dominance-based Pareto
 //! front over configurable [`Objective`]s (minimize cost/coax/latency,
 //! maximize fidelity) plus per-axis marginal means, and can memoize
-//! point results in a `youtiao-serve` [`PlanCache`] across runs.
+//! point results in a `youtiao-serve` [`ShardedCache`] across runs.
 //!
 //! The `youtiao sweep` CLI subcommand and the Figure 16/17 experiment
 //! binaries in `youtiao-bench` are thin wrappers over [`run_sweep`].
@@ -51,4 +51,4 @@ pub use crate::spec::{SpecError, SweepMode, SweepSpec, DEFAULT_MAX_POINTS};
 
 // Re-exported so sweep callers can build chip axes without importing
 // the serving crate.
-pub use youtiao_serve::{ChipRequest, PlanCache};
+pub use youtiao_serve::{ChipRequest, ShardedCache};

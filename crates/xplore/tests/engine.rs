@@ -6,7 +6,7 @@ mod common;
 
 use common::{no_model_spec, sweep_jsonl};
 use youtiao_xplore::{
-    parse_objectives, run_sweep, run_sweep_with_cache, ChipRequest, PlanCache, SpecError,
+    parse_objectives, run_sweep, run_sweep_with_cache, ChipRequest, ShardedCache, SpecError,
     SweepError, SweepMode, SweepOptions, SweepSpec,
 };
 
@@ -89,7 +89,7 @@ fn latency_objective_requires_timings() {
 fn shared_cache_answers_repeat_sweeps() {
     let spec = no_model_spec();
     let options = SweepOptions::default();
-    let cache = PlanCache::new(64);
+    let cache = ShardedCache::new(1, 64);
 
     let mut first = Vec::new();
     let outcome1 = run_sweep_with_cache(&spec, &options, &cache, &mut first).unwrap();

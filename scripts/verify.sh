@@ -20,8 +20,8 @@
 # kernelized grouping, refinement and frequency allocation against the
 # naive passes on large chips, the chain memo, the property suite),
 # every other workspace crate's own tests (each crate's property suite
-# and the ChaCha8 keystream against its scalar blocks included) and
-# style gates. The batch determinism smoke and the cold-class pins run
+# and the ChaCha8 keystream against its scalar blocks included), style
+# gates and a warning-free rustdoc build. The batch determinism smoke and the cold-class pins run
 # again pinned to one core, where plans and dies run serially.
 #
 # Usage: scripts/verify.sh [--tier1-only|--smoke-only]
@@ -685,5 +685,10 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
   echo "  (clippy not installed; skipped)"
 fi
+
+# Docs must build without a warning, so an entry point removed from
+# the code cannot leave a dead intra-doc link behind.
+echo "==> docs: cargo doc --no-deps --workspace with RUSTDOCFLAGS=-D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace --offline
 
 echo "verify: OK"

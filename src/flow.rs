@@ -538,8 +538,6 @@ mod tests {
 
         // The planner's sub-stages are children of the plan span.
         let plan_span = trace.find("plan").unwrap();
-        // No "freq.kernels" here: the context supplies the freq kernels,
-        // so the planner never opens that sub-span on this path.
         for sub in [
             "matrices",
             "fdm_grouping",

@@ -24,7 +24,7 @@
 //! | [`repair`] | `youtiao-repair` | incremental plan repair: input diffing, kernel invalidation, local regroup |
 //! | [`serve`] | `youtiao-serve` | batch design service: worker pool, plan cache, deadlines/retries |
 //! | [`xplore`] | `youtiao-xplore` | parallel design-space sweeps, shared planning contexts, Pareto fronts |
-//! | [`bench`] | `youtiao-bench` | experiment harnesses, incl. the `bench-plan` perf trajectory |
+//! | [`bench`](mod@bench) | `youtiao-bench` | experiment harnesses, incl. the `bench-plan` perf trajectory |
 //! | [`flow`] | (this crate) | one-call characterize → plan → route → cost pipeline |
 //! | [`multi`] | (this crate) | multi-die chiplet design flow: per-die plans, budget split, link reconciliation |
 //!

@@ -93,10 +93,9 @@ type StoreShard = Mutex<HashMap<u64, Arc<DesignReport>>>;
 /// hit/miss/fallback counters, so the executor (moved into pool
 /// threads) and the session observe the same state.
 ///
-/// Like the plan cache, the store shards by
-/// [`shard_of_key`](youtiao_serve::shard_of_key): each shard has its
-/// own lock (lookups on different shards never contend) and its own
-/// slice of the capacity budget.
+/// Like the plan cache, the store shards by [`shard_of_key`]: each
+/// shard has its own lock (lookups on different shards never contend)
+/// and its own slice of the capacity budget.
 ///
 /// [`PlanContext`]: youtiao_core::PlanContext
 #[derive(Clone)]
