@@ -28,14 +28,13 @@ use std::time::Instant;
 use serde::Serialize;
 use youtiao_chip::surface::SurfaceCode;
 use youtiao_chip::{topology, Chip, DeviceId, QubitId};
-use youtiao_core::freq::allocate_frequencies_kernels_in;
+use youtiao_core::freq::allocate_frequencies_in;
 use youtiao_core::kernels::PairKernels;
 use youtiao_core::refine::{refine_tdm_groups, RefineConfig};
 use youtiao_core::scratch::{self, Scratch};
 use youtiao_core::tdm::{brickwork_activity, group_tdm, TdmConfig};
 use youtiao_core::{
-    group_fdm, FdmLine, FreqKernels, ParallelExec, PartitionConfig, PlanContext, PlannerConfig,
-    YoutiaoPlanner,
+    group_fdm, FdmLine, ParallelExec, PartitionConfig, PlanContext, PlannerConfig, YoutiaoPlanner,
 };
 
 /// Schema tag written into the report so downstream tooling can detect
@@ -50,8 +49,11 @@ use youtiao_core::{
 /// in the default size list. v4 drops the naive reference rows
 /// (`grouping_naive`, `refine_naive`, `freq_alloc_naive`,
 /// `readout_naive`), the `speedup_*` ratios against them and the hook's
-/// `plan.total`, which repeated `plan_total`.
-pub const SCHEMA: &str = "youtiao-bench-plan/v4";
+/// `plan.total`, which repeated `plan_total`. v5 drops the
+/// `freq_kernels_build` stage and the `freq_kernel_builds_during_plans`
+/// probe: allocation reads the crosstalk matrix's rows, so there are no
+/// frequency kernels to build or count.
+pub const SCHEMA: &str = "youtiao-bench-plan/v5";
 
 /// Minimum acceptable serial/parallel median ratio for the
 /// partitioned plan at 16×16 — asserted whenever a `grid:16` layout is
@@ -209,17 +211,14 @@ pub struct SizeReport {
     pub iterations: usize,
     /// Per-stage order statistics, keyed by stage name
     /// (`kernels_build`, `grouping_kernels`, `grouping_deep` (θ = 8
-    /// with 1:8 DEMUXes), `refine_kernels`, `freq_kernels_build`,
-    /// `freq_alloc_kernels`, `readout_kernels`, `plan_total`, the
-    /// planner's hook sub-stages prefixed `plan.`, and `plan_memo_hit`,
-    /// a plan whose chains all come from the context's chain memo).
+    /// with 1:8 DEMUXes), `refine_kernels`, `freq_alloc_kernels`,
+    /// `readout_kernels`, `plan_total`, the planner's hook sub-stages
+    /// prefixed `plan.`, and `plan_memo_hit`, a plan whose chains all
+    /// come from the context's chain memo).
     pub stages: BTreeMap<String, StageStats>,
     /// `PairKernels` builds observed while the timed plans ran; must be
     /// 0 — every plan reuses the shared context's kernels.
     pub kernel_builds_during_plans: u64,
-    /// `FreqKernels` builds observed while the timed plans ran; must be
-    /// 0 — every plan reuses the shared context's freq kernels.
-    pub freq_kernel_builds_during_plans: u64,
     /// Fresh scratch-buffer allocations observed during the timed plan
     /// loop (after one warmup plan); must be 0 — every hot-loop buffer
     /// comes back out of the context's arenas.
@@ -384,14 +383,10 @@ pub fn run(config: &PerfConfig) -> PerfReport {
             .map(|c| FdmLine::new(c.to_vec()))
             .collect();
 
-        let (stats, _) = timed(iters, || FreqKernels::build(ctx.crosstalk()));
-        stages.insert("freq_kernels_build".to_string(), stats);
-
         let allocate = |lines: &[FdmLine], config| {
-            allocate_frequencies_kernels_in(
+            allocate_frequencies_in(
                 &chip,
                 lines,
-                ctx.freq_kernels(),
                 ctx.crosstalk(),
                 config,
                 &mut |_, _| {},
@@ -419,7 +414,6 @@ pub fn run(config: &PerfConfig) -> PerfReport {
             ..Default::default()
         };
         let plan_kernels_before = PairKernels::build_count();
-        let plan_freq_kernels_before = FreqKernels::build_count();
         // One warmup plan populates the context's scratch arenas; the
         // timed loop after it must then run allocation-free (the
         // build-probe pattern, applied to buffers instead of matrices).
@@ -464,7 +458,6 @@ pub fn run(config: &PerfConfig) -> PerfReport {
             "{label}: the plan loop never drew from the scratch arenas"
         );
         let kernel_builds_during_plans = PairKernels::build_count() - plan_kernels_before;
-        let freq_kernel_builds_during_plans = FreqKernels::build_count() - plan_freq_kernels_before;
 
         // The same plan again, its chains all in the memo now.
         let hits_before = ctx.chain_stats().hits;
@@ -546,7 +539,6 @@ pub fn run(config: &PerfConfig) -> PerfReport {
             devices: devices.len(),
             iterations: iters,
             kernel_builds_during_plans,
-            freq_kernel_builds_during_plans,
             scratch_fresh,
             scratch_reused,
             threads,

@@ -224,14 +224,10 @@ pub fn run(config: &RepairBenchConfig) -> RepairPerfReport {
             "{label}: drift repair missed the tie-break contract\n{}",
             quality.render()
         );
-        // Freq-patch share: time the two band patches standalone against
-        // a context that already took the crosstalk delta, so the share
-        // isolates the `patch_frequencies` cost inside the repair median.
+        // Freq-patch share: time the two band patches standalone on the
+        // drifted matrix, so the share isolates the `patch_frequencies`
+        // cost inside the repair median.
         let dirty = changes.dirty_qubits();
-        let mut patched_ctx = ctx.clone();
-        patched_ctx
-            .apply_crosstalk_delta(&chip, drifted.clone(), &dirty)
-            .expect("drift delta must apply");
         let xy_lines: Vec<&[QubitId]> = base.fdm_lines().iter().map(FdmLine::qubits).collect();
         let ro_lines: Vec<&[QubitId]> = base.readout_lines().iter().map(Vec::as_slice).collect();
         let (patch_stats, _) = timed(iters, || {
@@ -239,7 +235,6 @@ pub fn run(config: &RepairBenchConfig) -> RepairPerfReport {
                 &chip,
                 &xy_lines,
                 base.frequency_plan(),
-                patched_ctx.freq_kernels(),
                 &drifted,
                 &planner.freq,
                 &dirty,
@@ -249,7 +244,6 @@ pub fn run(config: &RepairBenchConfig) -> RepairPerfReport {
                 &chip,
                 &ro_lines,
                 base.readout_frequency_plan(),
-                patched_ctx.freq_kernels(),
                 &drifted,
                 &planner.readout_freq,
                 &dirty,

@@ -29,7 +29,6 @@ fn tiny_run_produces_complete_report() {
             "grouping_kernels",
             "grouping_deep",
             "refine_kernels",
-            "freq_kernels_build",
             "freq_alloc_kernels",
             "readout_kernels",
             "plan_total",
@@ -49,15 +48,14 @@ fn tiny_run_produces_complete_report() {
             assert!(s.p10_us <= s.p90_us, "{stage}: {s:?}");
         }
         assert_eq!(size.kernel_builds_during_plans, 0);
-        assert_eq!(size.freq_kernel_builds_during_plans, 0);
         // The arena probes: nothing fresh after warmup, reuse live.
         assert_eq!(size.scratch_fresh, 0);
         assert!(size.scratch_reused > 0);
         assert_eq!(size.threads, 2);
         assert!(size.speedup_parallel.is_finite());
-        // Context-backed plans reuse the context's freq kernels, and
-        // `plan_total` is the one timing of the whole plan.
-        for gone in ["plan.freq.kernels", "plan.total"] {
+        // Allocation builds no frequency kernels, and `plan_total` is
+        // the one timing of the whole plan.
+        for gone in ["freq_kernels_build", "plan.freq.kernels", "plan.total"] {
             assert!(!size.stages.contains_key(gone), "{gone}");
         }
     }

@@ -45,7 +45,6 @@ use youtiao_chip::{Chip, DeviceId, QubitId};
 use youtiao_noise::CrosstalkModel;
 
 use crate::error::PlanError;
-use crate::freq_kernels::FreqKernels;
 use crate::kernels::{PairKernels, SortedRows};
 use crate::memo::{ChainMemo, ChainStats};
 use crate::plan::crosstalk_matrix;
@@ -86,13 +85,13 @@ pub fn chip_fingerprint(chip: &Chip) -> u64 {
 /// Chip-level planning state, the one input every planning pass reads
 /// besides its knobs: the equivalent-distance matrix, the XY crosstalk
 /// matrix, (optionally) the ZZ crosstalk matrix, the topology-only
-/// grouping [`PairKernels`], the frequency kernels and the brickwork
-/// activity masks, together with the weights and the couplers they
-/// were built from so a mismatched or structurally-changed chip is
-/// rejected instead of silently planning against stale matrices. A
-/// plan without a context builds a private one, so there is one
-/// planning path; sweeps and services build one per chip and share it
-/// across every point that plans that chip.
+/// grouping [`PairKernels`] and the brickwork activity masks, together
+/// with the weights and the couplers they were built from so a
+/// mismatched or structurally-changed chip is rejected instead of
+/// silently planning against stale matrices. A plan without a context
+/// builds a private one, so there is one planning path; sweeps and
+/// services build one per chip and share it across every point that
+/// plans that chip.
 ///
 /// Besides that planning state the context carries three kinds of warm
 /// state, which compare equal, clone empty and never change a plan:
@@ -126,7 +125,6 @@ pub struct PlanContext {
     crosstalk: DistanceMatrix,
     zz_crosstalk: Option<DistanceMatrix>,
     kernels: PairKernels,
-    freq_kernels: FreqKernels,
     /// [`crate::tdm::brickwork_activity`] densified: what TDM grouping
     /// and refinement read without a supplied activity profile, and
     /// what Z chain keys are computed from.
@@ -178,7 +176,6 @@ impl PlanContext {
         equivalent: DistanceMatrix,
         crosstalk: DistanceMatrix,
     ) -> Self {
-        let freq_kernels = FreqKernels::build(&crosstalk);
         BUILDS.fetch_add(1, Ordering::Relaxed);
         PlanContext {
             num_qubits: chip.num_qubits(),
@@ -188,7 +185,6 @@ impl PlanContext {
             crosstalk,
             zz_crosstalk: None,
             kernels: PairKernels::build(chip),
-            freq_kernels,
             brickwork: crate::tdm::brickwork_masks(chip),
             scratch: ScratchPool::new(),
             tdm_rows: SortedRows::new(chip.num_qubits()),
@@ -214,9 +210,8 @@ impl PlanContext {
         );
         let eq = equivalent_matrix(chip, model.weights());
         // TDM grouping scores with the ZZ matrix from here on; the
-        // kernels are topology-only and stay. The freq kernels stay on
-        // the XY matrix: frequency allocation always scores XY
-        // crosstalk regardless of the TDM noise model.
+        // kernels are topology-only and stay. Frequency allocation
+        // always scores XY crosstalk regardless of the TDM noise model.
         self.zz_crosstalk = Some(crosstalk_matrix(chip, &eq, Some(model)));
         self.tdm_rows = SortedRows::new(self.num_qubits);
         self.chains.clear();
@@ -271,13 +266,6 @@ impl PlanContext {
         &self.tdm_rows
     }
 
-    /// The frequency-allocation kernels, always built on the XY
-    /// crosstalk matrix (the matrix both the qubit-band and the
-    /// readout-band allocations score with).
-    pub fn freq_kernels(&self) -> &FreqKernels {
-        &self.freq_kernels
-    }
-
     /// The context's scratch-arena pool. Each planning stage checks an
     /// arena out for the duration of its work (concurrent plans — or
     /// concurrent stages within one plan — each get their own), so the
@@ -324,10 +312,9 @@ impl PlanContext {
     }
 
     /// Applies a crosstalk-value delta in place: replaces the XY
-    /// crosstalk matrix and rebuilds the freq kernels from it, advancing
-    /// the [`Self::crosstalk_deltas`] probe instead of the build
-    /// count, and empties the sorted rows and the chain memo. The
-    /// topology-only [`PairKernels`] stay as they are.
+    /// crosstalk matrix, advancing the [`Self::crosstalk_deltas`] probe
+    /// instead of the build count, and empties the sorted rows and the
+    /// chain memo. The topology-only [`PairKernels`] stay as they are.
     ///
     /// This is the explicit rebuild-vs-delta choice: mutating inputs
     /// and reusing a context used to silently serve stale kernels; now
@@ -378,10 +365,6 @@ impl PlanContext {
         rows.sort_unstable();
         rows.dedup();
         DELTAS.fetch_add(1, Ordering::Relaxed);
-        // Freq kernels are plain sparse rows over the matrix — a
-        // rebuild from the new matrix is already row-cheap and is
-        // trivially bit-identical to a fresh context's build.
-        self.freq_kernels = FreqKernels::build(&crosstalk);
         self.crosstalk = crosstalk;
         self.tdm_rows = SortedRows::new(self.num_qubits);
         self.chains.clear();

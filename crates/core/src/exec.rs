@@ -17,9 +17,9 @@
 //!    reassembled in item-index order before anything downstream reads
 //!    them; completion order is unobservable.
 //! 2. **Fixed-order reduction** — when per-thread partial buffers must
-//!    be combined (zone-chunked cell scoring), the reduction walks the
-//!    chunks in fixed ascending order, and no floating-point sum is
-//!    ever split across threads (IEEE addition is not associative).
+//!    be combined, the reduction walks the chunks in fixed ascending
+//!    order, and no floating-point sum is ever split across threads
+//!    (IEEE addition is not associative).
 //! 3. **Serial fast path** — one thread or one item short-circuits to
 //!    a plain loop with zero thread overhead, and that loop is the
 //!    semantic definition the parallel path must reproduce.
@@ -32,7 +32,7 @@ use std::sync::mpsc;
 
 /// A deterministic scoped-thread executor for the planner's
 /// embarrassingly-parallel stages (the plan's XY, Z and readout chains,
-/// scaling-row fills, zone scoring, per-die plans).
+/// scaling-row fills, per-die plans).
 ///
 /// Cheap to construct — it owns no threads; each [`Self::run`] spawns
 /// short-lived scoped helpers. The thread count is resolved once at

@@ -9,15 +9,18 @@
 //! a cell is *reused* by the pair with the least mutual crosstalk. A
 //! final in-group swap pass lowers the global objective further.
 //!
-//! The production path is kernelized over [`FreqKernels`]: cell scoring
-//! iterates only the placed positive-crosstalk neighbors of the qubit
-//! being placed, spectral-proximity factors come from the lazily-filled
+//! The production path reads rows of the crosstalk matrix: cell scoring
+//! walks the already-placed qubits in placement order against the row
+//! of the qubit being placed, skipping every entry that is not `> 0.0`,
+//! spectral-proximity factors come from the lazily-filled
 //! [`ScalingTable`] over the cell lattice, and each candidate swap is
-//! judged by an exact O(deg(a)+deg(b)) objective delta instead of two
-//! full O(n²) [`FrequencyPlan::objective`] sweeps. The test-only `naive`
-//! module retains the direct implementation (same semantics, no tables)
-//! and the differential suite below pins the two byte-identical across
-//! layouts, configs, and bands.
+//! judged by an exact O(n) objective delta over the two swapped qubits'
+//! rows ([`ScalingTable::swap_delta`]) instead of two full O(n²)
+//! [`FrequencyPlan::objective`] sweeps. The test-only `naive` module
+//! retains the direct implementation (same semantics, no tables) and
+//! the differential suite below pins the two byte-identical across
+//! layouts, configs, bands and rows with zero, negative and NaN
+//! entries.
 
 use std::time::Instant;
 
@@ -28,15 +31,8 @@ use youtiao_noise::model::frequency_scaling;
 use crate::error::PlanError;
 use crate::exec::ParallelExec;
 use crate::fdm::FdmLine;
-use crate::freq_kernels::{BandLattice, FreqKernels, ScalingTable};
+use crate::freq_kernels::{BandLattice, ScalingTable};
 use crate::scratch::Scratch;
-
-/// Cells per zone-chunk when cell scoring fans out across threads. Zones
-/// of the default configs are far smaller (60 XY / 4 readout cells), so
-/// the parallel path only engages at chiplet-scale bands where a zone
-/// holds thousands of cells; below that the chunked sweep is pure
-/// overhead.
-const PAR_SCORE_CHUNK: usize = 1024;
 
 /// Configuration of the frequency allocator.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -192,7 +188,7 @@ fn zone_for(config: &FreqConfig, lattice: &BandLattice, base: f64, k: usize) -> 
 
 /// The allocator's cell-selection policy: prefer empty cells over
 /// reuse, letting a reused cell win only when it is *strictly cheaper*
-/// than the best empty cell. Shared by the kernelized allocator, the
+/// than the best empty cell. Shared by the allocator, the
 /// test-only `naive` reference, and `repair::patch_frequencies` so the
 /// three cannot drift.
 #[inline]
@@ -215,9 +211,8 @@ pub fn cell_better(best: &Option<(usize, f64, bool)>, cost: f64, reuse: bool) ->
 /// minimizing crosstalk predicted by the symmetric `xtalk` matrix
 /// (`xtalk[a][b]` = model-predicted crosstalk between qubits `a`, `b`).
 ///
-/// Builds [`FreqKernels`] from `xtalk` and allocates serially; the
-/// planner allocates with its context's kernels through
-/// [`allocate_frequencies_kernels_in`].
+/// Allocates serially with a fresh arena; the planner allocates on its
+/// context's arenas through [`allocate_frequencies_in`].
 ///
 /// # Errors
 ///
@@ -235,11 +230,9 @@ pub fn allocate_frequencies(
     xtalk: &DistanceMatrix,
     config: &FreqConfig,
 ) -> Result<FrequencyPlan, PlanError> {
-    let kernels = FreqKernels::build(xtalk);
-    allocate_frequencies_kernels_in(
+    allocate_frequencies_in(
         chip,
         lines,
-        &kernels,
         xtalk,
         config,
         &mut |_, _| {},
@@ -248,18 +241,13 @@ pub fn allocate_frequencies(
     )
 }
 
-/// Kernelized frequency allocation (the production path). `kernels`
-/// must be built from `xtalk` (the raw matrix is still needed for the
-/// reuse penalty, which scores direct crosstalk with cell occupants
-/// regardless of sign), and `hook` receives the `"place"` and `"swap"`
-/// sub-stage durations. Working buffers (scaling table, slot map, cell
-/// scores, placed-neighbor lists) come from the arena and go back when
-/// the allocation finishes, and `exec` drives the deterministic
-/// parallel levers — up-front scaling-row materialization and
-/// fixed-order zone-chunked cell scoring. Output is byte-identical to
-/// the serial path for any thread count (per-cell sums keep their
-/// placement-order term sequence; chunks partition the zone and merge
-/// in ascending order).
+/// Frequency allocation on a scratch arena (the planner's entry).
+/// `hook` receives the `"place"` and `"swap"` sub-stage durations.
+/// Working buffers (scaling table, slot map, cell scores, the list of
+/// placed qubits) come from the arena and go back when the allocation
+/// finishes, and when `exec` has threads to spare every scaling row is
+/// materialized up front across them. Output is byte-identical for any
+/// thread count.
 ///
 /// # Errors
 ///
@@ -267,13 +255,10 @@ pub fn allocate_frequencies(
 ///
 /// # Panics
 ///
-/// As [`allocate_frequencies`], or if `kernels` has the wrong
-/// dimension.
-#[allow(clippy::too_many_arguments)] // the planner's internal entry point
-pub fn allocate_frequencies_kernels_in(
+/// As [`allocate_frequencies`].
+pub fn allocate_frequencies_in(
     chip: &Chip,
     lines: &[FdmLine],
-    kernels: &FreqKernels,
     xtalk: &DistanceMatrix,
     config: &FreqConfig,
     hook: &mut dyn FnMut(&'static str, std::time::Duration),
@@ -282,7 +267,6 @@ pub fn allocate_frequencies_kernels_in(
 ) -> Result<FrequencyPlan, PlanError> {
     let n = chip.num_qubits();
     assert_eq!(xtalk.len(), n, "crosstalk matrix size mismatch");
-    assert_eq!(kernels.num_qubits(), n, "freq kernels size mismatch");
     let covered: usize = lines.iter().map(FdmLine::len).sum();
     assert_eq!(covered, n, "lines must cover every qubit exactly once");
 
@@ -304,11 +288,11 @@ pub fn allocate_frequencies_kernels_in(
     let mut zone_of = vec![0usize; n];
     let mut slot_of = scratch.take_usize(n, usize::MAX);
     let mut occupancy: Vec<Vec<Vec<QubitId>>> = vec![vec![Vec::new(); cells_per_zone]; zones];
-    // Per-qubit list of already-placed positive-crosstalk neighbors in
-    // placement order — the exact term sequence the naive path sums, so
-    // costs stay bit-identical.
-    let mut placed_neighbors = scratch.take_pair_lists(n);
-    let mut assigned = scratch.take_bool(n, false);
+    // The qubits placed so far, in placement order: the term order of
+    // every cell's sum, as in the naive path. Taken at full length so
+    // its capacity never grows.
+    let mut placed = scratch.take_u32(n, 0);
+    placed.clear();
     let mut reused_cells = 0usize;
 
     let mut scores = scratch.take_f64(cells_per_zone, 0.0);
@@ -321,41 +305,17 @@ pub fn allocate_frequencies_kernels_in(
             let zone = zone_for(config, &lattice, base, k);
             zone_of[q.index()] = zone;
             // Score every cell against the placed qubits, transposed:
-            // each placed neighbor's scaling row is walked once over the
-            // zone's contiguous slot range, accumulating into per-cell
-            // scores. Per cell the terms still land in placement order,
-            // so every sum stays bit-identical to a per-cell sweep.
+            // each placed qubit with positive crosstalk walks its
+            // scaling row once over the zone's contiguous slot range,
+            // accumulating into per-cell scores. Per cell the terms
+            // still land in placement order, so every sum stays
+            // bit-identical to a per-cell sweep.
             let zone_base = table.slot(zone, 0);
-            let neighbors = &placed_neighbors[q.index()];
-            let chunk_count = cells_per_zone.div_ceil(PAR_SCORE_CHUNK.max(1));
-            if exec.is_parallel_for(chunk_count) && !neighbors.is_empty() {
-                // Zone-chunked scoring: each worker owns a disjoint
-                // contiguous cell range and sums *all* neighbor terms
-                // for its cells, so no floating-point sum is split
-                // across threads; partials land back in ascending chunk
-                // order (fixed-order reduction, DESIGN.md §4j).
-                let (table, slot_of) = (&table, &slot_of);
-                let partials = exec.run(chunk_count, |c| {
-                    let start = c * PAR_SCORE_CHUNK;
-                    let end = cells_per_zone.min(start + PAR_SCORE_CHUNK);
-                    let mut part = vec![0.0f64; end - start];
-                    for &(p, x) in neighbors {
-                        let row =
-                            &table.row(slot_of[p as usize])[zone_base + start..zone_base + end];
-                        for (s, r) in part.iter_mut().zip(row) {
-                            *s += x * r;
-                        }
-                    }
-                    part
-                });
-                let mut base = 0;
-                for part in partials {
-                    scores[base..base + part.len()].copy_from_slice(&part);
-                    base += part.len();
-                }
-            } else {
-                scores.fill(0.0);
-                for &(p, x) in neighbors {
+            let xrow = xtalk.row(q);
+            scores.fill(0.0);
+            for &p in &placed {
+                let x = xrow[p as usize];
+                if x > 0.0 {
                     let row =
                         &table.row(slot_of[p as usize])[zone_base..zone_base + cells_per_zone];
                     for (s, r) in scores.iter_mut().zip(row) {
@@ -399,12 +359,7 @@ pub fn allocate_frequencies_kernels_in(
             slot_of[q.index()] = slot;
             table.ensure_row(slot);
             occupancy[zone][cell].push(q);
-            assigned[q.index()] = true;
-            for &(p, x) in kernels.neighbors(q) {
-                if !assigned[p as usize] {
-                    placed_neighbors[p as usize].push((q.index() as u32, x));
-                }
-            }
+            placed.push(q.index() as u32);
         }
     }
     hook("place", started.elapsed());
@@ -412,8 +367,8 @@ pub fn allocate_frequencies_kernels_in(
     // In-group swap pass (§4.2 constraint 3): swapping two members of
     // the same line exchanges their zones/cells; keep a swap exactly
     // when its local objective delta is negative (the (a, b) pair term
-    // is invariant under the swap, so the delta over the two neighbor
-    // lists is the entire objective change).
+    // is invariant under the swap, so the delta over the two rows is
+    // the entire objective change).
     let started = Instant::now();
     for _ in 0..config.swap_passes {
         let mut improved = false;
@@ -433,7 +388,7 @@ pub fn allocate_frequencies_kernels_in(
                             continue;
                         }
                     }
-                    if table.swap_delta(kernels, &slot_of, a, b) < 0.0 {
+                    if table.swap_delta(xtalk, &slot_of, a, b) < 0.0 {
                         freqs.swap(a.index(), b.index());
                         zone_of.swap(a.index(), b.index());
                         slot_of.swap(a.index(), b.index());
@@ -450,8 +405,7 @@ pub fn allocate_frequencies_kernels_in(
 
     table.retire_into(scratch);
     scratch.retire_usize(slot_of);
-    scratch.retire_pair_lists(placed_neighbors);
-    scratch.retire_bool(assigned);
+    scratch.retire_u32(placed);
     scratch.retire_f64(scores);
 
     Ok(FrequencyPlan {
@@ -499,7 +453,7 @@ pub fn allocate_in_line_only(chip: &Chip, lines: &[FdmLine], config: &FreqConfig
 
 /// The direct (table-free) reference implementation of the allocator.
 ///
-/// Semantically identical to [`allocate_frequencies_kernels_in`] — same
+/// Semantically identical to [`allocate_frequencies_in`] — same
 /// lattice, same cell-selection policy, same exact swap criterion — but
 /// every crosstalk and `frequency_scaling` term is computed on the
 /// spot. The differential suite pins the two byte-identical.
@@ -515,11 +469,12 @@ pub mod naive {
     /// instead of two global sums, so unchanged pairs contribute an
     /// exact `+0.0` and the comparison needs no `1e-15` noise margin.
     /// The `(a, b)` pair term is invariant (`frequency_scaling` is
-    /// even), so it lands on `+0.0` too.
+    /// even), so it lands on `+0.0` too. A `+∞` entry breaks this: its
+    /// unchanged pair adds `+∞ × 0.0 = NaN`.
     ///
-    /// The kernelized [`ScalingTable::swap_delta`] emits the identical
-    /// term sequence (lexicographic pair order) while touching only the
-    /// O(deg(a)+deg(b)) pairs that actually move.
+    /// [`ScalingTable::swap_delta`] emits the identical term sequence
+    /// (lexicographic pair order) while touching only the O(n) pairs
+    /// that actually move.
     ///
     /// [`ScalingTable::swap_delta`]: crate::freq_kernels::ScalingTable::swap_delta
     pub fn swap_delta(xtalk: &DistanceMatrix, freqs: &[f64], a: QubitId, b: QubitId) -> f64 {
@@ -1061,6 +1016,181 @@ mod tests {
                 let plan = allocate_frequencies(&chip, &lines, &x, &cfg).unwrap();
                 assert!(plan.reused_cells() > 0, "{n}x{n} not crowded");
                 check(&chip, &lines, &x, &cfg);
+            }
+        }
+
+        /// A 4×6 grid without the couplers between its third and fourth
+        /// columns: two 4×3 halves whose cross-half crosstalk is zero.
+        fn two_halves() -> Chip {
+            let grid = topology::square_grid(4, 6);
+            let mut spec = youtiao_chip::spec::ChipSpec::from_chip(&grid);
+            spec.couplers.retain(|&(a, b)| (a % 6 < 3) == (b % 6 < 3));
+            let chip = spec.to_chip().unwrap();
+            assert!(!chip.is_connected());
+            chip
+        }
+
+        /// The proxy matrix of `chip` with seeded pairs overwritten by
+        /// zero, a negated value or NaN and, when `infinite`, by +∞:
+        /// entries the allocator must skip in its sums (all but +∞),
+        /// exactly as the naive reference does.
+        fn non_positive(chip: &Chip, seed: u64, infinite: bool) -> DistanceMatrix {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut x = xtalk_matrix(chip);
+            let pairs: Vec<(QubitId, QubitId, f64)> = x.iter_pairs().collect();
+            for (a, b, v) in pairs {
+                let v = match rng.gen_range(0..20) {
+                    0..=2 => 0.0,
+                    3..=5 => -v,
+                    6 => f64::NAN,
+                    7 if infinite => f64::INFINITY,
+                    _ => v,
+                };
+                x.set(a, b, v);
+            }
+            x
+        }
+
+        /// The chips and configs of the non-positive cases: both bands,
+        /// retuning, extra swap passes and crowded cells.
+        fn non_positive_cases() -> (Vec<(Chip, Vec<FdmLine>)>, [FreqConfig; 5]) {
+            let chips = [
+                (topology::square_grid(5, 5), 5),
+                (topology::heavy_hexagon(2, 2), 4),
+                (two_halves(), 5),
+            ]
+            .map(|(chip, cap)| {
+                let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
+                let lines = group_fdm(&chip, &eq, cap);
+                (chip, lines)
+            });
+            let configs = [
+                FreqConfig::default(),
+                FreqConfig::retuning(),
+                readout_band(),
+                FreqConfig {
+                    swap_passes: 4,
+                    ..Default::default()
+                },
+                FreqConfig {
+                    cell_mhz: 400.0,
+                    ..Default::default()
+                },
+            ];
+            (chips.into(), configs)
+        }
+
+        /// Zero, negative and NaN entries, and a chip of two
+        /// disconnected halves, bit for bit against the naive
+        /// reference.
+        #[test]
+        fn non_positive_rows_match() {
+            let (chips, configs) = non_positive_cases();
+            for (chip, lines) in &chips {
+                for seed in 0..3 {
+                    let x = non_positive(chip, seed, false);
+                    for cfg in &configs {
+                        check(chip, lines, &x, cfg);
+                    }
+                }
+            }
+        }
+
+        /// Seeded lattice slots for every qubit of `chip`, their table
+        /// rows materialized, and the slots' frequencies.
+        fn seeded_slots(chip: &Chip, seed: u64) -> (ScalingTable, Vec<usize>, Vec<f64>) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(100 + seed);
+            let lattice = BandLattice::new(&FreqConfig::default(), 4).unwrap();
+            let mut table = ScalingTable::new(&lattice);
+            let slot_of: Vec<usize> = chip
+                .qubit_ids()
+                .map(|_| rng.gen_range(0..lattice.slots()))
+                .collect();
+            for &s in &slot_of {
+                table.ensure_row(s);
+            }
+            let freqs = slot_of.iter().map(|&s| table.freq(s)).collect();
+            (table, slot_of, freqs)
+        }
+
+        /// The swap delta against the naive full-pair sweep, bit for
+        /// bit, for every ordered pair of qubits on seeded slots, over
+        /// the matrices of [`non_positive_rows_match`].
+        #[test]
+        fn swap_delta_matches_naive_on_non_positive_rows() {
+            for chip in [topology::square_grid(5, 5), two_halves()] {
+                for seed in 0..3 {
+                    let (table, slot_of, freqs) = seeded_slots(&chip, seed);
+                    let x = non_positive(&chip, seed, false);
+                    for a in chip.qubit_ids() {
+                        for b in chip.qubit_ids() {
+                            let rows = table.swap_delta(&x, &slot_of, a, b);
+                            let sweep = naive::swap_delta(&x, &freqs, a, b);
+                            assert_eq!(
+                                rows.to_bits(),
+                                sweep.to_bits(),
+                                "{} seed {seed} ({a}, {b}): {rows} vs {sweep}",
+                                chip.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+
+        /// FNV-1a over 64-bit words.
+        fn digest(words: impl IntoIterator<Item = u64>) -> u64 {
+            let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+            for word in words {
+                for byte in word.to_le_bytes() {
+                    hash ^= u64::from(byte);
+                    hash = hash.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+            hash
+        }
+
+        /// With +∞ entries the naive sweep is no oracle: it adds
+        /// `+∞ × 0.0 = NaN` for every +∞ pair a swap leaves in place,
+        /// so it rejects every swap, while the allocator sums only the
+        /// pairs a swap moves. Per chip, the allocations of every case
+        /// config and the swap deltas of every ordered pair on seeded
+        /// slots keep the bits recorded from the allocator that summed
+        /// over sparse positive-neighbour lists.
+        #[test]
+        fn infinite_entries_keep_their_recorded_bits() {
+            let (chips, configs) = non_positive_cases();
+            let pins: [(u64, u64); 3] = [
+                (0x4698_67a2_ec7a_81e5, 0x39da_0da3_680c_e08d),
+                (0x920d_2469_63e3_5516, 0x4ffc_e8b5_77fa_08fc),
+                (0x9d2c_008a_3b78_13bf, 0xaac2_0f2b_176a_491d),
+            ];
+            for ((chip, lines), (plans_pin, deltas_pin)) in chips.iter().zip(pins) {
+                let mut plans = Vec::new();
+                let mut deltas = Vec::new();
+                for seed in 0..3 {
+                    let x = non_positive(chip, seed, true);
+                    for cfg in &configs {
+                        match allocate_frequencies(chip, lines, &x, cfg) {
+                            Ok(plan) => {
+                                plans.extend(plan.frequencies().iter().map(|f| f.to_bits()));
+                                plans.extend(chip.qubit_ids().map(|q| plan.zone_of(q) as u64));
+                                plans.push(plan.reused_cells() as u64);
+                            }
+                            Err(_) => plans.push(u64::MAX),
+                        }
+                    }
+                    let (table, slot_of, _) = seeded_slots(chip, seed);
+                    for a in chip.qubit_ids() {
+                        for b in chip.qubit_ids() {
+                            deltas.push(table.swap_delta(&x, &slot_of, a, b).to_bits());
+                        }
+                    }
+                }
+                assert_eq!(digest(plans), plans_pin, "{}: allocations", chip.name());
+                assert_eq!(digest(deltas), deltas_pin, "{}: swap deltas", chip.name());
             }
         }
 

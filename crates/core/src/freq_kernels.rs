@@ -1,16 +1,15 @@
-//! Precomputed kernels for frequency allocation (§4.2 hot loops).
+//! Band tables for frequency allocation (§4.2 hot loops).
 //!
 //! The two-level allocator's inner loops are dominated by two O(n)
-//! scans per candidate cell: crosstalk lookups against *every* placed
-//! qubit (most of which have zero crosstalk with the candidate) and
-//! [`frequency_scaling`] evaluations at spectral offsets that always
-//! lie on the `cell_mhz` lattice. Both are tabulable once per
-//! (matrix, band) pair:
+//! scans per candidate cell: crosstalk lookups against every placed
+//! qubit and [`frequency_scaling`] evaluations at spectral offsets
+//! that always lie on the `cell_mhz` lattice. The crosstalk lookups
+//! read rows of the crosstalk [`DistanceMatrix`] directly, skipping
+//! every entry that is not `> 0.0`: a fitted model's matrix is positive
+//! for every connected pair, so a sparse copy of its positive entries
+//! would hold the matrix a second time. The spectral factors are
+//! tabulable once per band:
 //!
-//! * [`FreqKernels`] — sparse per-qubit neighbor lists over the
-//!   crosstalk matrix: only pairs with strictly positive crosstalk
-//!   contribute to the objective, and on physical chips that set is
-//!   O(deg) per qubit, not O(n).
 //! * [`BandLattice`] — the zone/cell grid of a band: every candidate
 //!   frequency is `cell_freq(zone, cell)`, so the lattice is the single
 //!   source of truth for the cell geometry shared by the allocator, the
@@ -34,8 +33,6 @@
 //! `scaling_table_matches_model_at_every_offset` property in
 //! `tests/properties.rs` pin both facts.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use youtiao_chip::distance::DistanceMatrix;
 use youtiao_chip::QubitId;
 use youtiao_noise::model::frequency_scaling;
@@ -44,66 +41,6 @@ use crate::error::PlanError;
 use crate::exec::ParallelExec;
 use crate::freq::FreqConfig;
 use crate::scratch::Scratch;
-
-/// Global count of [`FreqKernels::build`] calls — a probe for tests
-/// asserting that sweeps and repairs reuse a context's kernels instead
-/// of rebuilding O(n·deg) state per plan. Deliberately separate from
-/// [`crate::kernels::PairKernels::build_count`] so existing probes keep
-/// counting only grouping-kernel builds.
-static BUILDS: AtomicU64 = AtomicU64::new(0);
-
-/// Sparse crosstalk-neighbor lists: for each qubit, the (neighbor id,
-/// crosstalk) pairs with strictly positive crosstalk, sorted ascending
-/// by neighbor id. The crosstalk values are read straight from the
-/// symmetric [`DistanceMatrix`], so `neighbors(a)` listing `(b, x)`
-/// implies `neighbors(b)` lists `(a, x)` with the bit-identical `x`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FreqKernels {
-    neighbors: Vec<Vec<(u32, f64)>>,
-}
-
-impl FreqKernels {
-    /// Extracts the sparse neighbor lists from a crosstalk matrix.
-    pub fn build(xtalk: &DistanceMatrix) -> Self {
-        let n = xtalk.len();
-        let mut neighbors = Vec::with_capacity(n);
-        for i in 0..n {
-            let a = QubitId::new(i as u32);
-            let mut row = Vec::new();
-            for j in 0..n {
-                if j == i {
-                    continue;
-                }
-                let x = xtalk.get(a, QubitId::new(j as u32));
-                if x > 0.0 {
-                    row.push((j as u32, x));
-                }
-            }
-            neighbors.push(row);
-        }
-        BUILDS.fetch_add(1, Ordering::Relaxed);
-        FreqKernels { neighbors }
-    }
-
-    /// Number of qubits the kernels were built for.
-    pub fn num_qubits(&self) -> usize {
-        self.neighbors.len()
-    }
-
-    /// The positive-crosstalk neighbors of `q`, ascending by id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is out of range.
-    pub fn neighbors(&self, q: QubitId) -> &[(u32, f64)] {
-        &self.neighbors[q.index()]
-    }
-
-    /// Cumulative number of kernel builds in this process (test probe).
-    pub fn build_count() -> u64 {
-        BUILDS.load(Ordering::Relaxed)
-    }
-}
 
 /// The zone/cell lattice of a frequency band: `zones` equal-width zones
 /// over `band_ghz`, each split into `cell_mhz`-wide cells. Candidate
@@ -316,26 +253,29 @@ impl ScalingTable {
     }
 
     /// Exact objective change from swapping the slot assignments of `a`
-    /// and `b` — the kernelized counterpart of the naive full-pair
-    /// sweep in `freq::naive::swap_delta`, touching only the
-    /// O(deg(a)+deg(b)) pairs whose terms actually move.
+    /// and `b` — the counterpart of the naive full-pair sweep in
+    /// `freq::naive::swap_delta`, touching only the O(n) pairs whose
+    /// terms actually move, read from the rows of `a` and `b` in the
+    /// crosstalk matrix with every entry that is not `> 0.0` skipped.
     ///
     /// Bit-identity contract: the naive sweep walks `iter_pairs` in
     /// lexicographic `(p, q)` order, and every pair not involving the
     /// endpoints (plus the invariant `(a, b)` pair itself) contributes
-    /// an exact `+0.0` — so this function emits the moving terms in the
-    /// same lexicographic order, with identical `x * (after - before)`
-    /// arithmetic, and the sums agree bit-for-bit. With `lo < hi` the
-    /// endpoint ids, that order is: pairs `(p, lo)` then `(p, hi)` for
-    /// each `p < lo`; then `(lo, q)` for `q > lo`; then `(p, hi)` /
-    /// `(hi, q)` for partners above `lo`.
+    /// an exact `+0.0` for every finite entry — so this function emits
+    /// the moving terms in the same lexicographic order, with identical
+    /// `x * (after - before)` arithmetic, and the sums agree
+    /// bit-for-bit. With `lo < hi` the endpoint ids, that order is:
+    /// pairs `(p, lo)` then `(p, hi)` for each `p < lo`; then `(lo, q)`
+    /// for `q > lo`; then `(p, hi)` / `(hi, q)` for partners above
+    /// `lo`.
     ///
-    /// `slot_of[q]` must hold the current slot of every assigned qubit,
-    /// and the rows of both `slot_of[a]` and `slot_of[b]` must be
-    /// materialized (they are, once occupied).
+    /// `slot_of[q]` must hold the current slot of every qubit with
+    /// positive crosstalk to `a` or `b`, and the rows of both
+    /// `slot_of[a]` and `slot_of[b]` must be materialized (they are,
+    /// once occupied).
     pub fn swap_delta(
         &self,
-        kernels: &FreqKernels,
+        xtalk: &DistanceMatrix,
         slot_of: &[usize],
         a: QubitId,
         b: QubitId,
@@ -352,75 +292,29 @@ impl ScalingTable {
         // is even, so orientation never changes the bits.
         let rl = self.row(slot_of[li]);
         let rh = self.row(slot_of[hi_i]);
-        let nl = kernels.neighbors(lo);
-        let nh = kernels.neighbors(hi);
-        let n = kernels.num_qubits();
+        let (xl, xh) = (xtalk.row(lo), xtalk.row(hi));
         let mut delta = 0.0;
-        // Dense fast path: when every other qubit is a positive-cross-
-        // talk neighbor of both endpoints (the common case for model-
-        // derived matrices, which decay but never reach zero), the
-        // sorted lists are the full id range minus self and the phases
-        // reduce to direct indexed sweeps.
-        if nl.len() == n - 1 && nh.len() == n - 1 {
-            for (p, &sp) in slot_of.iter().enumerate().take(li) {
-                delta += nl[p].1 * (rh[sp] - rl[sp]);
-                delta += nh[p].1 * (rl[sp] - rh[sp]);
+        // Pairs with both ids below lo: `(p, lo)` precedes `(p, hi)`.
+        for ((&x_lo, &x_hi), &sp) in xl[..li].iter().zip(&xh[..li]).zip(slot_of) {
+            if x_lo > 0.0 {
+                delta += x_lo * (rh[sp] - rl[sp]);
             }
-            for (q, &sq) in slot_of.iter().enumerate().take(n).skip(li + 1) {
-                if q != hi_i {
-                    delta += nl[q - 1].1 * (rh[sq] - rl[sq]);
-                }
-            }
-            for (p, &sp) in slot_of.iter().enumerate().take(n).skip(li + 1) {
-                if p != hi_i {
-                    delta += nh[p - usize::from(p > hi_i)].1 * (rl[sp] - rh[sp]);
-                }
-            }
-            return delta;
-        }
-        // Phase 1 — pairs with both ids below lo, merged so `(p, lo)`
-        // precedes `(p, hi)` for each p.
-        let below = |list: &[(u32, f64)], k: usize| {
-            list.get(k).map_or(
-                u32::MAX,
-                |e| if (e.0 as usize) < li { e.0 } else { u32::MAX },
-            )
-        };
-        let (mut i, mut j) = (0, 0);
-        loop {
-            let pl = below(nl, i);
-            let ph = below(nh, j);
-            if pl == u32::MAX && ph == u32::MAX {
-                break;
-            }
-            if pl <= ph {
-                let sp = slot_of[pl as usize];
-                delta += nl[i].1 * (rh[sp] - rl[sp]);
-                i += 1;
-                if pl == ph {
-                    delta += nh[j].1 * (rl[sp] - rh[sp]);
-                    j += 1;
-                }
-            } else {
-                let sp = slot_of[ph as usize];
-                delta += nh[j].1 * (rl[sp] - rh[sp]);
-                j += 1;
+            if x_hi > 0.0 {
+                delta += x_hi * (rl[sp] - rh[sp]);
             }
         }
-        // Phase 2 — lo's remaining pairs `(lo, q)`, q ascending; the
-        // invariant `(lo, hi)` pair is skipped.
-        for &(q, x) in &nl[i..] {
-            if q as usize != hi_i {
-                let sq = slot_of[q as usize];
-                delta += x * (rh[sq] - rl[sq]);
-            }
-        }
-        // Phase 3 — hi's remaining pairs, partner ascending; `(lo, hi)`
-        // appears here from hi's side and is skipped.
-        for &(p, x) in &nh[j..] {
-            if p as usize != li {
-                let sp = slot_of[p as usize];
-                delta += x * (rl[sp] - rh[sp]);
+        // Then lo's pairs `(lo, q)`, and last hi's pairs with partners
+        // above lo, each in ascending partner order around the
+        // invariant `(lo, hi)` pair; a term moves from `from[s]` to
+        // `to[s]`.
+        let above = [li + 1..hi_i.max(li + 1), hi_i + 1..slot_of.len()];
+        for (x_row, from, to) in [(xl, rl, rh), (xh, rh, rl)] {
+            for range in above.clone() {
+                for (&x, &s) in x_row[range.clone()].iter().zip(&slot_of[range]) {
+                    if x > 0.0 {
+                        delta += x * (to[s] - from[s]);
+                    }
+                }
             }
         }
         delta
@@ -430,41 +324,6 @@ impl ScalingTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use youtiao_chip::distance::{equivalent_matrix, EquivalentWeights};
-    use youtiao_chip::topology;
-
-    fn xtalk(n: usize) -> DistanceMatrix {
-        let chip = topology::square_grid(n, n);
-        let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
-        crate::plan::crosstalk_matrix(&chip, &eq, None)
-    }
-
-    #[test]
-    fn neighbor_lists_are_sorted_sparse_and_symmetric() {
-        let x = xtalk(4);
-        let k = FreqKernels::build(&x);
-        assert_eq!(k.num_qubits(), 16);
-        for i in 0..16 {
-            let a = QubitId::new(i as u32);
-            let row = k.neighbors(a);
-            assert!(row.windows(2).all(|w| w[0].0 < w[1].0), "unsorted row {i}");
-            for &(j, v) in row {
-                assert!(v > 0.0);
-                assert_eq!(v.to_bits(), x.get(a, QubitId::new(j)).to_bits());
-                let back = k.neighbors(QubitId::new(j));
-                let mirrored = back.iter().find(|e| e.0 == i as u32).expect("symmetric");
-                assert_eq!(mirrored.1.to_bits(), v.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn build_count_probe_advances() {
-        let x = xtalk(2);
-        let before = FreqKernels::build_count();
-        let _k = FreqKernels::build(&x);
-        assert!(FreqKernels::build_count() > before);
-    }
 
     #[test]
     fn lattice_matches_the_allocator_formula() {

@@ -13,8 +13,8 @@
 //!   the grouping search space on large chips (§4.4);
 //! * [`context`] — [`PlanContext`], the chip-level state every planning
 //!   pass reads: the equivalent-distance and crosstalk matrices, the
-//!   grouping and frequency kernels, sorted crosstalk rows, a scratch
-//!   pool and a memo of planned chains;
+//!   grouping kernels, sorted crosstalk rows, a scratch pool and a memo
+//!   of planned chains;
 //! * [`plan`] — [`YoutiaoPlanner`], which runs the full pipeline on a
 //!   context (the caller's, or a private one it builds) and emits a
 //!   [`WiringPlan`] consumable by the scheduler, router and cost model;
@@ -62,7 +62,7 @@ pub use crate::error::PlanError;
 pub use crate::exec::ParallelExec;
 pub use crate::fdm::{group_fdm, FdmLine};
 pub use crate::freq::{allocate_frequencies, FreqConfig, FrequencyPlan};
-pub use crate::freq_kernels::{BandLattice, FreqKernels, ScalingTable};
+pub use crate::freq_kernels::{BandLattice, ScalingTable};
 pub use crate::kernels::{DeviceIndex, PairKernels};
 pub use crate::memo::ChainStats;
 pub use crate::multi::{

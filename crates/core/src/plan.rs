@@ -13,7 +13,7 @@ use crate::context::PlanContext;
 use crate::error::PlanError;
 use crate::exec::ParallelExec;
 use crate::fdm::{group_fdm_subset, FdmLine};
-use crate::freq::{allocate_frequencies_kernels_in, FreqConfig, FrequencyPlan};
+use crate::freq::{allocate_frequencies_in, FreqConfig, FrequencyPlan};
 use crate::memo::{ChainKey, ChainOutput};
 use crate::partition::{partition_chip, Partition, PartitionConfig};
 use crate::refine::refine_masked;
@@ -59,8 +59,8 @@ pub struct PlannerConfig {
     /// one, the XY chain (FDM grouping, then XY allocation), each
     /// partition region's Z work (TDM grouping, then refinement) and
     /// the readout chain run as concurrent items, and the two bands
-    /// fan their scaling rows and zone scoring out over the threads
-    /// the items leave idle. Plans are **byte-identical across every
+    /// fan their scaling-row fills out over the threads the items
+    /// leave idle. Plans are **byte-identical across every
     /// value** — items merge in fixed index order (DESIGN.md §4j) — so
     /// the knob is pure wall-clock policy and is deliberately excluded
     /// from plan cache keys.
@@ -535,10 +535,9 @@ impl<'a> YoutiaoPlanner<'a> {
         let band = |lines: &[FdmLine], config: &FreqConfig, names: [&'static str; 2]| {
             let started = Instant::now();
             let mut events = Vec::new();
-            let plan = allocate_frequencies_kernels_in(
+            let plan = allocate_frequencies_in(
                 chip,
                 lines,
-                ctx.freq_kernels(),
                 ctx.crosstalk(),
                 config,
                 &mut |stage, elapsed| {

@@ -137,7 +137,6 @@ pub struct Scratch {
     usize_bufs: Vec<Vec<usize>>,
     bool_bufs: Vec<Vec<bool>>,
     row_tables: Vec<Vec<Vec<f64>>>,
-    pair_lists: Vec<Vec<Vec<(u32, f64)>>>,
 }
 
 impl Scratch {
@@ -201,18 +200,6 @@ impl Scratch {
     /// Retires a row table.
     pub fn retire_rows(&mut self, rows: Vec<Vec<f64>>) {
         self.row_tables.push(rows);
-    }
-
-    /// Takes `len` empty `(id, value)` adjacency lists (inner capacity
-    /// retained) — the placement loop's per-qubit placed-neighbor
-    /// lists.
-    pub fn take_pair_lists(&mut self, len: usize) -> Vec<Vec<(u32, f64)>> {
-        take_nested(&mut self.pair_lists, len)
-    }
-
-    /// Retires a set of adjacency lists.
-    pub fn retire_pair_lists(&mut self, lists: Vec<Vec<(u32, f64)>>) {
-        self.pair_lists.push(lists);
     }
 }
 

@@ -14,7 +14,7 @@ use youtiao_core::freq::{allocate_frequencies, FreqConfig};
 use youtiao_core::partition::{partition_chip, PartitionConfig};
 use youtiao_core::plan::crosstalk_matrix;
 use youtiao_core::tdm::{group_tdm, legal_pair, ActivityProfile, TdmConfig};
-use youtiao_core::{BandLattice, FreqKernels, ScalingTable};
+use youtiao_core::{BandLattice, ScalingTable};
 use youtiao_core::{PlanContext, YoutiaoPlanner};
 use youtiao_noise::model::frequency_scaling;
 
@@ -216,8 +216,7 @@ fn swap_delta_matches_full_objective_recompute() {
         for &s in &slot_of {
             table.ensure_row(s);
         }
-        let kernels = FreqKernels::build(&xtalk);
-        let delta = table.swap_delta(&kernels, &slot_of, a, b);
+        let delta = table.swap_delta(&xtalk, &slot_of, a, b);
 
         // A from-scratch objective over an arbitrary assignment,
         // pinned to FrequencyPlan::objective on the unswapped freqs.

@@ -6,14 +6,15 @@
 //! few crosstalk entries drifted, the patcher instead keeps every
 //! clean qubit's assignment fixed and re-places only the dirty qubits,
 //! cell-scored against *all* other qubits (not just earlier ones) with
-//! the allocator's exact kernelized cost model: sparse
-//! positive-crosstalk neighbor lists ([`FreqKernels`]), spectral
-//! proximity from the shared [`ScalingTable`] over the cell lattice, a
-//! `100 × xtalk` penalty for cell reuse, and the allocator's
-//! [`cell_better`] empty-vs-reuse policy. A final swap pass over the
-//! lines containing dirty qubits mirrors the allocator's in-group swap
-//! stage via the same exact O(deg(a)+deg(b)) objective delta — repair
-//! and replan share one cost model and cannot drift.
+//! the allocator's exact cost model: the dirty qubit's row of the
+//! crosstalk matrix in ascending id, every entry that is not `> 0.0`
+//! skipped, spectral proximity from the shared [`ScalingTable`] over
+//! the cell lattice, a `100 × xtalk` penalty for cell reuse, and the
+//! allocator's [`cell_better`] empty-vs-reuse policy. A final swap pass
+//! over the lines containing dirty qubits mirrors the allocator's
+//! in-group swap stage via the same exact row-based objective delta
+//! ([`ScalingTable::swap_delta`]) — repair and replan share one cost
+//! model and cannot drift.
 //!
 //! The patched plan keeps each line's zone multiset (and hence the
 //! in-line spacing guarantee) identical to the base plan; only dirty
@@ -23,7 +24,7 @@
 use youtiao_chip::distance::DistanceMatrix;
 use youtiao_chip::{Chip, QubitId};
 use youtiao_core::freq::cell_better;
-use youtiao_core::{BandLattice, FreqConfig, FreqKernels, FrequencyPlan, PlanError, ScalingTable};
+use youtiao_core::{BandLattice, FreqConfig, FrequencyPlan, PlanError, ScalingTable};
 
 /// Re-places the `dirty` qubits of a base frequency plan against the
 /// new `xtalk` matrix, holding every other qubit's assignment fixed.
@@ -33,9 +34,6 @@ use youtiao_core::{BandLattice, FreqConfig, FreqKernels, FrequencyPlan, PlanErro
 /// readout band), as plain qubit slices; they must cover every chip
 /// qubit exactly once. Zones are inherited from the base plan, so the
 /// in-line zone-distinctness invariant is preserved by construction.
-/// `kernels` must be built from `xtalk` — a context that took the
-/// matching [`youtiao_core::PlanContext::apply_crosstalk_delta`]
-/// provides exactly that via `freq_kernels()`.
 ///
 /// Returns a plan whose reused-cell count is recounted from the final
 /// cell occupancy.
@@ -48,13 +46,12 @@ use youtiao_core::{BandLattice, FreqConfig, FreqKernels, FrequencyPlan, PlanErro
 ///
 /// # Panics
 ///
-/// Panics if the base plan, matrix, kernels, or lines disagree with
-/// the chip's qubit count.
+/// Panics if the base plan, matrix, or lines disagree with the chip's
+/// qubit count.
 pub fn patch_frequencies(
     chip: &Chip,
     lines: &[&[QubitId]],
     base: &FrequencyPlan,
-    kernels: &FreqKernels,
     xtalk: &DistanceMatrix,
     config: &FreqConfig,
     dirty: &[QubitId],
@@ -62,7 +59,6 @@ pub fn patch_frequencies(
     let n = chip.num_qubits();
     assert_eq!(base.frequencies().len(), n, "base plan size mismatch");
     assert_eq!(xtalk.len(), n, "crosstalk matrix size mismatch");
-    assert_eq!(kernels.num_qubits(), n, "freq kernels size mismatch");
     let covered: usize = lines.iter().map(|l| l.len()).sum();
     assert_eq!(covered, n, "lines must cover every qubit exactly once");
 
@@ -116,15 +112,14 @@ pub fn patch_frequencies(
                 .expect("qubit id in range")
                 .base_frequency_ghz();
             // Transposed scoring, as in the allocator: walk each
-            // assigned neighbor's scaling row once over the zone's
+            // assigned qubit's scaling row once over the zone's
             // contiguous slot range. Per cell the terms accumulate in
             // the same ascending-id order as a per-cell sweep.
             let zone_base = table.slot(zone, 0);
             scores.fill(0.0);
-            for &(p, x) in kernels.neighbors(q) {
-                if assigned[p as usize] {
-                    let row =
-                        &table.row(slot_of[p as usize])[zone_base..zone_base + cells_per_zone];
+            for (p, &x) in xtalk.row(q).iter().enumerate() {
+                if x > 0.0 && assigned[p] {
+                    let row = &table.row(slot_of[p])[zone_base..zone_base + cells_per_zone];
                     for (s, r) in scores.iter_mut().zip(row) {
                         *s += x * r;
                     }
@@ -174,7 +169,7 @@ pub fn patch_frequencies(
 
     // In-group swap pass over the lines that contain a dirty qubit,
     // mirroring the allocator's swap stage: keep a swap exactly when
-    // its kernelized objective delta is negative.
+    // its objective delta is negative.
     let dirty_lines: Vec<&[QubitId]> = lines
         .iter()
         .copied()
@@ -194,7 +189,7 @@ pub fn patch_frequencies(
                             continue;
                         }
                     }
-                    if table.swap_delta(kernels, &slot_of, a, b) < 0.0 {
+                    if table.swap_delta(xtalk, &slot_of, a, b) < 0.0 {
                         freqs.swap(a.index(), b.index());
                         zone_of.swap(a.index(), b.index());
                         slot_of.swap(a.index(), b.index());
@@ -217,9 +212,9 @@ mod tests {
     use youtiao_chip::distance::{equivalent_matrix, EquivalentWeights};
     use youtiao_chip::topology;
     use youtiao_core::plan::crosstalk_matrix;
-    use youtiao_core::{allocate_frequencies, group_fdm};
+    use youtiao_core::{allocate_frequencies, group_fdm, FdmLine};
 
-    fn setup(n: usize) -> (Chip, Vec<youtiao_core::FdmLine>, DistanceMatrix) {
+    fn setup(n: usize) -> (Chip, Vec<FdmLine>, DistanceMatrix) {
         let chip = topology::square_grid(n, n);
         let eq = equivalent_matrix(&chip, EquivalentWeights::balanced());
         let lines = group_fdm(&chip, &eq, 5);
@@ -227,7 +222,7 @@ mod tests {
         (chip, lines, x)
     }
 
-    fn slices(lines: &[youtiao_core::FdmLine]) -> Vec<&[QubitId]> {
+    fn slices(lines: &[FdmLine]) -> Vec<&[QubitId]> {
         lines.iter().map(|l| l.qubits()).collect()
     }
 
@@ -239,8 +234,7 @@ mod tests {
         cfg: &FreqConfig,
         dirty: &[QubitId],
     ) -> Result<FrequencyPlan, PlanError> {
-        let kernels = FreqKernels::build(xtalk);
-        patch_frequencies(chip, lines, base, &kernels, xtalk, cfg, dirty)
+        patch_frequencies(chip, lines, base, xtalk, cfg, dirty)
     }
 
     use youtiao_chip::Chip;
@@ -331,6 +325,107 @@ mod tests {
                 (patched.frequency_ghz(q) - qbase).abs() <= 0.05 + 1e-12,
                 "{q} outside tuning window"
             );
+        }
+    }
+
+    /// FNV-1a over a plan's frequency bits, zones and reused-cell count.
+    fn plan_digest(plan: &FrequencyPlan) -> u64 {
+        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let zones = (0..plan.frequencies().len()).map(|i| plan.zone_of(QubitId::new(i as u32)));
+        let words = plan
+            .frequencies()
+            .iter()
+            .map(|f| f.to_bits())
+            .chain(zones.map(|z| z as u64))
+            .chain([plan.reused_cells() as u64]);
+        for word in words {
+            for byte in word.to_le_bytes() {
+                hash ^= u64::from(byte);
+                hash = hash.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// The proxy matrix of `chip` with pairs overwritten, by a fixed
+    /// pattern over their ids, with zero or a negated value and, when
+    /// `non_finite`, with NaN or +∞.
+    fn non_positive(chip: &Chip, x: &DistanceMatrix, non_finite: bool) -> DistanceMatrix {
+        let mut out = x.clone();
+        for a in chip.qubit_ids() {
+            for b in chip.qubit_ids().filter(|&b| b > a) {
+                let v = x.get(a, b);
+                let v = match ((a.index() * 7 + b.index() * 3) % 11, non_finite) {
+                    (0, _) => 0.0,
+                    (1 | 2, _) => -v,
+                    (3, true) => f64::NAN,
+                    (4, true) if (a.index() + b.index()) % 5 == 0 => f64::INFINITY,
+                    _ => v,
+                };
+                out.set(a, b, v);
+            }
+        }
+        out
+    }
+
+    /// Patches on drifted matrices whose rows are not all positive keep
+    /// the bits recorded from the patcher that scored against lists of
+    /// each qubit's positive-crosstalk neighbours: a 5×5 grid, five
+    /// dirty qubits, the qubit band on a matrix with zero and negative
+    /// entries and on one that adds NaN and +∞, and the retuning and
+    /// readout bands on the latter.
+    #[test]
+    fn patches_on_non_positive_rows_keep_their_recorded_bits() {
+        let (chip, lines, x) = setup(5);
+        let signed = non_positive(&chip, &x, false);
+        let non_finite = non_positive(&chip, &x, true);
+        let dirty: Vec<QubitId> = [2u32, 7, 11, 17, 23].map(QubitId::new).to_vec();
+        let feedlines: Vec<FdmLine> = chip
+            .qubit_ids()
+            .collect::<Vec<_>>()
+            .chunks(8)
+            .map(|c| FdmLine::new(c.to_vec()))
+            .collect();
+        let readout = FreqConfig {
+            band_ghz: (7.0, 8.0),
+            cell_mhz: 30.0,
+            swap_passes: 1,
+            tuning_range_ghz: None,
+        };
+        let cases = [
+            (
+                "signed, qubit band",
+                &signed,
+                &lines,
+                FreqConfig::default(),
+                0x4cbf_bb0a_3635_381e,
+            ),
+            (
+                "non-finite, qubit band",
+                &non_finite,
+                &lines,
+                FreqConfig::default(),
+                0x9a7a_a725_acfc_0ad2,
+            ),
+            (
+                "non-finite, retuning",
+                &non_finite,
+                &lines,
+                FreqConfig::retuning(),
+                0x69fd_2242_dc3a_a19f,
+            ),
+            (
+                "non-finite, readout band",
+                &non_finite,
+                &feedlines,
+                readout,
+                0x4d6b_68f0_7e44_9dbc,
+            ),
+        ];
+        for (what, drifted, lines, cfg, want) in cases {
+            let base = allocate_frequencies(&chip, lines, &x, &cfg).unwrap();
+            let patched = patch(&chip, &slices(lines), &base, drifted, &cfg, &dirty).unwrap();
+            assert_eq!(plan_digest(&patched), want, "{what}");
         }
     }
 

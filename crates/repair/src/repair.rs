@@ -216,8 +216,8 @@ pub fn repair_plan(
         );
     }
 
-    // The context takes the new matrix; grouping reads crosstalk from
-    // it, so nothing but the freq kernels is rebuilt.
+    // The context takes the new matrix; grouping and the frequency
+    // patch read crosstalk from it, so nothing is rebuilt.
     let mut ctx = context.clone();
     let invalidated_rows = if dirty_qubits.is_empty() {
         0
@@ -270,14 +270,11 @@ pub fn repair_plan(
     } else {
         let xy_lines: Vec<&[QubitId]> = base.fdm_lines().iter().map(FdmLine::qubits).collect();
         let ro_lines: Vec<&[QubitId]> = base.readout_lines().iter().map(Vec::as_slice).collect();
-        // The context took the crosstalk delta above, so its freq
-        // kernels match `new.xtalk` — both bands patch with the
-        // allocator's exact kernelized cost model.
+        // Both bands patch with the allocator's exact cost model.
         let xy = patch_frequencies(
             new.chip,
             &xy_lines,
             base.frequency_plan(),
-            ctx.freq_kernels(),
             new.xtalk,
             &planner.freq,
             &dirty_qubits,
@@ -286,7 +283,6 @@ pub fn repair_plan(
             new.chip,
             &ro_lines,
             base.readout_frequency_plan(),
-            ctx.freq_kernels(),
             new.xtalk,
             &planner.readout_freq,
             &dirty_qubits,
