@@ -11,16 +11,14 @@ use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 use youtiao_chip::distance::EquivalentWeights;
 use youtiao_chip::Chip;
 
 use crate::data::{synthesize, CrosstalkKind, CrosstalkSample, SynthConfig};
-use crate::forest::{draw_positions, RandomForest, RandomForestConfig};
+use crate::forest::RandomForestConfig;
 use crate::model::CrosstalkModel;
-use crate::stats::mse;
-use crate::tree::{Grower, KeySums, RankedFeature};
+use crate::tree::RankedFeature;
+use crate::units::{self, best_point, Helper, Outcome, Schedule};
 
 /// Configuration for [`fit_crosstalk_model`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,7 +100,9 @@ impl Error for FitError {}
 
 /// Characterizes a chip's XY crosstalk the way every design front-end
 /// does: synthesizes one XY sample per ordered qubit pair with `seed`
-/// ([`SynthConfig::xy`]) and fits them under [`FitConfig::paper`].
+/// ([`SynthConfig::xy`]) and fits them under [`FitConfig::paper`]. The
+/// samples are dropped once the weight grid holds their classes and
+/// targets, before the cross-validation starts.
 ///
 /// # Errors
 ///
@@ -121,7 +121,9 @@ impl Error for FitError {}
 /// ```
 pub fn characterize_xy(chip: &Chip, seed: u64) -> Result<CrosstalkModel, FitError> {
     let samples = synthesize(chip, CrosstalkKind::Xy, &SynthConfig::xy(), seed);
-    fit_crosstalk_model(&samples, &FitConfig::paper())
+    let grid = WeightGrid::new(&samples, &FitConfig::paper())?;
+    drop(samples);
+    Ok(grid.fit(Helper::Auto))
 }
 
 /// Fits a [`CrosstalkModel`] to measurement samples by grid-searching the
@@ -129,7 +131,9 @@ pub fn characterize_xy(chip: &Chip, seed: u64) -> Result<CrosstalkModel, FitErro
 /// retraining the winning configuration on all data.
 ///
 /// Samples with non-finite distance components (disconnected pairs) are
-/// ignored. The fit runs on the caller's thread.
+/// ignored. The fit takes one helper thread while fewer fits than
+/// available cores are in flight in the process; the result is the same
+/// bits with or without it (DESIGN.md §4l).
 ///
 /// # Errors
 ///
@@ -140,17 +144,7 @@ pub fn fit_crosstalk_model(
     samples: &[CrosstalkSample],
     config: &FitConfig,
 ) -> Result<CrosstalkModel, FitError> {
-    let grid = WeightGrid::new(samples, config)?;
-    let mut best: Option<(usize, f64)> = None;
-    for (point, score) in grid.cv_mse().into_iter().enumerate() {
-        if best.is_none_or(|(_, b)| score < b) {
-            best = Some((point, score));
-        }
-    }
-    let (point, score) = best.expect("weight grid is non-empty");
-    let (weights, feature) = &grid.points[point];
-    let forest = RandomForest::fit_keyed(feature, &grid.keys, &grid.ys, config.forest);
-    Ok(CrosstalkModel::from_parts(*weights, forest, score))
+    Ok(WeightGrid::new(samples, config)?.fit(Helper::Auto))
 }
 
 /// A fit's weight grid, ready for cross-validation.
@@ -161,8 +155,9 @@ pub fn fit_crosstalk_model(
 pub(crate) struct WeightGrid {
     /// The checked configuration.
     config: FitConfig,
-    /// The weight points, each with its feature ranked over the classes.
-    points: Vec<(EquivalentWeights, RankedFeature)>,
+    /// The weight points, and each one's feature ranked over the classes.
+    weights: Vec<EquivalentWeights>,
+    features: Vec<RankedFeature>,
     /// Each usable sample's class.
     keys: Vec<u32>,
     /// Each usable sample's target.
@@ -200,7 +195,7 @@ impl WeightGrid {
                     })
             })
             .collect();
-        let points = (0..=config.weight_steps)
+        let (weights, features) = (0..=config.weight_steps)
             .filter_map(|i| {
                 let w_phy = i as f64 / config.weight_steps as f64;
                 let w_top = 1.0 - w_phy;
@@ -212,10 +207,11 @@ impl WeightGrid {
                     .collect();
                 Some((weights, RankedFeature::new(&xs)))
             })
-            .collect();
+            .unzip();
         Ok(WeightGrid {
             config: *config,
-            points,
+            weights,
+            features,
             keys,
             ys: usable.iter().map(|s| s.value).collect(),
         })
@@ -224,107 +220,57 @@ impl WeightGrid {
     /// The weights of every point, in grid order.
     #[cfg(test)]
     pub(crate) fn weights(&self) -> impl Iterator<Item = EquivalentWeights> + '_ {
-        self.points.iter().map(|&(weights, _)| weights)
+        self.weights.iter().copied()
     }
 
     /// k-fold cross-validated MSE of every weight point, in grid order.
+    #[cfg(test)]
+    pub(crate) fn cv_mse(&self, helper: Helper) -> Vec<f64> {
+        self.run(false, helper).scores
+    }
+
+    /// The model of the weight point with the lowest CV MSE (the first
+    /// of equals), its forest retrained on every sample.
+    pub(crate) fn fit(&self, helper: Helper) -> CrosstalkModel {
+        self.model(self.run(true, helper))
+    }
+
+    /// The model a run with the final forest found.
+    fn model(&self, outcome: Outcome) -> CrosstalkModel {
+        let point = best_point(&outcome.scores);
+        let forest = outcome.forest.expect("the fit grows its final forest");
+        CrosstalkModel::from_parts(self.weights[point], forest, outcome.scores[point])
+    }
+
+    /// Cross-validates every weight point and, with `last`, grows the
+    /// final forest ([`units`] has the order the work runs in).
     ///
     /// Every fold's forests reseed ChaCha8 with `forest.seed` and draw
     /// `gen_range(0..m)` over the fold's `m` training positions
-    /// ([`draw_positions`]), so folds of equal size draw the same
-    /// positions, for every weight point. The loop runs tree → fold →
-    /// weight point: it draws once per (training size, tree) and sums the
-    /// drawn targets per key once per (fold, tree), which every weight
+    /// ([`crate::forest::draw_positions`]), so folds of equal size draw
+    /// the same positions, for every weight point. The work runs tree →
+    /// fold → weight point: one draw per (training size, tree), the drawn
+    /// targets summed per key once per (fold, tree), which every weight
     /// point's tree grows from. Test predictions are summed per distinct
     /// value, so no CV forest is ever stored.
-    pub(crate) fn cv_mse(&self) -> Vec<f64> {
-        let (config, keys, ys) = (&self.config, &self.keys, &self.ys);
-        let forest = config.forest;
-        let folds: Vec<Fold> = (0..config.folds)
-            .map(|fold| {
-                let (train, test) =
-                    (0..ys.len() as u32).partition(|&i| i as usize % config.folds != fold);
-                Fold { train, test }
-            })
-            .collect();
-        let num_keys = self.points[0].1.num_keys();
-        // One ChaCha8 stream and position list per distinct training size.
-        let mut streams: Vec<(usize, ChaCha8Rng, Vec<u32>)> = Vec::new();
-        let stream_of: Vec<usize> = folds
-            .iter()
-            .map(|fold| {
-                let m = fold.train.len();
-                streams.iter().position(|s| s.0 == m).unwrap_or_else(|| {
-                    let rng = ChaCha8Rng::seed_from_u64(forest.seed);
-                    streams.push((m, rng, Vec::new()));
-                    streams.len() - 1
-                })
-            })
-            .collect();
-        let mut drawn = KeySums::default();
-        let mut grower = Grower::default();
-        // Per fold, weight point and distinct value: the trees'
-        // predictions summed in tree order from −0.0, as `Iterator::sum`
-        // sums a forest's trees.
-        let per_point: Vec<Vec<f64>> = self
-            .points
-            .iter()
-            .map(|(_, feature)| vec![-0.0; feature.values().len()])
-            .collect();
-        let mut sums = vec![per_point; folds.len()];
-        for _ in 0..forest.num_trees {
-            for (m, rng, positions) in &mut streams {
-                draw_positions(rng, *m, positions);
-            }
-            for ((fold, &stream), sums) in folds.iter().zip(&stream_of).zip(&mut sums) {
-                drawn.refill(
-                    num_keys,
-                    streams[stream].2.iter().map(|&p| {
-                        let i = fold.train[p as usize] as usize;
-                        (keys[i], ys[i])
-                    }),
-                );
-                for ((_, feature), sums) in self.points.iter().zip(sums.iter_mut()) {
-                    grower
-                        .grow(feature, &drawn, forest.tree)
-                        .add_predictions(feature.values(), sums);
-                }
-            }
-        }
-        self.points
-            .iter()
-            .enumerate()
-            .map(|(point, (_, feature))| {
-                // The folds' MSEs summed in fold order.
-                let mut total = 0.0;
-                for (fold, sums) in folds.iter().zip(&sums) {
-                    let sums = &sums[point];
-                    let (preds, test_y): (Vec<f64>, Vec<f64>) = fold
-                        .test
-                        .iter()
-                        .map(|&i| {
-                            let i = i as usize;
-                            (sums[feature.rank(keys[i])] / forest.num_trees as f64, ys[i])
-                        })
-                        .unzip();
-                    total += mse(&preds, &test_y);
-                }
-                (total / config.folds as f64).max(0.0)
-            })
-            .collect()
+    pub(crate) fn run(&self, last: bool, helper: Helper) -> Outcome {
+        let schedule = Schedule::cross_validation(
+            &self.features,
+            self.config.folds,
+            &self.keys,
+            &self.ys,
+            self.config.forest,
+            last,
+        );
+        units::run(&schedule, helper)
     }
-}
-
-/// One cross-validation fold: the sample indices it trains and tests on.
-struct Fold {
-    train: Vec<u32>,
-    test: Vec<u32>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::{synthesize, CrosstalkKind, SynthConfig};
+    use crate::units::Wait;
     use youtiao_chip::surface::SurfaceCode;
     use youtiao_chip::topology;
 
@@ -454,33 +400,40 @@ mod tests {
         hash
     }
 
+    /// Checks a pin on both fit paths: the caller alone, and the caller
+    /// with its helper.
     fn assert_pinned(pin: &Pin) {
         let chip = (pin.chip)();
         let samples = synthesize(&chip, CrosstalkKind::Xy, &SynthConfig::xy(), pin.seed);
-        let config = FitConfig::paper();
-        let what = format!("{} qubits, seed {}", chip.num_qubits(), pin.seed);
-        let points: Vec<u64> = WeightGrid::new(&samples, &config)
-            .unwrap()
-            .cv_mse()
-            .iter()
-            .map(|mse| mse.to_bits())
-            .collect();
-        for (point, (got, want)) in points.iter().zip(&pin.points).enumerate() {
-            assert_eq!(got, want, "{what}: CV MSE of weight point {point}");
+        let grid = WeightGrid::new(&samples, &FitConfig::paper()).unwrap();
+        for helper in [Helper::Off, Helper::On] {
+            let what = format!(
+                "{} qubits, seed {}, {helper:?}",
+                chip.num_qubits(),
+                pin.seed
+            );
+            let points: Vec<u64> = grid
+                .cv_mse(helper)
+                .iter()
+                .map(|mse| mse.to_bits())
+                .collect();
+            for (point, (got, want)) in points.iter().zip(&pin.points).enumerate() {
+                assert_eq!(got, want, "{what}: CV MSE of weight point {point}");
+            }
+            assert_eq!(points.len(), pin.points.len(), "{what}: weight points");
+            let model = grid.fit(helper);
+            assert_eq!(
+                model.weights().w_phy().to_bits(),
+                pin.w_phy,
+                "{what}: w_phy"
+            );
+            assert_eq!(model.cv_mse().to_bits(), pin.cv_mse, "{what}: CV MSE");
+            assert_eq!(
+                prediction_digest(&model),
+                pin.predictions,
+                "{what}: predictions"
+            );
         }
-        assert_eq!(points.len(), pin.points.len(), "{what}: weight points");
-        let model = fit_crosstalk_model(&samples, &config).unwrap();
-        assert_eq!(
-            model.weights().w_phy().to_bits(),
-            pin.w_phy,
-            "{what}: w_phy"
-        );
-        assert_eq!(model.cv_mse().to_bits(), pin.cv_mse, "{what}: CV MSE");
-        assert_eq!(
-            prediction_digest(&model),
-            pin.predictions,
-            "{what}: predictions"
-        );
     }
 
     #[rustfmt::skip]
@@ -520,6 +473,32 @@ mod tests {
     #[ignore = "two 127-qubit paper fits are slow in debug builds; run with --release"]
     fn heavy_hex_127_fits_keep_their_recorded_bits() {
         HEAVY_HEX_127_PINS.iter().for_each(assert_pinned);
+    }
+
+    /// The helper holds the first unit of each pass: the CV's after
+    /// summing its draw, so fold 0's later trees wait for it and the
+    /// caller blocks on the scores; the final forest's before, until the
+    /// caller blocks on the unit's position list. The bits are the pinned
+    /// ones.
+    #[test]
+    fn a_helper_held_inside_a_unit_keeps_the_bits() {
+        let pin = &PINS[4];
+        let chip = (pin.chip)();
+        let samples = synthesize(&chip, CrosstalkKind::Xy, &SynthConfig::xy(), pin.seed);
+        let grid = WeightGrid::new(&samples, &FitConfig::paper()).unwrap();
+        let mut outcome = grid.run(true, Helper::Hold);
+        let blocked = std::mem::take(&mut outcome.blocked);
+        assert!(blocked.contains(&Wait::Scores), "{blocked:?}");
+        // The final forest's draws follow the CV's, one per tree; its
+        // third reuses the list of its first.
+        let third = FitConfig::paper().forest.num_trees + 2;
+        assert!(blocked.contains(&Wait::Free(third)), "{blocked:?}");
+        let points: Vec<u64> = outcome.scores.iter().map(|mse| mse.to_bits()).collect();
+        assert_eq!(points, pin.points);
+        let model = grid.model(outcome);
+        assert_eq!(model.weights().w_phy().to_bits(), pin.w_phy);
+        assert_eq!(model.cv_mse().to_bits(), pin.cv_mse);
+        assert_eq!(prediction_digest(&model), pin.predictions);
     }
 
     #[test]

@@ -10,10 +10,10 @@
 
 use std::cmp::Ordering;
 
-use rand::{RngCore, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use rand::RngCore;
 
-use crate::tree::{Grower, KeySums, RankedFeature, RegressionTree, TreeConfig};
+use crate::tree::{RankedFeature, RegressionTree, TreeConfig};
+use crate::units::{self, Helper, Schedule};
 
 /// Replaces `out` with `m` draws of `rng.gen_range(0..m)`, taking the
 /// same words from `rng`: rand 0.8's widening multiply, rejecting low
@@ -96,39 +96,17 @@ impl RandomForest {
         assert!(config.num_trees > 0, "forest needs at least one tree");
         let feature = RankedFeature::new(xs);
         let keys: Vec<u32> = (0..feature.num_keys() as u32).collect();
-        RandomForest::fit_keyed(&feature, &keys, ys, config)
-    }
-
-    /// [`RandomForest::fit`] over samples with keys: sample `i` has key
-    /// `keys[i]`, ranked by `feature`, and target `ys[i]`.
-    pub(crate) fn fit_keyed(
-        feature: &RankedFeature,
-        keys: &[u32],
-        ys: &[f64],
-        config: RandomForestConfig,
-    ) -> Self {
-        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let mut grower = Grower::default();
-        let mut drawn = KeySums::default();
-        let mut positions = Vec::new();
-        let trees: Vec<RegressionTree> = (0..config.num_trees)
-            .map(|_| {
-                draw_positions(&mut rng, keys.len(), &mut positions);
-                let pairs = positions
-                    .iter()
-                    .map(|&i| (keys[i as usize], ys[i as usize]));
-                drawn.refill(feature.num_keys(), pairs);
-                grower.grow(feature, &drawn, config.tree).clone()
-            })
-            .collect();
-        RandomForest::compile(&trees)
+        let schedule = Schedule::forest(&feature, &keys, ys, config);
+        units::run(&schedule, Helper::Off)
+            .forest
+            .expect("a forest schedule grows its forest")
     }
 
     /// Compiles trees into one step function. Every `x` in an interval
     /// takes the same branch at every threshold as the interval's right
     /// end, so one sweep of each tree's leaves over the right ends gives
     /// every interval's value.
-    fn compile(trees: &[RegressionTree]) -> Self {
+    pub(crate) fn compile(trees: &[RegressionTree]) -> Self {
         let mut thresholds: Vec<f64> = trees
             .iter()
             .flat_map(RegressionTree::thresholds)
@@ -171,7 +149,8 @@ impl RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     fn noisy_exp_data(n: usize) -> (Vec<f64>, Vec<f64>) {
         // Deterministic pseudo-noise so the test is stable.

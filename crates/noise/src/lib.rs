@@ -42,6 +42,7 @@ pub mod model;
 mod oracle;
 pub mod stats;
 pub mod tree;
+mod units;
 
 pub use crate::data::{synthesize, CrosstalkKind, CrosstalkSample, SynthConfig};
 pub use crate::fit::{characterize_xy, fit_crosstalk_model, FitConfig, FitError};

@@ -233,9 +233,11 @@ fn cv_mse(samples: &[&CrosstalkSample], weights: EquivalentWeights, config: &Fit
 mod tests {
     use super::*;
     use crate::data::{synthesize, CrosstalkKind, SynthConfig};
-    use crate::fit::{fit_crosstalk_model, WeightGrid};
+    use crate::fit::WeightGrid;
     use crate::forest::RandomForest;
+    use crate::model::CrosstalkModel;
     use crate::tree::RegressionTree;
+    use crate::units::Helper;
     use youtiao_chip::surface::SurfaceCode;
     use youtiao_chip::{topology, Chip};
 
@@ -284,7 +286,11 @@ mod tests {
         }
     }
 
-    /// Every point's CV MSE is within the tolerance of the oracle's.
+    /// Both fit paths: the caller alone, and the caller with its helper.
+    const PATHS: [Helper; 2] = [Helper::Off, Helper::On];
+
+    /// Every point's CV MSE is within the tolerance of the oracle's, and
+    /// bit-equal on both fit paths.
     fn assert_cv_matches(samples: &[CrosstalkSample], config: &FitConfig) {
         let grid = match WeightGrid::new(samples, config) {
             Ok(grid) => grid,
@@ -297,7 +303,10 @@ mod tests {
             .iter()
             .filter(|s| s.d_phy.is_finite() && s.d_top.is_finite() && s.value.is_finite())
             .collect();
-        for ((weights, got), point) in grid.weights().zip(grid.cv_mse()).zip(0..) {
+        let [alone, helped] = PATHS.map(|helper| grid.cv_mse(helper));
+        let bits = |scores: &[f64]| scores.iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&alone), bits(&helped), "CV MSE bits across fit paths");
+        for ((weights, got), point) in grid.weights().zip(alone).zip(0..) {
             assert_close(
                 "CV MSE",
                 point as f64,
@@ -307,26 +316,43 @@ mod tests {
         }
     }
 
+    /// The fit on both paths against the oracle: bit-equal weights, CV
+    /// MSE and predictions within the tolerance, and the two paths
+    /// bit-equal.
     fn assert_fit_matches(samples: &[CrosstalkSample], config: &FitConfig) {
-        let got = fit_crosstalk_model(samples, config);
-        let want = fit(samples, config);
-        let (model, (weights, score, forest)) = match (got, want) {
-            (Ok(model), Ok(want)) => (model, want),
-            (got, want) => {
-                assert_eq!(got.err(), want.err());
-                return;
-            }
-        };
-        assert_eq!(model.weights().w_phy().to_bits(), weights.w_phy().to_bits());
-        assert_eq!(model.weights().w_top().to_bits(), weights.w_top().to_bits());
-        assert_close("cv_mse", f64::NAN, model.cv_mse(), score);
+        let (grid, (weights, score, forest)) =
+            match (WeightGrid::new(samples, config), fit(samples, config)) {
+                (Ok(grid), Ok(want)) => (grid, want),
+                (got, want) => {
+                    assert_eq!(got.err(), want.err());
+                    return;
+                }
+            };
         let xs: Vec<f64> = samples
             .iter()
             .map(|s| weights.combine(s.d_phy, s.d_top))
             .collect();
         let thresholds: Vec<f64> = forest.trees.iter().flat_map(Tree::thresholds).collect();
-        for x in probes(&thresholds, &xs) {
-            assert_close("model", x, model.forest().predict(x), forest.predict(x));
+        let probes = probes(&thresholds, &xs);
+        let models = PATHS.map(|helper| grid.fit(helper));
+        let bits = |model: &CrosstalkModel| -> Vec<u64> {
+            let predictions = probes.iter().map(|&x| model.forest().predict(x));
+            std::iter::once(model.cv_mse())
+                .chain(predictions)
+                .map(f64::to_bits)
+                .collect()
+        };
+        assert!(
+            bits(&models[0]) == bits(&models[1]),
+            "bits across fit paths"
+        );
+        for model in &models {
+            assert_eq!(model.weights().w_phy().to_bits(), weights.w_phy().to_bits());
+            assert_eq!(model.weights().w_top().to_bits(), weights.w_top().to_bits());
+            assert_close("cv_mse", f64::NAN, model.cv_mse(), score);
+            for &x in &probes {
+                assert_close("model", x, model.forest().predict(x), forest.predict(x));
+            }
         }
     }
 

@@ -12,8 +12,9 @@
 # record-count and determinism checks), a daemon smoke (stdin + socket
 # round trips, byte-identical canonical transcripts across shard and
 # worker counts, torn-shard salvage), per-record SHA-256 pins of
-# cold-design's request classes (a canonical batch and a fidelity
-# sweep), then figure ports, eight experiment binaries against their
+# cold-design's request classes (a canonical batch at --jobs 1, where
+# every crosstalk fit runs alone and takes its helper thread, and at
+# --jobs 2, where fits overlap, and a fidelity sweep), then figure ports, eight experiment binaries against their
 # results/ files, the crosstalk fit's differential and property suites,
 # the planner core's whole suite with its release-only tests (the pair
 # kernels against the per-pair functions and their build's heap, the
@@ -22,7 +23,8 @@
 # every other workspace crate's own tests (each crate's property suite
 # and the ChaCha8 keystream against its scalar blocks included), style
 # gates and a warning-free rustdoc build. The batch determinism smoke and the cold-class pins run
-# again pinned to one core, where plans and dies run serially.
+# again pinned to one core, where plans and dies run serially and no
+# fit takes a helper.
 #
 # Usage: scripts/verify.sh [--tier1-only|--smoke-only]
 #
@@ -37,18 +39,25 @@ can_pin_one_core() {
   command -v taskset >/dev/null 2>&1 && [[ "$(nproc 2>/dev/null || echo 1)" -gt 1 ]]
 }
 
-# Runs cold-design's request classes as a canonical batch and as a
-# fidelity sweep, behind the command prefix given (none, or `taskset
-# -c 0`), and checks every record's SHA-256 against its pin. The pins
-# were taken before the fit grew its trees from per-class sums; a
+# Runs cold-design's request classes as a canonical batch at --jobs 1
+# and --jobs 2 and as a fidelity sweep, behind the command prefix given
+# (none, or `taskset -c 0`), and checks every record's SHA-256 against
+# its pin. Each crosstalk fit takes a helper thread while fewer fits
+# than cores are in flight: unpinned, every fit of the --jobs 1 batch
+# runs alone and takes it, the --jobs 2 batch's fits overlap and take it
+# only when one runs alone, and pinned to one core no fit takes it. The
+# pins were taken before the fit grew its trees from per-class sums; a
 # failure names each request that moved.
 check_cold_pins() {
-  "$@" cargo run -q --release --offline --bin youtiao -- batch \
-    --in examples/batch_cold.jsonl --out "$smoke_dir/cold.jsonl" \
-    --jobs 2 --canonical 2> /dev/null
+  for jobs in 1 2; do
+    "$@" cargo run -q --release --offline --bin youtiao -- batch \
+      --in examples/batch_cold.jsonl --out "$smoke_dir/cold-jobs$jobs.jsonl" \
+      --jobs "$jobs" --canonical 2> /dev/null
+  done
   "$@" cargo run -q --release --offline --bin youtiao -- sweep \
     --spec examples/sweeps/cold_fidelity.json --out "$smoke_dir/fidelity.jsonl" 2> /dev/null
-  python3 - "$smoke_dir/cold.jsonl" examples/batch_cold.sha256 \
+  python3 - "$smoke_dir/cold-jobs1.jsonl" examples/batch_cold.sha256 \
+    "$smoke_dir/cold-jobs2.jsonl" examples/batch_cold.sha256 \
     "$smoke_dir/fidelity.jsonl" examples/sweeps/cold_fidelity.sha256 <<'PY'
 import hashlib, sys
 moved, records = [], 0
@@ -60,7 +69,7 @@ for out, pins in zip(sys.argv[1::2], sys.argv[2::2]):
     assert len(got) == len(want), f"{out}: {len(got)} records for {len(want)} pins"
     moved += [name for (digest, name), g in zip(want, got) if digest != g]
     records += len(got)
-assert not moved, "records moved from their pins: " + ", ".join(moved)
+assert not moved, "records moved from their pins: " + ", ".join(sorted(set(moved)))
 print(f"  cold-class pins OK: {records} records byte-identical to their pins")
 PY
 }

@@ -39,6 +39,8 @@ use std::sync::{Arc, Mutex};
 use youtiao_chip::spec::ChipSpec;
 use youtiao_chip::{Chip, CouplerId, DeviceId};
 use youtiao_core::tdm::brickwork_activity;
+use youtiao_core::PlanError;
+use youtiao_noise::FitError;
 use youtiao_repair::{diff_inputs, repair_plan, PlanInputs, RepairConfig, RepairOutcome};
 
 pub use youtiao_serve::*;
@@ -60,6 +62,20 @@ pub fn perturbed_seed(seed: u64, attempt: u32) -> u64 {
 /// Maps a pipeline failure onto the pool's retry taxonomy.
 fn classify(error: DesignError) -> ExecError {
     let kind = match &error {
+        // The chip's shape decides this at every seed: the request asks
+        // for a chip the fit cannot cross-validate.
+        DesignError::Plan(PlanError::Characterize(FitError::NotEnoughSamples {
+            available,
+            required,
+        })) => {
+            return ExecError::permanent(
+                ErrorKind::InvalidRequest,
+                format!(
+                    "chip too small to characterize: {available} finite qubit-pair samples, \
+                     at least {required} needed (one per cross-validation fold)"
+                ),
+            )
+        }
         DesignError::Plan(_) => ErrorKind::Plan,
         DesignError::Route(_) => ErrorKind::Route,
         DesignError::Validation(_) => ErrorKind::Validation,
@@ -567,8 +583,9 @@ mod tests {
     #[test]
     fn chips_too_small_to_characterize_fail_after_one_attempt() {
         // Two qubits give two ordered pairs, fewer than the fit's five
-        // folds, whatever the seed: a permanent Plan error, not a panic,
-        // for a monolithic chip and for a chiplet array of such dies.
+        // folds, whatever the seed: a permanent InvalidRequest, not a
+        // panic, for a monolithic chip and for a chiplet array of such
+        // dies.
         let mut linear = ChipRequest::named("linear");
         linear.size = Some(2);
         let mut array = linear.clone();
@@ -588,9 +605,26 @@ mod tests {
         for line in std::str::from_utf8(&out).unwrap().lines() {
             let record: serde::Value = serde_json::from_str(line).unwrap();
             assert_eq!(record["attempts"], 1, "{line}");
-            assert_eq!(record["error"]["kind"], "Plan", "{line}");
+            assert_eq!(record["error"]["kind"], "InvalidRequest", "{line}");
             let message = record["error"]["message"].as_str().unwrap();
-            assert!(message.contains("characterization failed"), "{message}");
+            assert!(message.contains("2 finite qubit-pair samples"), "{message}");
+            assert!(message.contains("at least 5 needed"), "{message}");
+        }
+    }
+
+    #[test]
+    fn chains_too_small_to_characterize_are_invalid_requests() {
+        let executor = executor(false);
+        let ctx = AttemptCtx::new(0, CancelToken::new());
+        // n qubits in a chain give n(n - 1) ordered pairs.
+        for (qubits, samples) in [(1, 0), (2, 2)] {
+            let mut chain = ChipRequest::named("linear");
+            chain.size = Some(qubits);
+            let err = executor(&DesignRequest::new(chain), &ctx).unwrap_err();
+            assert_eq!(err.kind, ErrorKind::InvalidRequest, "{qubits} qubits");
+            assert!(!err.transient, "{qubits} qubits");
+            let want = format!("{samples} finite qubit-pair samples, at least 5 needed");
+            assert!(err.message.contains(&want), "{}", err.message);
         }
     }
 
