@@ -523,9 +523,7 @@ pub fn run(config: &PerfConfig) -> PerfReport {
         // The parallel-planning floor: at 16×16 with ≥8 plan threads,
         // the partitioned plan must hold a ≥3× median speedup — but
         // only on a host that can actually run those threads at once.
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
+        let cores = youtiao_exec::cores();
         if *layout == Layout::Grid(16) && threads >= 8 && cores >= threads {
             assert!(
                 speedup_parallel >= PARALLEL_SPEEDUP_FLOOR,

@@ -26,10 +26,10 @@ use std::time::Instant;
 
 use youtiao_chip::distance::DistanceMatrix;
 use youtiao_chip::{Chip, QubitId};
+use youtiao_exec::ParallelExec;
 use youtiao_noise::model::frequency_scaling;
 
 use crate::error::PlanError;
-use crate::exec::ParallelExec;
 use crate::fdm::FdmLine;
 use crate::freq_kernels::{BandLattice, ScalingTable};
 use crate::scratch::Scratch;

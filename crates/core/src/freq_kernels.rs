@@ -35,10 +35,10 @@
 
 use youtiao_chip::distance::DistanceMatrix;
 use youtiao_chip::QubitId;
+use youtiao_exec::ParallelExec;
 use youtiao_noise::model::frequency_scaling;
 
 use crate::error::PlanError;
-use crate::exec::ParallelExec;
 use crate::freq::FreqConfig;
 use crate::scratch::Scratch;
 

@@ -41,7 +41,6 @@
 pub mod baselines;
 pub mod context;
 pub mod error;
-pub mod exec;
 pub mod fdm;
 pub mod freq;
 pub mod freq_kernels;
@@ -59,7 +58,6 @@ pub mod viz;
 pub use crate::baselines::{AcharyaTdm, GeorgeFdm, GoogleBaseline};
 pub use crate::context::{chip_fingerprint, PlanContext};
 pub use crate::error::PlanError;
-pub use crate::exec::ParallelExec;
 pub use crate::fdm::{group_fdm, FdmLine};
 pub use crate::freq::{allocate_frequencies, FreqConfig, FrequencyPlan};
 pub use crate::freq_kernels::{BandLattice, ScalingTable};
@@ -75,3 +73,4 @@ pub use crate::refine::{refine_tdm_groups, RefineConfig};
 pub use crate::scratch::{Scratch, ScratchPool};
 pub use crate::summary::PlanSummary;
 pub use crate::tdm::{group_tdm, parallelism_index, DemuxLevel, TdmConfig, TdmGroup};
+pub use youtiao_exec::ParallelExec;

@@ -26,11 +26,11 @@
 
 use youtiao_chip::multi::MultiDieChip;
 use youtiao_chip::{Chip, QubitId};
+use youtiao_exec::ParallelExec;
 use youtiao_noise::{characterize_xy, CrosstalkModel};
 
 use crate::context::PlanContext;
 use crate::error::PlanError;
-use crate::exec::ParallelExec;
 use crate::freq::FreqConfig;
 use crate::plan::{PlannerConfig, WiringPlan, YoutiaoPlanner};
 

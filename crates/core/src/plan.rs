@@ -7,11 +7,11 @@ use std::time::{Duration, Instant};
 use youtiao_chip::distance::{DistanceMatrix, EquivalentWeights};
 use youtiao_chip::{Chip, DeviceId, QubitId};
 use youtiao_circuit::schedule::SharedLineConstraint;
+use youtiao_exec::ParallelExec;
 use youtiao_noise::CrosstalkModel;
 
 use crate::context::PlanContext;
 use crate::error::PlanError;
-use crate::exec::ParallelExec;
 use crate::fdm::{group_fdm_subset, FdmLine};
 use crate::freq::{allocate_frequencies_in, FreqConfig, FrequencyPlan};
 use crate::memo::{ChainKey, ChainOutput};
@@ -55,8 +55,9 @@ pub struct PlannerConfig {
     /// containment the chiplet roadmap requires.
     pub refine: Option<crate::refine::RefineConfig>,
     /// Threads one plan may run at once: `1` (the default) plans
-    /// serially, `0` resolves to one thread per available core. Above
-    /// one, the XY chain (FDM grouping, then XY allocation), each
+    /// serially, `0` sets no cap, and any value runs helpers only on
+    /// cores the process's CPU budget finds idle (`youtiao-exec`).
+    /// Above one, the XY chain (FDM grouping, then XY allocation), each
     /// partition region's Z work (TDM grouping, then refinement) and
     /// the readout chain run as concurrent items, and the two bands
     /// fan their scaling-row fills out over the threads the items
@@ -529,7 +530,8 @@ impl<'a> YoutiaoPlanner<'a> {
         // merge in item order, so the plan is the serial loop's. A band
         // fans out only over threads the items leave idle, halved
         // between the two bands, so a plan never runs more than
-        // `plan_threads` threads.
+        // `plan_threads` threads (the cores, without a cap), and every
+        // helper runs on a core the budget found idle.
         let exec = ParallelExec::new(self.config.plan_threads);
         let band_exec = ParallelExec::new(1 + exec.threads().saturating_sub(dispatched.len()) / 2);
         let band = |lines: &[FdmLine], config: &FreqConfig, names: [&'static str; 2]| {

@@ -131,9 +131,9 @@ pub fn characterize_xy(chip: &Chip, seed: u64) -> Result<CrosstalkModel, FitErro
 /// retraining the winning configuration on all data.
 ///
 /// Samples with non-finite distance components (disconnected pairs) are
-/// ignored. The fit takes one helper thread while fewer fits than
-/// available cores are in flight in the process; the result is the same
-/// bits with or without it (DESIGN.md §4l).
+/// ignored. The fit takes one helper thread while the process's CPU
+/// budget (`youtiao-exec`) has an idle core; the result is the same bits
+/// with or without it (DESIGN.md §4l).
 ///
 /// # Errors
 ///

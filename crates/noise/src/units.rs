@@ -7,10 +7,10 @@
 //! a CV draw one per fold (sum the fold's drawn samples per key, then
 //! grow every weight point's tree and sweep its predictions), a final
 //! draw one (sum, grow, keep the tree). Units are numbered tree-major,
-//! the CV's before the final forest's, and the caller and, while cores
-//! are idle, one scoped helper take them from one counter. Only the
-//! caller draws, into two position lists that alternate, so it draws the
-//! next tree while units read the current one.
+//! the CV's before the final forest's, and the caller and, while the
+//! process's CPU budget has an idle core, one scoped helper take them
+//! from one counter. Only the caller draws, into two position lists that
+//! alternate, so it draws the next tree while units read the current one.
 //!
 //! Three rules keep every bit as one thread computes them (DESIGN.md
 //! §4l "One helper per fit"): a CV unit adds its predictions to its
@@ -21,7 +21,6 @@
 //! blocks.
 
 use std::hint;
-use std::num::NonZeroUsize;
 use std::sync::atomic::{fence, AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::thread;
@@ -37,15 +36,11 @@ use crate::tree::{Grower, KeySums, RankedFeature, RegressionTree};
 /// How long a wait spins before it blocks.
 const SPIN: Duration = Duration::from_micros(50);
 
-/// Fits in flight in this process: a fit takes a helper only while
-/// fewer than the available cores are.
-static FITS_IN_FLIGHT: AtomicUsize = AtomicUsize::new(0);
-
 /// Whether a fit takes a helper thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Helper {
-    /// While fewer fits than available cores are in flight; the helper
-    /// leaves once that no longer holds.
+    /// When the process's CPU budget has an idle core; the helper
+    /// leaves between units once the budget is over.
     Auto,
     /// Never.
     Off,
@@ -177,55 +172,40 @@ pub(crate) fn best_point(scores: &[f64]) -> usize {
 /// Runs `schedule` on the calling thread and, as `helper` says, one
 /// scoped helper, joined before it returns.
 pub(crate) fn run(schedule: &Schedule<'_>, helper: Helper) -> Outcome {
-    let in_flight = InFlight::enter();
     let run = Run::new(schedule);
     #[cfg(test)]
     let run = Run {
         hold: helper == Helper::Hold,
         ..run
     };
-    let stay = match helper {
-        Helper::Off => None,
+    let caller = || {
+        let _failing = Failing(&run);
+        run.caller(&mut Worker::default());
+    };
+    let helper_unit = |stay: &mut dyn FnMut() -> bool| {
+        let _failing = Failing(&run);
+        run.helper(&mut Worker::default(), stay);
+    };
+    match helper {
+        Helper::Off => caller(),
         Helper::Auto => {
-            let cores = thread::available_parallelism().map_or(1, NonZeroUsize::get);
-            (in_flight.0 < cores).then_some(cores)
+            // The caller keeps its unit of the budget, and the helper
+            // runs on an idle one if there is one.
+            let _unit = youtiao_exec::hold();
+            let leases = youtiao_exec::lease(1);
+            let helper = |lease: &mut youtiao_exec::Lease| helper_unit(&mut || lease.stay());
+            thread::scope(|scope| {
+                leases.spawn(scope, &helper);
+                caller();
+            });
         }
         #[cfg(test)]
-        Helper::On | Helper::Hold => Some(usize::MAX),
-    };
-    let mut caller = Worker::default();
-    match stay {
-        None => run.caller(&mut caller),
-        Some(cores) => thread::scope(|scope| {
-            // A helper that cannot start leaves every unit to the caller.
-            let _ = thread::Builder::new()
-                .name("youtiao-fit".into())
-                .spawn_scoped(scope, || {
-                    let _failing = Failing(&run);
-                    let stay = || FITS_IN_FLIGHT.load(Ordering::Relaxed) < cores;
-                    run.helper(&mut Worker::default(), &stay);
-                });
-            let _failing = Failing(&run);
-            run.caller(&mut caller);
+        Helper::On | Helper::Hold => thread::scope(|scope| {
+            scope.spawn(|| helper_unit(&mut || true));
+            caller();
         }),
     }
-    drop(in_flight);
     run.finish()
-}
-
-/// One fit's count in [`FITS_IN_FLIGHT`], with the count it made.
-struct InFlight(usize);
-
-impl InFlight {
-    fn enter() -> Self {
-        InFlight(FITS_IN_FLIGHT.fetch_add(1, Ordering::Relaxed) + 1)
-    }
-}
-
-impl Drop for InFlight {
-    fn drop(&mut self) {
-        FITS_IN_FLIGHT.fetch_sub(1, Ordering::Relaxed);
-    }
 }
 
 /// What a wait waits for.
@@ -274,7 +254,7 @@ impl Drop for Failing<'_, '_> {
 /// The state a run's threads share. `drawn`, `summed` and `folds_done`
 /// are stored with `Release` after the change they announce and loaded
 /// with `Acquire` (the lists and folds sit behind locks besides); `next`
-/// and the gauge publish nothing and are `Relaxed`.
+/// publishes nothing and is `Relaxed`.
 struct Run<'s, 'a> {
     s: &'s Schedule<'a>,
     /// Units and draws: the CV's, then the final forest's.
@@ -458,7 +438,7 @@ impl<'s, 'a> Run<'s, 'a> {
     }
 
     /// The helper: takes units while `stay` holds and any is left.
-    fn helper(&self, worker: &mut Worker, stay: &dyn Fn() -> bool) {
+    fn helper(&self, worker: &mut Worker, stay: &mut dyn FnMut() -> bool) {
         #[cfg(test)]
         if self.hold {
             return self.held_helper(worker);

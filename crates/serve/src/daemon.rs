@@ -43,7 +43,7 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{BufRead, Write};
 use std::path::PathBuf;
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -67,13 +67,13 @@ use crate::shard::{shard_file, ShardedCache};
 pub struct DaemonOptions {
     /// Worker threads; 0 means one per available core.
     pub workers: usize,
-    /// Intra-plan worker threads per job; 0 (the default) applies the
-    /// oversubscription policy of
-    /// [`effective_plan_threads`](crate::pool::effective_plan_threads):
-    /// serial plans when the pool has more than one worker, one thread
-    /// per core when it has exactly one. Explicit values override the
-    /// policy. Plans — and therefore canonical transcripts — are
-    /// byte-identical across all values.
+    /// Intra-plan worker threads per job; 0 (the default) leaves them
+    /// to the process's CPU budget (see
+    /// [`effective_plan_threads`](crate::pool::effective_plan_threads)):
+    /// a job's plan chains, dies and fit helper run only on cores no
+    /// other job holds. Explicit values cap each plan. Plans — and
+    /// therefore canonical transcripts — are byte-identical across all
+    /// values.
     pub plan_threads: usize,
     /// Retries after the first attempt of transiently failing jobs.
     pub max_retries: u32,
@@ -156,6 +156,27 @@ pub(crate) enum Protocol {
     Batch,
 }
 
+/// What the session loop waits for, in arrival order on one channel.
+enum Event<R> {
+    /// A frame from the reader thread.
+    Frame(std::io::Result<Frame>),
+    /// A pooled job's record.
+    Done(JobRecord<R>),
+    /// The reader thread is done: input ended, failed or the thread
+    /// unwound.
+    End,
+}
+
+/// The reader thread's end of the event channel: sends [`Event::End`]
+/// when the thread ends, however it ends.
+struct Reader<R>(Sender<Event<R>>);
+
+impl<R> Drop for Reader<R> {
+    fn drop(&mut self) {
+        let _ = self.0.send(Event::End);
+    }
+}
+
 /// A design job in flight: where its response goes once it completes.
 struct PendingJob {
     seq: u64,
@@ -179,6 +200,11 @@ struct Keyed {
 struct Session<'a, R> {
     options: &'a DaemonOptions,
     protocol: Protocol,
+    /// Frames, completions and the end of input, in arrival order.
+    events: Receiver<Event<R>>,
+    /// Frames and the end of input that arrived while the loop waited
+    /// for a completion, in arrival order.
+    deferred: VecDeque<Event<R>>,
     plan: FaultPlan,
     cache: &'a ShardedCache<R>,
     admission: AdmissionController,
@@ -303,14 +329,31 @@ impl<R: Clone + Send + Serialize + 'static> Session<'_, R> {
         Ok(())
     }
 
-    /// Waits up to 50 ms for one completion, then writes what is ready.
+    /// The next event to arrive.
+    fn recv(&self) -> Event<R> {
+        self.events
+            .recv()
+            .expect("the pool's workers keep the event channel open")
+    }
+
+    /// The next event: a deferred one first, else the next to arrive.
+    fn next_event(&mut self) -> Event<R> {
+        self.deferred.pop_front().unwrap_or_else(|| self.recv())
+    }
+
+    /// Blocks until one pooled job completes, deferring the events that
+    /// arrive before it, then writes what is ready. Call only with a job
+    /// in flight.
     fn wait<W: Write>(
         &mut self,
         pool: &WorkerPool<DesignRequest, R>,
         out: &mut W,
     ) -> std::io::Result<()> {
-        if let Ok(record) = pool.results().recv_timeout(Duration::from_millis(50)) {
-            self.absorb(record, pool);
+        loop {
+            match self.recv() {
+                Event::Done(record) => break self.absorb(record, pool),
+                event => self.deferred.push_back(event),
+            }
         }
         self.emit(out)
     }
@@ -382,17 +425,23 @@ where
         trace: options.trace_json.is_some(),
     };
     let workers = pool_options.effective_workers();
-    let mut pool: WorkerPool<DesignRequest, R> = WorkerPool::new(chaos, pool_options);
 
-    // A reader thread turns the (possibly blocking) input into a
-    // channel, so the session loop can interleave frame intake with
-    // result draining — required for in-order emission to half-duplex
-    // clients that write their whole session before reading.
-    let (frame_tx, frame_rx) = mpsc::channel();
+    // A reader thread turns the (possibly blocking) input into events,
+    // and the pool's workers add their records to the same channel, so
+    // the session loop blocks on one receive and interleaves frame
+    // intake with completions — required for in-order emission to
+    // half-duplex clients that write their whole session before reading.
+    let (events_tx, events) = mpsc::channel();
+    let done_tx = events_tx.clone();
+    let mut pool: WorkerPool<DesignRequest, R> =
+        WorkerPool::with_sink(chaos, pool_options, move |record| {
+            done_tx.send(Event::Done(record)).is_ok()
+        });
+    let reader = Reader(events_tx);
     std::thread::spawn(move || {
         for frame in FramedReader::new(input) {
             let stop = frame.is_err();
-            if frame_tx.send(frame).is_err() || stop {
+            if reader.0.send(Event::Frame(frame)).is_err() || stop {
                 break;
             }
         }
@@ -401,6 +450,8 @@ where
     let mut session = Session {
         options,
         protocol,
+        events,
+        deferred: VecDeque::new(),
         plan,
         cache: &cache,
         admission: AdmissionController::new(options.admission, workers),
@@ -417,7 +468,7 @@ where
         records: Vec::new(),
         shutdown: false,
     };
-    let outcome = drive(&mut session, &mut pool, &frame_rx, output);
+    let outcome = drive(&mut session, &mut pool, output);
     if outcome.is_err() {
         pool.abort();
     }
@@ -446,13 +497,12 @@ where
     })
 }
 
-/// The session loop: intake one frame at a time, interleaved with
-/// result draining, until `shutdown` or EOF; then drain every
-/// in-flight job.
+/// The session loop: one event at a time — a frame, a completion or
+/// the end of input — until `shutdown` or the end of input; then drain
+/// every in-flight job.
 fn drive<R, Out>(
     session: &mut Session<'_, R>,
     pool: &mut WorkerPool<DesignRequest, R>,
-    frames: &Receiver<std::io::Result<Frame>>,
     output: &mut Out,
 ) -> Result<(), BatchError>
 where
@@ -461,9 +511,6 @@ where
 {
     let mut input_done = false;
     loop {
-        while let Ok(record) = pool.results().try_recv() {
-            session.absorb(record, pool);
-        }
         settle(session, pool, output, false)?;
         session.emit(output)?;
         if session.shutdown || input_done {
@@ -473,10 +520,10 @@ where
             session.wait(pool, output)?;
             continue;
         }
-        match frames.recv_timeout(Duration::from_millis(1)) {
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => input_done = true,
-            Ok(frame) => {
+        match session.next_event() {
+            Event::Done(record) => session.absorb(record, pool),
+            Event::End => input_done = true,
+            Event::Frame(frame) => {
                 session.requests += 1;
                 let seq = session.next_seq;
                 session.next_seq += 1;

@@ -3,7 +3,11 @@
 //! One OS thread per core (by default) pulls tasks from a shared
 //! `Mutex<VecDeque>` guarded by a condvar, runs them through a
 //! caller-supplied [`Executor`], and streams finished [`JobRecord`]s
-//! back over an `mpsc` channel. Per-job semantics:
+//! back over an `mpsc` channel (or, for a daemon session, into the
+//! session's event channel). A worker holds one unit of the process's
+//! CPU budget (`youtiao-exec`) while it runs a job and none while it
+//! waits for one, so a job's forks (plan chains, dies, the fit's helper)
+//! run only on cores no other job is using. Per-job semantics:
 //!
 //! * **deadline** — each task gets a [`CancelToken`] armed with its
 //!   deadline; the executor polls it between pipeline stages, and an
@@ -26,7 +30,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -103,42 +107,28 @@ impl Default for PoolOptions {
 }
 
 impl PoolOptions {
-    /// The worker-thread count this configuration resolves to.
+    /// The worker-thread count this configuration resolves to: the
+    /// process's cores (read once, `youtiao_exec::cores`) unless set.
     pub fn effective_workers(&self) -> usize {
         if self.workers > 0 {
             self.workers
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            youtiao_exec::cores()
         }
     }
 }
 
-/// The `--plan-threads` × `--jobs` oversubscription policy: resolves
-/// the intra-plan thread count a serve front-end should hand the
-/// planner, given the pool's effective worker count.
+/// The intra-plan thread count a serve front-end hands the planner,
+/// given the pool's worker count: `requested` as it is, whatever the
+/// pool. An explicit value caps each plan's threads; auto (`0`) leaves
+/// them to the process's CPU budget, under which a plan's helpers run
+/// only on cores no other job holds, so a lone request uses the idle
+/// cores and concurrent requests get one thread each.
 ///
-/// * An explicit request (`requested > 0`) always wins — the operator
-///   opted into `workers × requested` threads knowingly.
-/// * Auto (`requested == 0`) with more than one pool worker resolves to
-///   **1**: the pool already saturates the cores with independent jobs,
-///   and nesting per-plan fan-out on top would oversubscribe every one
-///   of them.
-/// * Auto with a single worker resolves to **0** (one thread per core
-///   at the planner level): tail latency of the lone in-flight plan is
-///   all that matters, so the plan gets the whole machine.
-///
-/// Plans are byte-identical across any resolved value, so this policy
-/// is pure scheduling — it can never change a served plan.
-pub fn effective_plan_threads(requested: usize, workers: usize) -> usize {
-    if requested > 0 {
-        requested
-    } else if workers > 1 {
-        1
-    } else {
-        0
-    }
+/// Plans are byte-identical across any value, so this is pure
+/// scheduling — it can never change a served plan.
+pub fn effective_plan_threads(requested: usize, _workers: usize) -> usize {
+    requested
 }
 
 struct Task<J> {
@@ -193,6 +183,31 @@ where
 {
     /// Spawns the worker threads.
     pub fn new(executor: Executor<J, R>, options: PoolOptions) -> Self {
+        let (sender, results) = channel::<JobRecord<R>>();
+        Self::start(executor, options, results, move |record| {
+            sender.send(record).is_ok()
+        })
+    }
+
+    /// Spawns the worker threads, each handing its finished records to
+    /// `sink` (which answers `false` once nobody wants more);
+    /// [`Self::results`] stays empty.
+    pub(crate) fn with_sink<S>(executor: Executor<J, R>, options: PoolOptions, sink: S) -> Self
+    where
+        S: Fn(JobRecord<R>) -> bool + Clone + Send + 'static,
+    {
+        Self::start(executor, options, channel().1, sink)
+    }
+
+    fn start<S>(
+        executor: Executor<J, R>,
+        options: PoolOptions,
+        results: Receiver<JobRecord<R>>,
+        sink: S,
+    ) -> Self
+    where
+        S: Fn(JobRecord<R>) -> bool + Clone + Send + 'static,
+    {
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
@@ -200,14 +215,13 @@ where
             aborted: AtomicBool::new(false),
             in_flight: Mutex::new(HashMap::new()),
         });
-        let (sender, results) = channel::<JobRecord<R>>();
         let handles = (0..options.effective_workers())
             .map(|_| {
                 let shared = Arc::clone(&shared);
                 let executor = Arc::clone(&executor);
                 let options = options.clone();
-                let sender = sender.clone();
-                std::thread::spawn(move || worker_loop(&shared, &executor, &options, &sender))
+                let sink = sink.clone();
+                std::thread::spawn(move || worker_loop(&shared, &executor, &options, &sink))
             })
             .collect();
         WorkerPool {
@@ -304,7 +318,7 @@ fn worker_loop<J, R>(
     shared: &Shared<J>,
     executor: &Executor<J, R>,
     options: &PoolOptions,
-    sender: &Sender<JobRecord<R>>,
+    sink: &impl Fn(JobRecord<R>) -> bool,
 ) {
     loop {
         let task = {
@@ -320,9 +334,12 @@ fn worker_loop<J, R>(
             }
         };
         let Some(task) = task else { return };
-        let record = run_task(shared, executor, options, task);
-        if sender.send(record).is_err() {
-            return; // Receiver dropped; nobody wants further results.
+        let record = {
+            let _unit = youtiao_exec::hold();
+            run_task(shared, executor, options, task)
+        };
+        if !sink(record) {
+            return; // Nobody wants further results.
         }
     }
 }
@@ -746,14 +763,14 @@ mod tests {
 
     #[test]
     fn plan_thread_policy_resolves_oversubscription() {
-        // Explicit requests always win, whatever the pool looks like.
+        // Explicit requests cap each plan, whatever the pool looks like.
         assert_eq!(effective_plan_threads(4, 1), 4);
         assert_eq!(effective_plan_threads(4, 8), 4);
         assert_eq!(effective_plan_threads(1, 8), 1);
-        // Auto: a multi-worker pool keeps plans serial; a lone worker
-        // hands the plan one thread per core (planner-level 0).
-        assert_eq!(effective_plan_threads(0, 2), 1);
-        assert_eq!(effective_plan_threads(0, 16), 1);
+        // Auto stays auto at every pool width: the CPU budget, not the
+        // worker count, keeps concurrent plans from oversubscribing.
+        assert_eq!(effective_plan_threads(0, 2), 0);
+        assert_eq!(effective_plan_threads(0, 16), 0);
         assert_eq!(effective_plan_threads(0, 1), 0);
     }
 }

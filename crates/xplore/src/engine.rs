@@ -1,20 +1,21 @@
 //! The parallel sweep engine.
 //!
 //! [`run_sweep`] turns a [`SweepSpec`] into the full cartesian grid of
-//! design points and plans them over scoped worker threads:
+//! design points and plans them as forks under the process's CPU budget
+//! (`youtiao-exec`):
 //!
 //! * **Shared planning context** — the expensive per-chip precomputation
 //!   (equivalent-distance matrix, crosstalk matrix, fitted noise model)
 //!   is built **once** per (chip, seed) axis value into a
-//!   [`PlanContext`] and shared by reference across every worker that
+//!   [`PlanContext`] and shared by reference across every thread that
 //!   plans a point on that chip; the planner skips its internal
-//!   matrices stage entirely.
-//! * **Deterministic output** — workers pull grid indices from an
-//!   atomic counter and send `(index, record)` pairs back over a
-//!   channel; the main thread reorders them through a buffer and
-//!   streams JSONL strictly in grid order, so the byte stream is
-//!   identical no matter how many threads raced to produce it (with
-//!   timings off, the default).
+//!   matrices stage entirely. The contexts build as one fork.
+//! * **Deterministic output** — a point worker and the helpers its fork
+//!   leases pull grid indices from an atomic counter and send
+//!   `(index, record)` pairs back over a channel; the main thread
+//!   reorders them through a buffer and streams JSONL strictly in grid
+//!   order, so the byte stream is identical no matter how many threads
+//!   raced to produce it (with timings off, the default).
 //! * **Plan cache reuse** — results are memoized in a one-shard
 //!   [`ShardedCache`] under a content key of the full point parameters,
 //!   so overlapping sweeps (and re-runs via `--cache`) skip replanning.
@@ -26,7 +27,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -52,15 +53,15 @@ use crate::spec::{SpecError, SweepMode, SweepSpec};
 /// How [`run_sweep`] executes a spec.
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
-    /// Worker threads; `0` spawns one per available core.
+    /// Threads planning points at once, at most; `0` means one per
+    /// available core. Every thread past the first runs on a core the
+    /// process's CPU budget finds idle.
     pub threads: usize,
-    /// Intra-plan threads injected into every point's planner config
-    /// (`0` = one per core, resolved against the worker count by
-    /// [`effective_plan_threads`]). Plans are byte-identical across any
+    /// Intra-plan threads injected into every point's planner config,
+    /// and the cap on the context builds' fork (`0` = no cap: the CPU
+    /// budget's idle cores decide). Plans are byte-identical across any
     /// value, so sweep records and the plan cache are unaffected — the
     /// knob is excluded from point cache keys.
-    ///
-    /// [`effective_plan_threads`]: youtiao_serve::effective_plan_threads
     pub plan_threads: usize,
     /// Pareto objectives (conventional directions).
     pub objectives: Vec<Objective>,
@@ -163,7 +164,8 @@ pub struct SweepSummary {
     pub ok: usize,
     /// Failed records.
     pub errors: usize,
-    /// Worker threads actually used.
+    /// The most threads that planned points at once (the `threads`
+    /// option resolved against the cores and the grid).
     pub threads: usize,
     /// Shared planning contexts built (one per chip × characterization
     /// seed — the probe for "matrices built once, not per point").
@@ -324,9 +326,12 @@ pub fn run_sweep_with_cache<W: Write>(
         ));
     }
 
-    // Phase 1 (serial): one shared context per (chip, characterization
-    // seed) — the whole point of the exercise. Matrices, model fits and
-    // grouping kernels happen here, once, not inside the per-point loop.
+    // Phase 1: one shared context per (chip, characterization seed) —
+    // the whole point of the exercise. Matrices, model fits and grouping
+    // kernels happen here, once, not inside the per-point loop. The
+    // contexts build as one fork, capped like a plan's threads (a
+    // context is a plan's matrices stage), and the first error in
+    // (chip, seed) order is the sweep's.
     let kernels_before = PairKernels::build_count();
     let mut chips = Vec::with_capacity(grid.chips.len());
     for (index, request) in grid.chips.iter().enumerate() {
@@ -359,9 +364,13 @@ pub fn run_sweep_with_cache<W: Write>(
     } else {
         vec![0]
     };
-    let mut contexts: HashMap<(usize, u64), ChipCtx> = HashMap::new();
-    for (chip_idx, (chip, spec_key)) in chips.iter().enumerate() {
-        for &seed in &ctx_seeds {
+    let ctx_keys: Vec<(usize, u64)> = (0..chips.len())
+        .flat_map(|chip_idx| ctx_seeds.iter().map(move |&seed| (chip_idx, seed)))
+        .collect();
+    let built: Vec<Result<ChipCtx, SweepError>> =
+        ParallelExec::new(options.plan_threads).run(ctx_keys.len(), |k| {
+            let (chip_idx, seed) = ctx_keys[k];
+            let (chip, spec_key) = &chips[chip_idx];
             let model = spec
                 .uses_model()
                 .then(|| characterize_xy(chip, seed))
@@ -373,66 +382,60 @@ pub fn run_sweep_with_cache<W: Write>(
                     })
                 })?;
             let plan_ctx = PlanContext::build(chip, model.as_ref(), fallback);
-            contexts.insert(
-                (chip_idx, seed),
-                ChipCtx {
-                    label: chip.name().to_string(),
-                    chip: chip.clone(),
-                    request: grid.chips[chip_idx].clone(),
-                    spec_key: *spec_key,
-                    model,
-                    plan_ctx,
-                },
-            );
-        }
+            Ok(ChipCtx {
+                label: chip.name().to_string(),
+                chip: chip.clone(),
+                request: grid.chips[chip_idx].clone(),
+                spec_key: *spec_key,
+                model,
+                plan_ctx,
+            })
+        });
+    let mut contexts: HashMap<(usize, u64), ChipCtx> = HashMap::new();
+    for (key, ctx) in ctx_keys.into_iter().zip(built) {
+        contexts.insert(key, ctx?);
     }
     let contexts_built = contexts.len();
     let cache_before = cache.stats();
 
-    // Phase 2 (parallel): workers pull grid indices from an atomic
-    // counter; the main thread reorders completions and streams JSONL
-    // strictly in index order.
+    // Phase 2: the points run as one fork of at most `threads` threads
+    // on a point worker, which holds its unit of the CPU budget, while
+    // this thread, holding none, reorders completions and streams JSONL
+    // strictly in index order. Writing record k overlaps planning point
+    // k + 1. Intra-plan threads nest under the same budget: a plan's
+    // chains lease only the cores the points leave idle.
     let total = grid.len();
     let threads = if options.threads == 0 {
-        std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
+        youtiao_exec::cores()
     } else {
         options.threads
     }
     .clamp(1, total);
 
-    // Intra-plan threads compose with the point-level pool: the same
-    // oversubscription policy as `youtiao serve` (auto = serial plans
-    // when points already fan out across workers).
-    let plan_threads = youtiao_serve::effective_plan_threads(options.plan_threads, threads);
-
-    let next = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, SweepRecord)>();
     let mut records: Vec<SweepRecord> = Vec::with_capacity(total);
     let mut io_error: Option<std::io::Error> = None;
     {
         let grid = &grid;
         let contexts = &contexts;
-        let next = &next;
+        // Set once the writer stops: later points are skipped.
+        let stopped = &AtomicBool::new(false);
         std::thread::scope(|s| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                s.spawn(move || loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    if index >= total {
-                        break;
+            s.spawn(move || {
+                let _unit = youtiao_exec::hold();
+                ParallelExec::new(threads).run(total, |index| {
+                    if stopped.load(Ordering::Relaxed) {
+                        return;
                     }
                     let point = grid.point(index);
                     let seed_key = if spec.uses_model() { point.seed } else { 0 };
                     let ctx = &contexts[&(point.chip_idx, seed_key)];
-                    let record = run_point(&point, ctx, spec, options, plan_threads, cache);
+                    let record = run_point(&point, ctx, spec, options, cache);
                     if tx.send((index, record)).is_err() {
-                        break;
+                        stopped.store(true, Ordering::Relaxed);
                     }
                 });
-            }
-            drop(tx);
+            });
             let mut pending: BTreeMap<usize, SweepRecord> = BTreeMap::new();
             let mut next_write = 0usize;
             for (index, record) in rx {
@@ -492,7 +495,6 @@ fn run_point(
     ctx: &ChipCtx,
     spec: &SweepSpec,
     options: &SweepOptions,
-    plan_threads: usize,
     cache: &ShardedCache<PointResult>,
 ) -> SweepRecord {
     let started = Instant::now();
@@ -502,7 +504,7 @@ fn run_point(
         skeleton.with_result(&hit)
     } else {
         match catch_unwind(AssertUnwindSafe(|| {
-            compute_point(point, ctx, spec, options.timings, plan_threads)
+            compute_point(point, ctx, spec, options.timings, options.plan_threads)
         })) {
             Ok(Ok((result, stages))) => {
                 cache.insert(key, result.clone());

@@ -21,7 +21,9 @@
 # kernelized grouping, refinement and frequency allocation against the
 # naive passes on large chips, the chain memo, the property suite),
 # every other workspace crate's own tests (each crate's property suite
-# and the ChaCha8 keystream against its scalar blocks included), style
+# and the ChaCha8 keystream against its scalar blocks included), the
+# end-to-end benchmark's two workloads built and run as the benchmark
+# runs them, a check that only crates/exec reads the core count, style
 # gates and a warning-free rustdoc build. The batch determinism smoke and the cold-class pins run
 # again pinned to one core, where plans and dies run serially and no
 # fit takes a helper.
@@ -33,8 +35,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Whether a run can be pinned to one core with `taskset -c 0`: the
-# planner and the multi-die fan-out size their threads by the cores
-# they may use, so a pinned run checks their serial paths.
+# process's CPU budget counts the cores it may use, so a pinned run
+# leases no helper and checks every serial path.
 can_pin_one_core() {
   command -v taskset >/dev/null 2>&1 && [[ "$(nproc 2>/dev/null || echo 1)" -gt 1 ]]
 }
@@ -42,8 +44,8 @@ can_pin_one_core() {
 # Runs cold-design's request classes as a canonical batch at --jobs 1
 # and --jobs 2 and as a fidelity sweep, behind the command prefix given
 # (none, or `taskset -c 0`), and checks every record's SHA-256 against
-# its pin. Each crosstalk fit takes a helper thread while fewer fits
-# than cores are in flight: unpinned, every fit of the --jobs 1 batch
+# its pin. Each crosstalk fit takes a helper thread while the CPU
+# budget has an idle core: unpinned, every fit of the --jobs 1 batch
 # runs alone and takes it, the --jobs 2 batch's fits overlap and take it
 # only when one runs alone, and pinned to one core no fit takes it. The
 # pins were taken before the fit grew its trees from per-class sums; a
@@ -679,6 +681,38 @@ cargo test -q --release --offline -p youtiao-core -- --include-ignored
 # refill word for word against the scalar blocks.
 echo "==> every other crate: cargo test --workspace --exclude youtiao-core --exclude youtiao-noise"
 cargo test --release --offline --workspace --exclude youtiao-core --exclude youtiao-noise -- --quiet
+
+# The benchmark builds from this checkout, so a change to a public item
+# it imports breaks every benchmark run: build it into .bench_build
+# (gitignored) and run both workloads as the benchmark does, each
+# reporting correct responses. Cargo records workspace crates the
+# committed perfbench/Cargo.lock does not list yet; the lock is put back
+# as committed, so nothing under perfbench/ changes.
+echo "==> benchmark: perfbench cold-design and plan-sweep build, run and report correct"
+cp perfbench/Cargo.lock "$smoke_dir/perfbench.lock"
+CARGO_TARGET_DIR=.bench_build cargo build -q --release --offline \
+  --manifest-path perfbench/Cargo.toml
+cp "$smoke_dir/perfbench.lock" perfbench/Cargo.lock
+for workload in cold-design plan-sweep; do
+  last=$(.bench_build/release/youtiao-perfbench --workload "$workload" --seed 1 \
+    --seconds 20 --trace 0 2> /dev/null | tail -1)
+  if [[ "$last" != '{"correct":true,'* ]]; then
+    echo "verify: FAILED — perfbench $workload did not report correct: $last" >&2
+    exit 1
+  fi
+  echo "  perfbench $workload OK: correct"
+done
+
+# One CPU budget per process: only crates/exec reads the core count
+# (vendored stand-ins for third-party crates excluded).
+echo "==> one CPU budget: no available_parallelism outside crates/exec"
+if grep -rn --include='*.rs' --exclude-dir=target --exclude-dir=.bench_build \
+    --exclude-dir=vendor --exclude-dir=.git available_parallelism . \
+    | grep -v '^\./crates/exec/'; then
+  echo "verify: FAILED — the core count is read outside crates/exec" >&2
+  exit 1
+fi
+echo "  core count read only in crates/exec"
 
 echo "==> style: cargo fmt --check"
 if cargo fmt --version >/dev/null 2>&1; then

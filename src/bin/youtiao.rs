@@ -77,10 +77,10 @@ usage:
                   copies answered from the cache; --out defaults to stdout;
                   metrics go to stderr;
                   --jobs/--workers/--threads are synonyms: worker threads, 0 = one
-                  per core (the default); --plan-threads parallelizes inside each
-                  plan — plans are byte-identical at any value; left at 0 it
-                  resolves to serial plans whenever the pool has >1 worker, and
-                  to one thread per core when the pool is single-worker;
+                  per core (the default); --plan-threads caps the threads inside
+                  each plan — plans are byte-identical at any value; left at 0
+                  a job's chains, dies and fit use only the cores no other job
+                  holds (one CPU budget per process);
                   --canonical zeroes latency and strips traces from records so
                   equal-seed runs are byte-comparable;
                   --shards splits the plan cache into N
@@ -120,7 +120,8 @@ usage:
                  (--spec is a SweepSpec: axes over chips/theta/capacities/modes/seeds;
                   records stream as JSONL to --out (default stdout) in grid order,
                   byte-identical for any --threads and --plan-threads (0 = one
-                  per core; auto plan-threads stay serial while points fan out);
+                  per core; plans, contexts and points share one CPU budget, so
+                  auto plan-threads use only the cores the points leave idle);
                   the Pareto
                   front and per-axis marginals go to stderr, or as JSON with
                   --summary-json; --timings adds per-point latency/stage wall times)

@@ -25,7 +25,8 @@ use crate::flow::{DesignError, ReportSummary};
 #[derive(Debug, Clone)]
 pub struct MultiDesignOptions {
     /// Per-die planner configuration (applied identically to every die;
-    /// its `plan_threads` also sizes the per-die fan-out pool).
+    /// its `plan_threads` also caps the per-die fork, whose helpers run
+    /// on idle cores of the process's CPU budget).
     pub planner: PlannerConfig,
     /// Cryostat-level characterization seed (per-die seeds derive via
     /// [`youtiao_core::die_seed`]).

@@ -201,9 +201,9 @@ impl RepairStore {
 /// `validate` is set, every finished plan is checked against the wiring
 /// invariants and a violation fails the job permanently with
 /// [`ErrorKind::Validation`]. `plan_threads` is injected into every
-/// request's [`PlannerConfig`] (`0` = one thread per core); sessions
-/// resolve it from their `plan_threads` option and pool width via
-/// [`effective_plan_threads`]. Plans are byte-identical across any
+/// request's [`PlannerConfig`] (`0` = no cap: the plan's helpers run on
+/// whatever cores the process's CPU budget finds idle); sessions pass
+/// their `plan_threads` option. Plans are byte-identical across any
 /// value, so the knob never enters the plan cache or repair-store keys.
 ///
 /// Requests whose [`DesignRequest::effective_delta`] is set take the
@@ -456,19 +456,13 @@ fn delta_chip(chip: &Chip, delta: &DeltaSpec) -> Result<Chip, ExecError> {
 }
 
 /// The executor of a design session and the repair store behind it:
-/// the store shards like the plan cache, and plan threads resolve
-/// against the pool width.
+/// the store shards like the plan cache.
 fn session_executor(
     options: &DaemonOptions,
 ) -> (Executor<DesignRequest, ReportSummary>, RepairStore) {
     let store = RepairStore::new(256, options.shards);
-    let workers = PoolOptions {
-        workers: options.workers,
-        ..Default::default()
-    }
-    .effective_workers();
-    let threads = effective_plan_threads(options.plan_threads, workers);
-    let executor = repairing_design_executor_threads(options.validate, store.clone(), threads);
+    let executor =
+        repairing_design_executor_threads(options.validate, store.clone(), options.plan_threads);
     (executor, store)
 }
 
