@@ -100,17 +100,18 @@ pub fn group_fdm_subset(
 
     // `nearest[i]` is unassigned qubit i's smallest equivalent distance
     // to the line's members, folded with `f64::min` in member order as
-    // each member joins.
+    // each member joins, from the member's row of the matrix.
     let mut nearest: Vec<f64> = Vec::with_capacity(unassigned.len());
     let mut lines = Vec::new();
     while !unassigned.is_empty() {
         let seed = unassigned.remove(0);
         let mut members = vec![seed];
+        let row = matrix.row(seed);
         nearest.clear();
         nearest.extend(
             unassigned
                 .iter()
-                .map(|&q| f64::INFINITY.min(matrix.get(seed, q))),
+                .map(|&q| f64::INFINITY.min(row[q.index()])),
         );
         while members.len() < capacity && !unassigned.is_empty() {
             // Frontier minimum: the unassigned qubit with the smallest
@@ -125,8 +126,9 @@ pub fn group_fdm_subset(
             nearest.remove(best_idx);
             let member = unassigned.remove(best_idx);
             members.push(member);
+            let row = matrix.row(member);
             for (d, &q) in nearest.iter_mut().zip(&unassigned) {
-                *d = d.min(matrix.get(member, q));
+                *d = d.min(row[q.index()]);
             }
         }
         lines.push(FdmLine::new(members));

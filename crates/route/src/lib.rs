@@ -1,11 +1,16 @@
-//! On-chip control-line routing for YOUTIAO (§5.3's path-based router).
+//! On-chip control-line routing for YOUTIAO (§5.3).
 //!
 //! The paper's chip-level experiment "is implemented using path-based
 //! simulations, where routing paths are represented by a grid with a
 //! resolution of 10 µm … the shortest routing paths are determined by
 //! applying an A* algorithm, subject to standard EDA constraints —
 //! prohibiting routing intersections and maintaining adequate spacing
-//! between adjacent lines". This crate implements exactly that:
+//! between adjacent lines". The design flow does not reproduce that A*
+//! router: it routes only with the deterministic channel router
+//! ([`channel`]), which keeps the same constraints (no crossings, 30 µm
+//! pitch) by construction, since dense dedicated netlists deadlock a
+//! sequential maze router without rip-up. The crate still holds a maze
+//! router, reached only from tests, a bench and a debug binary:
 //!
 //! * [`grid`] — the routing grid over the die bounding box, with qubit
 //!   footprints as obstacles and net ownership per cell;

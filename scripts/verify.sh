@@ -673,8 +673,16 @@ echo "  experiment outputs OK: byte-identical to results/"
 echo "==> crosstalk fit: within tolerance of the oracle fit, recorded bits pinned, release-only chips included; property suite"
 cargo test -q --release --offline -p youtiao-noise -- --include-ignored
 
-echo "==> planner core: every test, release-only chips included (pair kernels, naive differentials, memo, properties)"
-cargo test -q --release --offline -p youtiao-core -- --include-ignored
+echo "==> planner core: every test, release-only chips included (pair kernels, naive differentials, memo, properties, the certified swap signs at 100x the cases)"
+cargo test -q --release --offline -p youtiao-core -- --include-ignored \
+  --skip planner_bands_match_on_bench_grids --skip swap_paths_match_on_sweep_chips
+
+# Both swap paths (certified slot sums, and the row walk for every
+# decision) against each other and the naive allocator; each grid prints
+# how many decisions took the row walk.
+echo "==> frequency allocation: both swap paths on the bench grids and plan-sweep's chips, exact walks per grid"
+cargo test -q --release --offline -p youtiao-core --lib -- --include-ignored --nocapture \
+  planner_bands_match_on_bench_grids swap_paths_match_on_sweep_chips
 
 # Cargo names each test binary as it runs it; the tests print one dot
 # each. The vendored rand_chacha's tests check the four-block ChaCha8
